@@ -229,7 +229,7 @@ mod tests {
             workloads: Vec::new(),
             cells: Vec::new(),
             spans: Vec::new(),
-            metrics: vec![("transform.bin_decoded".to_string(), 2)],
+            metrics: vec![("sim.block_build_us".to_string(), 2)],
         };
         let p1 = emit_bench_artifact(&dir, &r).unwrap();
         let p2 = emit_bench_artifact(&dir, &r).unwrap();

@@ -7,8 +7,10 @@
 //! * [`ReportSummary`] — the transform-report counts the tables print
 //!   (full per-branch decision lists are cheap to recompute and are *not*
 //!   cached).
-//! * Transformed programs — as printed IR text, re-parsed on a warm hit
-//!   (print → parse identity is property-tested in `guardspec-ir`).
+//! * Transformed programs — as printed IR text only, re-parsed on a warm
+//!   hit (print → parse identity is property-tested in `guardspec-ir`).
+//!   The text is also the cache-key material, and it is both smaller and
+//!   faster to load than a binary copy would be.
 //!
 //! Decoders return `Err` on any shape mismatch; callers treat that as a
 //! cache miss and recompute, so a stale or corrupt entry can never poison a
@@ -321,8 +323,8 @@ pub fn sample_from_json(j: &Json) -> Result<SampleSummary, String> {
     })
 }
 
-/// Hex encoding for the binary IR form embedded in transform cache entries
-/// (one lowercase `%08x` group per `encode_program` word).
+/// Hex encoding for the binary IR form of ad-hoc programs in `gsd` run
+/// requests (one lowercase `%08x` group per `encode_program` word).
 pub fn words_to_hex(words: &[u32]) -> String {
     let mut out = String::with_capacity(words.len() * 8);
     for w in words {

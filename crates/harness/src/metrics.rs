@@ -1,6 +1,6 @@
 //! Named counters and latency histograms for run/service observability.
 //!
-//! Stages increment counters ("transform.bin_decoded", "sim.observed", …)
+//! Stages increment counters ("sim.block_build_us", "cache.race_lost", …)
 //! through a shared [`MetricsRegistry`]; the artifact layer snapshots them
 //! into the `meta` object of `results/BENCH_<n>.json`.  Counters are sorted
 //! by name at snapshot time so the emitted JSON is deterministic regardless

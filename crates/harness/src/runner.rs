@@ -496,7 +496,6 @@ pub fn run_experiment_shared(
             let slots = transform_slots.clone();
             let profiles = profile_slots.clone();
             let cache = cache.clone();
-            let metrics = metrics.clone();
             let recorder = recorder.clone();
             let text = texts[wi].clone();
             let program = spec.workloads[wi].program.clone();
@@ -507,7 +506,7 @@ pub fn run_experiment_shared(
                 let t0 = Instant::now();
                 progress_emit(&progress, "transform", wname, false, false, 0.0);
                 let key = key::transform_key(&text, scale, &options);
-                let (program, text, report, cached) = match load_transform(&cache, &key, &metrics) {
+                let (program, text, report, cached) = match load_transform(&cache, &key) {
                     Some((p, t, r)) => (p, t, r, true),
                     None => {
                         let profile = &profiles[wi].get().expect("profile dependency ran").profile;
@@ -516,14 +515,13 @@ pub fn run_experiment_shared(
                         guardspec_ir::validate::assert_valid(&p);
                         let out_text = p.to_string();
                         let summary = ReportSummary::from(&report);
-                        // The binary form rides along so warm hits decode
-                        // words instead of re-parsing the printed text.
-                        let bin = codec::words_to_hex(&guardspec_ir::encode::encode_program(&p));
+                        // The printed text is the whole entry: warm hits
+                        // re-parse it, which is smaller and faster than
+                        // decoding a binary copy.
                         cache.put(
                             &key,
                             &crate::json::Json::obj(vec![
                                 ("program", crate::json::Json::str(&out_text)),
-                                ("bin", crate::json::Json::str(bin)),
                                 ("report", codec::report_to_json(&summary)),
                             ])
                             .to_compact(),
@@ -1134,10 +1132,12 @@ fn load_trace(
     }
 }
 
+/// A cached transform: the printed program (re-parsed) and its report.
+/// Entries written with a binary `bin` copy alongside still hit; the copy
+/// is ignored.
 fn load_transform(
     cache: &DiskCache,
     key: &str,
-    metrics: &MetricsRegistry,
 ) -> Option<(guardspec_ir::Program, String, ReportSummary)> {
     let text = cache.get(key)?;
     let decode = || -> Result<_, String> {
@@ -1147,23 +1147,7 @@ fn load_transform(
             .and_then(crate::json::Json::as_str)
             .ok_or("no program")?;
         let report = codec::report_from_json(j.get("report").ok_or("no report")?)?;
-        // Warm hits decode the embedded binary form; re-parsing the printed
-        // text is the fallback for entries without one (or a corrupt hex).
-        let bin_program = j
-            .get("bin")
-            .and_then(crate::json::Json::as_str)
-            .and_then(|hex| codec::words_from_hex(hex).ok())
-            .and_then(|words| guardspec_ir::encode::decode_program(&words).ok());
-        let program = match bin_program {
-            Some(p) => {
-                metrics.incr("transform.bin_decoded");
-                p
-            }
-            None => {
-                metrics.incr("transform.reparsed");
-                guardspec_ir::parse::parse_program(src, None).map_err(|e| e.to_string())?
-            }
-        };
+        let program = guardspec_ir::parse::parse_program(src, None).map_err(|e| e.to_string())?;
         Ok((program, src.to_string(), report))
     };
     match decode() {

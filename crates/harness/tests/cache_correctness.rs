@@ -2,9 +2,11 @@
 //! produce byte-identical stable artifacts, and the warm run must perform
 //! zero re-profiles / re-transforms / re-simulations (every stage a hit).
 
-use guardspec_harness::{run_experiment, stable_json, ExperimentSpec, RunOptions};
+use guardspec_harness::{
+    codec, json, run_experiment, stable_json, ExperimentSpec, Json, RunOptions,
+};
 use guardspec_workloads::Scale;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn scratch(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -69,6 +71,111 @@ fn cold_then_warm_is_byte_identical_and_fully_cached() {
         "cold and warm stable artifacts differ"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every `transform-*` entry under a cache directory.
+fn transform_entries(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for shard in std::fs::read_dir(dir).unwrap() {
+        for f in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            let path = f.unwrap().path();
+            if path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("transform-"))
+            {
+                out.push(path);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn small_scale_warm_run_replays_every_stage() {
+    // The warm path at a real scale: small-scale transform entries are
+    // hundreds of KB of printed IR, which a quadratic JSON scan could not
+    // re-read in any reasonable time.
+    let dir = scratch("small");
+    let opts = RunOptions {
+        jobs: 2,
+        cache_dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    let spec = ExperimentSpec::three_schemes("small-cache-test", Scale::Small);
+    let cold = run_experiment(&spec, &opts);
+    assert!(cold.cache_misses > 0);
+
+    let entries = transform_entries(&dir);
+    assert!(!entries.is_empty(), "no transform entries cached");
+    for path in &entries {
+        let j = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert!(j.get("program").and_then(Json::as_str).is_some());
+        assert!(j.get("report").is_some());
+        assert!(
+            j.get("bin").is_none(),
+            "{} carries a bin copy",
+            path.display()
+        );
+    }
+
+    let warm = run_experiment(&spec, &opts);
+    assert_eq!(warm.cache_misses, 0, "warm run must recompute nothing");
+    assert_eq!(warm.interpretations, 0, "warm run must not interpret");
+    assert_eq!(
+        stable_json(&cold).to_pretty(),
+        stable_json(&warm).to_pretty(),
+        "cold and warm stable artifacts differ at small scale"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn legacy_transform_entries_with_bin_still_hit() {
+    // Transform entries used to carry a `bin` hex copy of the encoded
+    // program next to its text.  Such entries must still hit: the text is
+    // read and the copy ignored.
+    let dir = scratch("legacy");
+    let opts = RunOptions {
+        jobs: 1,
+        cache_dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    let spec = ExperimentSpec::three_schemes("legacy-test", Scale::Test);
+    let cold = run_experiment(&spec, &opts);
+
+    let entries = transform_entries(&dir);
+    assert!(!entries.is_empty(), "no transform entries cached");
+    for path in &entries {
+        let j = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let src = j.get("program").and_then(Json::as_str).unwrap();
+        let program = guardspec_ir::parse::parse_program(src, None).unwrap();
+        let bin = codec::words_to_hex(&guardspec_ir::encode::encode_program(&program));
+        let legacy = Json::obj(vec![
+            ("program", Json::str(src)),
+            ("bin", Json::str(bin)),
+            ("report", j.get("report").unwrap().clone()),
+        ]);
+        std::fs::write(path, legacy.to_compact()).unwrap();
+    }
+
+    let warm = run_experiment(&spec, &opts);
+    assert_eq!(warm.cache_misses, 0, "legacy entries must hit");
+    assert!(
+        warm.cells
+            .iter()
+            .all(|c| c.transform_timing.map(|t| t.cached).unwrap_or(true)),
+        "no re-transforms"
+    );
+    assert_eq!(
+        stable_json(&cold).to_pretty(),
+        stable_json(&warm).to_pretty()
+    );
+    // A hit leaves the entry as it was, not rewritten.
+    for path in &entries {
+        assert!(std::fs::read_to_string(path).unwrap().contains("\"bin\""));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -121,6 +121,21 @@ impl<'a> Reader<'a> {
         Ok((lo | (hi << 32)) as i64)
     }
 
+    /// Read an element count, rejecting one the remaining words cannot
+    /// hold at `min_words` per element, so a corrupt count can never size
+    /// a huge allocation.
+    fn count(&mut self, min_words: usize) -> Result<usize, DecodeError> {
+        let at = self.pos;
+        let n = self.r()? as usize;
+        if n.saturating_mul(min_words) > self.words.len() - self.pos {
+            return Err(DecodeError {
+                at,
+                msg: format!("count {n} exceeds the remaining stream"),
+            });
+        }
+        Ok(n)
+    }
+
     fn header(&mut self) -> Result<(u8, u8, u8, u8), DecodeError> {
         let [op, a, b, c] = self.r()?.to_le_bytes();
         Ok((op, a, b, c))
@@ -594,14 +609,15 @@ pub fn decode_program(words: &[u32]) -> Result<Program, DecodeError> {
     }
     let entry = FuncId(rd.r()?);
     let mem_words = rd.r64()? as u64;
-    let ndata = rd.r()? as usize;
+    let ndata = rd.count(4)?;
     let mut data = Vec::with_capacity(ndata);
     for _ in 0..ndata {
         let addr = rd.r64()? as u64;
         let value = rd.r64()?;
         data.push((addr, value));
     }
-    let nfuncs = rd.r()? as usize;
+    // A function is at least its name's length word and a block count.
+    let nfuncs = rd.count(2)?;
     let mut funcs = Vec::with_capacity(nfuncs);
     for _ in 0..nfuncs {
         let name = rd.string()?;
@@ -676,6 +692,19 @@ mod tests {
                 decode_program(&words[..cut]).is_err(),
                 "truncation at {cut} must not decode"
             );
+        }
+    }
+
+    #[test]
+    fn huge_counts_are_errors_not_allocations() {
+        let words = encode_program(&sample());
+        // Word 5 counts the data pairs; the function count follows them.
+        let nfuncs_at = 6 + 4 * words[5] as usize;
+        for at in [5, nfuncs_at] {
+            let mut m = words.clone();
+            m[at] = u32::MAX;
+            let e = decode_program(&m).unwrap_err();
+            assert!(e.msg.contains("exceeds the remaining stream"), "{}", e.msg);
         }
     }
 

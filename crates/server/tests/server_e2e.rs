@@ -242,6 +242,40 @@ fn adhoc_bin_programs_run_and_match_offline() {
     handle.shutdown();
 }
 
+#[test]
+fn deeply_nested_bodies_are_a_400_not_a_crash() {
+    // One MiB of `[` once recursed the JSON parser off the end of its
+    // thread's stack and aborted the whole daemon.
+    let handle = Server::start(ServerConfig {
+        cache_dir: Some(scratch("nested")),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr().to_string();
+    let bodies = [
+        "[".repeat(1 << 20),
+        format!(
+            "{{\"name\":\"deep\",\"workloads\":{}",
+            "[{\"a\":".repeat(1 << 17)
+        ),
+    ];
+    for body in &bodies {
+        let (status, reply) = http::post_json(&addr, "/run", body).unwrap();
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("nesting deeper"), "{reply}");
+    }
+    // The daemon is still up and still answers real work.
+    let (status, _) = http::get(&addr, "/healthz").unwrap();
+    assert_eq!(status, 200);
+    let req = three_schemes_request("after-nest", Scale::Test);
+    let (status, body) =
+        http::post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, offline_stable(&req));
+    handle.shutdown();
+}
+
 /// Pull the executable (`ph == "X"`) spans out of a Chrome trace doc as
 /// `(name, cat, ts, end)` tuples.
 fn x_spans(doc: &Json) -> Vec<(String, String, u64, u64)> {

@@ -77,6 +77,22 @@ rm -rf "$TCDIR"
 cargo run --release -p guardspec-bench --bin tracefan -- --scale test > /dev/null
 test -s results/BENCH_10.json
 
+echo "== warm cache at small scale (table3 cold then warm, 60 s cap each) =="
+# A warm run re-reads every cached stage, including transform entries of
+# hundreds of KB.  If a decoder turns quadratic again, the warm run hits
+# the timeout and fails here instead of hanging.
+WCDIR=$(mktemp -d)
+(cd "$WCDIR" && timeout 60 "$OLDPWD/target/release/table3" --scale small --jobs 1 > cold.txt)
+(cd "$WCDIR" && timeout 60 "$OLDPWD/target/release/table3" --scale small --jobs 1 > warm.txt)
+cmp "$WCDIR"/cold.txt "$WCDIR"/warm.txt
+# Transform entries hold the printed program text only, no binary copy.
+find "$WCDIR"/results/cache -name 'transform-*.json' | grep -q .
+if find "$WCDIR"/results/cache -name 'transform-*.json' -exec grep -l '"bin"' {} + | grep .; then
+    echo "warm cache: a transform entry carries a bin copy" >&2
+    exit 1
+fi
+rm -rf "$WCDIR"
+
 echo "== observability (report bin, trace-out validation, decision schema) =="
 # The report bin runs with cycle accounting forced on: it asserts per cell
 # that the eight cycle buckets sum to stats.cycles and that the decision
