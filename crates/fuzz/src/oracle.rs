@@ -21,6 +21,10 @@
 //!    accounting (`CycleAccounting` equality, which covers per-site
 //!    counters too), and a committed-store trace consistent with the
 //!    interpreter's, over both the materialized and the streamed source.
+//!    Both engines also run from the packed trace the harness fans out —
+//!    recorded by its own interpretation, which must land in the same
+//!    architectural state — and must match the `Vec<TraceEntry>` reference
+//!    in entries, `SimStats` and cycle accounting.
 //!
 //! Transform panics and validation failures on the transformed program are
 //! reported as findings rather than crashing the fuzz run; an original
@@ -31,13 +35,14 @@ use crate::gen::{generate, ShapeParams};
 use guardspec_core::{transform_program, DriverOptions};
 use guardspec_interp::exec::{ExecError, Interp, Observer, RetireEvent};
 use guardspec_interp::profile::profile_program;
-use guardspec_interp::Machine;
+use guardspec_interp::{Machine, PackedRecorder};
 use guardspec_ir::reg::{f, p, r};
 use guardspec_ir::validate::validate;
 use guardspec_ir::{Instruction, Opcode, Program};
 use guardspec_predict::Scheme;
 use guardspec_sim::{
-    simulate_compiled_trace_observed_in, simulate_program_compiled_streamed_observed_in,
+    prepare_program, simulate_compiled_packed_observed_in, simulate_compiled_trace_observed_in,
+    simulate_packed_observed_in, simulate_program_compiled_streamed_observed_in,
     simulate_program_streamed, simulate_trace_observed, CompiledProgram, CycleAccounting,
     MachineConfig, SimContext,
 };
@@ -228,10 +233,10 @@ fn transform_guarded(
 }
 
 /// Check the execution engines against each other on one program: the
-/// interpreted pipeline (materialized and streamed) and the compiled
-/// decoded-uop engine (materialized and streamed) must produce identical
-/// `SimStats` and identical cycle accounting, and the trace the compiled
-/// engine consumes must carry exactly the interpreter's committed stores.
+/// interpreted pipeline and the compiled decoded-uop engine, each over the
+/// materialized, streamed and packed sources, must produce identical
+/// `SimStats` and identical cycle accounting, and the trace the engines
+/// consume must carry exactly the interpreter's committed stores.
 fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), String> {
     let cfg = MachineConfig::r10000();
     // Materialized interpreted path.
@@ -359,6 +364,54 @@ fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), 
              (cycles {} vs {})",
             stats_mat.cycles, stats_comp_str.cycles
         ));
+    }
+
+    // Packed path: the fan-out trace form, recorded by its own run, read
+    // by both engines through the decoding cursor.
+    let mut packer = PackedRecorder::new(prog);
+    let exec_packed = Interp::new(prog)
+        .run_with(&mut packer)
+        .map_err(|e| format!("{tag}: packed recording failed: {e}"))?;
+    check_same_program_state(
+        &format!("{tag}: interp vs packed-recording interp"),
+        &reference.machine,
+        &exec_packed.machine,
+    )?;
+    let packed = packer.finish(0);
+    if !packed.iter().eq(trace.iter().copied()) {
+        return Err(format!(
+            "{tag}: packed trace decodes to different entries than the recorded reference"
+        ));
+    }
+    let prep = prepare_program(prog);
+    for (engine, compiled) in [("interpreted", false), ("compiled", true)] {
+        let mut acct = CycleAccounting::new();
+        let stats = if compiled {
+            simulate_compiled_packed_observed_in(
+                &mut ctx,
+                &comp,
+                &packed,
+                Scheme::TwoBit,
+                &cfg,
+                &mut acct,
+            )
+        } else {
+            simulate_packed_observed_in(&mut ctx, &prep, &packed, Scheme::TwoBit, &cfg, &mut acct)
+        }
+        .map_err(|e| format!("{tag}: packed {engine} simulate failed: {e}"))?;
+        if stats != stats_mat || acct != acct_interp {
+            return Err(format!(
+                "{tag}: packed {engine} run diverges from the materialized reference \
+                 (cycles {} vs {}, accounting {})",
+                stats_mat.cycles,
+                stats.cycles,
+                if acct == acct_interp {
+                    "agrees"
+                } else {
+                    "differs"
+                }
+            ));
+        }
     }
     Ok(())
 }

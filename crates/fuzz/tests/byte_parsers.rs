@@ -2,22 +2,29 @@
 //! entries on disk and `gsd` request bodies.
 //!
 //! Seeds are real documents: a cached transform entry written by the
-//! runner and a `/run` body naming builtin, textual and binary workloads.
-//! Seeded SplitMix64 mutations (truncate, byte flip, splice, repeat, deep
-//! nest) of those seeds go through every decoder a warm hit or a request
-//! would reach: `http::try_parse` on the framed request, `json::parse`,
-//! `protocol::request_from_json`, the `codec::*_from_json` decoders on
-//! every object, `ir::parse` on every `program` string and
-//! `codec::words_from_hex` + `ir::encode::decode_program` on every `bin`
-//! string.  Each input must come back `Ok` or `Err` — a panic fails the
-//! test — within a per-input wall budget, so a decoder that goes
-//! quadratic or recurses without bound shows up here, not as a hung run.
+//! runner, a `/run` body naming builtin, textual and binary workloads, and
+//! the runner's trace blobs.  Seeded SplitMix64 mutations (truncate, byte
+//! flip, splice, repeat, deep nest) of the JSON seeds go through every
+//! decoder a warm hit or a request would reach: `http::try_parse` on the
+//! framed request, `json::parse`, `protocol::request_from_json`, the
+//! `codec::*_from_json` decoders on every object, `ir::parse` on every
+//! `program` string and `codec::words_from_hex` +
+//! `ir::encode::decode_program` on every `bin` string.  The blobs get the
+//! byte mutations plus header-field edits, mostly with the checksum
+//! recomputed so the record checks are reached, and go through
+//! `tracefile::decode`; every blob it accepts is then streamed to its end
+//! through the simulator's cursor, which trusts decoded bytes.  Each input
+//! must come back `Ok` or `Err` — a panic fails the test — within a
+//! per-input wall budget, so a decoder that goes quadratic or recurses
+//! without bound shows up here, not as a hung run.
 
 use guardspec_harness::{codec, json, run_experiment, ExperimentSpec, Json, RunOptions};
+use guardspec_interp::tracefile::{self, TraceFileError, CHECKSUM_LEN};
 use guardspec_server::http;
 use guardspec_server::protocol::{
     request_from_json, request_to_json, three_schemes_request, WorkloadReq,
 };
+use guardspec_sim::{PackedSource, TraceSource};
 use guardspec_workloads::{extended_workloads, Scale};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
@@ -48,9 +55,13 @@ impl SplitMix {
     }
 }
 
-/// A real transform entry: the largest one a test-scale Table-3 run caches.
-fn transform_entry_seed() -> Vec<u8> {
-    let dir = std::env::temp_dir().join(format!("guardspec-fuzz-bytes-{}", std::process::id()));
+/// Every entry whose file name starts with `prefix` that a cold
+/// test-scale Table-3 run caches, largest first.
+fn cached_entries(prefix: &str) -> Vec<Vec<u8>> {
+    let dir = std::env::temp_dir().join(format!(
+        "guardspec-fuzz-bytes-{}-{prefix}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = RunOptions {
         jobs: 1,
@@ -61,25 +72,23 @@ fn transform_entry_seed() -> Vec<u8> {
         &ExperimentSpec::three_schemes("fuzz-seed", Scale::Test),
         &opts,
     );
-    let mut best = Vec::new();
+    let mut found = Vec::new();
     for shard in std::fs::read_dir(&dir).unwrap() {
         for f in std::fs::read_dir(shard.unwrap().path()).unwrap() {
             let path = f.unwrap().path();
-            let is_transform = path
+            let matches = path
                 .file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("transform-"));
-            if is_transform {
-                let bytes = std::fs::read(&path).unwrap();
-                if bytes.len() > best.len() {
-                    best = bytes;
-                }
+                .is_some_and(|n| n.starts_with(prefix));
+            if matches {
+                found.push(std::fs::read(&path).unwrap());
             }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(!best.is_empty(), "the seed run cached no transform entry");
-    best
+    assert!(!found.is_empty(), "the seed run cached no {prefix} entry");
+    found.sort_by_key(|b| std::cmp::Reverse(b.len()));
+    found
 }
 
 /// A real `/run` body with one workload of each kind.
@@ -97,8 +106,9 @@ fn run_body_seed() -> Vec<u8> {
     request_to_json(&req).to_compact().into_bytes()
 }
 
-fn mutate(rng: &mut SplitMix, seeds: &[Vec<u8>], input: &mut Vec<u8>) {
-    match rng.below(5) {
+/// One format-blind mutation: truncate, flip, splice or repeat.
+fn mutate_bytes(rng: &mut SplitMix, seeds: &[Vec<u8>], input: &mut Vec<u8>) {
+    match rng.below(4) {
         // Truncate.
         0 => input.truncate(rng.below(input.len() + 1)),
         // Flip a few bytes.
@@ -120,7 +130,7 @@ fn mutate(rng: &mut SplitMix, seeds: &[Vec<u8>], input: &mut Vec<u8>) {
             input.splice(at..cut, donor[a..b].iter().copied());
         }
         // Repeat a range in place.
-        3 => {
+        _ => {
             if !input.is_empty() {
                 let a = rng.below(input.len());
                 let b = a + 1 + rng.below((input.len() - a).min(4096));
@@ -133,7 +143,15 @@ fn mutate(rng: &mut SplitMix, seeds: &[Vec<u8>], input: &mut Vec<u8>) {
                 input.extend_from_slice(&tail);
             }
         }
-        // Deep nesting, around the parser's cap and far past it.
+    }
+    input.truncate(MAX_INPUT);
+}
+
+/// A byte mutation, or deep nesting around the JSON parser's cap and far
+/// past it.
+fn mutate_json(rng: &mut SplitMix, seeds: &[Vec<u8>], input: &mut Vec<u8>) {
+    match rng.below(5) {
+        0..=3 => mutate_bytes(rng, seeds, input),
         _ => {
             let depth = match rng.below(3) {
                 0 => json::MAX_DEPTH - 2 + rng.below(5),
@@ -149,9 +167,42 @@ fn mutate(rng: &mut SplitMix, seeds: &[Vec<u8>], input: &mut Vec<u8>) {
                 .take(opener.len() * depth)
                 .collect();
             input.splice(at..at, nest);
+            input.truncate(MAX_INPUT);
         }
     }
-    input.truncate(MAX_INPUT);
+}
+
+/// Header fields of a trace blob: version, reserved, site count, entry
+/// count (byte ranges).
+const BLOB_FIELDS: [(usize, usize); 4] = [(4, 6), (6, 8), (8, 12), (28, 36)];
+
+/// A byte mutation or a header-field edit.
+fn mutate_blob(rng: &mut SplitMix, seeds: &[Vec<u8>], input: &mut Vec<u8>) {
+    if rng.below(3) > 0 {
+        return mutate_bytes(rng, seeds, input);
+    }
+    let (a, b) = BLOB_FIELDS[rng.below(BLOB_FIELDS.len())];
+    let Some(field) = input.get_mut(a..b) else {
+        return;
+    };
+    let mut le = [0u8; 8];
+    le[..b - a].copy_from_slice(field);
+    let old = u64::from_le_bytes(le);
+    let new = match rng.below(4) {
+        0 => old.wrapping_add(1 + rng.below(3) as u64),
+        1 => old.wrapping_sub(1 + rng.below(3) as u64),
+        2 => u64::MAX,
+        _ => rng.next(),
+    };
+    field.copy_from_slice(&new.to_le_bytes()[..b - a]);
+}
+
+/// Recompute a blob's checksum, so only its structure can reject it.
+fn reseal(input: &mut [u8]) {
+    if let Some(end) = input.len().checked_sub(CHECKSUM_LEN) {
+        let sum = tracefile::checksum(&input[..end]);
+        input[end..].copy_from_slice(&sum.to_le_bytes());
+    }
 }
 
 /// What one input reached, for the coverage check at the end.
@@ -227,28 +278,23 @@ fn feed(input: &[u8], reached: &mut Reached) {
     }
 }
 
-#[test]
-fn mutated_entries_and_bodies_decode_or_fail_within_budget() {
-    let seeds = vec![transform_entry_seed(), run_body_seed()];
-    // The seeds themselves decode cleanly.
-    let mut clean = Reached::default();
-    for s in &seeds {
-        feed(s, &mut clean);
-    }
-    assert_eq!(clean.json_ok, 2);
-    assert_eq!(clean.request_ok, 1, "the /run seed is a valid request");
-    assert!(clean.report_ok >= 1, "the transform seed's report decodes");
-    assert!(clean.program_ok >= 2, "both seeds' program texts parse");
-
-    // Inputs run on a worker thread with a test thread's 2 MiB stack; the
-    // budget is a deadline on its answer, so an input that hangs fails the
-    // test at once instead of stalling the suite.
+/// Feed `CASES` mutated seeds through `feed` on a worker thread with a
+/// test thread's 2 MiB stack.  The budget is a deadline on each answer,
+/// so an input that hangs fails the test at once instead of stalling the
+/// suite, and a panic fails it naming the case.  Returns the worker's
+/// tally and the slowest case.
+fn run_cases<R: Default + Send + 'static>(
+    seeds: &[Vec<u8>],
+    base_seed: u64,
+    mutate: impl Fn(&mut SplitMix, &[Vec<u8>], &mut Vec<u8>),
+    feed: fn(&[u8], &mut R),
+) -> (R, (Duration, u64)) {
     let (input_tx, input_rx) = mpsc::channel::<Vec<u8>>();
     let (done_tx, done_rx) = mpsc::channel::<Duration>();
     let worker = std::thread::Builder::new()
         .stack_size(2 << 20)
         .spawn(move || {
-            let mut reached = Reached::default();
+            let mut reached = R::default();
             for input in input_rx {
                 let t0 = Instant::now();
                 feed(&input, &mut reached);
@@ -259,10 +305,10 @@ fn mutated_entries_and_bodies_decode_or_fail_within_budget() {
         .unwrap();
     let mut slowest = (Duration::ZERO, 0);
     for case in 0..CASES {
-        let mut rng = SplitMix(guardspec_fuzz::case_seed(BASE_SEED, case));
+        let mut rng = SplitMix(guardspec_fuzz::case_seed(base_seed, case));
         let mut input = seeds[rng.below(seeds.len())].clone();
         for _ in 0..1 + rng.below(3) {
-            mutate(&mut rng, &seeds, &mut input);
+            mutate(&mut rng, seeds, &mut input);
         }
         let len = input.len();
         input_tx.send(input).unwrap();
@@ -279,7 +325,23 @@ fn mutated_entries_and_bodies_decode_or_fail_within_budget() {
         }
     }
     drop(input_tx);
-    let reached = worker.join().unwrap();
+    (worker.join().unwrap(), slowest)
+}
+
+#[test]
+fn mutated_entries_and_bodies_decode_or_fail_within_budget() {
+    let seeds = vec![cached_entries("transform-").swap_remove(0), run_body_seed()];
+    // The seeds themselves decode cleanly.
+    let mut clean = Reached::default();
+    for s in &seeds {
+        feed(s, &mut clean);
+    }
+    assert_eq!(clean.json_ok, 2);
+    assert_eq!(clean.request_ok, 1, "the /run seed is a valid request");
+    assert!(clean.report_ok >= 1, "the transform seed's report decodes");
+    assert!(clean.program_ok >= 2, "both seeds' program texts parse");
+
+    let (reached, slowest) = run_cases(&seeds, BASE_SEED, mutate_json, feed);
     // The mutations reach both outcomes and the decoders past the parser.
     assert!(reached.json_ok > CASES / 20, "json ok {}", reached.json_ok);
     assert!(
@@ -295,5 +357,66 @@ fn mutated_entries_and_bodies_decode_or_fail_within_budget() {
     eprintln!(
         "byte parsers: {CASES} cases, {} parsed, {} rejected, slowest case {} in {:?}",
         reached.json_ok, reached.json_err, slowest.1, slowest.0
+    );
+}
+
+/// What the trace-blob inputs reached.
+#[derive(Default)]
+struct BlobReached {
+    ok: u64,
+    bad_checksum: u64,
+    /// Rejected past the checksum, by the header or record checks.
+    structural: u64,
+}
+
+/// Decode one blob; stream an accepted one through the simulator cursor.
+fn feed_blob(input: &[u8], reached: &mut BlobReached) {
+    match tracefile::decode(input) {
+        Ok(d) => {
+            reached.ok += 1;
+            let mut source = PackedSource::new(&d.trace);
+            let mut n = 0u64;
+            while let Some(e) = source.cur() {
+                assert!(e.id < d.num_sites, "decoded id {} past the header", e.id);
+                source.advance();
+                n += 1;
+            }
+            assert_eq!(n, d.trace.len(), "the cursor ends at the header's count");
+        }
+        Err(TraceFileError::BadChecksum { .. }) => reached.bad_checksum += 1,
+        Err(_) => reached.structural += 1,
+    }
+}
+
+#[test]
+fn mutated_trace_blobs_decode_or_fail_within_budget() {
+    let seeds = cached_entries("trace-");
+    for s in &seeds {
+        let d = tracefile::decode(s).expect("a recorded blob decodes");
+        assert_eq!(d.trace.blob(), &s[..]);
+    }
+    let (reached, slowest) = run_cases(
+        &seeds,
+        BASE_SEED ^ 0x7ace,
+        |rng, seeds, input| {
+            mutate_blob(rng, seeds, input);
+            // Mostly reseal, so the checks behind the checksum are reached.
+            if rng.below(4) > 0 {
+                reseal(input);
+            }
+        },
+        feed_blob,
+    );
+    assert!(reached.ok > 0, "no mutated blob was accepted");
+    assert!(
+        reached.structural > CASES / 10,
+        "only {} inputs reached the structure checks",
+        reached.structural
+    );
+    assert!(reached.bad_checksum > 0, "no checksum mismatch was caught");
+    eprintln!(
+        "trace blobs: {CASES} cases, {} accepted, {} bad checksums, {} structurally rejected, \
+         slowest case {} in {:?}",
+        reached.ok, reached.bad_checksum, reached.structural, slowest.1, slowest.0
     );
 }

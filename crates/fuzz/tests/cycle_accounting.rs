@@ -4,16 +4,16 @@
 //! * the bucket sums equal `stats.cycles` exactly (every cycle attributed
 //!   to exactly one cause — `CycleAccounting::check` also ties per-site
 //!   counters back to the aggregate mispredict statistics), and
-//! * the materialized-slice, streamed and shared-chunk trace paths produce
+//! * the materialized-slice, streamed and packed trace paths produce
 //!   identical accounting (the observer sees the same retired stream no
 //!   matter how it is delivered).
 
 use guardspec_fuzz::{case_seed, generate, ShapeParams};
 use guardspec_interp::trace::trace_program;
-use guardspec_interp::{ChunkRecorder, Interp};
+use guardspec_interp::{Interp, PackedRecorder};
 use guardspec_predict::Scheme;
 use guardspec_sim::{
-    prepare_program, simulate_program_streamed_observed_in, simulate_shared_observed_in,
+    prepare_program, simulate_packed_observed_in, simulate_program_streamed_observed_in,
     simulate_trace_observed, CycleAccounting, MachineConfig, SimContext,
 };
 
@@ -38,13 +38,13 @@ fn bucket_sums_equal_cycles_across_all_trace_paths() {
             nontrivial += 1;
         }
 
-        // Shared chunks come from a second interpretation of the same
+        // The packed trace comes from a second interpretation of the same
         // (deterministic) program.
-        let mut recorder = ChunkRecorder::new(&prog);
+        let mut recorder = PackedRecorder::new(&prog);
         Interp::new(&prog)
             .run_with(&mut recorder)
             .expect("interpret");
-        let shared = recorder.finish();
+        let packed = recorder.finish(0);
         let prep = prepare_program(&prog);
 
         for scheme in Scheme::ALL {
@@ -67,32 +67,32 @@ fn bucket_sums_equal_cycles_across_all_trace_paths() {
             )
             .expect("simulate streamed");
 
-            let mut shared_acct = CycleAccounting::new();
-            let shared_stats = simulate_shared_observed_in(
+            let mut packed_acct = CycleAccounting::new();
+            let packed_stats = simulate_packed_observed_in(
                 &mut ctx,
                 &prep,
-                &shared,
+                &packed,
                 scheme,
                 &cfg,
-                &mut shared_acct,
+                &mut packed_acct,
             )
-            .expect("simulate shared");
+            .expect("simulate packed");
 
             assert_eq!(
                 slice_stats, stream_stats,
                 "case {i} {scheme:?}: slice vs streamed stats"
             );
             assert_eq!(
-                slice_stats, shared_stats,
-                "case {i} {scheme:?}: slice vs shared stats"
+                slice_stats, packed_stats,
+                "case {i} {scheme:?}: slice vs packed stats"
             );
             assert_eq!(
                 slice_acct, stream_acct,
                 "case {i} {scheme:?}: slice vs streamed accounting"
             );
             assert_eq!(
-                slice_acct, shared_acct,
-                "case {i} {scheme:?}: slice vs shared accounting"
+                slice_acct, packed_acct,
+                "case {i} {scheme:?}: slice vs packed accounting"
             );
         }
     }

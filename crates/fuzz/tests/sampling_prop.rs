@@ -7,10 +7,11 @@
 //! change a bit of it.
 
 use guardspec_fuzz::{generate, ShapeParams};
-use guardspec_interp::trace::{trace_program, SharedTrace};
+use guardspec_interp::trace::trace_program;
+use guardspec_interp::tracefile;
 use guardspec_predict::Scheme;
 use guardspec_sim::{
-    simulate_compiled_shared_in, simulate_sampled_in, CompiledProgram, MachineConfig, SampleParams,
+    simulate_compiled_packed_in, simulate_sampled_in, CompiledProgram, MachineConfig, SampleParams,
     SimContext,
 };
 
@@ -51,10 +52,10 @@ fn sampled_ci_covers_exact_ipc_at_nominal_rate() {
     let mut ctx = SimContext::new(&cfg);
     for seed in 0..total {
         let prog = generate(&params, seed);
-        let (_, trace, _) = trace_program(&prog).expect("generated program runs");
-        let shared = SharedTrace::from_entries(trace.iter().copied());
+        let (layout, trace, _) = trace_program(&prog).expect("generated program runs");
+        let shared = tracefile::pack(&layout, &trace, 0);
         let comp = CompiledProgram::build(&prog);
-        let exact = simulate_compiled_shared_in(&mut ctx, &comp, &shared, Scheme::TwoBit, &cfg)
+        let exact = simulate_compiled_packed_in(&mut ctx, &comp, &shared, Scheme::TwoBit, &cfg)
             .expect("exact run");
         let (_, s1) = simulate_sampled_in(&mut ctx, &comp, &shared, Scheme::TwoBit, &cfg, sp)
             .expect("sampled run");

@@ -31,7 +31,7 @@ fn generated_traces_roundtrip_exactly() {
         assert_eq!(dec.layout_digest, tracefile::layout_digest(&layout));
         assert_eq!(dec.exec_digest, exec_digest, "case {i}");
         assert_eq!(dec.trace.len(), entries.len() as u64, "case {i}");
-        let decoded: Vec<_> = dec.trace.iter().copied().collect();
+        let decoded: Vec<_> = dec.trace.iter().collect();
         assert_eq!(decoded, entries, "case {i} (seed {seed:#x}) entries differ");
         if !entries.is_empty() {
             nonempty += 1;

@@ -19,11 +19,12 @@
 //!   ablation's five presets over four workloads make twenty transforms, but
 //!   e.g. Tables 3+4 share a single proposed-options transform per workload.
 //! * One **trace** job per distinct transformed program ("trace once"):
-//!   interpret it once, record [`SharedTrace`] chunks, and persist them as
-//!   a self-checking binary blob so warm runs skip interpretation entirely.
+//!   interpret it once into a [`PackedTrace`] — the self-checking blob
+//!   itself — and store those bytes as they are, so warm runs skip
+//!   interpretation entirely.
 //! * One **simulate** job per cell ("simulate many"): all cells of the same
-//!   program consume the shared chunks concurrently, each through its own
-//!   cursor.  `RunOptions::fanout = false` falls back to the historical
+//!   program read the packed trace concurrently, each through its own
+//!   decoding cursor.  `RunOptions::fanout = false` falls back to the historical
 //!   interpret-per-cell path (results are byte-identical either way).
 //!
 //! Every stage consults the content-addressed [`DiskCache`] first; cold
@@ -42,14 +43,15 @@ use crate::metrics::MetricsRegistry;
 use crate::pool::JobGraph;
 use crate::spec::ExperimentSpec;
 use crate::trace_out::{Span, SpanRecorder};
-use guardspec_interp::{tracefile, ChunkRecorder, Interp, Profile, SharedTrace};
+use guardspec_interp::{tracefile, Interp, PackedRecorder, PackedTrace, Profile};
 use guardspec_predict::Scheme;
 use guardspec_sim::{
-    prepare_program, simulate_compiled_shared_in, simulate_compiled_shared_observed_in,
-    simulate_compiled_trace_observed_in, simulate_program_compiled_streamed_observed_in,
-    simulate_program_streamed_observed_in, simulate_sampled_observed_in, simulate_shared_in,
-    simulate_shared_observed_in, simulate_trace_observed_in, CompiledProgram, CycleAccounting,
-    MachineConfig, PreparedSim, SampleParams, SampleSummary, SimContext, SimObserver, SimStats,
+    prepare_program, simulate_compiled_packed_in, simulate_compiled_packed_observed_in,
+    simulate_compiled_trace_observed_in, simulate_packed_in, simulate_packed_observed_in,
+    simulate_program_compiled_streamed_observed_in, simulate_program_streamed_observed_in,
+    simulate_sampled_in, simulate_sampled_observed_in, simulate_trace_observed_in, CompiledProgram,
+    CycleAccounting, MachineConfig, PreparedSim, SampleParams, SampleSummary, SimContext,
+    SimObserver, SimStats,
 };
 use guardspec_workloads::Scale;
 use std::cell::RefCell;
@@ -119,11 +121,11 @@ pub struct RunOptions {
     pub cache_dir: Option<PathBuf>,
     /// Stream each cell's trace from a concurrent interpreter thread
     /// (bounded memory, overlapped phases).  Only consulted with
-    /// `fanout = false`; the fan-out path shares one materialized trace per
+    /// `fanout = false`; the fan-out path shares one packed trace per
     /// program instead.  Results are identical either way.
     pub stream: bool,
     /// Trace once, simulate many: interpret each distinct program in a
-    /// dedicated trace stage and fan the shared chunks out to every
+    /// dedicated trace stage and fan its packed trace out to every
     /// dependent sim cell.  `false` restores the historical
     /// one-interpretation-per-cell pipeline.
     pub fanout: bool,
@@ -219,7 +221,9 @@ pub struct CellResult {
     pub report: Option<ReportSummary>,
     pub transform_timing: Option<StageTiming>,
     /// Timing of the shared trace stage this cell consumed (fan-out runs
-    /// only; cells of one program report the same stage once each).
+    /// only; cells of one program report the same stage once each).  For
+    /// an untransformed program this is the trace-only part of its
+    /// profile job, which the workload's profile timing excludes.
     pub trace_timing: Option<StageTiming>,
     pub sim_timing: StageTiming,
     /// Cycle buckets + per-branch-site counters ([`RunOptions::observe`]
@@ -269,11 +273,11 @@ impl ExperimentResult {
     }
 }
 
-/// A program's shared trace plus the static tables every simulation of it
+/// A program's packed trace plus the static tables every simulation of it
 /// needs — produced once, consumed by all dependent cells concurrently.
 struct TraceData {
     prep: PreparedSim,
-    trace: SharedTrace,
+    trace: PackedTrace,
     /// Decoded-uop block descriptors ([`RunOptions::compile`] runs only) —
     /// built once per distinct program, shared by every dependent cell.
     comp: Option<Arc<CompiledProgram>>,
@@ -288,7 +292,8 @@ struct ProfileSlot {
     timing: StageTiming,
     profile: Arc<Profile>,
     /// Base-program trace, recorded by the same interpretation, when some
-    /// cell simulates the untransformed program under fan-out.
+    /// cell simulates the untransformed program under fan-out.  Its timing
+    /// is the job's trace-only work, which `timing` excludes.
     trace: Option<TraceSlot>,
 }
 
@@ -338,7 +343,7 @@ pub fn run_experiment_shared(
     let use_trace_cache = opts.trace_cache && cache.is_enabled();
     let observe = opts.observe;
     // Sampling needs the compiled engine (functional warming walks the uop
-    // descriptors) and a materialized shared trace, so it forces both.
+    // descriptors) and a recorded packed trace, so it forces both.
     let sample = opts.sample.as_ref().map(|p| p.normalized());
     let compile = opts.compile || sample.is_some();
     let fanout = opts.fanout || sample.is_some();
@@ -385,33 +390,37 @@ pub fn run_experiment_shared(
         let wname = w.name;
         let progress = opts.progress.clone();
         let id = graph.add(&[], move || {
+            // The job tiles into [trace read][profile][trace tail]: the base
+            // trace's cache read and its post-interpretation tail are the
+            // trace stage, everything between is the profile stage.
             let t0 = Instant::now();
             progress_emit(&progress, "profile", wname, false, false, 0.0);
             let pkey = key::profile_key(&text, scale);
             let tkey = key::trace_key(&text, scale);
             let exp_digest = expected_digest(&expected);
-            let cached_profile = load_profile(&cache, &pkey);
             let cached_trace = (wants_trace && use_trace_cache)
                 .then(|| load_trace(&cache, &tkey, &program, exp_digest, compile, &metrics))
                 .flatten();
+            let t1 = Instant::now();
+            let cached_profile = load_profile(&cache, &pkey);
             let profile_cached = cached_profile.is_some();
             let trace_cached = cached_trace.is_some();
             let need_trace = wants_trace && !trace_cached;
-            let (profile, trace_data) = if profile_cached && !need_trace {
-                (cached_profile.unwrap(), cached_trace)
+            let (profile, packer) = if profile_cached && !need_trace {
+                (cached_profile.unwrap(), None)
             } else {
                 // One interpretation produces whatever is missing: the
                 // profile, the base trace, or both at once through the
                 // observer pair.
                 interps.fetch_add(1, Ordering::Relaxed);
                 let mut profiler = guardspec_interp::Profiler::new(&program);
-                let mut recorder = ChunkRecorder::new(&program);
+                let mut packer = PackedRecorder::new(&program);
                 let exec = match (profile_cached, need_trace) {
                     (false, true) => {
-                        Interp::new(&program).run_with(&mut (&mut profiler, &mut recorder))
+                        Interp::new(&program).run_with(&mut (&mut profiler, &mut packer))
                     }
                     (false, false) => Interp::new(&program).run_with(&mut profiler),
-                    (true, true) => Interp::new(&program).run_with(&mut recorder),
+                    (true, true) => Interp::new(&program).run_with(&mut packer),
                     (true, false) => unreachable!("nothing to interpret"),
                 }
                 .unwrap_or_else(|e| panic!("{wname}: profile failed: {e}"));
@@ -424,41 +433,43 @@ pub fn run_experiment_shared(
                         p
                     }
                 };
-                let trace_data = if need_trace {
-                    let trace = recorder.finish();
-                    let prep = prepare_program(&program);
-                    if use_trace_cache {
-                        cache.put_bytes(
-                            &tkey,
-                            &tracefile::encode(prep.layout(), trace.iter(), exp_digest),
-                        );
-                    }
-                    let comp = build_compiled(&program, compile, &metrics);
-                    Some(Arc::new(TraceData { prep, trace, comp }))
-                } else {
-                    cached_trace
-                };
-                (profile, trace_data)
+                (profile, need_trace.then_some(packer))
             };
-            let ms = ms_since(t0);
+            let t2 = Instant::now();
+            let trace_data = match packer {
+                Some(packer) => Some(finish_trace(
+                    packer,
+                    &program,
+                    exp_digest,
+                    use_trace_cache.then_some((&*cache, tkey.as_str())),
+                    compile,
+                    &metrics,
+                )),
+                None => cached_trace,
+            };
+            let t3 = Instant::now();
+            let ms = ms_between(t1, t2);
             progress_emit(&progress, "profile", wname, true, profile_cached, ms);
-            recorder.record(
-                format!("profile {wname}"),
-                "profile",
-                t0,
-                vec![("cached".to_string(), profile_cached.to_string())],
-            );
+            let span = |name: &str, cat, from, to, cached: bool| {
+                let args = vec![("cached".to_string(), cached.to_string())];
+                recorder.record_to(format!("{name} {wname}"), cat, from, to, args);
+            };
+            if wants_trace && use_trace_cache {
+                span("trace", "trace", t0, t1, trace_cached);
+            }
+            span("profile", "profile", t1, t2, profile_cached);
+            if need_trace {
+                span("trace", "trace", t2, t3, false);
+            }
             let _ = slots[wi].set(ProfileSlot {
                 timing: StageTiming {
                     ms,
                     cached: profile_cached,
                 },
                 profile: Arc::new(profile),
-                // The merged pass makes per-product wall time inseparable;
-                // both stages report the job's time with their own flags.
                 trace: trace_data.map(|data| TraceSlot {
                     timing: StageTiming {
-                        ms,
+                        ms: ms_between(t0, t1) + ms_between(t2, t3),
                         cached: trace_cached,
                     },
                     data,
@@ -577,21 +588,19 @@ pub fn run_experiment_shared(
                     Some(d) => d,
                     None => {
                         interps.fetch_add(1, Ordering::Relaxed);
-                        let mut recorder = ChunkRecorder::new(&t.program);
+                        let mut packer = PackedRecorder::new(&t.program);
                         let exec = Interp::new(&t.program)
-                            .run_with(&mut recorder)
+                            .run_with(&mut packer)
                             .unwrap_or_else(|e| panic!("{wname}: trace failed: {e}"));
                         assert_golden(wname, "tracing", &expected, &exec.machine.mem);
-                        let trace = recorder.finish();
-                        let prep = prepare_program(&t.program);
-                        if use_trace_cache {
-                            cache.put_bytes(
-                                &tkey,
-                                &tracefile::encode(prep.layout(), trace.iter(), exp_digest),
-                            );
-                        }
-                        let comp = build_compiled(&t.program, compile, &metrics);
-                        Arc::new(TraceData { prep, trace, comp })
+                        finish_trace(
+                            packer,
+                            &t.program,
+                            exp_digest,
+                            use_trace_cache.then_some((&*cache, tkey.as_str())),
+                            compile,
+                            &metrics,
+                        )
                     }
                 };
                 recorder.record(
@@ -694,14 +703,13 @@ pub fn run_experiment_shared(
                             None => {
                                 let (stats, smp) = SIM_CTX
                                     .with(|ctx| {
-                                        simulate_sampled_observed_in(
+                                        simulate_sampled_in(
                                             &mut ctx.borrow_mut(),
                                             comp,
                                             &data.trace,
                                             scheme,
                                             &cfg,
                                             p,
-                                            &mut (),
                                         )
                                     })
                                     .unwrap_or_else(|e| {
@@ -722,7 +730,7 @@ pub fn run_experiment_shared(
                                 .with(|ctx| {
                                     let ctx = &mut ctx.borrow_mut();
                                     match &data.comp {
-                                        Some(comp) => simulate_compiled_shared_observed_in(
+                                        Some(comp) => simulate_compiled_packed_observed_in(
                                             ctx,
                                             comp,
                                             &data.trace,
@@ -730,7 +738,7 @@ pub fn run_experiment_shared(
                                             &cfg,
                                             &mut acct,
                                         ),
-                                        None => simulate_shared_observed_in(
+                                        None => simulate_packed_observed_in(
                                             ctx,
                                             &data.prep,
                                             &data.trace,
@@ -761,14 +769,14 @@ pub fn run_experiment_shared(
                                 .with(|ctx| {
                                     let ctx = &mut ctx.borrow_mut();
                                     match &data.comp {
-                                        Some(comp) => simulate_compiled_shared_in(
+                                        Some(comp) => simulate_compiled_packed_in(
                                             ctx,
                                             comp,
                                             &data.trace,
                                             scheme,
                                             &cfg,
                                         ),
-                                        None => simulate_shared_in(
+                                        None => simulate_packed_in(
                                             ctx,
                                             &data.prep,
                                             &data.trace,
@@ -1024,6 +1032,26 @@ fn simulate_cell_cold<O: SimObserver>(
     }
 }
 
+/// The trace stage's work after interpretation: frame the packed records,
+/// store their bytes as the cache blob (when `store` names a cache and
+/// key), and build the per-program simulation tables.
+fn finish_trace(
+    packer: PackedRecorder,
+    program: &guardspec_ir::Program,
+    exp_digest: u64,
+    store: Option<(&DiskCache, &str)>,
+    compile: bool,
+    metrics: &MetricsRegistry,
+) -> Arc<TraceData> {
+    let trace = packer.finish(exp_digest);
+    if let Some((cache, key)) = store {
+        cache.put_bytes(key, trace.blob());
+    }
+    let prep = prepare_program(program);
+    let comp = build_compiled(program, compile, metrics);
+    Arc::new(TraceData { prep, trace, comp })
+}
+
 /// Build the decoded-uop descriptors for a compiled run, recording the
 /// build time as the `sim.block_build_us` run metric: warm trace-cache
 /// hits skip interpretation entirely but still pay this (small) decode
@@ -1044,6 +1072,10 @@ fn build_compiled(
 
 fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
+}
+
+fn ms_between(from: Instant, to: Instant) -> f64 {
+    to.duration_since(from).as_secs_f64() * 1e3
 }
 
 /// Panic unless `mem` carries the workload's expected golden values.
@@ -1098,8 +1130,10 @@ fn load_profile(cache: &DiskCache, key: &str) -> Option<Profile> {
 }
 
 /// Load and validate a cached trace blob for `program`.  Any decode error,
-/// layout mismatch or golden-digest mismatch is a miss — the caller
-/// re-interprets and overwrites.
+/// site-count or layout mismatch, or golden-digest mismatch is a miss —
+/// the caller re-interprets and overwrites.  Decode checks every site id
+/// against the blob's own site count, so matching that count to the
+/// program's is what keeps every id inside the simulator's tables.
 fn load_trace(
     cache: &DiskCache,
     key: &str,
@@ -1110,8 +1144,15 @@ fn load_trace(
 ) -> Option<Arc<TraceData>> {
     let bytes = cache.get_bytes(key)?;
     let prep = prepare_program(program);
-    let check = || -> Result<SharedTrace, String> {
-        let d = tracefile::decode(&bytes).map_err(|e| e.to_string())?;
+    let check = || -> Result<PackedTrace, String> {
+        let d = tracefile::decode(bytes).map_err(|e| e.to_string())?;
+        let sites = prep.layout().num_sites();
+        if d.num_sites as usize != sites {
+            return Err(format!(
+                "site count mismatch: blob has {}, program has {sites}",
+                d.num_sites
+            ));
+        }
         if d.layout_digest != tracefile::layout_digest(prep.layout()) {
             return Err("layout digest mismatch".into());
         }

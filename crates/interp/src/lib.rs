@@ -16,14 +16,14 @@
 //!   outcomes are recorded using bit vectors", Section 5),
 //! * [`profile`] — the profiler observer: per-branch outcome vectors, edge
 //!   frequencies, dynamic instruction mix,
-//! * [`trace`] — the trace recorder feeding the cycle-level simulator,
-//!   including the chunked [`trace::SharedTrace`] form many simulator
-//!   instances can consume concurrently,
+//! * [`trace`] — the trace recorders feeding the cycle-level simulator,
+//!   and [`trace::PackedTrace`], the one packed form many simulator
+//!   instances read concurrently,
 //! * [`stream`] — a bounded chunked SPMC broadcast channel so one
 //!   interpreter run can feed one or many simulators incrementally instead
 //!   of the trace being materialized in full,
-//! * [`tracefile`] — a compact self-checking binary trace codec, the
-//!   persistent form behind the harness trace cache.
+//! * [`tracefile`] — the packed trace's self-checking byte format: the
+//!   in-memory trace is the blob the harness trace cache stores.
 
 pub mod bitvec;
 pub mod blocks;
@@ -42,4 +42,4 @@ pub use layout::StaticLayout;
 pub use machine::Machine;
 pub use profile::{BranchProfile, Profile, Profiler};
 pub use stream::{broadcast_channel, trace_channel, StreamObserver, TraceReader, TraceWriter};
-pub use trace::{ChunkRecorder, SharedTrace, TraceEntry, TraceRecorder};
+pub use trace::{PackedIter, PackedRecorder, PackedTrace, TraceEntry, TraceRecorder};

@@ -5,24 +5,36 @@
 //! the retired instruction stream with branch outcomes and memory addresses;
 //! the timing model fetches down *predicted* paths through the static code
 //! and uses the trace to resolve branches, squashing wrong-path work.
+//!
+//! A recorded trace has one form, [`PackedTrace`]: the [`crate::tracefile`]
+//! blob itself, about 2.4 bytes per entry.  [`PackedRecorder`] appends each
+//! retired instruction's record to it as the interpreter runs, the harness
+//! writes those bytes to its trace cache unchanged, and every simulator
+//! reads them through its own decoding cursor ([`PackedTrace::iter`]).
+//! [`TraceEntry`] is the decoded view of one record; a `Vec<TraceEntry>`
+//! from [`trace_program`] is the unpacked reference form tests and the
+//! per-cell path use.
 
 use crate::exec::{Observer, RetireEvent};
 use crate::layout::StaticLayout;
+use crate::tracefile::{self, Packer};
 use guardspec_ir::{Instruction, Program};
 
-const F_TAKEN: u8 = 1 << 0;
-const F_IS_BRANCH: u8 = 1 << 1;
-const F_HAS_ADDR: u8 = 1 << 2;
-const F_ANNULLED: u8 = 1 << 3;
+pub(crate) const F_TAKEN: u8 = 1 << 0;
+pub(crate) const F_IS_BRANCH: u8 = 1 << 1;
+pub(crate) const F_HAS_ADDR: u8 = 1 << 2;
+pub(crate) const F_ANNULLED: u8 = 1 << 3;
+/// Every flag bit a record can carry.
+pub(crate) const KNOWN_FLAGS: u8 = F_TAKEN | F_IS_BRANCH | F_HAS_ADDR | F_ANNULLED;
 
 /// One retired instruction, 12 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Dense static-site id (see [`StaticLayout`]).
     pub id: u32,
-    /// Effective word address for memory ops (valid when `has_addr`).
-    addr: u32,
-    flags: u8,
+    /// Effective word address for memory ops (valid when `has_addr`, else 0).
+    pub(crate) addr: u32,
+    pub(crate) flags: u8,
 }
 
 impl TraceEntry {
@@ -60,134 +72,159 @@ impl TraceEntry {
     pub fn annulled(&self) -> bool {
         self.flags & F_ANNULLED != 0
     }
+}
 
-    /// Raw `(id, addr, flags)` view, for the binary codec.
-    pub(crate) fn to_raw(self) -> (u32, u32, u8) {
-        (self.id, self.addr, self.flags)
-    }
+/// A complete dynamic trace in packed form: the self-checking
+/// [`crate::tracefile`] blob, header and checksum included.  Many
+/// simulator instances can read one trace concurrently, each through its
+/// own [`PackedIter`]; the bytes are never copied per consumer.
+///
+/// Built only by a [`PackedRecorder`], [`tracefile::pack`] or a successful
+/// [`tracefile::decode`], so its records are always well formed.
+pub struct PackedTrace {
+    blob: Vec<u8>,
+    len: u64,
+}
 
-    /// Rebuild from the raw parts [`TraceEntry::to_raw`] produced.  Returns
-    /// `None` for flag bits no entry can carry (codec corruption guard).
-    pub(crate) fn from_raw(id: u32, addr: u32, flags: u8) -> Option<TraceEntry> {
-        const KNOWN: u8 = F_TAKEN | F_IS_BRANCH | F_HAS_ADDR | F_ANNULLED;
-        if flags & !KNOWN != 0 {
-            return None;
-        }
-        // TAKEN without IS_BRANCH, or an address on a non-memory entry,
-        // are states `from_retire` never produces.
-        if flags & F_TAKEN != 0 && flags & F_IS_BRANCH == 0 {
-            return None;
-        }
-        if flags & F_HAS_ADDR == 0 && addr != 0 {
-            return None;
-        }
-        Some(TraceEntry { id, addr, flags })
+impl std::fmt::Debug for PackedTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedTrace")
+            .field("len", &self.len)
+            .field("bytes", &self.blob.len())
+            .finish()
     }
 }
 
-/// Whether a raw flags byte carries an address field (codec helper).
-pub(crate) fn flags_has_addr(flags: u8) -> bool {
-    flags & F_HAS_ADDR != 0
-}
-
-/// Chunk granularity of a [`SharedTrace`] (shared with [`crate::stream`]).
-pub const SHARED_CHUNK_LEN: usize = crate::stream::CHUNK_LEN;
-
-/// A complete dynamic trace stored as refcounted fixed-size chunks, so many
-/// simulator instances can read it concurrently (each through its own
-/// cursor) without copying it per consumer.
-#[derive(Clone, Debug, Default)]
-pub struct SharedTrace {
-    chunks: Vec<std::sync::Arc<Vec<TraceEntry>>>,
-    total: u64,
-}
-
-impl SharedTrace {
-    /// Build from a flat entry sequence (tests, codec).
-    pub fn from_entries(entries: impl IntoIterator<Item = TraceEntry>) -> SharedTrace {
-        let mut b = SharedTraceBuilder::default();
-        for e in entries {
-            b.push(e);
-        }
-        b.finish()
+impl PackedTrace {
+    /// Wrap a blob whose records a packer wrote or decode validated.
+    pub(crate) fn from_blob(blob: Vec<u8>, len: u64) -> PackedTrace {
+        debug_assert_eq!(tracefile::header_count(&blob), len);
+        PackedTrace { blob, len }
     }
 
-    /// The refcounted chunks, in trace order.
-    pub fn chunks(&self) -> &[std::sync::Arc<Vec<TraceEntry>>] {
-        &self.chunks
-    }
-
-    /// Total entries across all chunks.
+    /// Number of entries.
     pub fn len(&self) -> u64 {
-        self.total
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.len == 0
     }
 
-    /// Iterate every entry in order.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEntry> + '_ {
-        self.chunks.iter().flat_map(|c| c.iter())
-    }
-}
-
-/// Incremental [`SharedTrace`] assembly ([`ChunkRecorder`], codec decode).
-#[derive(Default)]
-pub struct SharedTraceBuilder {
-    chunks: Vec<std::sync::Arc<Vec<TraceEntry>>>,
-    cur: Vec<TraceEntry>,
-    total: u64,
-}
-
-impl SharedTraceBuilder {
-    pub fn push(&mut self, e: TraceEntry) {
-        if self.cur.capacity() == 0 {
-            self.cur.reserve_exact(SHARED_CHUNK_LEN);
-        }
-        self.cur.push(e);
-        self.total += 1;
-        if self.cur.len() >= SHARED_CHUNK_LEN {
-            let full = std::mem::replace(&mut self.cur, Vec::with_capacity(SHARED_CHUNK_LEN));
-            self.chunks.push(std::sync::Arc::new(full));
+    /// Decode every entry in order.
+    pub fn iter(&self) -> PackedIter<'_> {
+        PackedIter {
+            bytes: &self.blob[..self.blob.len() - tracefile::CHECKSUM_LEN],
+            pos: tracefile::HEADER_LEN,
+            left: self.len,
+            id: 0,
+            addr: 0,
         }
     }
 
-    pub fn finish(mut self) -> SharedTrace {
-        if !self.cur.is_empty() {
-            self.chunks.push(std::sync::Arc::new(self.cur));
-        }
-        SharedTrace {
-            chunks: self.chunks,
-            total: self.total,
-        }
+    /// The blob: exactly the bytes the trace cache stores.
+    pub fn blob(&self) -> &[u8] {
+        &self.blob
+    }
+
+    /// Give up the trace for its blob.
+    pub fn into_blob(self) -> Vec<u8> {
+        self.blob
+    }
+
+    /// Heap bytes the trace holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.blob.capacity()
     }
 }
 
-/// Observer that records the dynamic trace straight into [`SharedTrace`]
-/// chunks — the single-interpretation path behind the harness trace stage
-/// ("trace once, simulate many").
-pub struct ChunkRecorder {
+/// A decoding cursor over a [`PackedTrace`]'s records.  It trusts the
+/// bytes: every way to build a `PackedTrace` writes or validates them.
+pub struct PackedIter<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    left: u64,
+    id: i64,
+    addr: i64,
+}
+
+impl PackedIter<'_> {
+    #[inline(always)]
+    fn varint(&mut self) -> u64 {
+        let mut b = self.bytes[self.pos];
+        self.pos += 1;
+        let mut v = (b & 0x7f) as u64;
+        let mut shift = 0;
+        while b & 0x80 != 0 {
+            b = self.bytes[self.pos];
+            self.pos += 1;
+            shift += 7;
+            v |= ((b & 0x7f) as u64) << shift;
+        }
+        v
+    }
+}
+
+impl Iterator for PackedIter<'_> {
+    type Item = TraceEntry;
+
+    // Forced: inside the simulator's large hot loop the inliner otherwise
+    // keeps this call out of line, which measured ~20% slower per entry.
+    #[inline(always)]
+    fn next(&mut self) -> Option<TraceEntry> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let flags = self.bytes[self.pos];
+        self.pos += 1;
+        self.id += tracefile::unzigzag(self.varint());
+        let mut addr = 0;
+        if flags & F_HAS_ADDR != 0 {
+            self.addr += tracefile::unzigzag(self.varint());
+            addr = self.addr as u32;
+        }
+        Some(TraceEntry {
+            id: self.id as u32,
+            addr,
+            flags,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.left as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for PackedIter<'_> {}
+
+/// Observer that packs the dynamic trace as instructions retire — the
+/// single-interpretation path behind the harness trace stage ("trace once,
+/// simulate many").
+pub struct PackedRecorder {
     layout: StaticLayout,
-    builder: SharedTraceBuilder,
+    packer: Packer,
 }
 
-impl ChunkRecorder {
-    pub fn new(prog: &Program) -> ChunkRecorder {
-        ChunkRecorder {
+impl PackedRecorder {
+    pub fn new(prog: &Program) -> PackedRecorder {
+        PackedRecorder {
             layout: StaticLayout::build(prog),
-            builder: SharedTraceBuilder::default(),
+            packer: Packer::default(),
         }
     }
 
-    pub fn finish(self) -> SharedTrace {
-        self.builder.finish()
+    /// Frame the records into the finished trace; `exec_digest` goes into
+    /// the header verbatim (see [`tracefile::DecodedTrace::exec_digest`]).
+    pub fn finish(self, exec_digest: u64) -> PackedTrace {
+        self.packer.finish(&self.layout, exec_digest)
     }
 }
 
-impl Observer for ChunkRecorder {
+impl Observer for PackedRecorder {
     fn on_retire(&mut self, _insn: &Instruction, ev: &RetireEvent) {
-        self.builder
+        self.packer
             .push(TraceEntry::from_retire(self.layout.id(ev.site), ev));
     }
 }
@@ -268,10 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn chunk_recorder_matches_flat_recorder() {
+    fn packed_recorder_matches_flat_recorder() {
         let mut fb = FuncBuilder::new("c");
         fb.block("e");
-        fb.li(r(1), 3 * SHARED_CHUNK_LEN as i64 / 2); // spans chunk boundary
+        fb.li(r(1), 3000);
         fb.block("loop");
         fb.subi(r(1), r(1), 1);
         fb.sw(r(1), r(0), 3);
@@ -279,30 +316,17 @@ mod tests {
         fb.block("done");
         fb.halt();
         let prog = single_func_program(fb);
-        let (_l, flat, _) = trace_program(&prog).expect("runs");
-        let mut rec = ChunkRecorder::new(&prog);
+        let (layout, flat, _) = trace_program(&prog).expect("runs");
+        let mut rec = PackedRecorder::new(&prog);
         crate::exec::Interp::new(&prog).run_with(&mut rec).unwrap();
-        let shared = rec.finish();
-        assert_eq!(shared.len(), flat.len() as u64);
-        assert!(shared.chunks().len() >= 2, "trace should span chunks");
-        assert!(shared
-            .chunks()
-            .iter()
-            .all(|c| c.len() <= SHARED_CHUNK_LEN && !c.is_empty()));
-        assert!(shared.iter().copied().eq(flat.iter().copied()));
-        assert!(SharedTrace::from_entries(flat.iter().copied())
-            .iter()
-            .copied()
-            .eq(flat.iter().copied()));
-    }
-
-    #[test]
-    fn raw_roundtrip_rejects_impossible_states() {
-        assert!(TraceEntry::from_raw(1, 0, F_IS_BRANCH | F_TAKEN).is_some());
-        assert!(TraceEntry::from_raw(1, 0, F_TAKEN).is_none());
-        assert!(TraceEntry::from_raw(1, 0, 1 << 6).is_none());
-        assert!(TraceEntry::from_raw(1, 7, 0).is_none(), "addr without flag");
-        assert!(TraceEntry::from_raw(1, 7, F_HAS_ADDR).is_some());
+        let packed = rec.finish(5);
+        assert_eq!(packed.len(), flat.len() as u64);
+        assert_eq!(packed.iter().len(), flat.len());
+        assert!(packed.iter().eq(flat.iter().copied()));
+        // The recorder's bytes are the codec's bytes, with no slack.
+        assert_eq!(packed.blob(), &tracefile::encode(&layout, &flat, 5)[..]);
+        assert_eq!(packed.heap_bytes(), packed.blob().len());
+        assert!(packed.blob().len() < flat.len() * 3);
     }
 
     #[test]

@@ -45,16 +45,15 @@
 use crate::config::{class_idx, MachineConfig, QueueKind};
 use crate::observe::{CycleBucket, SimObserver};
 use crate::pipeline::{
-    ChunkSource, EState, Entry, SimContext, SimError, StallKind, TraceSource, BUDGET_PER_ENTRY,
+    EState, Entry, PackedSource, SimContext, SimError, StallKind, TraceSource, BUDGET_PER_ENTRY,
     BUDGET_SLACK, MAX_SRCS,
 };
 use crate::stats::SimStats;
 use guardspec_interp::stream::StreamObserver;
-use guardspec_interp::{SharedTrace, StaticLayout, TraceEntry};
+use guardspec_interp::{PackedTrace, StaticLayout, TraceEntry};
 use guardspec_ir::{FuClass, Opcode, Program, Reg};
 use guardspec_predict::{BranchKind, Scheme};
 use std::cmp::Reverse;
-use std::sync::Arc;
 
 /// One decoded static instruction: everything the pipeline needs per
 /// fetched trace entry, resolved once at compile time.
@@ -990,27 +989,30 @@ pub fn simulate_compiled_trace_observed_in(
     )
 }
 
-/// Exact compiled run over a [`SharedTrace`] (the fan-out path).
-pub fn simulate_compiled_shared_in(
+/// Exact compiled run over a [`PackedTrace`] (the fan-out path).  Not
+/// generic, so the hot loop is instantiated and optimised inside this
+/// crate, where its helpers inline; another crate's `&mut ()` instantiation
+/// of the observed variant measured ~10% slower.
+pub fn simulate_compiled_packed_in(
     ctx: &mut SimContext,
     comp: &CompiledProgram,
-    trace: &SharedTrace,
+    trace: &PackedTrace,
     scheme: Scheme,
     cfg: &MachineConfig,
 ) -> Result<SimStats, SimError> {
-    simulate_compiled_source_observed_in(ctx, comp, ChunkSource::new(trace), scheme, cfg, &mut ())
+    simulate_compiled_packed_observed_in(ctx, comp, trace, scheme, cfg, &mut ())
 }
 
-/// [`simulate_compiled_shared_in`] with an observer.
-pub fn simulate_compiled_shared_observed_in(
+/// [`simulate_compiled_packed_in`] with an observer.
+pub fn simulate_compiled_packed_observed_in(
     ctx: &mut SimContext,
     comp: &CompiledProgram,
-    trace: &SharedTrace,
+    trace: &PackedTrace,
     scheme: Scheme,
     cfg: &MachineConfig,
     obs: &mut impl SimObserver,
 ) -> Result<SimStats, SimError> {
-    simulate_compiled_source_observed_in(ctx, comp, ChunkSource::new(trace), scheme, cfg, obs)
+    simulate_compiled_source_observed_in(ctx, comp, PackedSource::new(trace), scheme, cfg, obs)
 }
 
 /// Streamed compiled run: the interpreter feeds the compiled pipeline over
@@ -1154,57 +1156,10 @@ pub struct SampleSummary {
     pub est_cycles: u64,
 }
 
-/// Cursor over a [`SharedTrace`]'s chunks (sampling's sequential reader).
-struct SampleCursor<'a> {
-    chunks: &'a [Arc<Vec<TraceEntry>>],
-    cur: &'a [TraceEntry],
-    idx: usize,
-}
-
-impl<'a> SampleCursor<'a> {
-    fn new(trace: &'a SharedTrace) -> SampleCursor<'a> {
-        SampleCursor {
-            chunks: trace.chunks(),
-            cur: &[],
-            idx: 0,
-        }
-    }
-
-    fn peek(&mut self) -> Option<TraceEntry> {
-        loop {
-            if let Some(&e) = self.cur.get(self.idx) {
-                return Some(e);
-            }
-            let (head, rest) = self.chunks.split_first()?;
-            self.cur = head;
-            self.chunks = rest;
-            self.idx = 0;
-        }
-    }
-
-    /// Borrow up to `max` contiguous entries and advance past them — the
-    /// warming loop's bulk reader (no per-entry chunk bookkeeping).
-    fn take_slice(&mut self, max: u64) -> Option<&'a [TraceEntry]> {
-        loop {
-            let avail = self.cur.len() - self.idx;
-            if avail > 0 {
-                let n = max.min(avail as u64) as usize;
-                let s = &self.cur[self.idx..self.idx + n];
-                self.idx += n;
-                return Some(s);
-            }
-            let (head, rest) = self.chunks.split_first()?;
-            self.cur = head;
-            self.chunks = rest;
-            self.idx = 0;
-        }
-    }
-}
-
-/// A bounded view of the cursor: a [`TraceSource`] that ends after
+/// A bounded view of the trace cursor: a [`TraceSource`] that ends after
 /// `remaining` entries — one detailed window.
 struct TakeSource<'a, 'c> {
-    cursor: &'c mut SampleCursor<'a>,
+    cursor: &'c mut PackedSource<'a>,
     remaining: u64,
     total: u64,
 }
@@ -1214,12 +1169,12 @@ impl TraceSource for TakeSource<'_, '_> {
         if self.remaining == 0 {
             None
         } else {
-            self.cursor.peek()
+            self.cursor.cur()
         }
     }
 
     fn advance(&mut self) {
-        self.cursor.idx += 1;
+        self.cursor.advance();
         self.remaining -= 1;
     }
 
@@ -1282,7 +1237,7 @@ fn add_stats(dst: &mut SimStats, src: &SimStats) {
     }
 }
 
-/// SMARTS-style sampled simulation over a materialized [`SharedTrace`].
+/// SMARTS-style sampled simulation over a [`PackedTrace`].
 ///
 /// Microarchitectural state is prepared **once** and carried across the
 /// whole run (warming between windows, detail inside them).  Returns the
@@ -1292,7 +1247,7 @@ fn add_stats(dst: &mut SimStats, src: &SimStats) {
 pub fn simulate_sampled_observed_in<O: SimObserver>(
     ctx: &mut SimContext,
     comp: &CompiledProgram,
-    trace: &SharedTrace,
+    trace: &PackedTrace,
     scheme: Scheme,
     cfg: &MachineConfig,
     params: SampleParams,
@@ -1306,7 +1261,8 @@ pub fn simulate_sampled_observed_in<O: SimObserver>(
     if O::ENABLED {
         obs.on_run_start(comp.uops.len());
     }
-    let mut cursor = SampleCursor::new(trace);
+    // Warming and the detailed windows advance one shared cursor.
+    let mut cursor = PackedSource::new(trace);
     let mut agg = SimStats::default();
     let mut samples: Vec<f64> = Vec::new();
     let mut annulled_warm = 0u64;
@@ -1315,18 +1271,11 @@ pub fn simulate_sampled_observed_in<O: SimObserver>(
     let perfect = scheme.is_perfect();
     while remaining > 0 {
         let g = gap.min(remaining);
-        let mut left = g;
-        while left > 0 {
-            let slice = cursor
-                .take_slice(left)
-                .expect("trace shorter than its length");
-            for &te in slice {
-                let annulled = te.annulled();
-                annulled_warm += annulled as u64;
-                warm_entry(ctx, &comp.uops[te.id as usize], te, annulled, perfect);
-            }
-            left -= slice.len() as u64;
-        }
+        cursor.consume(g, |te| {
+            let annulled = te.annulled();
+            annulled_warm += annulled as u64;
+            warm_entry(ctx, &comp.uops[te.id as usize], te, annulled, perfect);
+        });
         remaining -= g;
         if remaining == 0 {
             break;
@@ -1359,7 +1308,7 @@ pub fn simulate_sampled_observed_in<O: SimObserver>(
         let (stats, _) = run_compiled(
             ctx,
             comp,
-            ChunkSource::new(trace),
+            PackedSource::new(trace),
             scheme,
             cfg,
             obs,
@@ -1410,7 +1359,7 @@ pub fn simulate_sampled_observed_in<O: SimObserver>(
 pub fn simulate_sampled_in(
     ctx: &mut SimContext,
     comp: &CompiledProgram,
-    trace: &SharedTrace,
+    trace: &PackedTrace,
     scheme: Scheme,
     cfg: &MachineConfig,
     params: SampleParams,
@@ -1497,18 +1446,26 @@ mod tests {
         assert_engines_identical(&mixed_prog());
     }
 
+    /// The packed form of `prog`'s trace.
+    fn packed(prog: &Program) -> PackedTrace {
+        let (layout, trace, _res) = trace_program(prog).expect("runs");
+        guardspec_interp::tracefile::pack(&layout, &trace, 0)
+    }
+
+    fn exact_packed(ctx: &mut SimContext, comp: &CompiledProgram, t: &PackedTrace) -> SimStats {
+        let cfg = MachineConfig::r10000();
+        simulate_compiled_packed_in(ctx, comp, t, Scheme::TwoBit, &cfg).unwrap()
+    }
+
     #[test]
-    fn compiled_shared_matches_slice() {
+    fn compiled_packed_matches_slice() {
         let prog = mixed_prog();
         let (_layout, trace, _res) = trace_program(&prog).expect("runs");
-        let shared = SharedTrace::from_entries(trace.iter().copied());
         let cfg = MachineConfig::r10000();
         let comp = CompiledProgram::build(&prog);
         let mut ctx = SimContext::new(&cfg);
         let a = simulate_compiled_trace_in(&mut ctx, &comp, &trace, Scheme::TwoBit, &cfg).unwrap();
-        let b =
-            simulate_compiled_shared_in(&mut ctx, &comp, &shared, Scheme::TwoBit, &cfg).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(a, exact_packed(&mut ctx, &comp, &packed(&prog)));
     }
 
     #[test]
@@ -1530,13 +1487,11 @@ mod tests {
     #[test]
     fn sampled_ci_covers_exact_ipc_on_loop() {
         let prog = count_loop(4000);
-        let (_layout, trace, _res) = trace_program(&prog).expect("runs");
-        let shared = SharedTrace::from_entries(trace.iter().copied());
+        let shared = packed(&prog);
         let cfg = MachineConfig::r10000();
         let comp = CompiledProgram::build(&prog);
         let mut ctx = SimContext::new(&cfg);
-        let exact =
-            simulate_compiled_shared_in(&mut ctx, &comp, &shared, Scheme::TwoBit, &cfg).unwrap();
+        let exact = exact_packed(&mut ctx, &comp, &shared);
         let params = SampleParams {
             detail: 64,
             warmup: 32,
@@ -1559,8 +1514,7 @@ mod tests {
     #[test]
     fn sampled_run_is_deterministic() {
         let prog = mixed_prog();
-        let (_layout, trace, _res) = trace_program(&prog).expect("runs");
-        let shared = SharedTrace::from_entries(trace.iter().copied());
+        let shared = packed(&prog);
         let cfg = MachineConfig::r10000();
         let comp = CompiledProgram::build(&prog);
         let params = SampleParams {
@@ -1580,13 +1534,11 @@ mod tests {
     #[test]
     fn short_trace_falls_back_to_exact() {
         let prog = count_loop(10);
-        let (_layout, trace, _res) = trace_program(&prog).expect("runs");
-        let shared = SharedTrace::from_entries(trace.iter().copied());
+        let shared = packed(&prog);
         let cfg = MachineConfig::r10000();
         let comp = CompiledProgram::build(&prog);
         let mut ctx = SimContext::new(&cfg);
-        let exact =
-            simulate_compiled_shared_in(&mut ctx, &comp, &shared, Scheme::TwoBit, &cfg).unwrap();
+        let exact = exact_packed(&mut ctx, &comp, &shared);
         let (stats, summary) = simulate_sampled_in(
             &mut ctx,
             &comp,
@@ -1605,8 +1557,7 @@ mod tests {
     #[test]
     fn sampled_observed_accounting_is_consistent() {
         let prog = mixed_prog();
-        let (_layout, trace, _res) = trace_program(&prog).expect("runs");
-        let shared = SharedTrace::from_entries(trace.iter().copied());
+        let shared = packed(&prog);
         let cfg = MachineConfig::r10000();
         let comp = CompiledProgram::build(&prog);
         let mut ctx = SimContext::new(&cfg);

@@ -49,7 +49,7 @@ pub mod pipeline;
 pub mod stats;
 
 pub use block::{
-    simulate_compiled_shared_in, simulate_compiled_shared_observed_in, simulate_compiled_trace_in,
+    simulate_compiled_packed_in, simulate_compiled_packed_observed_in, simulate_compiled_trace_in,
     simulate_compiled_trace_observed_in, simulate_program_compiled,
     simulate_program_compiled_streamed_observed_in, simulate_sampled_in,
     simulate_sampled_observed_in, CompiledProgram, SampleParams, SampleSummary,
@@ -58,11 +58,11 @@ pub use cache::Cache;
 pub use config::{Latencies, MachineConfig, QueueKind};
 pub use observe::{CycleAccounting, CycleBucket, SimObserver, SiteCounters};
 pub use pipeline::{
-    prepare_program, simulate_program, simulate_program_fanout, simulate_program_observed,
-    simulate_program_streamed, simulate_program_streamed_in, simulate_program_streamed_observed_in,
-    simulate_shared_in, simulate_shared_observed_in, simulate_trace, simulate_trace_in,
-    simulate_trace_logged, simulate_trace_observed, simulate_trace_observed_in, ChunkSource,
-    CycleLog, CycleRecord, PreparedSim, SimContext, SimError, SliceSource, StreamSource,
-    TraceSource,
+    prepare_program, simulate_packed_in, simulate_packed_observed_in, simulate_program,
+    simulate_program_fanout, simulate_program_observed, simulate_program_streamed,
+    simulate_program_streamed_in, simulate_program_streamed_observed_in, simulate_trace,
+    simulate_trace_in, simulate_trace_logged, simulate_trace_observed, simulate_trace_observed_in,
+    CycleLog, CycleRecord, PackedSource, PreparedSim, SimContext, SimError, SliceSource,
+    StreamSource, TraceSource,
 };
 pub use stats::SimStats;

@@ -5,7 +5,7 @@ use crate::config::{class_idx, MachineConfig, QueueKind};
 use crate::observe::{CycleBucket, SimObserver};
 use crate::stats::SimStats;
 use guardspec_interp::stream::{StreamObserver, TraceReader};
-use guardspec_interp::{SharedTrace, StaticLayout, TraceEntry};
+use guardspec_interp::{PackedIter, PackedTrace, StaticLayout, TraceEntry};
 use guardspec_ir::{FuClass, Opcode, Program, Reg};
 use guardspec_predict::{BranchKind, Btb, Scheme, TwoBitTable};
 use std::collections::VecDeque;
@@ -197,8 +197,8 @@ impl CycleLog {
     }
 }
 
-/// Where the pipeline's retired-instruction stream comes from: either a
-/// fully materialized slice, or a bounded channel fed by a concurrently
+/// Where the pipeline's retired-instruction stream comes from: a packed
+/// trace, an unpacked slice, or a bounded channel fed by a concurrently
 /// running interpreter.
 ///
 /// The read head is persistent: `cur()` returns the same entry until
@@ -347,51 +347,57 @@ impl TraceSource for StreamSource {
     }
 }
 
-/// A per-consumer cursor over the refcounted chunks of a [`SharedTrace`].
+/// A per-consumer decoding cursor over a [`PackedTrace`] — the one source
+/// both engines read on the fan-out path.
 ///
-/// Many simulator instances can hold a `ChunkSource` over the same trace
-/// concurrently: each cursor is independent and the chunk data is shared,
-/// never copied.  This is the fan-out consumption path — the trace is
-/// materialized once (by the harness trace stage or decoded from the trace
-/// cache) and every dependent sim cell reads it through one of these.
-pub struct ChunkSource<'a> {
-    /// Chunks not yet entered; the head moves into `cur` on rollover.
-    chunks: &'a [Arc<Vec<TraceEntry>>],
-    /// The chunk being consumed, borrowed as a plain slice so the hot
-    /// `cur()` path costs the same as [`SliceSource`] — one bounds check,
-    /// no `Arc`/`Vec` double indirection (it is called several times per
-    /// simulated cycle).
-    cur: &'a [TraceEntry],
-    idx: usize,
+/// Many simulator instances can hold a `PackedSource` over the same trace
+/// concurrently: each decodes its own position and the bytes are shared,
+/// never copied.  The entry at the read head is decoded once, on
+/// `advance()`, so the hot `cur()` path (called several times per
+/// simulated cycle) is a plain copy.  Both calls are forced inline, with
+/// the decoder behind them: left to the inliner inside the engines' large
+/// loops they stayed out of line and cost ~10 ns/entry instead of ~2.
+/// (Decoding in batches into a small buffer measured no faster.)
+pub struct PackedSource<'a> {
+    entries: PackedIter<'a>,
+    head: Option<TraceEntry>,
     total: u64,
 }
 
-impl<'a> ChunkSource<'a> {
-    pub fn new(trace: &'a SharedTrace) -> ChunkSource<'a> {
-        ChunkSource {
-            chunks: trace.chunks(),
-            cur: &[],
-            idx: 0,
+impl<'a> PackedSource<'a> {
+    pub fn new(trace: &'a PackedTrace) -> PackedSource<'a> {
+        let mut entries = trace.iter();
+        PackedSource {
+            head: entries.next(),
+            entries,
             total: trace.len(),
         }
     }
+
+    /// Consume the next `n` entries, read head first, passing each to `f`
+    /// in one tight decoding loop — the bulk path of sampling's functional
+    /// warming.  Panics if fewer than `n` entries remain.
+    pub(crate) fn consume(&mut self, n: u64, mut f: impl FnMut(TraceEntry)) {
+        if n == 0 {
+            return;
+        }
+        f(self.head.expect("trace shorter than its length"));
+        for _ in 1..n {
+            f(self.entries.next().expect("trace shorter than its length"));
+        }
+        self.head = self.entries.next();
+    }
 }
 
-impl TraceSource for ChunkSource<'_> {
+impl TraceSource for PackedSource<'_> {
+    #[inline(always)]
     fn cur(&mut self) -> Option<TraceEntry> {
-        loop {
-            if let Some(&e) = self.cur.get(self.idx) {
-                return Some(e);
-            }
-            let (head, rest) = self.chunks.split_first()?;
-            self.cur = head;
-            self.chunks = rest;
-            self.idx = 0;
-        }
+        self.head
     }
 
+    #[inline(always)]
     fn advance(&mut self) {
-        self.idx += 1;
+        self.head = self.entries.next();
     }
 
     fn budget_exceeded(&mut self, now: u64) -> bool {
@@ -1205,43 +1211,33 @@ impl PreparedSim {
     }
 }
 
-/// Precompute the static tables [`simulate_shared_in`] needs for `prog`.
+/// Precompute the static tables [`simulate_packed_in`] needs for `prog`.
 pub fn prepare_program(prog: &Program) -> PreparedSim {
     let layout = StaticLayout::build(prog);
     let infos = build_site_infos(prog, &layout);
     PreparedSim { layout, infos }
 }
 
-/// Simulate a [`SharedTrace`] under `scheme` on `cfg`, reusing `ctx`
+/// Simulate a [`PackedTrace`] under `scheme` on `cfg`, reusing `ctx`
 /// allocations.  Safe to call concurrently from many threads over the same
 /// `prep`/`trace` (each call only reads them); produces stats identical to
-/// [`simulate_trace_in`] over the flattened trace.
-pub fn simulate_shared_in(
+/// [`simulate_trace_in`] over the unpacked trace.
+pub fn simulate_packed_in(
     ctx: &mut SimContext,
     prep: &PreparedSim,
-    trace: &SharedTrace,
+    trace: &PackedTrace,
     scheme: Scheme,
     cfg: &MachineConfig,
 ) -> Result<SimStats, SimError> {
-    simulate_source(
-        ctx,
-        &prep.infos,
-        &prep.layout,
-        ChunkSource::new(trace),
-        scheme,
-        cfg,
-        0,
-        &mut (),
-    )
-    .map(|(s, _)| s)
+    simulate_packed_observed_in(ctx, prep, trace, scheme, cfg, &mut ())
 }
 
-/// Like [`simulate_shared_in`], but reporting cycle attribution and
+/// Like [`simulate_packed_in`], but reporting cycle attribution and
 /// per-site branch events to `obs`.
-pub fn simulate_shared_observed_in(
+pub fn simulate_packed_observed_in(
     ctx: &mut SimContext,
     prep: &PreparedSim,
-    trace: &SharedTrace,
+    trace: &PackedTrace,
     scheme: Scheme,
     cfg: &MachineConfig,
     obs: &mut impl SimObserver,
@@ -1250,7 +1246,7 @@ pub fn simulate_shared_observed_in(
         ctx,
         &prep.infos,
         &prep.layout,
-        ChunkSource::new(trace),
+        PackedSource::new(trace),
         scheme,
         cfg,
         0,
@@ -1629,18 +1625,18 @@ mod tests {
     }
 
     #[test]
-    fn shared_trace_stats_match_slice_for_every_scheme() {
+    fn packed_trace_stats_match_slice_for_every_scheme() {
         let prog = count_loop(1000);
         let cfg = MachineConfig::r10000();
         let (layout, flat, _) = guardspec_interp::trace::trace_program(&prog).expect("trace");
-        let shared = SharedTrace::from_entries(flat.iter().copied());
+        let packed = guardspec_interp::tracefile::pack(&layout, &flat, 0);
         let prep = prepare_program(&prog);
         let mut ctx = SimContext::new(&cfg);
         for scheme in [Scheme::TwoBit, Scheme::Proposed, Scheme::Perfect] {
             let slice = simulate_trace(&prog, &layout, &flat, scheme, &cfg).expect("slice");
-            let chunked =
-                simulate_shared_in(&mut ctx, &prep, &shared, scheme, &cfg).expect("shared");
-            assert_eq!(slice, chunked, "stats diverge under {scheme:?}");
+            let from_packed =
+                simulate_packed_in(&mut ctx, &prep, &packed, scheme, &cfg).expect("packed");
+            assert_eq!(slice, from_packed, "stats diverge under {scheme:?}");
         }
     }
 
@@ -1771,7 +1767,7 @@ mod observe_tests {
         let prog = alt_program(2000);
         let cfg = MachineConfig::r10000();
         let (layout, flat, _) = guardspec_interp::trace::trace_program(&prog).unwrap();
-        let shared = SharedTrace::from_entries(flat.iter().copied());
+        let packed = guardspec_interp::tracefile::pack(&layout, &flat, 0);
         let prep = prepare_program(&prog);
         let mut ctx = SimContext::new(&cfg);
         for scheme in [Scheme::TwoBit, Scheme::Proposed, Scheme::Perfect] {
@@ -1788,25 +1784,28 @@ mod observe_tests {
                 &mut stream_acc,
             )
             .unwrap();
-            let mut shared_acc = CycleAccounting::new();
-            let chunked = simulate_shared_observed_in(
+            let mut packed_acc = CycleAccounting::new();
+            let from_packed = simulate_packed_observed_in(
                 &mut ctx,
                 &prep,
-                &shared,
+                &packed,
                 scheme,
                 &cfg,
-                &mut shared_acc,
+                &mut packed_acc,
             )
             .unwrap();
             assert_eq!(slice, streamed, "stats diverge (streamed) under {scheme:?}");
-            assert_eq!(slice, chunked, "stats diverge (shared) under {scheme:?}");
+            assert_eq!(
+                slice, from_packed,
+                "stats diverge (packed) under {scheme:?}"
+            );
             assert_eq!(
                 slice_acc, stream_acc,
                 "accounting diverges (streamed) under {scheme:?}"
             );
             assert_eq!(
-                slice_acc, shared_acc,
-                "accounting diverges (shared) under {scheme:?}"
+                slice_acc, packed_acc,
+                "accounting diverges (packed) under {scheme:?}"
             );
             slice_acc.check(&slice);
         }
