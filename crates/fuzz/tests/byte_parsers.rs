@@ -10,8 +10,9 @@
 //! `codec::*_from_json` decoders on every object, `ir::parse` on every
 //! `program` string and `codec::words_from_hex` +
 //! `ir::encode::decode_program` on every `bin` string.  The blobs get the
-//! byte mutations plus header-field edits, mostly with the checksum
-//! recomputed so the record checks are reached, and go through
+//! byte mutations plus header-field edits and record rewrites (a run byte
+//! or an entry header, found by walking the records), mostly with the
+//! checksum recomputed so the record checks are reached, and go through
 //! `tracefile::decode`; every blob it accepts is then streamed to its end
 //! through the simulator's cursor, which trusts decoded bytes.  Each input
 //! must come back `Ok` or `Err` — a panic fails the test — within a
@@ -176,10 +177,94 @@ fn mutate_json(rng: &mut SplitMix, seeds: &[Vec<u8>], input: &mut Vec<u8>) {
 /// count (byte ranges).
 const BLOB_FIELDS: [(usize, usize); 4] = [(4, 6), (6, 8), (8, 12), (28, 36)];
 
-/// A byte mutation or a header-field edit.
+/// Record header bits of the trace format (see `tracefile`'s grammar
+/// table): an entry header is `1 0 P J N A B T`, a run byte `0nnnnnnn`.
+const ENTRY: u8 = 1 << 7;
+const RESERVED: u8 = 1 << 6;
+const PREDICTED: u8 = 1 << 5;
+const JUMP: u8 = 1 << 4;
+const HAS_ADDR: u8 = 1 << 2;
+
+/// One record of a blob: where its first byte is, and the index of its
+/// first entry.
+struct Record {
+    at: usize,
+    index: u64,
+}
+
+/// Walk `blob`'s records as the format frames them, up to the checksum.
+/// Bytes an earlier mutation left behind are framed all the same.
+/// Returns the run bytes and the entry headers.
+fn records(blob: &[u8]) -> (Vec<Record>, Vec<Record>) {
+    let (mut runs, mut entries) = (Vec::new(), Vec::new());
+    let end = blob.len().saturating_sub(CHECKSUM_LEN);
+    let mut at = tracefile::HEADER_LEN;
+    let mut index = 0u64;
+    let skip_varint = |at: &mut usize| {
+        while blob.get(*at).is_some_and(|b| b & 0x80 != 0) {
+            *at += 1;
+        }
+        *at += 1;
+    };
+    while at < end {
+        let head = blob[at];
+        if head & ENTRY == 0 {
+            runs.push(Record { at, index });
+            index += head as u64;
+            at += 1;
+            continue;
+        }
+        entries.push(Record { at, index });
+        index += 1;
+        at += 1;
+        if head & JUMP != 0 {
+            skip_varint(&mut at);
+        }
+        if head & (HAS_ADDR | PREDICTED) == HAS_ADDR {
+            skip_varint(&mut at);
+        }
+    }
+    (runs, entries)
+}
+
+/// Rewrite one record: a run byte to 0, 1, 127 or (the last run) past the
+/// header's count, or an entry header with the reserved bit, `P` on an
+/// entry without an address, or `J` flipped.
+fn mutate_record(rng: &mut SplitMix, input: &mut [u8]) {
+    let (runs, entries) = records(input);
+    if rng.below(2) == 0 {
+        let Some(last) = runs.last() else { return };
+        let (at, len) = match rng.below(4) {
+            0 => (runs[rng.below(runs.len())].at, 0),
+            1 => (runs[rng.below(runs.len())].at, 1),
+            2 => (runs[rng.below(runs.len())].at, 127),
+            _ => {
+                let count = u64::from_le_bytes(input[28..36].try_into().unwrap());
+                let left = count.saturating_sub(last.index);
+                (last.at, left.saturating_add(1).min(127) as u8)
+            }
+        };
+        input[at] = len;
+    } else {
+        let plain: Vec<&Record> = entries
+            .iter()
+            .filter(|r| input[r.at] & HAS_ADDR == 0)
+            .collect();
+        match rng.below(3) {
+            0 if !entries.is_empty() => input[entries[rng.below(entries.len())].at] |= RESERVED,
+            1 if !plain.is_empty() => input[plain[rng.below(plain.len())].at] |= PREDICTED,
+            _ if !entries.is_empty() => input[entries[rng.below(entries.len())].at] ^= JUMP,
+            _ => {}
+        }
+    }
+}
+
+/// A byte mutation, a header-field edit or a record rewrite.
 fn mutate_blob(rng: &mut SplitMix, seeds: &[Vec<u8>], input: &mut Vec<u8>) {
-    if rng.below(3) > 0 {
-        return mutate_bytes(rng, seeds, input);
+    match rng.below(3) {
+        0 => return mutate_bytes(rng, seeds, input),
+        1 => {}
+        _ => return mutate_record(rng, input),
     }
     let (a, b) = BLOB_FIELDS[rng.below(BLOB_FIELDS.len())];
     let Some(field) = input.get_mut(a..b) else {
@@ -367,6 +452,9 @@ struct BlobReached {
     bad_checksum: u64,
     /// Rejected past the checksum, by the header or record checks.
     structural: u64,
+    /// Of those, rejected as a malformed entry header or run byte.
+    bad_entry: u64,
+    bad_run: u64,
 }
 
 /// Decode one blob; stream an accepted one through the simulator cursor.
@@ -384,7 +472,14 @@ fn feed_blob(input: &[u8], reached: &mut BlobReached) {
             assert_eq!(n, d.trace.len(), "the cursor ends at the header's count");
         }
         Err(TraceFileError::BadChecksum { .. }) => reached.bad_checksum += 1,
-        Err(_) => reached.structural += 1,
+        Err(e) => {
+            reached.structural += 1;
+            match e {
+                TraceFileError::BadEntry { .. } => reached.bad_entry += 1,
+                TraceFileError::BadRun { .. } => reached.bad_run += 1,
+                _ => {}
+            }
+        }
     }
 }
 
@@ -414,9 +509,20 @@ fn mutated_trace_blobs_decode_or_fail_within_budget() {
         reached.structural
     );
     assert!(reached.bad_checksum > 0, "no checksum mismatch was caught");
+    assert!(
+        reached.bad_entry > 0,
+        "no malformed entry header was caught"
+    );
+    assert!(reached.bad_run > 0, "no malformed run byte was caught");
     eprintln!(
-        "trace blobs: {CASES} cases, {} accepted, {} bad checksums, {} structurally rejected, \
-         slowest case {} in {:?}",
-        reached.ok, reached.bad_checksum, reached.structural, slowest.1, slowest.0
+        "trace blobs: {CASES} cases, {} accepted, {} bad checksums, {} structurally rejected \
+         ({} bad entries, {} bad runs), slowest case {} in {:?}",
+        reached.ok,
+        reached.bad_checksum,
+        reached.structural,
+        reached.bad_entry,
+        reached.bad_run,
+        slowest.1,
+        slowest.0
     );
 }

@@ -3,9 +3,10 @@
 //! and treat corrupt or truncated blobs as misses — re-recording them and
 //! still producing byte-identical science.
 
+use guardspec_core::DriverOptions;
 use guardspec_harness::{key, run_experiment, stable_json, ExperimentSpec, RunOptions};
-use guardspec_interp::tracefile::{self, CHECKSUM_LEN, HEADER_LEN};
-use guardspec_interp::{Interp, PackedRecorder};
+use guardspec_interp::tracefile::{self, CHECKSUM_LEN};
+use guardspec_interp::{Interp, PackedRecorder, StaticLayout, TraceRecorder};
 use guardspec_workloads::Scale;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -141,27 +142,48 @@ fn corrupt_trace_blobs_are_re_recorded_not_trusted() {
     // from the freshly recorded traces.
     let blobs = cache_files(&dir, |n| n.starts_with("trace-") && n.ends_with(".bin"));
     assert!(!blobs.is_empty());
-    for b in &blobs {
-        std::fs::write(b, b"GSTFnot a real trace blob").unwrap();
+    // Garbage, and blobs resealed with a header naming format version 1.
+    fn garbage(_: &[u8]) -> Vec<u8> {
+        b"GSTFnot a real trace blob".to_vec()
     }
-    for s in cache_files(&dir, |n| n.starts_with("sim-")) {
-        std::fs::write(s, "{\"not\":\"a real entry\"}").unwrap();
+    fn version_1(bytes: &[u8]) -> Vec<u8> {
+        let mut old = bytes.to_vec();
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        reseal(&mut old);
+        assert_eq!(
+            tracefile::decode(&old).unwrap_err(),
+            tracefile::TraceFileError::BadVersion(1)
+        );
+        old
     }
+    let vandals = [
+        ("corrupt", garbage as fn(&[u8]) -> Vec<u8>),
+        ("version-1", version_1),
+    ];
+    for (what, vandal) in vandals {
+        for b in &blobs {
+            std::fs::write(b, vandal(&std::fs::read(b).unwrap())).unwrap();
+        }
+        for s in cache_files(&dir, |n| n.starts_with("sim-")) {
+            std::fs::write(s, "{\"not\":\"a real entry\"}").unwrap();
+        }
 
-    let again = run_experiment(&spec, &opts(&dir));
-    assert_eq!(
-        again.interpretations, programs,
-        "every corrupt blob must fall back to one re-interpretation"
-    );
-    assert_eq!(
-        stable_json(&cold).to_pretty(),
-        stable_json(&again).to_pretty(),
-        "recovery from corrupt blobs must recompute identical results"
-    );
+        let again = run_experiment(&spec, &opts(&dir));
+        assert_eq!(
+            again.interpretations, programs,
+            "every {what} blob must fall back to one re-interpretation"
+        );
+        assert_eq!(
+            stable_json(&cold).to_pretty(),
+            stable_json(&again).to_pretty(),
+            "recovery from {what} blobs must recompute identical results"
+        );
 
-    // The blobs were re-recorded, so a third run is fully warm again.
-    let warm = run_experiment(&spec, &opts(&dir));
-    assert_eq!(warm.interpretations, 0);
+        // The blobs were re-recorded, so a third run is fully warm again.
+        let warm = run_experiment(&spec, &opts(&dir));
+        assert_eq!(warm.interpretations, 0, "after {what} blobs");
+        assert_eq!(warm.cache_misses, 0, "after {what} blobs");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -190,45 +212,30 @@ fn truncated_trace_blobs_fall_back_to_interpretation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Read the varint at `bytes[*pos..]`.
-fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0;
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// Re-frame a blob so every site id is shifted `shift` places up and the
-/// header claims `u32::MAX` sites, with a valid checksum: a blob that
-/// decodes cleanly yet names sites the program does not have.
-fn shift_site_ids(blob: &[u8], shift: u64) -> Vec<u8> {
-    let body_end = blob.len() - CHECKSUM_LEN;
-    let mut out = blob[..HEADER_LEN + 1].to_vec();
+/// Re-encode a blob with every site id shifted `shift` places up and a
+/// header that claims `u32::MAX` sites but keeps the layout digest, with a
+/// valid checksum: a blob that decodes cleanly yet names sites the program
+/// does not have.
+fn shift_site_ids(blob: &[u8], shift: u32) -> Vec<u8> {
+    let d = tracefile::decode(blob).expect("a recorded blob decodes");
+    let shifted = d.trace.iter().map(|mut e| {
+        e.id += shift;
+        e
+    });
+    // The layout only fills in the header fields overwritten below.
+    let any = StaticLayout::build(&guardspec_workloads::all_workloads(Scale::Test)[0].program);
+    let mut out = tracefile::encode(&any, shifted, d.exec_digest);
     out[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-    // Ids are deltas, so moving the first entry's id moves them all.
-    let mut pos = HEADER_LEN + 1;
-    let first = read_varint(blob, &mut pos);
-    assert_eq!(first % 2, 0, "first id delta is non-negative");
-    push_varint(&mut out, first + 2 * shift);
-    out.extend_from_slice(&blob[pos..body_end]);
-    let sum = tracefile::checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    out[12..20].copy_from_slice(&blob[12..20]);
+    reseal(&mut out);
     out
+}
+
+/// Recompute a blob's checksum after an edit.
+fn reseal(blob: &mut [u8]) {
+    let end = blob.len() - CHECKSUM_LEN;
+    let sum = tracefile::checksum(&blob[..end]);
+    blob[end..].copy_from_slice(&sum.to_le_bytes());
 }
 
 #[test]
@@ -241,7 +248,7 @@ fn blobs_naming_sites_past_the_program_are_misses() {
     for b in cache_files(&dir, |n| n.starts_with("trace-") && n.ends_with(".bin")) {
         let bytes = std::fs::read(&b).unwrap();
         let num_sites = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        let shifted = shift_site_ids(&bytes, num_sites as u64);
+        let shifted = shift_site_ids(&bytes, num_sites);
         let d = tracefile::decode(&shifted).expect("a checksummed blob decodes");
         assert!(d.trace.iter().all(|e| e.id >= num_sites));
         std::fs::write(&b, shifted).unwrap();
@@ -264,20 +271,31 @@ fn blobs_naming_sites_past_the_program_are_misses() {
 }
 
 #[test]
-fn packed_traces_are_their_blobs_at_under_three_bytes_an_entry() {
+fn small_traces_pack_exactly_into_at_most_1_25_bytes_an_entry() {
     for w in guardspec_workloads::all_workloads(Scale::Small) {
-        let mut rec = PackedRecorder::new(&w.program);
-        let res = Interp::new(&w.program).run_with(&mut rec).expect("runs");
-        let trace = rec.finish(0);
-        assert_eq!(trace.len(), res.summary.retired, "{}", w.name);
-        assert_eq!(
-            trace.heap_bytes(),
-            trace.blob().len(),
-            "{}: the packed trace holds exactly its blob",
-            w.name
-        );
-        let per_entry = trace.blob().len() as f64 / trace.len() as f64;
-        assert!(per_entry <= 3.0, "{}: {per_entry:.2} B/entry", w.name);
+        let (profile, _) = guardspec_interp::profile::profile_program(&w.program).expect("runs");
+        let mut proposed = w.program.clone();
+        guardspec_core::transform_program(&mut proposed, &profile, &DriverOptions::proposed());
+        for (what, program) in [("base", &w.program), ("proposed", &proposed)] {
+            let mut packer = PackedRecorder::new(program);
+            let mut flat = TraceRecorder::new(program);
+            let res = Interp::new(program)
+                .run_with(&mut (&mut packer, &mut flat))
+                .expect("runs");
+            let trace = packer.finish(0);
+            let name = format!("{} {what}", w.name);
+            assert_eq!(trace.len(), res.summary.retired, "{name}");
+            assert!(trace.iter().eq(flat.entries.iter().copied()), "{name}");
+            let d = tracefile::decode(trace.blob()).expect("a recorded blob decodes");
+            assert!(d.trace.iter().eq(flat.entries.iter().copied()), "{name}");
+            assert_eq!(
+                trace.heap_bytes(),
+                trace.blob().len(),
+                "{name}: the packed trace holds exactly its blob"
+            );
+            let per_entry = trace.blob().len() as f64 / trace.len() as f64;
+            assert!(per_entry <= 1.25, "{name}: {per_entry:.3} B/entry");
+        }
     }
 }
 

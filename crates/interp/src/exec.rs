@@ -100,9 +100,6 @@ pub struct ExecSummary {
     pub retired: u64,
     /// Guarded instructions whose guard was false.
     pub annulled: u64,
-    /// Retired count per functional-unit class (index by `FuClass as usize`
-    /// via [`class_index`]).
-    pub by_class: [u64; 8],
     /// Conditional branches retired.
     pub cond_branches: u64,
     /// Conditional branches that were taken.
@@ -180,7 +177,6 @@ impl<'p> Interp<'p> {
                 });
             }
             summary.retired += 1;
-            summary.by_class[class_index(insn.fu_class())] += 1;
 
             // Guard evaluation: annulled instructions retire with no effect
             // (control instructions can't be guarded, so flow is unaffected).
@@ -497,17 +493,12 @@ mod tests {
         fb.sll(r(4), r(3), 1);
         fb.halt();
         let prog = single_func_program(fb);
-        let res = run(&prog).expect("runs");
+        let (profile, res) = crate::profile::profile_program(&prog).expect("runs");
         assert_eq!(res.machine.get_int(r(3)), 1234);
         assert_eq!(res.machine.get_int(r(4)), 2468);
-        assert_eq!(
-            res.summary.by_class[class_index(guardspec_ir::FuClass::LoadStore)],
-            2
-        );
-        assert_eq!(
-            res.summary.by_class[class_index(guardspec_ir::FuClass::Shift)],
-            1
-        );
+        assert_eq!(profile.by_class[class_index(FuClass::LoadStore)], 2);
+        assert_eq!(profile.by_class[class_index(FuClass::Shift)], 1);
+        assert_eq!(profile.by_class.iter().sum::<u64>(), res.summary.retired);
     }
 
     #[test]

@@ -126,11 +126,12 @@ impl Profile {
 /// operations; [`Profiler::finish`] compacts it to executed sites only.
 pub struct Profiler {
     layout: StaticLayout,
+    /// Functional-unit class of each site, by dense id.
+    site_class: Vec<FuClass>,
     site_counts: Vec<u64>,
     /// Dense by site id; only conditional-branch sites are ever touched.
     branch_by_id: Vec<BranchProfile>,
     retired: u64,
-    by_class: [u64; 8],
     annulled: u64,
     /// Maximum outcome-vector length recorded per branch (memory guard).
     pub max_outcomes: usize,
@@ -140,12 +141,15 @@ impl Profiler {
     pub fn new(prog: &Program) -> Profiler {
         let layout = StaticLayout::build(prog);
         let n = layout.num_sites();
+        let site_class = (0..n as u32)
+            .map(|id| prog.insn(layout.site(id)).fu_class())
+            .collect();
         Profiler {
             layout,
+            site_class,
             site_counts: vec![0; n],
             branch_by_id: vec![BranchProfile::default(); n],
             retired: 0,
-            by_class: [0; 8],
             annulled: 0,
             max_outcomes: 1 << 22,
         }
@@ -156,6 +160,12 @@ impl Profiler {
     }
 
     pub fn finish(self) -> Profile {
+        // Every retirement, annulled or not, counts once for its site, so
+        // the class mix is the site counts summed by class.
+        let mut by_class = [0u64; 8];
+        for (&class, &n) in self.site_class.iter().zip(&self.site_counts) {
+            by_class[class_index(class)] += n;
+        }
         // Ids are assigned in `InsnRef` order, so this pass yields pairs
         // already sorted by site.
         let pairs: Vec<(InsnRef, BranchProfile)> = self
@@ -169,18 +179,17 @@ impl Profiler {
             self.site_counts,
             pairs,
             self.retired,
-            self.by_class,
+            by_class,
             self.annulled,
         )
     }
 }
 
 impl Observer for Profiler {
-    fn on_retire(&mut self, insn: &Instruction, ev: &RetireEvent) {
+    fn on_retire(&mut self, _insn: &Instruction, ev: &RetireEvent) {
         let id = self.layout.id(ev.site);
         self.site_counts[id as usize] += 1;
         self.retired += 1;
-        self.by_class[class_index(insn.fu_class())] += 1;
         if ev.annulled {
             self.annulled += 1;
             return;

@@ -7,7 +7,7 @@
 //! and uses the trace to resolve branches, squashing wrong-path work.
 //!
 //! A recorded trace has one form, [`PackedTrace`]: the [`crate::tracefile`]
-//! blob itself, about 2.4 bytes per entry.  [`PackedRecorder`] appends each
+//! blob itself, about 1.1 bytes per entry.  [`PackedRecorder`] appends each
 //! retired instruction's record to it as the interpreter runs, the harness
 //! writes those bytes to its trace cache unchanged, and every simulator
 //! reads them through its own decoding cursor ([`PackedTrace::iter`]).
@@ -17,7 +17,7 @@
 
 use crate::exec::{Observer, RetireEvent};
 use crate::layout::StaticLayout;
-use crate::tracefile::{self, Packer};
+use crate::tracefile::{self, Packer, Strides};
 use guardspec_ir::{Instruction, Program};
 
 pub(crate) const F_TAKEN: u8 = 1 << 0;
@@ -114,11 +114,12 @@ impl PackedTrace {
     /// Decode every entry in order.
     pub fn iter(&self) -> PackedIter<'_> {
         PackedIter {
-            bytes: &self.blob[..self.blob.len() - tracefile::CHECKSUM_LEN],
+            bytes: &self.blob,
             pos: tracefile::HEADER_LEN,
             left: self.len,
-            id: 0,
-            addr: 0,
+            id: u32::MAX,
+            run: 0,
+            strides: Strides::default(),
         }
     }
 
@@ -141,27 +142,71 @@ impl PackedTrace {
 /// A decoding cursor over a [`PackedTrace`]'s records.  It trusts the
 /// bytes: every way to build a `PackedTrace` writes or validates them.
 pub struct PackedIter<'a> {
+    /// The whole blob: the checksum trailer keeps a read one byte past the
+    /// last record in bounds.
     bytes: &'a [u8],
     pos: usize,
     left: u64,
-    id: i64,
-    addr: i64,
+    /// The last entry's site id; `u32::MAX` (the format's −1) before the
+    /// first.
+    id: u32,
+    /// Plain entries still to come from the current run byte.
+    run: u8,
+    strides: Strides,
 }
 
 impl PackedIter<'_> {
+    /// The varint at the read position if `take`, else 0 with nothing
+    /// consumed.  One-byte varints, nearly all of them, take no branch on
+    /// `take`.
     #[inline(always)]
-    fn varint(&mut self) -> u64 {
-        let mut b = self.bytes[self.pos];
-        self.pos += 1;
-        let mut v = (b & 0x7f) as u64;
-        let mut shift = 0;
-        while b & 0x80 != 0 {
-            b = self.bytes[self.pos];
+    fn varint_if(&mut self, take: bool) -> u64 {
+        let b = self.bytes[self.pos];
+        if take & (b >= 0x80) {
+            return self.long_varint();
+        }
+        self.pos += take as usize;
+        b as u64 & (take as u64).wrapping_neg()
+    }
+
+    /// A varint of two or more bytes at the read position.
+    #[cold]
+    #[inline(never)]
+    fn long_varint(&mut self) -> u64 {
+        let mut v = 0;
+        for shift in (0..).step_by(7) {
+            let b = self.bytes[self.pos];
             self.pos += 1;
-            shift += 7;
             v |= ((b & 0x7f) as u64) << shift;
+            if b & 0x80 == 0 {
+                break;
+            }
         }
         v
+    }
+
+    /// Decode the entry whose header byte is `head`.  Inside the engines'
+    /// loops a data-dependent branch costs more than the arithmetic it
+    /// saves, so `J`, `A` and `P` select values instead of branching.
+    #[inline(always)]
+    fn entry(&mut self, head: u8) -> TraceEntry {
+        let jump = head & tracefile::JUMP != 0;
+        let delta = self.varint_if(jump);
+        self.id = self.id.wrapping_add(if jump {
+            tracefile::unzigzag(delta) as u32
+        } else {
+            1
+        });
+        let has_addr = head & F_HAS_ADDR != 0;
+        let miss = has_addr & (head & tracefile::PREDICTED == 0);
+        let correction = tracefile::unzigzag(self.varint_if(miss));
+        let addr = self.strides.predict(self.id) + correction;
+        self.strides.record(self.id, addr, has_addr);
+        TraceEntry {
+            id: self.id,
+            addr: if has_addr { addr as u32 } else { 0 },
+            flags: head & KNOWN_FLAGS,
+        }
     }
 }
 
@@ -176,18 +221,20 @@ impl Iterator for PackedIter<'_> {
             return None;
         }
         self.left -= 1;
-        let flags = self.bytes[self.pos];
-        self.pos += 1;
-        self.id += tracefile::unzigzag(self.varint());
-        let mut addr = 0;
-        if flags & F_HAS_ADDR != 0 {
-            self.addr += tracefile::unzigzag(self.varint());
-            addr = self.addr as u32;
+        if self.run == 0 {
+            let head = self.bytes[self.pos];
+            self.pos += 1;
+            if head & tracefile::ENTRY != 0 {
+                return Some(self.entry(head));
+            }
+            self.run = head;
         }
+        self.run -= 1;
+        self.id = self.id.wrapping_add(1);
         Some(TraceEntry {
-            id: self.id as u32,
-            addr,
-            flags,
+            id: self.id,
+            addr: 0,
+            flags: 0,
         })
     }
 
@@ -326,7 +373,7 @@ mod tests {
         // The recorder's bytes are the codec's bytes, with no slack.
         assert_eq!(packed.blob(), &tracefile::encode(&layout, &flat, 5)[..]);
         assert_eq!(packed.heap_bytes(), packed.blob().len());
-        assert!(packed.blob().len() < flat.len() * 3);
+        assert!(packed.blob().len() < flat.len() * 2);
     }
 
     #[test]

@@ -5,36 +5,61 @@
 //! The harness caches one blob per distinct (program text, scale) so warm
 //! experiment runs skip functional interpretation entirely.  Traces are
 //! large (millions of entries at paper scale), so the format is built for
-//! size and sequential decode speed rather than generality:
+//! size and sequential decode speed rather than generality.  A blob is a
+//! fixed header carrying a format magic/version, the producing
+//! [`StaticLayout`]'s site count and digest, an opaque caller-supplied
+//! execution digest and the exact entry count; then the records; then a
+//! 64-bit FNV-1a checksum over **everything before it** (header included),
+//! so any single corrupted byte fails decode loudly.
 //!
-//! * a fixed header carrying a format magic/version, the producing
-//!   [`StaticLayout`]'s site count and digest, an opaque caller-supplied
-//!   execution digest, and the exact entry count;
-//! * one record per entry: the flags byte, then the **zigzag-varint delta**
-//!   of the site id against the previous entry (fetch mostly walks forward
-//!   through a block, so deltas are tiny), then — only for memory
-//!   operations — the zigzag-varint delta of the effective address against
-//!   the previous memory operation (strided access patterns collapse to a
-//!   byte);
-//! * a trailing 64-bit FNV-1a checksum over **everything before it**
-//!   (header included), so any single corrupted byte fails decode loudly.
+//! # Records (version 2)
 //!
-//! Typical density is ~1.5–2.5 bytes per entry versus 12 bytes for a
-//! [`TraceEntry`].  One packer appends records as instructions retire (the
+//! Each record starts with one byte:
+//!
+//! | byte | meaning | bytes that follow |
+//! |---|---|---|
+//! | `0nnnnnnn`, n = 1..=127 | a run of n *plain* entries: each has id = previous id + 1, no flags, no address | none |
+//! | `1 0 P J N A B T` | one entry with flags `N A B T` ([`TraceEntry`]'s annulled, has-address, is-branch and taken bits) | if `J`: the zigzag varint of id − previous id (otherwise the id is previous + 1); then if `A` and not `P`: the zigzag varint of address − prediction |
+//!
+//! Bit 6 of an entry header is reserved and zero.  The first entry's
+//! "previous id" is −1, so a trace that starts at site 0 starts with a run.
+//!
+//! **Address prediction.**  Memory entries predict their address from
+//! their own site's history: slot `id % 256` holds the last address `L`
+//! and the stride `S` seen there, both starting at 0.  The prediction is
+//! `L + S`; after address `a` the slot becomes `S = a − L`, `L = a`.  A
+//! correctly predicted address sets `P` and costs no bytes.  The table has
+//! a fixed size, so nothing is allocated from header fields.
+//!
+//! **Density.**  Plain entries are half of a typical trace, and a run of
+//! them costs one byte per 127; a load or store on its site's stride costs
+//! its header byte, a branch one byte unless it jumps.  The eight
+//! paper-scale Table-3 traces (14.9 M entries) pack to 15.8 MB, 1.06 bytes
+//! per entry, against 12 for a [`TraceEntry`].  The packer is a
+//! deterministic function of the entries (greedy runs, a fresh predictor
+//! per trace), so re-encoding a decoded trace reproduces its blob byte for
+//! byte.
+//!
+//! # Packing and validation
+//!
+//! One packer appends records as instructions retire (the
 //! [`crate::trace::PackedRecorder`] observer) and frames the result into a
 //! [`PackedTrace`]; [`pack`] and [`encode`] run it over an entry sequence.
 //! [`decode`] never trusts its input and materialises nothing: one
-//! validating walk checks the checksum, flag bits, id and address ranges,
-//! the count and trailing bytes, then hands the bytes back as a
-//! [`PackedTrace`].  Truncation, bad counts, unknown flag bits,
-//! out-of-range site ids and checksum mismatches all return a
+//! validating walk, O(1) per record, checks the checksum, then every
+//! record — reserved bit, `P` without `A`, `T` without `B`, empty runs,
+//! runs past the entry count, ids or runs reaching the site count,
+//! addresses outside `0..=u32::MAX` — and the trailing bytes, then hands
+//! the bytes back as a [`PackedTrace`].  Each failure is a
 //! [`TraceFileError`], which cache consumers treat as a miss (re-interpret
-//! and overwrite — the same recovery discipline as the JSON stage caches).
-//! Only bytes that passed that walk (or that a packer wrote) ever reach
-//! the trusting decoder behind [`PackedTrace::iter`].
+//! and overwrite — the same recovery discipline as the JSON stage caches);
+//! blobs of another version fail with [`TraceFileError::BadVersion`] and
+//! are recorded again once.  Only bytes that passed that walk (or that a
+//! packer wrote) ever reach the trusting decoder behind
+//! [`PackedTrace::iter`].
 
 use crate::layout::StaticLayout;
-use crate::trace::{PackedTrace, TraceEntry, F_HAS_ADDR, F_IS_BRANCH, F_TAKEN, KNOWN_FLAGS};
+use crate::trace::{PackedTrace, TraceEntry, F_HAS_ADDR, F_IS_BRANCH, F_TAKEN};
 use std::borrow::{Borrow, Cow};
 use std::fmt;
 
@@ -42,7 +67,7 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"GSTF";
 /// Bumped on any incompatible format change; old blobs then decode-fail
 /// and are re-recorded.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Bytes before the first record.
 pub const HEADER_LEN: usize = 4 + 2 + 2 + 4 + 8 + 8 + 8;
@@ -51,15 +76,46 @@ pub const CHECKSUM_LEN: usize = 8;
 /// Byte offset of the header's entry count.
 const COUNT_AT: usize = HEADER_LEN - 8;
 
+/// Set on an entry header; clear on a run byte.
+pub(crate) const ENTRY: u8 = 1 << 7;
+/// Reserved entry-header bit; always zero.
+const RESERVED: u8 = 1 << 6;
+/// The address is its site's prediction; no address bytes follow.
+pub(crate) const PREDICTED: u8 = 1 << 5;
+/// An id delta follows; otherwise the id is the previous one + 1.
+pub(crate) const JUMP: u8 = 1 << 4;
+/// The longest run one byte holds.
+const MAX_RUN: u8 = 127;
+
 /// Why a blob failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceFileError {
     Truncated,
     BadMagic,
     BadVersion(u16),
-    BadChecksum { want: u64, got: u64 },
-    BadEntry { index: u64 },
-    SiteOutOfRange { index: u64, id: u64, num_sites: u32 },
+    BadChecksum {
+        want: u64,
+        got: u64,
+    },
+    /// An entry header with the reserved bit, `P` without `A`, or `T`
+    /// without `B`.
+    BadEntry {
+        index: u64,
+    },
+    /// A run byte of 0, or a run longer than the entries that remain.
+    BadRun {
+        index: u64,
+        len: u8,
+    },
+    AddressOutOfRange {
+        index: u64,
+        addr: i64,
+    },
+    SiteOutOfRange {
+        index: u64,
+        id: u64,
+        num_sites: u32,
+    },
     TrailingBytes(usize),
 }
 
@@ -76,6 +132,12 @@ impl fmt::Display for TraceFileError {
                 )
             }
             TraceFileError::BadEntry { index } => write!(f, "malformed trace entry {index}"),
+            TraceFileError::BadRun { index, len } => {
+                write!(f, "trace entry {index}: bad run of {len}")
+            }
+            TraceFileError::AddressOutOfRange { index, addr } => {
+                write!(f, "trace entry {index}: address {addr} out of range")
+            }
             TraceFileError::SiteOutOfRange {
                 index,
                 id,
@@ -160,12 +222,47 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
+/// The per-site address predictor: slot `id % 256` holds the last
+/// address and stride seen there (see the module docs).
+pub(crate) struct Strides(Box<[(i64, i64); 256]>);
+
+impl Default for Strides {
+    fn default() -> Strides {
+        Strides(Box::new([(0, 0); 256]))
+    }
+}
+
+impl Strides {
+    /// The predicted address of the next memory entry at site `id`.
+    #[inline(always)]
+    pub(crate) fn predict(&self, id: u32) -> i64 {
+        let (last, stride) = self.0[id as u8 as usize];
+        last + stride
+    }
+
+    /// Record that site `id` accessed `addr`, if `accessed`.  A select
+    /// rather than a branch, so the trusting decoder can call it for every
+    /// entry record.
+    #[inline(always)]
+    pub(crate) fn record(&mut self, id: u32, addr: i64, accessed: bool) {
+        let slot = &mut self.0[id as u8 as usize];
+        *slot = if accessed {
+            (addr, addr - slot.0)
+        } else {
+            *slot
+        };
+    }
+}
+
 /// Appends packed records to a growing blob whose header is written last.
 pub(crate) struct Packer {
     out: Vec<u8>,
     count: u64,
     prev_id: i64,
-    prev_addr: i64,
+    /// Entries in the run whose byte ends `out`; 0 when the last record is
+    /// an entry header.
+    run: u8,
+    strides: Strides,
 }
 
 impl Default for Packer {
@@ -173,24 +270,51 @@ impl Default for Packer {
         Packer {
             out: vec![0; HEADER_LEN],
             count: 0,
-            prev_id: 0,
-            prev_addr: 0,
+            prev_id: -1,
+            run: 0,
+            strides: Strides::default(),
         }
     }
 }
 
 impl Packer {
-    /// Append one entry's record.
+    /// Append one entry: to the open run if it is plain, else as an entry
+    /// record.
     #[inline]
     pub(crate) fn push(&mut self, e: TraceEntry) {
-        self.out.push(e.flags);
-        push_varint(&mut self.out, zigzag(e.id as i64 - self.prev_id));
-        self.prev_id = e.id as i64;
-        if e.flags & F_HAS_ADDR != 0 {
-            push_varint(&mut self.out, zigzag(e.addr as i64 - self.prev_addr));
-            self.prev_addr = e.addr as i64;
-        }
         self.count += 1;
+        let id_delta = e.id as i64 - self.prev_id;
+        self.prev_id = e.id as i64;
+        if id_delta == 1 && e.flags == 0 {
+            if self.run == 0 || self.run == MAX_RUN {
+                self.out.push(1);
+                self.run = 1;
+            } else {
+                *self.out.last_mut().expect("a run byte is open") += 1;
+                self.run += 1;
+            }
+            return;
+        }
+        self.run = 0;
+        let mut head = ENTRY | e.flags;
+        let mut addr_miss = 0;
+        if e.flags & F_HAS_ADDR != 0 {
+            addr_miss = e.addr as i64 - self.strides.predict(e.id);
+            self.strides.record(e.id, e.addr as i64, true);
+            if addr_miss == 0 {
+                head |= PREDICTED;
+            }
+        }
+        if id_delta != 1 {
+            head |= JUMP;
+        }
+        self.out.push(head);
+        if id_delta != 1 {
+            push_varint(&mut self.out, zigzag(id_delta));
+        }
+        if addr_miss != 0 {
+            push_varint(&mut self.out, zigzag(addr_miss));
+        }
     }
 
     /// Write the header for a trace recorded against `layout`, append the
@@ -295,32 +419,58 @@ pub fn decode<'a>(bytes: impl Into<Cow<'a, [u8]>>) -> Result<DecodedTrace, Trace
 
     let body = &bytes[..body_end];
     let mut pos = HEADER_LEN;
-    let mut prev_id = 0i64;
-    let mut prev_addr = 0i64;
-    for index in 0..count {
-        let flags = *body.get(pos).ok_or(TraceFileError::Truncated)?;
+    let mut index = 0u64;
+    let mut prev_id = -1i64;
+    let mut strides = Strides::default();
+    let out_of_range = |index, id: i64| TraceFileError::SiteOutOfRange {
+        index,
+        id: id as u64,
+        num_sites,
+    };
+    while index < count {
+        let head = *body.get(pos).ok_or(TraceFileError::Truncated)?;
         pos += 1;
+        if head & ENTRY == 0 {
+            let len = head;
+            if len == 0 || len as u64 > count - index {
+                return Err(TraceFileError::BadRun { index, len });
+            }
+            let last = prev_id + len as i64;
+            if last >= num_sites as i64 {
+                // Name the run's first entry at the site count.
+                let at = index + (num_sites as i64 - prev_id - 1) as u64;
+                return Err(out_of_range(at, num_sites as i64));
+            }
+            prev_id = last;
+            index += len as u64;
+            continue;
+        }
         // TAKEN without IS_BRANCH is a state no retirement produces.
-        if flags & !KNOWN_FLAGS != 0 || flags & (F_TAKEN | F_IS_BRANCH) == F_TAKEN {
+        if head & RESERVED != 0
+            || head & (PREDICTED | F_HAS_ADDR) == PREDICTED
+            || head & (F_TAKEN | F_IS_BRANCH) == F_TAKEN
+        {
             return Err(TraceFileError::BadEntry { index });
         }
-        let delta = unzigzag(read_varint(body, &mut pos)?);
-        let id = prev_id.checked_add(delta).unwrap_or(-1);
+        let mut id = prev_id + 1;
+        if head & JUMP != 0 {
+            id = prev_id.saturating_add(unzigzag(read_varint(body, &mut pos)?));
+        }
         if id < 0 || id >= num_sites as i64 {
-            return Err(TraceFileError::SiteOutOfRange {
-                index,
-                id: id as u64,
-                num_sites,
-            });
+            return Err(out_of_range(index, id));
         }
         prev_id = id;
-        if flags & F_HAS_ADDR != 0 {
-            let delta = unzigzag(read_varint(body, &mut pos)?);
-            prev_addr = prev_addr
-                .checked_add(delta)
-                .filter(|a| (0..=u32::MAX as i64).contains(a))
-                .ok_or(TraceFileError::BadEntry { index })?;
+        if head & F_HAS_ADDR != 0 {
+            let mut addr = strides.predict(id as u32);
+            if head & PREDICTED == 0 {
+                addr = addr.saturating_add(unzigzag(read_varint(body, &mut pos)?));
+            }
+            if !(0..=u32::MAX as i64).contains(&addr) {
+                return Err(TraceFileError::AddressOutOfRange { index, addr });
+            }
+            strides.record(id as u32, addr, true);
         }
+        index += 1;
     }
     if pos != body_end {
         return Err(TraceFileError::TrailingBytes(body_end - pos));
@@ -338,7 +488,7 @@ pub fn decode<'a>(bytes: impl Into<Cow<'a, [u8]>>) -> Result<DecodedTrace, Trace
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::trace_program;
+    use crate::trace::{trace_program, F_ANNULLED};
     use guardspec_ir::builder::*;
     use guardspec_ir::reg::r;
 
@@ -349,7 +499,9 @@ mod tests {
         fb.block("loop");
         fb.subi(r(1), r(1), 1);
         fb.sw(r(1), r(0), 3);
-        fb.lw(r(2), r(0), 3);
+        fb.lw(r(2), r(1), 9);
+        fb.addi(r(3), r(3), 1);
+        fb.addi(r(4), r(4), 1);
         fb.bgtz(r(1), "loop");
         fb.block("done");
         fb.halt();
@@ -363,6 +515,17 @@ mod tests {
         (layout, entries, blob)
     }
 
+    /// A layout of `n` straight-line sites.
+    fn line_layout(n: usize) -> StaticLayout {
+        let mut fb = FuncBuilder::new("line");
+        fb.block("e");
+        for _ in 1..n {
+            fb.addi(r(1), r(1), 1);
+        }
+        fb.halt();
+        StaticLayout::build(&single_func_program(fb))
+    }
+
     /// Re-frame `blob` with its header patched by `edit` and a fresh
     /// checksum, so only the header check can reject it.
     fn reframed(blob: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
@@ -373,15 +536,35 @@ mod tests {
         b
     }
 
+    /// Frame hand-written records claiming `count` entries over `sites`
+    /// sites, with a valid checksum.
+    fn framed(sites: usize, count: u64, records: &[u8]) -> Vec<u8> {
+        let mut out = vec![0; HEADER_LEN];
+        out.extend_from_slice(records);
+        let p = Packer {
+            out,
+            count,
+            ..Packer::default()
+        };
+        p.finish(&line_layout(sites), 0).into_blob()
+    }
+
+    fn entry(id: u32, flags: u8, addr: u32) -> TraceEntry {
+        TraceEntry { id, addr, flags }
+    }
+
+    /// Decode `blob` back to its entries.
+    fn entries_of(blob: &[u8]) -> Vec<TraceEntry> {
+        decode(blob).expect("decodes").trace.iter().collect()
+    }
+
     #[test]
-    fn roundtrip_preserves_every_entry_and_header() {
+    fn roundtrip_preserves_every_entry_header_and_byte() {
         let (layout, entries, blob) = sample_blob();
-        assert!(
-            blob.len() < entries.len() * 4 + 64,
-            "blob too large: {} bytes for {} entries",
-            blob.len(),
-            entries.len()
-        );
+        // Two iterations of 8 and 9 bytes while the strides settle, then 6
+        // a round: the jump back (2), the store and the load on their
+        // strides (1 each), a run byte for the adds, the branch; then halt.
+        assert_eq!(blob.len(), HEADER_LEN + 8 + 9 + 698 * 6 + 1 + CHECKSUM_LEN);
         let d = decode(&blob).expect("decodes");
         assert_eq!(d.num_sites, layout.num_sites() as u32);
         assert_eq!(d.layout_digest, layout_digest(&layout));
@@ -390,6 +573,42 @@ mod tests {
         assert!(d.trace.iter().eq(entries.iter().copied()));
         assert_eq!(d.trace.blob(), &blob[..], "decode keeps the bytes as is");
         assert_eq!(encode(&layout, d.trace.iter(), d.exec_digest), blob);
+    }
+
+    #[test]
+    fn runs_jumps_and_strides_roundtrip() {
+        let layout = line_layout(600);
+        let mut entries: Vec<TraceEntry> = (0..300).map(|id| entry(id, 0, 0)).collect();
+        for i in 0..40u32 {
+            // Sites 5 and 261 share a slot; 7 strides downwards and 9
+            // repeats one address.
+            entries.push(entry(5, F_HAS_ADDR, 1000 + 8 * i));
+            entries.push(entry(261, F_HAS_ADDR | F_ANNULLED, 4 * i));
+            entries.push(entry(7, F_HAS_ADDR, u32::MAX - 3 * i));
+            entries.push(entry(8, F_IS_BRANCH | (i as u8 & F_TAKEN), 0));
+            entries.push(entry(9, F_HAS_ADDR, u32::MAX));
+            entries.extend((10..140).map(|id| entry(id, 0, 0)));
+        }
+        entries.push(entry(599, 0, 0));
+        entries.push(entry(0, 0, 0));
+        let blob = encode(&layout, &entries, 3);
+        assert_eq!(entries_of(&blob), entries);
+        assert_eq!(encode(&layout, entries_of(&blob), 3), blob);
+        // 300 plain entries take three run bytes; a steady stride at a
+        // site of its own costs its header alone.
+        assert_eq!(blob[HEADER_LEN..HEADER_LEN + 3], [127, 127, 46]);
+        let plain: Vec<_> = (0..600).map(|id| entry(id, 0, 0)).collect();
+        assert_eq!(
+            encode(&layout, &plain, 0).len(),
+            HEADER_LEN + 5 + CHECKSUM_LEN
+        );
+        // The first two records carry their addresses; from the third on
+        // the stride predicts it, leaving the header and the jump to site 0.
+        let strided: Vec<_> = (0..100).map(|i| entry(0, F_HAS_ADDR, 4 + 2 * i)).collect();
+        assert_eq!(
+            encode(&layout, &strided, 0).len(),
+            HEADER_LEN + 2 + 3 + 98 * 2 + CHECKSUM_LEN
+        );
     }
 
     #[test]
@@ -404,10 +623,13 @@ mod tests {
     fn empty_trace_roundtrips() {
         let prog = sample_program();
         let layout = StaticLayout::build(&prog);
-        let d = decode(encode(&layout, std::iter::empty::<TraceEntry>(), 7)).expect("decodes");
+        let blob = encode(&layout, std::iter::empty::<TraceEntry>(), 7);
+        assert_eq!(blob.len(), HEADER_LEN + CHECKSUM_LEN);
+        let d = decode(&blob).expect("decodes");
         assert!(d.trace.is_empty());
         assert_eq!(d.trace.iter().count(), 0);
         assert_eq!(d.exec_digest, 7);
+        assert_eq!(encode(&layout, d.trace.iter(), 7), blob);
     }
 
     #[test]
@@ -460,43 +682,85 @@ mod tests {
             decode(&less),
             Err(TraceFileError::TrailingBytes(_))
         ));
-        let version = reframed(&blob, |b| b[4] = 9);
-        assert_eq!(decode(&version).unwrap_err(), TraceFileError::BadVersion(9));
+        // Blobs of the first format version, and of unknown ones, are misses.
+        for v in [1u16, 9] {
+            let version = reframed(&blob, |b| b[4..6].copy_from_slice(&v.to_le_bytes()));
+            assert_eq!(decode(&version).unwrap_err(), TraceFileError::BadVersion(v));
+        }
     }
 
     #[test]
-    fn impossible_records_are_rejected() {
-        let prog = sample_program();
-        let layout = StaticLayout::build(&prog);
-        // Frame one hand-written record.
-        let record = |body: &[u8]| {
-            let mut out = vec![0; HEADER_LEN];
-            out.extend_from_slice(body);
-            let p = Packer {
-                out,
-                count: 1,
-                prev_id: 0,
-                prev_addr: 0,
-            };
-            decode(p.finish(&layout, 0).into_blob())
+    fn each_rejection_rule_has_a_record_that_trips_it() {
+        use TraceFileError::*;
+        let (b, t, a) = (F_IS_BRANCH, F_TAKEN, F_HAS_ADDR);
+        let ok = |count, records: &[u8]| {
+            let blob = framed(6, count, records);
+            decode(&blob).unwrap_or_else(|e| panic!("{records:?}: {e}"));
         };
-        assert!(record(&[F_IS_BRANCH | F_TAKEN, 2]).is_ok());
-        assert!(record(&[F_TAKEN, 2]).is_err(), "taken without branch");
-        assert!(record(&[1 << 6, 2]).is_err(), "unknown flag bit");
-        assert!(record(&[F_HAS_ADDR, 2, 14]).is_ok());
-        assert!(record(&[F_HAS_ADDR, 2, 1]).is_err(), "negative address");
-        // A ten-byte varint delta far past the id range, not an overflow.
-        let huge = [
-            0, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
-        ];
-        assert!(matches!(
-            record(&huge),
-            Err(TraceFileError::SiteOutOfRange { .. })
-        ));
-        let too_long = [
-            0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0,
-        ];
-        assert_eq!(record(&too_long).unwrap_err(), TraceFileError::Truncated);
+        let err = |count, records: &[u8]| decode(framed(6, count, records)).unwrap_err();
+
+        ok(1, &[ENTRY | b | t]);
+        ok(6, &[6]);
+        // Site −1 + 5; address 0 + 0; address 7.
+        ok(1, &[ENTRY | JUMP, 10]);
+        ok(1, &[ENTRY | a | PREDICTED]);
+        ok(1, &[ENTRY | a, 14]);
+        // u32::MAX twice: the second predicted 2 × u32::MAX, then corrected.
+        let max = [0xfe, 0xff, 0xff, 0xff, 0x1f];
+        let back = [0xfd, 0xff, 0xff, 0xff, 0x1f];
+        let twice = [&[ENTRY | a][..], &max, &[ENTRY | JUMP | a, 0], &back].concat();
+        ok(2, &twice);
+
+        // Bad checksum.
+        let mut sealed = framed(6, 1, &[ENTRY]);
+        *sealed.last_mut().unwrap() ^= 1;
+        assert!(matches!(decode(&sealed), Err(BadChecksum { .. })));
+        // Reserved bit, P without A, T without B.
+        assert_eq!(err(1, &[ENTRY | RESERVED]), BadEntry { index: 0 });
+        assert_eq!(err(1, &[ENTRY | PREDICTED | b]), BadEntry { index: 0 });
+        assert_eq!(err(2, &[1, ENTRY | t]), BadEntry { index: 1 });
+        // A run byte of 0, and a run past the count.
+        assert_eq!(err(1, &[0]), BadRun { index: 0, len: 0 });
+        assert_eq!(err(4, &[2, 3]), BadRun { index: 2, len: 3 });
+        // A run, or an id, that reaches the site count (or falls below 0).
+        let past = |index, id| SiteOutOfRange {
+            index,
+            id,
+            num_sites: 6,
+        };
+        assert_eq!(err(7, &[7]), past(6, 6));
+        assert_eq!(err(9, &[2, ENTRY, 6]), past(6, 6));
+        assert_eq!(err(1, &[ENTRY | JUMP, 14]), past(0, 6));
+        assert_eq!(err(1, &[ENTRY | JUMP, 3]), past(0, -3i64 as u64));
+        // A ten-byte varint delta far past the id range, not an overflow;
+        // eleven bytes is no varint at all.
+        let mut huge = vec![ENTRY | JUMP];
+        huge.extend([0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
+        assert_eq!(err(1, &huge), past(0, i64::MAX as u64 - 1));
+        let mut too_long = vec![ENTRY | JUMP];
+        too_long.extend([0x80; 10]);
+        too_long.push(0);
+        assert_eq!(err(1, &too_long), Truncated);
+        // An address outside 0..=u32::MAX: written, or predicted from a
+        // site's stride (5, then 0, then 0 − 5).
+        assert_eq!(
+            err(1, &[ENTRY | a, 1]),
+            AddressOutOfRange { index: 0, addr: -1 }
+        );
+        assert_eq!(
+            err(1, &[ENTRY | a, 0x80, 0x80, 0x80, 0x80, 0x20]),
+            AddressOutOfRange {
+                index: 0,
+                addr: 1 << 32
+            }
+        );
+        let again = ENTRY | JUMP | a;
+        assert_eq!(
+            err(3, &[ENTRY | a, 10, again, 0, 19, again | PREDICTED, 0]),
+            AddressOutOfRange { index: 2, addr: -5 }
+        );
+        // Trailing bytes after the counted records.
+        assert_eq!(err(1, &[ENTRY, 1]), TrailingBytes(1));
     }
 
     #[test]

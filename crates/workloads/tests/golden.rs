@@ -116,12 +116,13 @@ fn ocean_fp_kernel_matches_golden_bit_exactly() {
     for scale in [Scale::Test, Scale::Small] {
         let w = guardspec_workloads::ocean::build(scale);
         assert_valid(&w.program);
-        let res = run(&w.program).unwrap_or_else(|e| panic!("ocean failed: {e}"));
+        let (profile, res) =
+            profile_program(&w.program).unwrap_or_else(|e| panic!("ocean failed: {e}"));
         let bad = w.verify(&res.machine.mem);
         assert!(bad.is_empty(), "ocean {scale:?}: {bad:?}");
         // The FP pipes actually ran.
-        assert!(res.summary.by_class[class_index(FuClass::FpAdd)] > 100);
-        assert!(res.summary.by_class[class_index(FuClass::FpMul)] > 10);
-        assert!(res.summary.by_class[class_index(FuClass::FpDiv)] >= 1);
+        assert!(profile.by_class[class_index(FuClass::FpAdd)] > 100);
+        assert!(profile.by_class[class_index(FuClass::FpMul)] > 10);
+        assert!(profile.by_class[class_index(FuClass::FpDiv)] >= 1);
     }
 }

@@ -10,6 +10,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A warm run's --json artifact must show that it replayed everything: no
+# interpretation and no cache miss.  Equal stdout alone would also pass a
+# cache that rejects its own entries and silently recomputes them.
+assert_fully_warm() {
+    if ! grep -Eq '"interpretations": 0(,|$)' "$1" \
+        || ! grep -Eq '"cache_misses": 0(,|$)' "$1"; then
+        echo "$1: the warm run interpreted or missed the cache" >&2
+        grep -E '"(interpretations|cache_misses)"' "$1" >&2
+        exit 1
+    fi
+}
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
@@ -62,13 +74,16 @@ test -s results/BENCH_8.json
 
 echo "== trace cache cold/warm (table3 in a scratch dir) =="
 # Cold run records binary trace blobs; the warm rerun in the same scratch
-# dir must replay them (no interpretation) and print identical tables.
+# dir must replay them (no interpretation, no miss) and print identical
+# tables.
 TCDIR=$(mktemp -d)
 (cd "$TCDIR" && "$OLDPWD/target/release/table3" --scale test --jobs 1 > cold.txt)
 # Blobs are sharded: results/cache/<2 hex>/trace-<digest>.bin
 find "$TCDIR"/results/cache -name 'trace-*.bin' | grep -q .
-(cd "$TCDIR" && "$OLDPWD/target/release/table3" --scale test --jobs 1 > warm.txt)
+(cd "$TCDIR" && "$OLDPWD/target/release/table3" --scale test --jobs 1 \
+    --json warm.json > warm.txt)
 cmp "$TCDIR"/cold.txt "$TCDIR"/warm.txt
+assert_fully_warm "$TCDIR"/warm.json
 rm -rf "$TCDIR"
 
 echo "== perf benchmark smoke (warm table3 workload, digests checked) =="
@@ -86,8 +101,10 @@ echo "== warm cache at small scale (table3 cold then warm, 60 s cap each) =="
 # the timeout and fails here instead of hanging.
 WCDIR=$(mktemp -d)
 (cd "$WCDIR" && timeout 60 "$OLDPWD/target/release/table3" --scale small --jobs 1 > cold.txt)
-(cd "$WCDIR" && timeout 60 "$OLDPWD/target/release/table3" --scale small --jobs 1 > warm.txt)
+(cd "$WCDIR" && timeout 60 "$OLDPWD/target/release/table3" --scale small --jobs 1 \
+    --json warm.json > warm.txt)
 cmp "$WCDIR"/cold.txt "$WCDIR"/warm.txt
+assert_fully_warm "$WCDIR"/warm.json
 # Transform entries hold the printed program text only, no binary copy.
 find "$WCDIR"/results/cache -name 'transform-*.json' | grep -q .
 if find "$WCDIR"/results/cache -name 'transform-*.json' -exec grep -l '"bin"' {} + | grep .; then
