@@ -32,15 +32,6 @@
 //!   timings or machine-local meta) to `<path>`; byte-identical at any
 //!   `--jobs`, cold or warm cache, and to what the `gsd` server returns
 //!   for the same spec.
-//!
-//! Unknown flags print the offending argument to stderr and exit 2.
-//! * `--no-stream` — disable the streaming trace pipeline and simulate
-//!   each cell from a fully materialized trace on one thread (same
-//!   results; preferable on single-core machines; only affects
-//!   `--no-fanout` runs).
-//! * `--no-fanout` — interpret once per cell (the historical pipeline)
-//!   instead of tracing each distinct program once and sharing the trace
-//!   across all its cells.  Same results, more interpreter work.
 //! * `--no-trace-cache` — do not persist/reuse binary trace blobs
 //!   (`trace-<digest>.bin`) in the results cache; every run re-interprets.
 //! * `--observe` — enable simulator cycle accounting: each cell's artifact
@@ -56,8 +47,10 @@
 //! * `--sample` (with `--sample-detail N`, `--sample-warm N`,
 //!   `--sample-interval N`) — SMARTS-style interval sampling: per-cell
 //!   `sampling` estimates (mean IPC ± 95% CI, estimated cycles) replace
-//!   the exact whole-trace simulation.  Implies the compiled engine and
-//!   fan-out; sampled cache entries live under their own keys.
+//!   the exact whole-trace simulation.  Implies the compiled engine;
+//!   sampled cache entries live under their own keys.
+//!
+//! Unknown flags print the offending argument to stderr and exit 2.
 //!
 //! ## Results cache and artifacts
 //!
@@ -69,12 +62,9 @@
 //! appends a `results/BENCH_<n>.json` artifact recording wall time, cache
 //! hit/miss counts and per-stage timings (path reported on stderr).
 
-use guardspec_core::{transform_program, DriverOptions, TransformReport};
 use guardspec_harness::{ExperimentResult, HarnessArgs, RunOptions};
-use guardspec_interp::profile::profile_program;
-use guardspec_interp::{ExecResult, Profile};
-use guardspec_predict::{measure_twobit_accuracy, Scheme};
-use guardspec_sim::{simulate_trace, MachineConfig, SimStats};
+use guardspec_interp::Profile;
+use guardspec_predict::measure_twobit_accuracy;
 use guardspec_workloads::{all_workloads, Scale, Workload};
 use std::path::Path;
 
@@ -95,8 +85,6 @@ pub fn run_options(args: &HarnessArgs) -> RunOptions {
     RunOptions {
         jobs: args.jobs,
         cache_dir: Some(guardspec_harness::DEFAULT_CACHE_DIR.into()),
-        stream: !args.no_stream,
-        fanout: !args.no_fanout,
         trace_cache: !args.no_trace_cache,
         observe: args.observe,
         trace_spans: args.trace_out.is_some(),
@@ -138,70 +126,6 @@ pub fn finish_artifacts(result: &ExperimentResult, args: &HarnessArgs) {
     }
 }
 
-/// One workload simulated under one scheme.
-pub struct SchemeRun {
-    pub scheme: Scheme,
-    pub stats: SimStats,
-    pub exec: ExecResult,
-    /// The transform report (Proposed scheme only).
-    pub report: Option<TransformReport>,
-}
-
-/// Profile + (for Proposed) transform + simulate a workload under all three
-/// schemes of Tables 3/4.  Panics if any version of the program stops
-/// matching the workload's golden results — the harness never reports
-/// numbers from a miscomputing kernel.
-///
-/// This is the direct (uncached, in-process) path used by the benches and
-/// tests; the table binaries go through `guardspec_harness::run_experiment`
-/// with an equivalent [`ExperimentSpec::three_schemes`] spec instead.
-///
-/// [`ExperimentSpec::three_schemes`]: guardspec_harness::ExperimentSpec::three_schemes
-pub fn run_all_schemes(w: &Workload, cfg: &MachineConfig) -> Vec<SchemeRun> {
-    let mut out = Vec::new();
-
-    // Baseline profile (shared by Table 1 and the transform driver).
-    let (profile, _) = profile_program(&w.program).expect("profile");
-
-    for scheme in Scheme::ALL {
-        let program = match scheme {
-            Scheme::Proposed => {
-                let mut p = w.program.clone();
-                let report = transform_program(&mut p, &profile, &DriverOptions::proposed());
-                guardspec_ir::validate::assert_valid(&p);
-                out.push(run_one(w, p, scheme, cfg, Some(report)));
-                continue;
-            }
-            _ => w.program.clone(),
-        };
-        out.push(run_one(w, program, scheme, cfg, None));
-    }
-    out
-}
-
-fn run_one(
-    w: &Workload,
-    program: guardspec_ir::Program,
-    scheme: Scheme,
-    cfg: &MachineConfig,
-    report: Option<TransformReport>,
-) -> SchemeRun {
-    let (layout, trace, exec) = guardspec_interp::trace::trace_program(&program).expect("trace");
-    let bad = w.verify(&exec.machine.mem);
-    assert!(
-        bad.is_empty(),
-        "{} under {scheme:?} miscomputed: {bad:?}",
-        w.name
-    );
-    let stats = simulate_trace(&program, &layout, &trace, scheme, cfg).expect("simulate");
-    SchemeRun {
-        scheme,
-        stats,
-        exec,
-        report,
-    }
-}
-
 /// Table 1 row data.
 pub struct Table1Row {
     pub name: String,
@@ -210,15 +134,9 @@ pub struct Table1Row {
     pub predicted_pct: f64,
 }
 
-/// Compute Table 1 for one workload: dynamic instructions, branch fraction,
-/// and 2-bit prediction accuracy (replaying every conditional-branch
-/// outcome through a fresh 512-entry table).
-pub fn table1_row(w: &Workload) -> Table1Row {
-    let (profile, _) = profile_program(&w.program).expect("profile");
-    table1_row_from_profile(w, &profile)
-}
-
-/// [`table1_row`] from an already-available (e.g. cached) profile.
+/// Compute Table 1 for one workload from its profile: dynamic
+/// instructions, branch fraction, and 2-bit prediction accuracy (replaying
+/// every conditional-branch outcome through a fresh 512-entry table).
 pub fn table1_row_from_profile(w: &Workload, profile: &Profile) -> Table1Row {
     let layout = guardspec_interp::StaticLayout::build(&w.program);
     let acc = twobit_accuracy_from_profile(profile, &layout);
@@ -263,20 +181,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scheme_runs_verify_and_order_sanely() {
-        let w = &workloads(Scale::Test)[3]; // grep: smallest
-        let cfg = MachineConfig::r10000();
-        let runs = run_all_schemes(w, &cfg);
-        assert_eq!(runs.len(), 3);
-        let ipc = |s: Scheme| runs.iter().find(|r| r.scheme == s).unwrap().stats.ipc();
-        assert!(ipc(Scheme::Perfect) >= ipc(Scheme::TwoBit) * 0.99);
-        assert!(runs.iter().all(|r| r.stats.committed > 0));
-    }
-
-    #[test]
     fn table1_row_shape() {
         let w = &workloads(Scale::Test)[0];
-        let row = table1_row(w);
+        let (profile, _) = guardspec_interp::profile::profile_program(&w.program).expect("runs");
+        let row = table1_row_from_profile(w, &profile);
         assert!(row.dynamic_millions > 0.0);
         assert!(row.branch_pct > 5.0 && row.branch_pct < 40.0);
         assert!(row.predicted_pct > 50.0 && row.predicted_pct <= 100.0);

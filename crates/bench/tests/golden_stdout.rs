@@ -1,7 +1,7 @@
 //! Golden stdout: the table binaries must print byte-identical tables no
-//! matter how the work is scheduled — serial, work-stealing, streamed,
-//! single-threaded materialized traces, trace fan-out on or off, and cold
-//! or warm trace/stage caches.  Each cold invocation gets a fresh scratch
+//! matter how the work is scheduled — serial or work-stealing, with or
+//! without the trace cache, on either simulator engine, and from cold or
+//! warm trace/stage caches.  Each cold invocation gets a fresh scratch
 //! working directory, so its cache/artifact side effects stay out of the
 //! repo; warm invocations deliberately rerun in the same directory.
 
@@ -44,22 +44,6 @@ fn assert_invariant_stdout(bin: &str, name: &str) {
     for (tag, args) in [
         ("jobs8", &["--scale", "test", "--jobs", "8"] as &[&str]),
         (
-            "nostream",
-            &["--scale", "test", "--jobs", "1", "--no-stream"],
-        ),
-        (
-            "nostream8",
-            &["--scale", "test", "--jobs", "8", "--no-stream"],
-        ),
-        (
-            "nofanout",
-            &["--scale", "test", "--jobs", "1", "--no-fanout"],
-        ),
-        (
-            "nofanout8",
-            &["--scale", "test", "--jobs", "8", "--no-fanout"],
-        ),
-        (
             "notracecache",
             &["--scale", "test", "--jobs", "1", "--no-trace-cache"],
         ),
@@ -74,8 +58,7 @@ fn assert_invariant_stdout(bin: &str, name: &str) {
             &["--scale", "test", "--jobs", "8", "--log-level", "debug"],
         ),
         // The interpreted per-entry engine must print the same bytes as the
-        // compiled decoded-uop engine (the default), under both schedulers
-        // and with fan-out on or off.
+        // compiled decoded-uop engine (the default), under both schedulers.
         (
             "interp",
             &["--scale", "test", "--jobs", "1", "--no-compile"],
@@ -83,28 +66,6 @@ fn assert_invariant_stdout(bin: &str, name: &str) {
         (
             "interp8",
             &["--scale", "test", "--jobs", "8", "--no-compile"],
-        ),
-        (
-            "interp-nofanout",
-            &[
-                "--scale",
-                "test",
-                "--jobs",
-                "1",
-                "--no-compile",
-                "--no-fanout",
-            ],
-        ),
-        (
-            "interp-nofanout8",
-            &[
-                "--scale",
-                "test",
-                "--jobs",
-                "8",
-                "--no-compile",
-                "--no-fanout",
-            ],
         ),
     ] {
         let got = run(bin, args, &format!("{name}-{tag}"));
@@ -114,31 +75,23 @@ fn assert_invariant_stdout(bin: &str, name: &str) {
             "{name} stdout differs under {args:?}"
         );
     }
-    // Cold then warm in the SAME directory, fan-out on and off: replaying
-    // cached stage results and binary trace blobs must not change a byte
-    // of the table.
-    for (tag, args) in [
-        ("coldwarm", &["--scale", "test", "--jobs", "1"] as &[&str]),
-        (
-            "coldwarm-nofanout",
-            &["--scale", "test", "--jobs", "8", "--no-fanout"],
-        ),
-    ] {
-        let dir = scratch(&format!("{name}-{tag}"));
-        let cold = run_in(bin, args, &dir);
-        let warm = run_in(bin, args, &dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(
-            String::from_utf8_lossy(&reference),
-            String::from_utf8_lossy(&cold),
-            "{name} cold stdout differs under {args:?}"
-        );
-        assert_eq!(
-            String::from_utf8_lossy(&cold),
-            String::from_utf8_lossy(&warm),
-            "{name} warm stdout differs from cold under {args:?}"
-        );
-    }
+    // Cold then warm in the SAME directory: replaying cached stage results
+    // and binary trace blobs must not change a byte of the table.
+    let args = ["--scale", "test", "--jobs", "1"];
+    let dir = scratch(&format!("{name}-coldwarm"));
+    let cold = run_in(bin, &args, &dir);
+    let warm = run_in(bin, &args, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        String::from_utf8_lossy(&reference),
+        String::from_utf8_lossy(&cold),
+        "{name} cold stdout differs under {args:?}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&cold),
+        String::from_utf8_lossy(&warm),
+        "{name} warm stdout differs from cold under {args:?}"
+    );
 }
 
 #[test]
@@ -147,7 +100,7 @@ fn table1_stdout_is_schedule_invariant() {
 }
 
 /// Sampled estimates are a pure function of (trace, params): the printed
-/// table must not change a byte across schedulers or the fan-out switch.
+/// table must not change a byte across schedulers.
 #[test]
 fn sampled_stdout_is_schedule_invariant() {
     let bin = env!("CARGO_BIN_EXE_table3");
@@ -171,18 +124,12 @@ fn sampled_stdout_is_schedule_invariant() {
     }
     let reference = run(bin, &with(&base, &["--jobs", "1"]), "table3-sampled");
     assert!(!reference.is_empty(), "sampled table3 printed nothing");
-    for (tag, extra) in [
-        ("jobs8", &["--jobs", "8"] as &[&str]),
-        ("nofanout", &["--jobs", "1", "--no-fanout"]),
-        ("nofanout8", &["--jobs", "8", "--no-fanout"]),
-    ] {
-        let got = run(bin, &with(&base, extra), &format!("table3-sampled-{tag}"));
-        assert_eq!(
-            String::from_utf8_lossy(&reference),
-            String::from_utf8_lossy(&got),
-            "sampled table3 stdout differs under {extra:?}"
-        );
-    }
+    let got = run(bin, &with(&base, &["--jobs", "8"]), "table3-sampled-jobs8");
+    assert_eq!(
+        String::from_utf8_lossy(&reference),
+        String::from_utf8_lossy(&got),
+        "sampled table3 stdout differs under --jobs 8"
+    );
 }
 
 /// `sampling` keys appear in stable artifacts exactly when `--sample` is

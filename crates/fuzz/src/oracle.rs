@@ -12,19 +12,16 @@
 //!    values (see `Machine::mem_checksum`).  The generator spills every
 //!    meaningful register to memory in its epilogue, so anything that matters
 //!    is covered by the memory/store comparison.
-//! 2. **Engine agreement** — for a *single* program, the plain interpreter,
-//!    the trace recorder + materialized simulation, and the streaming
-//!    interpreter + simulation must agree exactly: full architectural state
-//!    (int/flt/pred registers and memory) and identical `SimStats`.  The
-//!    compiled decoded-uop engine is held to the same bar against the
-//!    interpreted pipeline: identical `SimStats`, identical cycle-bucket
-//!    accounting (`CycleAccounting` equality, which covers per-site
-//!    counters too), and a committed-store trace consistent with the
-//!    interpreter's, over both the materialized and the streamed source.
-//!    Both engines also run from the packed trace the harness fans out —
-//!    recorded by its own interpretation, which must land in the same
-//!    architectural state — and must match the `Vec<TraceEntry>` reference
-//!    in entries, `SimStats` and cycle accounting.
+//! 2. **Engine agreement** — for a *single* program, a four-way
+//!    differential: {interpreted, compiled} engine × {materialized slice,
+//!    packed} trace source.  The plain interpreter and every interpretation
+//!    that records a trace must land in the same architectural state
+//!    (int/flt/pred registers and memory), and the recorded trace must
+//!    carry exactly the interpreter's committed stores.  All four runs must
+//!    produce identical `SimStats` and identical cycle-bucket accounting
+//!    (`CycleAccounting` equality, which covers per-site counters too).
+//!    The packed trace is the one the harness replays, recorded by its own
+//!    interpretation, and must decode to the `Vec<TraceEntry>` reference.
 //!
 //! Transform panics and validation failures on the transformed program are
 //! reported as findings rather than crashing the fuzz run; an original
@@ -42,8 +39,7 @@ use guardspec_ir::{Instruction, Opcode, Program};
 use guardspec_predict::Scheme;
 use guardspec_sim::{
     prepare_program, simulate_compiled_packed_observed_in, simulate_compiled_trace_observed_in,
-    simulate_packed_observed_in, simulate_program_compiled_streamed_observed_in,
-    simulate_program_streamed, simulate_trace_observed, CompiledProgram, CycleAccounting,
+    simulate_packed_observed_in, simulate_trace_observed, CompiledProgram, CycleAccounting,
     MachineConfig, SimContext,
 };
 use rand::prelude::*;
@@ -234,9 +230,9 @@ fn transform_guarded(
 
 /// Check the execution engines against each other on one program: the
 /// interpreted pipeline and the compiled decoded-uop engine, each over the
-/// materialized, streamed and packed sources, must produce identical
-/// `SimStats` and identical cycle accounting, and the trace the engines
-/// consume must carry exactly the interpreter's committed stores.
+/// materialized and packed sources, must produce identical `SimStats` and
+/// identical cycle accounting, and the trace the engines consume must
+/// carry exactly the interpreter's committed stores.
 fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), String> {
     let cfg = MachineConfig::r10000();
     // Materialized interpreted path.
@@ -257,21 +253,6 @@ fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), 
         &mut acct_interp,
     )
     .map_err(|e| format!("{tag}: simulate_trace failed: {e}"))?;
-    // Streaming interpreted path.
-    let (stats_str, exec_str) = simulate_program_streamed(prog, Scheme::TwoBit, &cfg)
-        .map_err(|e| format!("{tag}: simulate_program_streamed failed: {e}"))?;
-    check_same_program_state(
-        &format!("{tag}: interp vs streamed interp"),
-        &reference.machine,
-        &exec_str.machine,
-    )?;
-    if stats_mat != stats_str {
-        return Err(format!(
-            "{tag}: SimStats diverge between materialized and streamed simulation \
-             (cycles {} vs {}, committed {} vs {})",
-            stats_mat.cycles, stats_str.cycles, stats_mat.committed, stats_str.committed
-        ));
-    }
 
     // The committed-store trace the simulators consume must be exactly the
     // interpreter's: every non-annulled store entry, same addresses, same
@@ -342,32 +323,8 @@ fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), 
         ));
     }
 
-    // Compiled engine, streamed path: same stats again, and the embedded
-    // interpreter must land in the same architectural state.
-    let (stats_comp_str, exec_comp) = simulate_program_compiled_streamed_observed_in(
-        &mut ctx,
-        prog,
-        &comp,
-        Scheme::TwoBit,
-        &cfg,
-        &mut (),
-    )
-    .map_err(|e| format!("{tag}: compiled streamed simulate failed: {e}"))?;
-    check_same_program_state(
-        &format!("{tag}: interp vs compiled streamed interp"),
-        &reference.machine,
-        &exec_comp.machine,
-    )?;
-    if stats_comp_str != stats_mat {
-        return Err(format!(
-            "{tag}: SimStats diverge between materialized and streamed compiled runs \
-             (cycles {} vs {})",
-            stats_mat.cycles, stats_comp_str.cycles
-        ));
-    }
-
-    // Packed path: the fan-out trace form, recorded by its own run, read
-    // by both engines through the decoding cursor.
+    // Packed path: the trace form the harness replays, recorded by its own
+    // run, read by both engines through the decoding cursor.
     let mut packer = PackedRecorder::new(prog);
     let exec_packed = Interp::new(prog)
         .run_with(&mut packer)

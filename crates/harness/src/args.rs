@@ -10,15 +10,8 @@
 //! * `--stable-json <path>` — additionally write the run's *stable*
 //!   payload (no timings or machine-local meta) to `<path>`; this is the
 //!   byte-comparable form the simulation server also returns,
-//! * `--no-stream` — simulate from a fully materialized trace on one
-//!   thread instead of streaming it from a concurrent interpreter
-//!   (the right choice on single-core containers; only affects the
-//!   `--no-fanout` path),
-//! * `--no-fanout` — interpret once per cell (the historical pipeline)
-//!   instead of tracing each distinct program once and fanning the shared
-//!   trace out to every dependent simulation,
 //! * `--no-trace-cache` — do not persist/reuse binary trace blobs under
-//!   `results/cache/`; every fan-out run re-interprets.
+//!   `results/cache/`; every run re-interprets.
 //! * `--observe` — run cycle accounting and per-branch-site attribution in
 //!   the simulator and attach the buckets/top-sites to the artifact.
 //! * `--trace-out <path>` — write a Chrome trace-event (Perfetto-loadable)
@@ -30,7 +23,7 @@
 //! * `--sample` — SMARTS-style interval sampling: simulate short detailed
 //!   windows, functionally warm the predictors/caches between them, and
 //!   attach a per-cell `sampling` estimate (mean IPC ± 95% CI) to the
-//!   artifact.  Forces the compiled engine and the fan-out pipeline.
+//!   artifact.  Forces the compiled engine.
 //! * `--sample-detail N` / `--sample-warm N` / `--sample-interval N` —
 //!   override the measured/warm-up/total entries per sampling interval
 //!   (each implies `--sample`).
@@ -61,10 +54,6 @@ pub struct HarnessArgs {
     pub json: Option<PathBuf>,
     /// Where to write the stable (deterministic) payload, if requested.
     pub stable_json: Option<PathBuf>,
-    /// Disable the streaming trace pipeline (single-threaded fallback).
-    pub no_stream: bool,
-    /// Disable trace-once/simulate-many fan-out (per-cell interpretation).
-    pub no_fanout: bool,
     /// Disable the persistent binary trace cache.
     pub no_trace_cache: bool,
     /// Enable simulator cycle accounting + per-site attribution.
@@ -93,8 +82,6 @@ impl Default for HarnessArgs {
             jobs: 0,
             json: None,
             stable_json: None,
-            no_stream: false,
-            no_fanout: false,
             no_trace_cache: false,
             observe: false,
             trace_out: None,
@@ -171,10 +158,9 @@ impl HarnessArgs {
                 eprintln!("error: {e}");
                 eprintln!(
                     "usage: [--scale test|small|paper] [--jobs N] [--json <path>] \
-                     [--stable-json <path>] [--no-stream] [--no-fanout] \
-                     [--no-trace-cache] [--observe] [--trace-out <path>] \
-                     [--no-compile] [--sample] [--sample-detail N] \
-                     [--sample-warm N] [--sample-interval N] \
+                     [--stable-json <path>] [--no-trace-cache] [--observe] \
+                     [--trace-out <path>] [--no-compile] [--sample] \
+                     [--sample-detail N] [--sample-warm N] [--sample-interval N] \
                      [--log-level off|error|warn|info|debug]"
                 );
                 std::process::exit(2);
@@ -206,8 +192,6 @@ impl HarnessArgs {
                 "--stable-json" => {
                     out.stable_json = Some(PathBuf::from(take_value(&mut args, "--stable-json")?))
                 }
-                "--no-stream" => out.no_stream = true,
-                "--no-fanout" => out.no_fanout = true,
                 "--no-trace-cache" => out.no_trace_cache = true,
                 "--observe" => out.observe = true,
                 "--no-compile" => out.no_compile = true,
@@ -323,12 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn no_stream_flag() {
-        assert!(!parse(&[]).unwrap().no_stream);
-        assert!(parse(&["--no-stream"]).unwrap().no_stream);
-    }
-
-    #[test]
     fn observe_and_trace_out_flags() {
         let d = parse(&[]).unwrap();
         assert!(!d.observe);
@@ -414,12 +392,8 @@ mod tests {
     }
 
     #[test]
-    fn fanout_and_trace_cache_flags() {
-        let d = parse(&[]).unwrap();
-        assert!(!d.no_fanout);
-        assert!(!d.no_trace_cache);
-        let a = parse(&["--no-fanout", "--no-trace-cache"]).unwrap();
-        assert!(a.no_fanout);
-        assert!(a.no_trace_cache);
+    fn trace_cache_flag() {
+        assert!(!parse(&[]).unwrap().no_trace_cache);
+        assert!(parse(&["--no-trace-cache"]).unwrap().no_trace_cache);
     }
 }

@@ -164,9 +164,7 @@ pub fn full_json(r: &ExperimentResult) -> Json {
             if let Some(t) = c.transform_timing {
                 fields.push(("transform", timing_json(t)));
             }
-            if let Some(t) = c.trace_timing {
-                fields.push(("trace", timing_json(t)));
-            }
+            fields.push(("trace", timing_json(c.trace_timing)));
             fields.push(("simulate", timing_json(c.sim_timing)));
             Json::obj(fields)
         })

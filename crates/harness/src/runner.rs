@@ -11,10 +11,10 @@
 //! ```
 //!
 //! * One **profile** job per workload, shared by every cell and by the
-//!   binaries' post-processing (Table 1 columns, predictor sweeps).  Under
-//!   fan-out, the *same* interpreter pass also records the base program's
-//!   dynamic trace when any cell simulates the untransformed code — one
-//!   interpretation, two products.
+//!   binaries' post-processing (Table 1 columns, predictor sweeps).  The
+//!   *same* interpreter pass also records the base program's dynamic trace
+//!   when any cell simulates the untransformed code — one interpretation,
+//!   two products.
 //! * One **transform** job per distinct (workload, options) pair — the
 //!   ablation's five presets over four workloads make twenty transforms, but
 //!   e.g. Tables 3+4 share a single proposed-options transform per workload.
@@ -24,8 +24,7 @@
 //!   interpretation entirely.
 //! * One **simulate** job per cell ("simulate many"): all cells of the same
 //!   program read the packed trace concurrently, each through its own
-//!   decoding cursor.  `RunOptions::fanout = false` falls back to the historical
-//!   interpret-per-cell path (results are byte-identical either way).
+//!   decoding cursor.
 //!
 //! Every stage consults the content-addressed [`DiskCache`] first; cold
 //! results are verified against the workload's golden memory image before
@@ -47,11 +46,9 @@ use guardspec_interp::{tracefile, Interp, PackedRecorder, PackedTrace, Profile};
 use guardspec_predict::Scheme;
 use guardspec_sim::{
     prepare_program, simulate_compiled_packed_in, simulate_compiled_packed_observed_in,
-    simulate_compiled_trace_observed_in, simulate_packed_in, simulate_packed_observed_in,
-    simulate_program_compiled_streamed_observed_in, simulate_program_streamed_observed_in,
-    simulate_sampled_in, simulate_sampled_observed_in, simulate_trace_observed_in, CompiledProgram,
-    CycleAccounting, MachineConfig, PreparedSim, SampleParams, SampleSummary, SimContext,
-    SimObserver, SimStats,
+    simulate_packed_in, simulate_packed_observed_in, simulate_sampled_in,
+    simulate_sampled_observed_in, CompiledProgram, CycleAccounting, PreparedSim, SampleParams,
+    SampleSummary, SimContext, SimStats,
 };
 use guardspec_workloads::Scale;
 use std::cell::RefCell;
@@ -119,18 +116,8 @@ pub struct RunOptions {
     pub jobs: usize,
     /// Cache root; `None` disables caching entirely.
     pub cache_dir: Option<PathBuf>,
-    /// Stream each cell's trace from a concurrent interpreter thread
-    /// (bounded memory, overlapped phases).  Only consulted with
-    /// `fanout = false`; the fan-out path shares one packed trace per
-    /// program instead.  Results are identical either way.
-    pub stream: bool,
-    /// Trace once, simulate many: interpret each distinct program in a
-    /// dedicated trace stage and fan its packed trace out to every
-    /// dependent sim cell.  `false` restores the historical
-    /// one-interpretation-per-cell pipeline.
-    pub fanout: bool,
-    /// Persist fan-out traces as binary blobs in the cache so warm runs
-    /// skip interpretation entirely.  Only meaningful with `fanout` and an
+    /// Persist each program's packed trace as a binary blob in the cache so
+    /// warm runs skip interpretation entirely.  Only meaningful with an
     /// enabled cache.
     pub trace_cache: bool,
     /// Total on-disk budget for trace blobs; oldest blobs beyond it are
@@ -151,9 +138,9 @@ pub struct RunOptions {
     /// write the same entries.
     pub compile: bool,
     /// SMARTS-style interval sampling parameters; `None` (the default) runs
-    /// every cell exactly.  Sampling forces the compiled engine and the
-    /// fan-out pipeline, and switches the sim cache entries to a
-    /// `{stats, sampling}` payload under sampling-aware keys.
+    /// every cell exactly.  Sampling forces the compiled engine and switches
+    /// the sim cache entries to a `{stats, sampling}` payload under
+    /// sampling-aware keys.
     pub sample: Option<SampleParams>,
     /// Stage start/done notifications ([`ProgressEvent`]) delivered from
     /// pool worker threads as the run advances; `None` emits nothing.
@@ -167,8 +154,6 @@ impl Default for RunOptions {
         RunOptions {
             jobs: 0,
             cache_dir: Some(PathBuf::from("results/cache")),
-            stream: true,
-            fanout: true,
             trace_cache: true,
             trace_blob_cap: 256 * 1024 * 1024,
             observe: false,
@@ -220,11 +205,11 @@ pub struct CellResult {
     pub stats: SimStats,
     pub report: Option<ReportSummary>,
     pub transform_timing: Option<StageTiming>,
-    /// Timing of the shared trace stage this cell consumed (fan-out runs
-    /// only; cells of one program report the same stage once each).  For
-    /// an untransformed program this is the trace-only part of its
-    /// profile job, which the workload's profile timing excludes.
-    pub trace_timing: Option<StageTiming>,
+    /// Timing of the shared trace stage this cell consumed (cells of one
+    /// program report the same stage once each).  For an untransformed
+    /// program this is the trace-only part of its profile job, which the
+    /// workload's profile timing excludes.
+    pub trace_timing: StageTiming,
     pub sim_timing: StageTiming,
     /// Cycle buckets + per-branch-site counters ([`RunOptions::observe`]
     /// runs only).  Always satisfies `CycleAccounting::check` against
@@ -243,8 +228,8 @@ pub struct ExperimentResult {
     pub cache_hits: u64,
     pub cache_misses: u64,
     /// Functional interpreter passes this run actually executed.  A cold
-    /// fan-out run performs exactly one per distinct program; a warm
-    /// trace-cached run performs zero.
+    /// run performs exactly one per distinct program; a warm trace-cached
+    /// run performs zero.
     pub interpretations: u64,
     pub workloads: Vec<WorkloadResult>,
     pub cells: Vec<CellResult>,
@@ -292,8 +277,8 @@ struct ProfileSlot {
     timing: StageTiming,
     profile: Arc<Profile>,
     /// Base-program trace, recorded by the same interpretation, when some
-    /// cell simulates the untransformed program under fan-out.  Its timing
-    /// is the job's trace-only work, which `timing` excludes.
+    /// cell simulates the untransformed program.  Its timing is the job's
+    /// trace-only work, which `timing` excludes.
     trace: Option<TraceSlot>,
 }
 
@@ -306,7 +291,7 @@ struct TransformSlot {
 
 struct SimSlot {
     timing: StageTiming,
-    trace_timing: Option<StageTiming>,
+    trace_timing: StageTiming,
     stats: SimStats,
     accounting: Option<CycleAccounting>,
     sampling: Option<SampleSummary>,
@@ -343,10 +328,9 @@ pub fn run_experiment_shared(
     let use_trace_cache = opts.trace_cache && cache.is_enabled();
     let observe = opts.observe;
     // Sampling needs the compiled engine (functional warming walks the uop
-    // descriptors) and a recorded packed trace, so it forces both.
+    // descriptors), so it forces it.
     let sample = opts.sample.as_ref().map(|p| p.normalized());
     let compile = opts.compile || sample.is_some();
-    let fanout = opts.fanout || sample.is_some();
     let interps = Arc::new(AtomicU64::new(0));
     let metrics = Arc::new(MetricsRegistry::new());
     let recorder = Arc::new(SpanRecorder::new(opts.trace_spans));
@@ -369,16 +353,15 @@ pub fn run_experiment_shared(
 
     let mut graph = JobGraph::new();
 
-    // Stage 1: one profile job per workload.  Under fan-out, workloads with
-    // untransformed cells get their base trace recorded by the same
-    // interpreter pass (or loaded from the trace cache).
+    // Stage 1: one profile job per workload.  Workloads with untransformed
+    // cells get their base trace recorded by the same interpreter pass (or
+    // loaded from the trace cache).
     let mut profile_jobs = Vec::with_capacity(spec.workloads.len());
     for (wi, w) in spec.workloads.iter().enumerate() {
-        let wants_trace = fanout
-            && spec
-                .cells
-                .iter()
-                .any(|c| c.workload == wi && c.transform.is_none());
+        let wants_trace = spec
+            .cells
+            .iter()
+            .any(|c| c.workload == wi && c.transform.is_none());
         let slots = profile_slots.clone();
         let cache = cache.clone();
         let interps = interps.clone();
@@ -479,29 +462,30 @@ pub fn run_experiment_shared(
         profile_jobs.push(id);
     }
 
-    // Stage 2: one transform job per distinct (workload, options) — and,
-    // under fan-out, one trace job per transform right behind it.
+    // Stage 2: one transform job per distinct (workload, options), and one
+    // trace job per transform right behind it.
     let transform_slots: Arc<Vec<OnceLock<TransformSlot>>> = Arc::new(
         (0..spec.cells.len()).map(|_| OnceLock::new()).collect(), // upper bound
     );
     let trace_slots: Arc<Vec<OnceLock<TraceSlot>>> =
         Arc::new((0..spec.cells.len()).map(|_| OnceLock::new()).collect());
-    let mut transform_jobs: HashMap<(usize, String), (usize, usize)> = HashMap::new();
-    // Trace job id per transform slot index (fan-out only).
+    // Slot index per distinct (workload, options); one slot indexes both the
+    // transform and the trace results.
+    let mut transform_slot: HashMap<(usize, String), usize> = HashMap::new();
+    // Trace job id per slot index.
     let mut trace_jobs: Vec<usize> = Vec::new();
-    // Per cell: the transform's (job id, slot index), stored together at
-    // creation so stage dependencies can never desync from result slots.
-    let mut cell_transform: Vec<Option<(usize, usize)>> = vec![None; spec.cells.len()];
+    // Per cell: its program's slot index.
+    let mut cell_transform: Vec<Option<usize>> = vec![None; spec.cells.len()];
     for (ci, cell) in spec.cells.iter().enumerate() {
         let Some(options) = &cell.transform else {
             continue;
         };
         let dedupe = (cell.workload, key::describe_options(options));
-        if let Some(&known) = transform_jobs.get(&dedupe) {
+        if let Some(&known) = transform_slot.get(&dedupe) {
             cell_transform[ci] = Some(known);
             continue;
         }
-        let next_slot = transform_jobs.len();
+        let next_slot = transform_slot.len();
         let wi = cell.workload;
         let tf_id = {
             let slots = transform_slots.clone();
@@ -559,65 +543,63 @@ pub fn run_experiment_shared(
                 });
             })
         };
-        transform_jobs.insert(dedupe, (tf_id, next_slot));
-        cell_transform[ci] = Some((tf_id, next_slot));
-        if fanout {
-            // Stage 2.5: trace the transformed program exactly once.
-            let slots = trace_slots.clone();
-            let transforms = transform_slots.clone();
-            let cache = cache.clone();
-            let interps = interps.clone();
-            let metrics = metrics.clone();
-            let recorder = recorder.clone();
-            let expected = spec.workloads[wi].expected.clone();
-            let wname = spec.workloads[wi].name;
-            let progress = opts.progress.clone();
-            let tr_id = graph.add(&[tf_id], move || {
-                let t0 = Instant::now();
-                progress_emit(&progress, "trace", wname, false, false, 0.0);
-                let t = transforms[next_slot]
-                    .get()
-                    .expect("transform dependency ran");
-                let tkey = key::trace_key(&t.text, scale);
-                let exp_digest = expected_digest(&expected);
-                let cached_trace = use_trace_cache
-                    .then(|| load_trace(&cache, &tkey, &t.program, exp_digest, compile, &metrics))
-                    .flatten();
-                let cached = cached_trace.is_some();
-                let data = match cached_trace {
-                    Some(d) => d,
-                    None => {
-                        interps.fetch_add(1, Ordering::Relaxed);
-                        let mut packer = PackedRecorder::new(&t.program);
-                        let exec = Interp::new(&t.program)
-                            .run_with(&mut packer)
-                            .unwrap_or_else(|e| panic!("{wname}: trace failed: {e}"));
-                        assert_golden(wname, "tracing", &expected, &exec.machine.mem);
-                        finish_trace(
-                            packer,
-                            &t.program,
-                            exp_digest,
-                            use_trace_cache.then_some((&*cache, tkey.as_str())),
-                            compile,
-                            &metrics,
-                        )
-                    }
-                };
-                recorder.record(
-                    format!("trace {wname}"),
-                    "trace",
-                    t0,
-                    vec![("cached".to_string(), cached.to_string())],
-                );
-                let ms = ms_since(t0);
-                progress_emit(&progress, "trace", wname, true, cached, ms);
-                let _ = slots[next_slot].set(TraceSlot {
-                    timing: StageTiming { ms, cached },
-                    data,
-                });
+        transform_slot.insert(dedupe, next_slot);
+        cell_transform[ci] = Some(next_slot);
+        // Stage 2.5: trace the transformed program exactly once.
+        let slots = trace_slots.clone();
+        let transforms = transform_slots.clone();
+        let cache = cache.clone();
+        let interps = interps.clone();
+        let metrics = metrics.clone();
+        let recorder = recorder.clone();
+        let expected = spec.workloads[wi].expected.clone();
+        let wname = spec.workloads[wi].name;
+        let progress = opts.progress.clone();
+        let tr_id = graph.add(&[tf_id], move || {
+            let t0 = Instant::now();
+            progress_emit(&progress, "trace", wname, false, false, 0.0);
+            let t = transforms[next_slot]
+                .get()
+                .expect("transform dependency ran");
+            let tkey = key::trace_key(&t.text, scale);
+            let exp_digest = expected_digest(&expected);
+            let cached_trace = use_trace_cache
+                .then(|| load_trace(&cache, &tkey, &t.program, exp_digest, compile, &metrics))
+                .flatten();
+            let cached = cached_trace.is_some();
+            let data = match cached_trace {
+                Some(d) => d,
+                None => {
+                    interps.fetch_add(1, Ordering::Relaxed);
+                    let mut packer = PackedRecorder::new(&t.program);
+                    let exec = Interp::new(&t.program)
+                        .run_with(&mut packer)
+                        .unwrap_or_else(|e| panic!("{wname}: trace failed: {e}"));
+                    assert_golden(wname, "tracing", &expected, &exec.machine.mem);
+                    finish_trace(
+                        packer,
+                        &t.program,
+                        exp_digest,
+                        use_trace_cache.then_some((&*cache, tkey.as_str())),
+                        compile,
+                        &metrics,
+                    )
+                }
+            };
+            recorder.record(
+                format!("trace {wname}"),
+                "trace",
+                t0,
+                vec![("cached".to_string(), cached.to_string())],
+            );
+            let ms = ms_since(t0);
+            progress_emit(&progress, "trace", wname, true, cached, ms);
+            let _ = slots[next_slot].set(TraceSlot {
+                timing: StageTiming { ms, cached },
+                data,
             });
-            trace_jobs.push(tr_id);
-        }
+        });
+        trace_jobs.push(tr_id);
     }
 
     // Stage 3: one simulate job per cell.
@@ -631,282 +613,178 @@ pub fn run_experiment_shared(
         let scheme = cell.scheme;
         let cfg = cell.cfg.clone();
         let tslot = cell_transform[ci];
-        if fanout {
-            // Fan-out: consume the program's shared trace; interpretation
-            // and golden verification already happened in its trace stage.
-            let deps = match tslot {
-                Some((_job, slot)) => vec![trace_jobs[slot]],
-                None => vec![profile_jobs[wi]],
+        // Consume the program's shared trace; interpretation and golden
+        // verification already happened in its trace stage.
+        let deps = match tslot {
+            Some(slot) => vec![trace_jobs[slot]],
+            None => vec![profile_jobs[wi]],
+        };
+        let transforms = transform_slots.clone();
+        let traces = trace_slots.clone();
+        let profiles = profile_slots.clone();
+        let recorder = recorder.clone();
+        let progress = opts.progress.clone();
+        graph.add(&deps, move || {
+            let t0 = Instant::now();
+            let unit = format!("{wname}/{label}");
+            progress_emit(&progress, "simulate", &unit, false, false, 0.0);
+            let (text, data, trace_timing) = match tslot {
+                Some(s) => {
+                    let tf = transforms[s].get().expect("transform dependency ran");
+                    let tr = traces[s].get().expect("trace dependency ran");
+                    (tf.text.clone(), tr.data.clone(), tr.timing)
+                }
+                None => {
+                    let p = profiles[wi].get().expect("profile dependency ran");
+                    let tr = p.trace.as_ref().expect("base trace recorded");
+                    (base_text, tr.data.clone(), tr.timing)
+                }
             };
-            let transforms = transform_slots.clone();
-            let traces = trace_slots.clone();
-            let profiles = profile_slots.clone();
-            let recorder = recorder.clone();
-            let progress = opts.progress.clone();
-            graph.add(&deps, move || {
-                let t0 = Instant::now();
-                let unit = format!("{wname}/{label}");
-                progress_emit(&progress, "simulate", &unit, false, false, 0.0);
-                let (text, data, trace_timing): (Arc<String>, Arc<TraceData>, StageTiming) =
-                    match tslot {
-                        Some((_job, s)) => {
-                            let tf = transforms[s].get().expect("transform dependency ran");
-                            let tr = traces[s].get().expect("trace dependency ran");
-                            (tf.text.clone(), tr.data.clone(), tr.timing)
-                        }
-                        None => {
-                            let p = profiles[wi].get().expect("profile dependency ran");
-                            let tr = p.trace.as_ref().expect("base trace recorded");
-                            (base_text, tr.data.clone(), tr.timing)
-                        }
-                    };
-                let (stats, accounting, sampling, cached) = if let Some(p) = sample {
-                    let comp = data
-                        .comp
-                        .as_ref()
-                        .expect("sampling forces compiled descriptors");
-                    if observe {
-                        let okey = key::sampled_obs_sim_key(&text, scale, scheme, &cfg, &p);
-                        match load_observed_sampled(&cache, &okey) {
-                            Some((s, a, smp)) => (s, Some(a), Some(smp), true),
-                            None => {
-                                let mut acct = CycleAccounting::new();
-                                let (stats, smp) = SIM_CTX
-                                    .with(|ctx| {
-                                        simulate_sampled_observed_in(
-                                            &mut ctx.borrow_mut(),
-                                            comp,
-                                            &data.trace,
-                                            scheme,
-                                            &cfg,
-                                            p,
-                                            &mut acct,
-                                        )
-                                    })
-                                    .unwrap_or_else(|e| {
-                                        panic!("{wname}/{label}: simulate failed: {e}")
-                                    });
-                                acct.check(&stats);
-                                cache.put(
-                                    &okey,
-                                    &observed_sampled_to_json(&stats, &acct, &smp).to_compact(),
-                                );
-                                let skey = key::sampled_sim_key(&text, scale, scheme, &cfg, &p);
-                                cache.put(&skey, &sampled_to_json(&stats, &smp).to_compact());
-                                (stats, Some(acct), Some(smp), false)
-                            }
-                        }
-                    } else {
-                        let skey = key::sampled_sim_key(&text, scale, scheme, &cfg, &p);
-                        match load_sampled(&cache, &skey) {
-                            Some((s, smp)) => (s, None, Some(smp), true),
-                            None => {
-                                let (stats, smp) = SIM_CTX
-                                    .with(|ctx| {
-                                        simulate_sampled_in(
-                                            &mut ctx.borrow_mut(),
-                                            comp,
-                                            &data.trace,
-                                            scheme,
-                                            &cfg,
-                                            p,
-                                        )
-                                    })
-                                    .unwrap_or_else(|e| {
-                                        panic!("{wname}/{label}: simulate failed: {e}")
-                                    });
-                                cache.put(&skey, &sampled_to_json(&stats, &smp).to_compact());
-                                (stats, None, Some(smp), false)
-                            }
-                        }
-                    }
-                } else if observe {
-                    let okey = key::obs_sim_key(&text, scale, scheme, &cfg);
-                    match load_observed(&cache, &okey) {
-                        Some((s, a)) => (s, Some(a), None, true),
+            let (stats, accounting, sampling, cached) = if let Some(p) = sample {
+                let comp = data
+                    .comp
+                    .as_ref()
+                    .expect("sampling forces compiled descriptors");
+                if observe {
+                    let okey = key::sampled_obs_sim_key(&text, scale, scheme, &cfg, &p);
+                    match load_observed_sampled(&cache, &okey) {
+                        Some((s, a, smp)) => (s, Some(a), Some(smp), true),
                         None => {
                             let mut acct = CycleAccounting::new();
-                            let stats = SIM_CTX
+                            let (stats, smp) = SIM_CTX
                                 .with(|ctx| {
-                                    let ctx = &mut ctx.borrow_mut();
-                                    match &data.comp {
-                                        Some(comp) => simulate_compiled_packed_observed_in(
-                                            ctx,
-                                            comp,
-                                            &data.trace,
-                                            scheme,
-                                            &cfg,
-                                            &mut acct,
-                                        ),
-                                        None => simulate_packed_observed_in(
-                                            ctx,
-                                            &data.prep,
-                                            &data.trace,
-                                            scheme,
-                                            &cfg,
-                                            &mut acct,
-                                        ),
-                                    }
+                                    simulate_sampled_observed_in(
+                                        &mut ctx.borrow_mut(),
+                                        comp,
+                                        &data.trace,
+                                        scheme,
+                                        &cfg,
+                                        p,
+                                        &mut acct,
+                                    )
                                 })
                                 .unwrap_or_else(|e| {
                                     panic!("{wname}/{label}: simulate failed: {e}")
                                 });
                             acct.check(&stats);
-                            cache.put(&okey, &observed_to_json(&stats, &acct).to_compact());
-                            // Seed the plain entry too: an observed run
-                            // leaves later unobserved runs warm.
-                            let skey = key::sim_key(&text, scale, scheme, &cfg);
-                            cache.put(&skey, &codec::stats_to_json(&stats).to_compact());
-                            (stats, Some(acct), None, false)
+                            cache.put(
+                                &okey,
+                                &observed_sampled_to_json(&stats, &acct, &smp).to_compact(),
+                            );
+                            let skey = key::sampled_sim_key(&text, scale, scheme, &cfg, &p);
+                            cache.put(&skey, &sampled_to_json(&stats, &smp).to_compact());
+                            (stats, Some(acct), Some(smp), false)
                         }
                     }
                 } else {
-                    let key = key::sim_key(&text, scale, scheme, &cfg);
-                    match load_stats(&cache, &key) {
-                        Some(s) => (s, None, None, true),
+                    let skey = key::sampled_sim_key(&text, scale, scheme, &cfg, &p);
+                    match load_sampled(&cache, &skey) {
+                        Some((s, smp)) => (s, None, Some(smp), true),
                         None => {
-                            let stats = SIM_CTX
+                            let (stats, smp) = SIM_CTX
                                 .with(|ctx| {
-                                    let ctx = &mut ctx.borrow_mut();
-                                    match &data.comp {
-                                        Some(comp) => simulate_compiled_packed_in(
-                                            ctx,
-                                            comp,
-                                            &data.trace,
-                                            scheme,
-                                            &cfg,
-                                        ),
-                                        None => simulate_packed_in(
-                                            ctx,
-                                            &data.prep,
-                                            &data.trace,
-                                            scheme,
-                                            &cfg,
-                                        ),
-                                    }
+                                    simulate_sampled_in(
+                                        &mut ctx.borrow_mut(),
+                                        comp,
+                                        &data.trace,
+                                        scheme,
+                                        &cfg,
+                                        p,
+                                    )
                                 })
                                 .unwrap_or_else(|e| {
                                     panic!("{wname}/{label}: simulate failed: {e}")
                                 });
-                            cache.put(&key, &codec::stats_to_json(&stats).to_compact());
-                            (stats, None, None, false)
+                            cache.put(&skey, &sampled_to_json(&stats, &smp).to_compact());
+                            (stats, None, Some(smp), false)
                         }
                     }
-                };
-                recorder.record(
-                    format!("simulate {wname}/{label}"),
-                    "simulate",
-                    t0,
-                    vec![("cached".to_string(), cached.to_string())],
-                );
-                let ms = ms_since(t0);
-                progress_emit(&progress, "simulate", &unit, true, cached, ms);
-                let _ = slots[ci].set(SimSlot {
-                    timing: StageTiming { ms, cached },
-                    trace_timing: Some(trace_timing),
-                    stats,
-                    accounting,
-                    sampling,
-                });
-            });
-        } else {
-            // Historical path: each cold cell interprets its own program
-            // (streamed or materialized) and verifies golden memory itself.
-            let deps = match tslot {
-                Some((job, _slot)) => vec![job],
-                None => Vec::new(),
+                }
+            } else if observe {
+                let okey = key::obs_sim_key(&text, scale, scheme, &cfg);
+                match load_observed(&cache, &okey) {
+                    Some((s, a)) => (s, Some(a), None, true),
+                    None => {
+                        let mut acct = CycleAccounting::new();
+                        let stats = SIM_CTX
+                            .with(|ctx| {
+                                let ctx = &mut ctx.borrow_mut();
+                                match &data.comp {
+                                    Some(comp) => simulate_compiled_packed_observed_in(
+                                        ctx,
+                                        comp,
+                                        &data.trace,
+                                        scheme,
+                                        &cfg,
+                                        &mut acct,
+                                    ),
+                                    None => simulate_packed_observed_in(
+                                        ctx,
+                                        &data.prep,
+                                        &data.trace,
+                                        scheme,
+                                        &cfg,
+                                        &mut acct,
+                                    ),
+                                }
+                            })
+                            .unwrap_or_else(|e| panic!("{wname}/{label}: simulate failed: {e}"));
+                        acct.check(&stats);
+                        cache.put(&okey, &observed_to_json(&stats, &acct).to_compact());
+                        // Seed the plain entry too: an observed run
+                        // leaves later unobserved runs warm.
+                        let skey = key::sim_key(&text, scale, scheme, &cfg);
+                        cache.put(&skey, &codec::stats_to_json(&stats).to_compact());
+                        (stats, Some(acct), None, false)
+                    }
+                }
+            } else {
+                let key = key::sim_key(&text, scale, scheme, &cfg);
+                match load_stats(&cache, &key) {
+                    Some(s) => (s, None, None, true),
+                    None => {
+                        let stats = SIM_CTX
+                            .with(|ctx| {
+                                let ctx = &mut ctx.borrow_mut();
+                                match &data.comp {
+                                    Some(comp) => simulate_compiled_packed_in(
+                                        ctx,
+                                        comp,
+                                        &data.trace,
+                                        scheme,
+                                        &cfg,
+                                    ),
+                                    None => simulate_packed_in(
+                                        ctx,
+                                        &data.prep,
+                                        &data.trace,
+                                        scheme,
+                                        &cfg,
+                                    ),
+                                }
+                            })
+                            .unwrap_or_else(|e| panic!("{wname}/{label}: simulate failed: {e}"));
+                        cache.put(&key, &codec::stats_to_json(&stats).to_compact());
+                        (stats, None, None, false)
+                    }
+                }
             };
-            let transforms = transform_slots.clone();
-            let interps = interps.clone();
-            let metrics = metrics.clone();
-            let recorder = recorder.clone();
-            let base_program = spec.workloads[wi].program.clone();
-            let expected = spec.workloads[wi].expected.clone();
-            let stream = opts.stream;
-            let progress = opts.progress.clone();
-            graph.add(&deps, move || {
-                let t0 = Instant::now();
-                let unit = format!("{wname}/{label}");
-                progress_emit(&progress, "simulate", &unit, false, false, 0.0);
-                let (program, text): (Arc<guardspec_ir::Program>, Arc<String>) = match tslot {
-                    Some((_job, s)) => {
-                        let t = transforms[s].get().expect("transform dependency ran");
-                        (t.program.clone(), t.text.clone())
-                    }
-                    None => (Arc::new(base_program), base_text),
-                };
-                let (stats, accounting, cached) = if observe {
-                    let okey = key::obs_sim_key(&text, scale, scheme, &cfg);
-                    match load_observed(&cache, &okey) {
-                        Some((s, a)) => (s, Some(a), true),
-                        None => {
-                            interps.fetch_add(1, Ordering::Relaxed);
-                            let comp = build_compiled(&program, compile, &metrics);
-                            let mut acct = CycleAccounting::new();
-                            let (stats, exec) = SIM_CTX.with(|ctx| {
-                                simulate_cell_cold(
-                                    &mut ctx.borrow_mut(),
-                                    &program,
-                                    comp.as_deref(),
-                                    scheme,
-                                    &cfg,
-                                    stream,
-                                    wname,
-                                    &label,
-                                    &mut acct,
-                                )
-                            });
-                            assert_golden(wname, &label, &expected, &exec.machine.mem);
-                            acct.check(&stats);
-                            cache.put(&okey, &observed_to_json(&stats, &acct).to_compact());
-                            let skey = key::sim_key(&text, scale, scheme, &cfg);
-                            cache.put(&skey, &codec::stats_to_json(&stats).to_compact());
-                            (stats, Some(acct), false)
-                        }
-                    }
-                } else {
-                    let key = key::sim_key(&text, scale, scheme, &cfg);
-                    match load_stats(&cache, &key) {
-                        Some(s) => (s, None, true),
-                        None => {
-                            interps.fetch_add(1, Ordering::Relaxed);
-                            let comp = build_compiled(&program, compile, &metrics);
-                            let (stats, exec) = SIM_CTX.with(|ctx| {
-                                simulate_cell_cold(
-                                    &mut ctx.borrow_mut(),
-                                    &program,
-                                    comp.as_deref(),
-                                    scheme,
-                                    &cfg,
-                                    stream,
-                                    wname,
-                                    &label,
-                                    &mut (),
-                                )
-                            });
-                            assert_golden(wname, &label, &expected, &exec.machine.mem);
-                            cache.put(&key, &codec::stats_to_json(&stats).to_compact());
-                            (stats, None, false)
-                        }
-                    }
-                };
-                recorder.record(
-                    format!("simulate {wname}/{label}"),
-                    "simulate",
-                    t0,
-                    vec![("cached".to_string(), cached.to_string())],
-                );
-                let ms = ms_since(t0);
-                progress_emit(&progress, "simulate", &unit, true, cached, ms);
-                let _ = slots[ci].set(SimSlot {
-                    timing: StageTiming { ms, cached },
-                    trace_timing: None,
-                    stats,
-                    accounting,
-                    sampling: None,
-                });
+            recorder.record(
+                format!("simulate {wname}/{label}"),
+                "simulate",
+                t0,
+                vec![("cached".to_string(), cached.to_string())],
+            );
+            let ms = ms_since(t0);
+            progress_emit(&progress, "simulate", &unit, true, cached, ms);
+            let _ = slots[ci].set(SimSlot {
+                timing: StageTiming { ms, cached },
+                trace_timing,
+                stats,
+                accounting,
+                sampling,
             });
-        }
+        });
     }
 
     graph.execute(jobs_n);
@@ -940,8 +818,8 @@ pub fn run_experiment_shared(
         .enumerate()
         .map(|(ci, cell)| {
             let sim = sim_slots[ci].get().expect("sim job ran");
-            let transform = cell_transform[ci]
-                .map(|(_job, s)| transform_slots[s].get().expect("transform job ran"));
+            let transform =
+                cell_transform[ci].map(|s| transform_slots[s].get().expect("transform job ran"));
             CellResult {
                 workload: spec.workloads[cell.workload].name.to_string(),
                 label: cell.label.clone(),
@@ -992,43 +870,6 @@ pub fn run_experiment_shared(
         cells,
         spans: recorder.finish(),
         metrics: metrics.snapshot(),
-    }
-}
-
-/// The uncached no-fanout simulation: interpret (streamed or materialized)
-/// and simulate under `obs`.  `&mut ()` is the uninstrumented fast path —
-/// the disabled observer folds every hook to dead code.  `comp` selects the
-/// compiled block-descriptor engine; `None` runs the historical
-/// interpreted dispatch loop (results byte-identical either way).
-#[allow(clippy::too_many_arguments)]
-fn simulate_cell_cold<O: SimObserver>(
-    ctx: &mut SimContext,
-    program: &guardspec_ir::Program,
-    comp: Option<&CompiledProgram>,
-    scheme: Scheme,
-    cfg: &MachineConfig,
-    stream: bool,
-    wname: &str,
-    label: &str,
-    obs: &mut O,
-) -> (SimStats, guardspec_interp::ExecResult) {
-    if stream {
-        match comp {
-            Some(c) => {
-                simulate_program_compiled_streamed_observed_in(ctx, program, c, scheme, cfg, obs)
-            }
-            None => simulate_program_streamed_observed_in(ctx, program, scheme, cfg, obs),
-        }
-        .unwrap_or_else(|e| panic!("{wname}/{label}: simulate failed: {e}"))
-    } else {
-        let (layout, trace, exec) = guardspec_interp::trace::trace_program(program)
-            .unwrap_or_else(|e| panic!("{wname}/{label}: trace failed: {e}"));
-        let stats = match comp {
-            Some(c) => simulate_compiled_trace_observed_in(ctx, c, &trace, scheme, cfg, obs),
-            None => simulate_trace_observed_in(ctx, program, &layout, &trace, scheme, cfg, obs),
-        }
-        .unwrap_or_else(|e| panic!("{wname}/{label}: simulate failed: {e}"));
-        (stats, exec)
     }
 }
 

@@ -1,8 +1,14 @@
 //! Thread-pool determinism: the full Scale::Test matrix produces identical
 //! results at `--jobs 1` (the serial reference schedule) and `--jobs 8`
 //! (work stealing), with the cache disabled so every stage really executes.
+//! And every cell the harness replays from its program's packed trace
+//! equals the materialized reference: profile, transform, trace, simulate.
 
+use guardspec_core::transform_program;
 use guardspec_harness::{full_json, run_experiment, stable_json, ExperimentSpec, RunOptions};
+use guardspec_interp::profile::profile_program;
+use guardspec_interp::trace::trace_program;
+use guardspec_sim::simulate_trace;
 use guardspec_workloads::Scale;
 
 fn uncached(jobs: usize) -> RunOptions {
@@ -39,48 +45,38 @@ fn ablation_matrix_is_jobcount_invariant() {
 }
 
 #[test]
-fn streamed_and_materialized_pipelines_agree() {
-    // The streaming trace pipeline must be an implementation detail: the
-    // stable artifact is byte-identical with it on or off, at any job count.
-    let spec = ExperimentSpec::three_schemes("det-stream", Scale::Test);
-    let mut no_stream = uncached(1);
-    no_stream.stream = false;
-    let materialized = run_experiment(&spec, &no_stream);
-    let streamed = run_experiment(&spec, &uncached(1));
-    let streamed_mt = run_experiment(&spec, &uncached(8));
-    assert_eq!(
-        stable_json(&materialized).to_pretty(),
-        stable_json(&streamed).to_pretty(),
-        "streaming changed the science"
-    );
-    assert_eq!(
-        stable_json(&streamed).to_pretty(),
-        stable_json(&streamed_mt).to_pretty(),
-        "streaming made results depend on the thread count"
-    );
-}
-
-#[test]
-fn fanout_and_per_cell_pipelines_agree() {
-    // Trace-once/simulate-many must be an implementation detail too: the
-    // stable artifact is byte-identical with fan-out on (the default) or
-    // off (one interpretation per cell), at any job count.
-    let spec = ExperimentSpec::ablation("det-fanout", Scale::Test);
-    let mut no_fanout = uncached(1);
-    no_fanout.fanout = false;
-    let per_cell = run_experiment(&spec, &no_fanout);
-    let fanned = run_experiment(&spec, &uncached(1));
-    let fanned_mt = run_experiment(&spec, &uncached(8));
-    assert_eq!(
-        stable_json(&per_cell).to_pretty(),
-        stable_json(&fanned).to_pretty(),
-        "trace fan-out changed the science"
-    );
-    assert_eq!(
-        stable_json(&fanned).to_pretty(),
-        stable_json(&fanned_mt).to_pretty(),
-        "trace fan-out made results depend on the thread count"
-    );
+fn every_cell_matches_the_materialized_reference() {
+    // The reference shares nothing with the harness past the workload
+    // definitions: it interprets each cell's program into a plain
+    // `Vec<TraceEntry>` and runs the interpreted engine over that slice.
+    for spec in [
+        ExperimentSpec::three_schemes("ref-three", Scale::Test),
+        ExperimentSpec::ablation("ref-ablation", Scale::Test),
+    ] {
+        let r = run_experiment(&spec, &uncached(2));
+        let profiles: Vec<_> = spec
+            .workloads
+            .iter()
+            .map(|w| profile_program(&w.program).expect("profiles").0)
+            .collect();
+        for (w, profile) in spec.workloads.iter().zip(&profiles) {
+            assert_eq!(r.profile(w.name).retired, profile.retired, "{}", w.name);
+        }
+        assert_eq!(r.cells.len(), spec.cells.len());
+        for (cell, got) in spec.cells.iter().zip(&r.cells) {
+            let w = &spec.workloads[cell.workload];
+            let what = format!("{}: {}/{}", spec.name, w.name, cell.label);
+            let mut program = w.program.clone();
+            if let Some(options) = &cell.transform {
+                transform_program(&mut program, &profiles[cell.workload], options);
+            }
+            let (layout, trace, exec) = trace_program(&program).expect("traces");
+            let want = simulate_trace(&program, &layout, &trace, cell.scheme, &cell.cfg)
+                .expect("simulates");
+            assert_eq!(got.stats, want, "{what}");
+            assert_eq!(got.stats.committed_total, exec.summary.retired, "{what}");
+        }
+    }
 }
 
 #[test]

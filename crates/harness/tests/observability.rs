@@ -1,6 +1,6 @@
 //! Observability determinism: with cycle accounting and span recording on,
 //! the per-cell accounting, the decision log, and the stable artifact must
-//! be byte-identical across worker counts and pipeline shapes, and the
+//! be byte-identical across worker counts, and the
 //! emitted Chrome trace document must validate.  With observability off,
 //! nothing about the stable artifact changes (no `accounting` fields).
 
@@ -20,12 +20,11 @@ fn scratch(tag: &str) -> PathBuf {
     d
 }
 
-fn observed_run(tag: &str, jobs: usize, fanout: bool) -> ExperimentResult {
+fn observed_run(tag: &str, jobs: usize) -> ExperimentResult {
     let dir = scratch(tag);
     let opts = RunOptions {
         jobs,
         cache_dir: Some(dir.clone()),
-        fanout,
         observe: true,
         trace_spans: true,
         ..RunOptions::default()
@@ -49,8 +48,8 @@ fn decision_log(r: &ExperimentResult) -> String {
 }
 
 #[test]
-fn accounting_and_decision_log_identical_across_jobs_and_fanout() {
-    let base = observed_run("j1-fan", 1, true);
+fn accounting_and_decision_log_identical_across_jobs() {
+    let base = observed_run("j1", 1);
 
     // Every cell carries accounting that satisfies the bucket-sum and
     // per-site invariants, and the driver logged a decision with a reason
@@ -75,28 +74,22 @@ fn accounting_and_decision_log_identical_across_jobs_and_fanout() {
     let base_log = decision_log(&base);
     assert!(!base_log.is_empty(), "no decisions logged at all");
 
-    for (tag, jobs, fanout) in [
-        ("j8-fan", 8, true),
-        ("j1-nofan", 1, false),
-        ("j8-nofan", 8, false),
-    ] {
-        let r = observed_run(tag, jobs, fanout);
-        assert_eq!(
-            base_stable,
-            stable_json(&r).to_pretty(),
-            "{tag}: stable artifact differs from jobs=1 fanout"
-        );
-        assert_eq!(
-            base_log,
-            decision_log(&r),
-            "{tag}: decision log differs from jobs=1 fanout"
-        );
-    }
+    let r = observed_run("j8", 8);
+    assert_eq!(
+        base_stable,
+        stable_json(&r).to_pretty(),
+        "stable artifact differs between jobs=1 and jobs=8"
+    );
+    assert_eq!(
+        base_log,
+        decision_log(&r),
+        "decision log differs between jobs=1 and jobs=8"
+    );
 }
 
 #[test]
 fn recorded_spans_form_a_valid_chrome_trace() {
-    let r = observed_run("trace", 2, true);
+    let r = observed_run("trace", 2);
     assert!(!r.spans.is_empty(), "trace_spans run recorded no spans");
     let doc = chrome_trace_json(&r.spans, &r.metrics);
     validate_chrome_trace(&doc).unwrap();
@@ -130,7 +123,7 @@ fn observability_off_leaves_the_stable_artifact_unchanged() {
     // An observed run of the same spec reports the same science: stripping
     // the accounting fields from its stable artifact is not required to be
     // equal (it has extra fields), but stats themselves must match.
-    let observed = observed_run("off-vs-on", 2, true);
+    let observed = observed_run("off-vs-on", 2);
     assert_eq!(plain.cells.len(), observed.cells.len());
     for (p, o) in plain.cells.iter().zip(&observed.cells) {
         assert_eq!(

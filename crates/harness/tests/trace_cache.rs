@@ -1,5 +1,5 @@
-//! The persistent binary trace cache: fan-out runs interpret each distinct
-//! program exactly once cold, replay blobs instead of interpreting warm,
+//! The persistent binary trace cache: runs interpret each distinct program
+//! exactly once cold, replay blobs instead of interpreting warm,
 //! and treat corrupt or truncated blobs as misses — re-recording them and
 //! still producing byte-identical science.
 
@@ -60,7 +60,7 @@ fn distinct_programs(spec: &ExperimentSpec) -> u64 {
 }
 
 #[test]
-fn fanout_interprets_once_per_distinct_program_and_warm_replays_blobs() {
+fn cold_interprets_once_per_distinct_program_and_warm_replays_blobs() {
     let dir = scratch("warm");
     let spec = ExperimentSpec::three_schemes("trace-warm", Scale::Test);
     let programs = distinct_programs(&spec);
@@ -68,12 +68,10 @@ fn fanout_interprets_once_per_distinct_program_and_warm_replays_blobs() {
     let cold = run_experiment(&spec, &opts(&dir));
     assert_eq!(
         cold.interpretations, programs,
-        "cold fan-out must interpret exactly once per distinct program"
+        "a cold run must interpret exactly once per distinct program"
     );
     assert!(
-        cold.cells
-            .iter()
-            .all(|c| c.trace_timing.is_some_and(|t| !t.cached)),
+        cold.cells.iter().all(|c| !c.trace_timing.cached),
         "cold cells must record an uncached trace stage"
     );
     let blobs = cache_files(&dir, |n| n.starts_with("trace-") && n.ends_with(".bin"));
@@ -89,9 +87,7 @@ fn fanout_interprets_once_per_distinct_program_and_warm_replays_blobs() {
         "warm run must replay blobs, not interpret"
     );
     assert!(
-        warm.cells
-            .iter()
-            .all(|c| c.trace_timing.is_some_and(|t| t.cached)),
+        warm.cells.iter().all(|c| c.trace_timing.cached),
         "warm cells must report trace.cached = true"
     );
     assert_eq!(
@@ -103,22 +99,14 @@ fn fanout_interprets_once_per_distinct_program_and_warm_replays_blobs() {
 }
 
 #[test]
-fn no_fanout_and_no_trace_cache_write_no_blobs() {
-    let dir = scratch("nofanout");
+fn no_trace_cache_writes_no_blobs() {
     let spec = ExperimentSpec::three_schemes("trace-off", Scale::Test);
-    let mut o = opts(&dir);
-    o.fanout = false;
-    let r = run_experiment(&spec, &o);
-    assert!(r.cells.iter().all(|c| c.trace_timing.is_none()));
-    assert!(cache_files(&dir, |n| n.ends_with(".bin")).is_empty());
-    let _ = std::fs::remove_dir_all(&dir);
-
     let dir = scratch("nocache");
     let mut o = opts(&dir);
     o.trace_cache = false;
     let cold = run_experiment(&spec, &o);
     assert!(cache_files(&dir, |n| n.ends_with(".bin")).is_empty());
-    // Without the blob cache every fan-out run re-interprets...
+    // Without the blob cache every run re-interprets...
     let again = run_experiment(&spec, &o);
     assert_eq!(again.interpretations, cold.interpretations);
     assert!(again.interpretations > 0);
@@ -321,7 +309,7 @@ fn stage_times_tile_the_wall_time() {
         );
         if seen.insert(program) {
             total += res.transform_timing.map_or(0.0, |t| t.ms);
-            total += res.trace_timing.expect("fan-out cells have a trace").ms;
+            total += res.trace_timing.ms;
         }
         total += res.sim_timing.ms;
     }

@@ -19,9 +19,6 @@
 //! * [`trace`] — the trace recorders feeding the cycle-level simulator,
 //!   and [`trace::PackedTrace`], the one packed form many simulator
 //!   instances read concurrently,
-//! * [`stream`] — a bounded chunked SPMC broadcast channel so one
-//!   interpreter run can feed one or many simulators incrementally instead
-//!   of the trace being materialized in full,
 //! * [`tracefile`] — the packed trace's self-checking byte format: the
 //!   in-memory trace is the blob the harness trace cache stores.
 
@@ -31,7 +28,6 @@ pub mod exec;
 pub mod layout;
 pub mod machine;
 pub mod profile;
-pub mod stream;
 pub mod trace;
 pub mod tracefile;
 
@@ -41,5 +37,4 @@ pub use exec::{run, ExecError, ExecResult, ExecSummary, Interp, Observer, Retire
 pub use layout::StaticLayout;
 pub use machine::Machine;
 pub use profile::{BranchProfile, Profile, Profiler};
-pub use stream::{broadcast_channel, trace_channel, StreamObserver, TraceReader, TraceWriter};
 pub use trace::{PackedIter, PackedRecorder, PackedTrace, TraceEntry, TraceRecorder};

@@ -747,9 +747,7 @@ fn execute(job: &Job, shared: &Shared) -> Outcome {
                 if let Some(t) = c.transform_timing {
                     transform_us += (t.ms * 1000.0) as u64;
                 }
-                if let Some(t) = c.trace_timing {
-                    trace_us += (t.ms * 1000.0) as u64;
-                }
+                trace_us += (c.trace_timing.ms * 1000.0) as u64;
                 sim_us += (c.sim_timing.ms * 1000.0) as u64;
             }
             shared.metrics.add("stage.profile_us", profile_us);

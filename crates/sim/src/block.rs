@@ -45,11 +45,10 @@
 use crate::config::{class_idx, MachineConfig, QueueKind};
 use crate::observe::{CycleBucket, SimObserver};
 use crate::pipeline::{
-    EState, Entry, PackedSource, SimContext, SimError, StallKind, TraceSource, BUDGET_PER_ENTRY,
-    BUDGET_SLACK, MAX_SRCS,
+    EState, Entry, PackedSource, SimContext, SimError, SliceSource, StallKind, TraceSource,
+    BUDGET_PER_ENTRY, BUDGET_SLACK, MAX_SRCS,
 };
 use crate::stats::SimStats;
-use guardspec_interp::stream::StreamObserver;
 use guardspec_interp::{PackedTrace, StaticLayout, TraceEntry};
 use guardspec_ir::{FuClass, Opcode, Program, Reg};
 use guardspec_predict::{BranchKind, Scheme};
@@ -190,6 +189,8 @@ struct CompiledPipeline<'a, S: TraceSource, O: SimObserver> {
     source: S,
     scheme: Scheme,
     lat: [u64; 8],
+    /// The run errors once `now` passes this cycle.
+    budget: u64,
 
     now: u64,
     head_seq: u64,
@@ -773,7 +774,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
     /// per-cycle fetch stage would have (source pending and fetch blocked
     /// or time-stalled), and the queue occupancy/full counters advance as
     /// if the cycles had ticked (queue lengths cannot change on skipped
-    /// cycles).  The jump is capped at the source's budget limit so a
+    /// cycles).  The jump is capped one cycle past the budget so a
     /// cycle-budget overrun errors on exactly the same cycle as the
     /// per-cycle check.
     fn stall_jump(&mut self) {
@@ -809,7 +810,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
         } else if self.next_seq == self.head_seq {
             return; // drained: the run loop is about to exit
         }
-        let next = next.min(self.source.budget_limit().saturating_add(1));
+        let next = next.min(self.budget.saturating_add(1));
         if next <= self.now + 1 {
             return;
         }
@@ -852,7 +853,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                     self.stats.queue_full_cycles[q] += 1;
                 }
             }
-            if self.source.budget_exceeded(self.now) {
+            if self.now > self.budget {
                 return Err(SimError::CycleBudgetExceeded {
                     cycles: self.now,
                     retired: self.stats.committed_total,
@@ -899,6 +900,7 @@ fn run_compiled<S: TraceSource, O: SimObserver>(
     let pipe = CompiledPipeline {
         cfg,
         uops: &comp.uops,
+        budget: BUDGET_PER_ENTRY * source.len() + BUDGET_SLACK,
         source,
         scheme,
         lat,
@@ -937,7 +939,7 @@ fn run_compiled<S: TraceSource, O: SimObserver>(
 /// Exact compiled run over any [`TraceSource`], reusing `ctx` allocations
 /// and reporting to `obs`.  Stats are identical to the interpreted
 /// engine's over the same source.
-pub fn simulate_compiled_source_observed_in<S: TraceSource, O: SimObserver>(
+fn simulate_compiled_source_observed_in<S: TraceSource, O: SimObserver>(
     ctx: &mut SimContext,
     comp: &CompiledProgram,
     source: S,
@@ -952,25 +954,8 @@ pub fn simulate_compiled_source_observed_in<S: TraceSource, O: SimObserver>(
     run_compiled(ctx, comp, source, scheme, cfg, obs, u64::MAX).map(|(s, _)| s)
 }
 
-/// Exact compiled run over a materialized trace slice.
-pub fn simulate_compiled_trace_in(
-    ctx: &mut SimContext,
-    comp: &CompiledProgram,
-    trace: &[TraceEntry],
-    scheme: Scheme,
-    cfg: &MachineConfig,
-) -> Result<SimStats, SimError> {
-    simulate_compiled_source_observed_in(
-        ctx,
-        comp,
-        crate::pipeline::SliceSource::new(trace),
-        scheme,
-        cfg,
-        &mut (),
-    )
-}
-
-/// [`simulate_compiled_trace_in`] with an observer.
+/// Exact compiled run over a materialized trace slice, reporting to `obs`
+/// (the fuzz oracle's reference leg).
 pub fn simulate_compiled_trace_observed_in(
     ctx: &mut SimContext,
     comp: &CompiledProgram,
@@ -979,17 +964,10 @@ pub fn simulate_compiled_trace_observed_in(
     cfg: &MachineConfig,
     obs: &mut impl SimObserver,
 ) -> Result<SimStats, SimError> {
-    simulate_compiled_source_observed_in(
-        ctx,
-        comp,
-        crate::pipeline::SliceSource::new(trace),
-        scheme,
-        cfg,
-        obs,
-    )
+    simulate_compiled_source_observed_in(ctx, comp, SliceSource::new(trace), scheme, cfg, obs)
 }
 
-/// Exact compiled run over a [`PackedTrace`] (the fan-out path).  Not
+/// Exact compiled run over a [`PackedTrace`] (the harness's path).  Not
 /// generic, so the hot loop is instantiated and optimised inside this
 /// crate, where its helpers inline; another crate's `&mut ()` instantiation
 /// of the observed variant measured ~10% slower.
@@ -1013,55 +991,6 @@ pub fn simulate_compiled_packed_observed_in(
     obs: &mut impl SimObserver,
 ) -> Result<SimStats, SimError> {
     simulate_compiled_source_observed_in(ctx, comp, PackedSource::new(trace), scheme, cfg, obs)
-}
-
-/// Streamed compiled run: the interpreter feeds the compiled pipeline over
-/// a bounded channel (the no-fanout harness path).
-pub fn simulate_program_compiled_streamed_observed_in(
-    ctx: &mut SimContext,
-    prog: &Program,
-    comp: &CompiledProgram,
-    scheme: Scheme,
-    cfg: &MachineConfig,
-    obs: &mut impl SimObserver,
-) -> Result<(SimStats, guardspec_interp::ExecResult), Box<dyn std::error::Error>> {
-    let (writer, reader) = guardspec_interp::stream::trace_channel();
-    let (sim, exec) = std::thread::scope(|s| {
-        let producer = s.spawn(|| {
-            let mut sobs = StreamObserver::new(comp.layout(), writer);
-            let res = guardspec_interp::Interp::new(prog).run_with(&mut sobs);
-            if res.is_ok() {
-                sobs.finish();
-            }
-            res
-        });
-        let sim = simulate_compiled_source_observed_in(
-            ctx,
-            comp,
-            crate::pipeline::StreamSource::new(reader),
-            scheme,
-            cfg,
-            obs,
-        );
-        let exec = producer.join().expect("trace producer panicked");
-        (sim, exec)
-    });
-    let exec = exec?;
-    Ok((sim?, exec))
-}
-
-/// Run `prog` functionally, then simulate its trace on the compiled
-/// engine (convenience mirror of [`crate::pipeline::simulate_program`]).
-pub fn simulate_program_compiled(
-    prog: &Program,
-    scheme: Scheme,
-    cfg: &MachineConfig,
-) -> Result<(SimStats, guardspec_interp::ExecResult), Box<dyn std::error::Error>> {
-    let (_layout, trace, res) = guardspec_interp::trace::trace_program(prog)?;
-    let comp = CompiledProgram::build(prog);
-    let mut ctx = SimContext::new(cfg);
-    let stats = simulate_compiled_trace_in(&mut ctx, &comp, &trace, scheme, cfg)?;
-    Ok((stats, res))
 }
 
 // ---------------------------------------------------------------------------
@@ -1157,7 +1086,7 @@ pub struct SampleSummary {
 }
 
 /// A bounded view of the trace cursor: a [`TraceSource`] that ends after
-/// `remaining` entries — one detailed window.
+/// `remaining` entries — one detailed window of `total` entries.
 struct TakeSource<'a, 'c> {
     cursor: &'c mut PackedSource<'a>,
     remaining: u64,
@@ -1178,12 +1107,8 @@ impl TraceSource for TakeSource<'_, '_> {
         self.remaining -= 1;
     }
 
-    fn budget_exceeded(&mut self, now: u64) -> bool {
-        now > BUDGET_PER_ENTRY * self.total + BUDGET_SLACK
-    }
-
-    fn budget_limit(&mut self) -> u64 {
-        BUDGET_PER_ENTRY * self.total + BUDGET_SLACK
+    fn len(&self) -> u64 {
+        self.total
     }
 }
 
@@ -1420,8 +1345,9 @@ mod tests {
         let mut ctx = SimContext::new(&cfg);
         for scheme in Scheme::ALL {
             let interp = simulate_trace(prog, &layout, &trace, scheme, &cfg).expect("interp");
-            let compiled = simulate_compiled_trace_in(&mut ctx, &comp, &trace, scheme, &cfg)
-                .expect("compiled");
+            let compiled =
+                simulate_compiled_trace_observed_in(&mut ctx, &comp, &trace, scheme, &cfg, &mut ())
+                    .expect("compiled");
             assert_eq!(interp, compiled, "scheme {scheme:?}: stats diverge");
 
             let mut ai = CycleAccounting::new();
@@ -1464,7 +1390,15 @@ mod tests {
         let cfg = MachineConfig::r10000();
         let comp = CompiledProgram::build(&prog);
         let mut ctx = SimContext::new(&cfg);
-        let a = simulate_compiled_trace_in(&mut ctx, &comp, &trace, Scheme::TwoBit, &cfg).unwrap();
+        let a = simulate_compiled_trace_observed_in(
+            &mut ctx,
+            &comp,
+            &trace,
+            Scheme::TwoBit,
+            &cfg,
+            &mut (),
+        )
+        .unwrap();
         assert_eq!(a, exact_packed(&mut ctx, &comp, &packed(&prog)));
     }
 

@@ -49,20 +49,16 @@ pub mod pipeline;
 pub mod stats;
 
 pub use block::{
-    simulate_compiled_packed_in, simulate_compiled_packed_observed_in, simulate_compiled_trace_in,
-    simulate_compiled_trace_observed_in, simulate_program_compiled,
-    simulate_program_compiled_streamed_observed_in, simulate_sampled_in,
-    simulate_sampled_observed_in, CompiledProgram, SampleParams, SampleSummary,
+    simulate_compiled_packed_in, simulate_compiled_packed_observed_in,
+    simulate_compiled_trace_observed_in, simulate_sampled_in, simulate_sampled_observed_in,
+    CompiledProgram, SampleParams, SampleSummary,
 };
 pub use cache::Cache;
 pub use config::{Latencies, MachineConfig, QueueKind};
 pub use observe::{CycleAccounting, CycleBucket, SimObserver, SiteCounters};
 pub use pipeline::{
     prepare_program, simulate_packed_in, simulate_packed_observed_in, simulate_program,
-    simulate_program_fanout, simulate_program_observed, simulate_program_streamed,
-    simulate_program_streamed_in, simulate_program_streamed_observed_in, simulate_trace,
-    simulate_trace_in, simulate_trace_logged, simulate_trace_observed, simulate_trace_observed_in,
-    CycleLog, CycleRecord, PackedSource, PreparedSim, SimContext, SimError, SliceSource,
-    StreamSource, TraceSource,
+    simulate_trace, simulate_trace_logged, simulate_trace_observed, CycleLog, CycleRecord,
+    PackedSource, PreparedSim, SimContext, SimError, SliceSource, TraceSource,
 };
 pub use stats::SimStats;

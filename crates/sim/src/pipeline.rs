@@ -4,13 +4,11 @@ use crate::cache::Cache;
 use crate::config::{class_idx, MachineConfig, QueueKind};
 use crate::observe::{CycleBucket, SimObserver};
 use crate::stats::SimStats;
-use guardspec_interp::stream::{StreamObserver, TraceReader};
 use guardspec_interp::{PackedIter, PackedTrace, StaticLayout, TraceEntry};
 use guardspec_ir::{FuClass, Opcode, Program, Reg};
 use guardspec_predict::{BranchKind, Btb, Scheme, TwoBitTable};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// Maximum source operands per instruction (two register operands plus the
 /// guard predicate), so dependence lists fit inline without heap traffic.
@@ -198,29 +196,26 @@ impl CycleLog {
 }
 
 /// Where the pipeline's retired-instruction stream comes from: a packed
-/// trace, an unpacked slice, or a bounded channel fed by a concurrently
-/// running interpreter.
+/// trace, an unpacked slice, or one sampling window of a packed trace.
 ///
 /// The read head is persistent: `cur()` returns the same entry until
 /// `advance()` consumes it (fetch may stall on an entry for many cycles).
 pub trait TraceSource {
     /// Entry at the read head, or `None` once the trace is exhausted.
-    /// A streaming source blocks until the entry is available.
     fn cur(&mut self) -> Option<TraceEntry>;
 
     /// Consume the entry at the read head.
     fn advance(&mut self);
 
-    /// Whether `now` is past the drain budget of 64 cycles per trace entry
-    /// plus fixed slack.  A streaming source may block until enough of the
-    /// trace has arrived to decide.
-    fn budget_exceeded(&mut self, now: u64) -> bool;
+    /// Entries the source yields from its start.  An engine reads it once,
+    /// before the first `cur()`, to set its cycle budget: 64 cycles per
+    /// entry plus fixed slack.
+    fn len(&self) -> u64;
 
-    /// The last cycle the budget check is known to allow — a (possibly
-    /// conservative) lower bound used by the compiled engine to cap its
-    /// stall-cycle jumps so a budget overrun errors on exactly the same
-    /// cycle as the per-cycle check would.
-    fn budget_limit(&mut self) -> u64;
+    /// Whether the source yields no entries at all.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 pub(crate) const BUDGET_SLACK: u64 = 100_000;
@@ -247,108 +242,13 @@ impl TraceSource for SliceSource<'_> {
         self.pos += 1;
     }
 
-    fn budget_exceeded(&mut self, now: u64) -> bool {
-        now > BUDGET_PER_ENTRY * self.trace.len() as u64 + BUDGET_SLACK
-    }
-
-    fn budget_limit(&mut self) -> u64 {
-        BUDGET_PER_ENTRY * self.trace.len() as u64 + BUDGET_SLACK
-    }
-}
-
-/// A trace arriving incrementally over a [`TraceReader`].
-///
-/// Chunks pulled ahead of the read head (by the budget check) are parked in
-/// `pending`, so pulling never drops entries; consumed chunk buffers are
-/// recycled back to the producer.
-pub struct StreamSource {
-    reader: TraceReader,
-    pending: VecDeque<Arc<Vec<TraceEntry>>>,
-    /// Index into `pending.front()`.
-    idx: usize,
-    /// Entries received so far — a lower bound on the trace length, exact
-    /// once `done`.
-    received: u64,
-    done: bool,
-}
-
-impl StreamSource {
-    pub fn new(reader: TraceReader) -> StreamSource {
-        StreamSource {
-            reader,
-            pending: VecDeque::new(),
-            idx: 0,
-            received: 0,
-            done: false,
-        }
-    }
-
-    /// Blocking-receive one more chunk; false once the channel is closed.
-    fn pull(&mut self) -> bool {
-        match self.reader.recv() {
-            Some(chunk) => {
-                self.received += chunk.len() as u64;
-                self.pending.push_back(chunk);
-                true
-            }
-            None => {
-                self.done = true;
-                false
-            }
-        }
-    }
-}
-
-impl TraceSource for StreamSource {
-    fn cur(&mut self) -> Option<TraceEntry> {
-        loop {
-            if let Some(front) = self.pending.front() {
-                if self.idx < front.len() {
-                    return Some(front[self.idx]);
-                }
-                let spent = self.pending.pop_front().unwrap();
-                self.reader.recycle(spent);
-                self.idx = 0;
-                continue;
-            }
-            if self.done {
-                return None;
-            }
-            self.pull();
-        }
-    }
-
-    fn advance(&mut self) {
-        self.idx += 1;
-    }
-
-    fn budget_exceeded(&mut self, now: u64) -> bool {
-        // Same semantics as the slice check against the *full* trace
-        // length.  While the producer is still running, `received` is only
-        // a lower bound, so buffer further chunks (which also frees channel
-        // capacity — the producer can never deadlock against this loop)
-        // until the bound clears `now` or becomes exact.
-        loop {
-            if now <= BUDGET_PER_ENTRY * self.received + BUDGET_SLACK {
-                return false;
-            }
-            if self.done {
-                return true;
-            }
-            self.pull();
-        }
-    }
-
-    fn budget_limit(&mut self) -> u64 {
-        // `received` is a lower bound until `done`, so this limit is
-        // conservative; the jump cap re-evaluates `budget_exceeded` (which
-        // pulls) at the capped cycle, preserving exact error timing.
-        BUDGET_PER_ENTRY * self.received + BUDGET_SLACK
+    fn len(&self) -> u64 {
+        self.trace.len() as u64
     }
 }
 
 /// A per-consumer decoding cursor over a [`PackedTrace`] — the one source
-/// both engines read on the fan-out path.
+/// both engines read in the harness.
 ///
 /// Many simulator instances can hold a `PackedSource` over the same trace
 /// concurrently: each decodes its own position and the bytes are shared,
@@ -400,18 +300,14 @@ impl TraceSource for PackedSource<'_> {
         self.head = self.entries.next();
     }
 
-    fn budget_exceeded(&mut self, now: u64) -> bool {
-        now > BUDGET_PER_ENTRY * self.total + BUDGET_SLACK
-    }
-
-    fn budget_limit(&mut self) -> u64 {
-        BUDGET_PER_ENTRY * self.total + BUDGET_SLACK
+    fn len(&self) -> u64 {
+        self.total
     }
 }
 
 /// Reusable simulator state: the prediction structures, cache models, and
 /// window scratch whose allocations survive across simulations.  Passing
-/// one context to many [`simulate_trace_in`] calls skips per-run
+/// one context to many [`simulate_packed_in`] calls skips per-run
 /// construction; every run still starts from the architectural reset state.
 pub struct SimContext {
     pub(crate) bht: TwoBitTable,
@@ -518,6 +414,8 @@ struct Pipeline<'a, S: TraceSource, O: SimObserver> {
     layout: &'a StaticLayout,
     source: S,
     scheme: Scheme,
+    /// The run errors once `now` passes this cycle.
+    budget: u64,
 
     now: u64,
     head_seq: u64,
@@ -1039,7 +937,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                 self.classify_cycle();
             }
             self.sample_stage();
-            if self.source.budget_exceeded(self.now) {
+            if self.now > self.budget {
                 return Err(SimError::CycleBudgetExceeded {
                     cycles: self.now,
                     retired: self.stats.committed_total,
@@ -1073,6 +971,7 @@ fn simulate_source<S: TraceSource, O: SimObserver>(
         cfg,
         infos,
         layout,
+        budget: BUDGET_PER_ENTRY * source.len() + BUDGET_SLACK,
         source,
         scheme,
         now: 0,
@@ -1109,35 +1008,10 @@ pub fn simulate_trace(
     simulate_trace_logged(prog, layout, trace, scheme, cfg, 0).map(|(s, _)| s)
 }
 
-/// Like [`simulate_trace`], but reusing the allocations in `ctx` (caches,
-/// BHT, BTB, window scratch) instead of constructing fresh state.
-pub fn simulate_trace_in(
-    ctx: &mut SimContext,
-    prog: &Program,
-    layout: &StaticLayout,
-    trace: &[TraceEntry],
-    scheme: Scheme,
-    cfg: &MachineConfig,
-) -> Result<SimStats, SimError> {
-    let infos = build_site_infos(prog, layout);
-    simulate_source(
-        ctx,
-        &infos,
-        layout,
-        SliceSource::new(trace),
-        scheme,
-        cfg,
-        0,
-        &mut (),
-    )
-    .map(|(s, _)| s)
-}
-
-/// Like [`simulate_trace_in`], but reporting cycle attribution and
-/// per-site branch events to `obs`.  The returned stats are identical to
-/// the unobserved run's.
-pub fn simulate_trace_observed_in(
-    ctx: &mut SimContext,
+/// Like [`simulate_trace`], but reporting cycle attribution and per-site
+/// branch events to `obs`.  The returned stats are identical to the
+/// unobserved run's.
+pub fn simulate_trace_observed(
     prog: &Program,
     layout: &StaticLayout,
     trace: &[TraceEntry],
@@ -1146,8 +1020,9 @@ pub fn simulate_trace_observed_in(
     obs: &mut impl SimObserver,
 ) -> Result<SimStats, SimError> {
     let infos = build_site_infos(prog, layout);
+    let mut ctx = SimContext::new(cfg);
     simulate_source(
-        ctx,
+        &mut ctx,
         &infos,
         layout,
         SliceSource::new(trace),
@@ -1157,19 +1032,6 @@ pub fn simulate_trace_observed_in(
         obs,
     )
     .map(|(s, _)| s)
-}
-
-/// [`simulate_trace_observed_in`] with fresh simulator state.
-pub fn simulate_trace_observed(
-    prog: &Program,
-    layout: &StaticLayout,
-    trace: &[TraceEntry],
-    scheme: Scheme,
-    cfg: &MachineConfig,
-    obs: &mut impl SimObserver,
-) -> Result<SimStats, SimError> {
-    let mut ctx = SimContext::new(cfg);
-    simulate_trace_observed_in(&mut ctx, prog, layout, trace, scheme, cfg, obs)
 }
 
 /// Like [`simulate_trace`], but also records a per-cycle activity log of up
@@ -1199,7 +1061,8 @@ pub fn simulate_trace_logged(
 /// Static per-program simulation inputs (layout + site table), computed
 /// once and shared by every cell simulating the same program.  Rebuilding
 /// these per cell is cheap next to interpretation, but sharing them keeps
-/// the fan-out path allocation-light and makes the dependency explicit.
+/// each cell's simulation allocation-light and makes the dependency
+/// explicit.
 pub struct PreparedSim {
     layout: StaticLayout,
     infos: Vec<SiteInfo>,
@@ -1221,7 +1084,7 @@ pub fn prepare_program(prog: &Program) -> PreparedSim {
 /// Simulate a [`PackedTrace`] under `scheme` on `cfg`, reusing `ctx`
 /// allocations.  Safe to call concurrently from many threads over the same
 /// `prep`/`trace` (each call only reads them); produces stats identical to
-/// [`simulate_trace_in`] over the unpacked trace.
+/// [`simulate_trace`] over the unpacked trace.
 pub fn simulate_packed_in(
     ctx: &mut SimContext,
     prep: &PreparedSim,
@@ -1255,63 +1118,6 @@ pub fn simulate_packed_observed_in(
     .map(|(s, _)| s)
 }
 
-/// Run `prog` functionally **once**, broadcasting the trace over a bounded
-/// SPMC ring to one simulator thread per `(scheme, config)` cell.  All
-/// consumers see the identical entry sequence, so the stats match the
-/// per-cell [`simulate_program`] path exactly while interpretation cost is
-/// paid once instead of `cells.len()` times.
-pub fn simulate_program_fanout(
-    prog: &Program,
-    cells: &[(Scheme, MachineConfig)],
-) -> Result<(Vec<SimStats>, guardspec_interp::ExecResult), Box<dyn std::error::Error>> {
-    if cells.is_empty() {
-        let res = guardspec_interp::run(prog)?;
-        return Ok((Vec::new(), res));
-    }
-    let prep = prepare_program(prog);
-    let (writer, readers) = guardspec_interp::stream::broadcast_channel(cells.len());
-    let (sims, exec) = std::thread::scope(|s| {
-        let producer = s.spawn(|| {
-            let mut obs = StreamObserver::new(&prep.layout, writer);
-            let res = guardspec_interp::Interp::new(prog).run_with(&mut obs);
-            if res.is_ok() {
-                obs.finish();
-            }
-            res
-        });
-        let consumers: Vec<_> = cells
-            .iter()
-            .zip(readers)
-            .map(|((scheme, cfg), reader)| {
-                let prep = &prep;
-                s.spawn(move || {
-                    let mut ctx = SimContext::new(cfg);
-                    simulate_source(
-                        &mut ctx,
-                        &prep.infos,
-                        &prep.layout,
-                        StreamSource::new(reader),
-                        *scheme,
-                        cfg,
-                        0,
-                        &mut (),
-                    )
-                    .map(|(s, _)| s)
-                })
-            })
-            .collect();
-        let sims: Vec<_> = consumers
-            .into_iter()
-            .map(|h| h.join().expect("fan-out simulator panicked"))
-            .collect();
-        let exec = producer.join().expect("trace producer panicked");
-        (sims, exec)
-    });
-    let exec = exec?;
-    let stats = sims.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok((stats, exec))
-}
-
 /// Run `prog` functionally, then simulate its trace.  Returns the timing
 /// statistics together with the functional result (so callers can check
 /// semantics and dynamic counts in one shot).
@@ -1322,83 +1128,6 @@ pub fn simulate_program(
 ) -> Result<(SimStats, guardspec_interp::ExecResult), Box<dyn std::error::Error>> {
     let (layout, trace, res) = guardspec_interp::trace::trace_program(prog)?;
     let stats = simulate_trace(prog, &layout, &trace, scheme, cfg)?;
-    Ok((stats, res))
-}
-
-/// Like [`simulate_program`], but the interpreter streams the trace over a
-/// bounded channel to the pipeline running on this thread, so the two
-/// phases overlap and the trace is never materialized in full.  Produces
-/// exactly the stats of the two-phase path.
-pub fn simulate_program_streamed(
-    prog: &Program,
-    scheme: Scheme,
-    cfg: &MachineConfig,
-) -> Result<(SimStats, guardspec_interp::ExecResult), Box<dyn std::error::Error>> {
-    let mut ctx = SimContext::new(cfg);
-    simulate_program_streamed_in(&mut ctx, prog, scheme, cfg)
-}
-
-/// [`simulate_program_streamed`] with caller-owned reusable state.
-pub fn simulate_program_streamed_in(
-    ctx: &mut SimContext,
-    prog: &Program,
-    scheme: Scheme,
-    cfg: &MachineConfig,
-) -> Result<(SimStats, guardspec_interp::ExecResult), Box<dyn std::error::Error>> {
-    simulate_program_streamed_observed_in(ctx, prog, scheme, cfg, &mut ())
-}
-
-/// [`simulate_program_streamed_in`] with an observer: the interpreter
-/// streams the trace to the pipeline while cycle attribution and per-site
-/// branch events are reported to `obs`.
-pub fn simulate_program_streamed_observed_in(
-    ctx: &mut SimContext,
-    prog: &Program,
-    scheme: Scheme,
-    cfg: &MachineConfig,
-    obs: &mut impl SimObserver,
-) -> Result<(SimStats, guardspec_interp::ExecResult), Box<dyn std::error::Error>> {
-    let layout = StaticLayout::build(prog);
-    let infos = build_site_infos(prog, &layout);
-    let (writer, reader) = guardspec_interp::stream::trace_channel();
-    let (sim, exec) = std::thread::scope(|s| {
-        let producer = s.spawn(|| {
-            let mut sobs = StreamObserver::new(&layout, writer);
-            let res = guardspec_interp::Interp::new(prog).run_with(&mut sobs);
-            if res.is_ok() {
-                sobs.finish();
-            }
-            // On error the writer is dropped unflushed, which closes the
-            // channel; the truncated simulation result is discarded below.
-            res
-        });
-        let sim = simulate_source(
-            ctx,
-            &infos,
-            &layout,
-            StreamSource::new(reader),
-            scheme,
-            cfg,
-            0,
-            obs,
-        );
-        let exec = producer.join().expect("trace producer panicked");
-        (sim, exec)
-    });
-    let exec = exec?;
-    let (stats, _) = sim?;
-    Ok((stats, exec))
-}
-
-/// [`simulate_program`] with an observer over the materialized-trace path.
-pub fn simulate_program_observed(
-    prog: &Program,
-    scheme: Scheme,
-    cfg: &MachineConfig,
-    obs: &mut impl SimObserver,
-) -> Result<(SimStats, guardspec_interp::ExecResult), Box<dyn std::error::Error>> {
-    let (layout, trace, res) = guardspec_interp::trace::trace_program(prog)?;
-    let stats = simulate_trace_observed(prog, &layout, &trace, scheme, cfg, obs)?;
     Ok((stats, res))
 }
 
@@ -1613,18 +1342,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_stats_match_materialized_for_every_scheme() {
-        let prog = count_loop(1000);
-        let cfg = MachineConfig::r10000();
-        for scheme in [Scheme::TwoBit, Scheme::Proposed, Scheme::Perfect] {
-            let (mat, mat_res) = simulate_program(&prog, scheme, &cfg).expect("materialized");
-            let (str_, str_res) = simulate_program_streamed(&prog, scheme, &cfg).expect("streamed");
-            assert_eq!(mat, str_, "stats diverge under {scheme:?}");
-            assert_eq!(mat_res.summary.retired, str_res.summary.retired);
-        }
-    }
-
-    #[test]
     fn packed_trace_stats_match_slice_for_every_scheme() {
         let prog = count_loop(1000);
         let cfg = MachineConfig::r10000();
@@ -1641,35 +1358,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_stats_match_per_cell_simulation() {
-        let prog = count_loop(2000);
-        let big = MachineConfig::r10000();
-        let mut small = MachineConfig::r10000();
-        small.bht_entries = 64;
-        let cells = vec![
-            (Scheme::TwoBit, big.clone()),
-            (Scheme::Proposed, big.clone()),
-            (Scheme::Perfect, big.clone()),
-            (Scheme::TwoBit, small.clone()),
-        ];
-        let (fanned, fan_res) = simulate_program_fanout(&prog, &cells).expect("fanout");
-        assert_eq!(fanned.len(), cells.len());
-        for ((scheme, cfg), fan) in cells.iter().zip(&fanned) {
-            let (solo, solo_res) = simulate_program(&prog, *scheme, cfg).expect("solo");
-            assert_eq!(&solo, fan, "fan-out diverges under {scheme:?}");
-            assert_eq!(solo_res.summary.retired, fan_res.summary.retired);
-        }
-    }
-
-    #[test]
-    fn fanout_with_no_cells_still_executes() {
-        let prog = count_loop(10);
-        let (stats, res) = simulate_program_fanout(&prog, &[]).expect("runs");
-        assert!(stats.is_empty());
-        assert!(res.summary.retired > 0);
-    }
-
-    #[test]
     fn reused_context_matches_fresh_state() {
         // One SimContext reused across programs and schemes must reproduce
         // the fresh-construction results exactly (reset leaves no residue).
@@ -1678,13 +1366,14 @@ mod tests {
         let mut ctx = SimContext::new(&cfg);
         for _round in 0..2 {
             for prog in &progs {
+                let (layout, trace, _) =
+                    guardspec_interp::trace::trace_program(prog).expect("trace");
+                let packed = guardspec_interp::tracefile::pack(&layout, &trace, 0);
+                let prep = prepare_program(prog);
                 for scheme in [Scheme::TwoBit, Scheme::Perfect] {
-                    let layout = StaticLayout::build(prog);
-                    let (_, trace, _) =
-                        guardspec_interp::trace::trace_program(prog).expect("trace");
                     let fresh = simulate_trace(prog, &layout, &trace, scheme, &cfg).expect("sim");
-                    let reused = simulate_trace_in(&mut ctx, prog, &layout, &trace, scheme, &cfg)
-                        .expect("sim");
+                    let reused =
+                        simulate_packed_in(&mut ctx, &prep, &packed, scheme, &cfg).expect("sim");
                     assert_eq!(fresh, reused, "context reuse diverged under {scheme:?}");
                 }
             }
@@ -1696,8 +1385,9 @@ mod tests {
         // Reuse the same context under a different machine geometry: prepare
         // must rebuild what changed and results must match fresh state.
         let prog = count_loop(400);
-        let layout = StaticLayout::build(&prog);
-        let (_, trace, _) = guardspec_interp::trace::trace_program(&prog).expect("trace");
+        let (layout, trace, _) = guardspec_interp::trace::trace_program(&prog).expect("trace");
+        let packed = guardspec_interp::tracefile::pack(&layout, &trace, 0);
+        let prep = prepare_program(&prog);
         let big = MachineConfig::r10000();
         let mut small = MachineConfig::r10000();
         small.bht_entries = 64;
@@ -1706,8 +1396,8 @@ mod tests {
         let mut ctx = SimContext::new(&big);
         for cfg in [&big, &small, &big] {
             let fresh = simulate_trace(&prog, &layout, &trace, Scheme::TwoBit, cfg).expect("sim");
-            let reused = simulate_trace_in(&mut ctx, &prog, &layout, &trace, Scheme::TwoBit, cfg)
-                .expect("sim");
+            let reused =
+                simulate_packed_in(&mut ctx, &prep, &packed, Scheme::TwoBit, cfg).expect("sim");
             assert_eq!(fresh, reused, "reshape diverged");
         }
     }
@@ -1744,6 +1434,13 @@ mod observe_tests {
         p
     }
 
+    /// Trace `prog`, then simulate it under `acc`.
+    fn observed(prog: &Program, scheme: Scheme, acc: &mut CycleAccounting) -> SimStats {
+        let (layout, trace, _) = guardspec_interp::trace::trace_program(prog).unwrap();
+        let cfg = MachineConfig::r10000();
+        simulate_trace_observed(prog, &layout, &trace, scheme, &cfg, acc).unwrap()
+    }
+
     #[test]
     fn observed_stats_match_unobserved_and_buckets_sum() {
         for prog in [alt_program(4000), tests::count_loop(700)] {
@@ -1775,15 +1472,6 @@ mod observe_tests {
             let slice =
                 simulate_trace_observed(&prog, &layout, &flat, scheme, &cfg, &mut slice_acc)
                     .unwrap();
-            let mut stream_acc = CycleAccounting::new();
-            let (streamed, _) = simulate_program_streamed_observed_in(
-                &mut ctx,
-                &prog,
-                scheme,
-                &cfg,
-                &mut stream_acc,
-            )
-            .unwrap();
             let mut packed_acc = CycleAccounting::new();
             let from_packed = simulate_packed_observed_in(
                 &mut ctx,
@@ -1794,18 +1482,10 @@ mod observe_tests {
                 &mut packed_acc,
             )
             .unwrap();
-            assert_eq!(slice, streamed, "stats diverge (streamed) under {scheme:?}");
-            assert_eq!(
-                slice, from_packed,
-                "stats diverge (packed) under {scheme:?}"
-            );
-            assert_eq!(
-                slice_acc, stream_acc,
-                "accounting diverges (streamed) under {scheme:?}"
-            );
+            assert_eq!(slice, from_packed, "stats diverge under {scheme:?}");
             assert_eq!(
                 slice_acc, packed_acc,
-                "accounting diverges (packed) under {scheme:?}"
+                "accounting diverges under {scheme:?}"
             );
             slice_acc.check(&slice);
         }
@@ -1814,11 +1494,8 @@ mod observe_tests {
     #[test]
     fn mispredict_heavy_branch_dominates_site_attribution() {
         let prog = alt_program(4000);
-        let cfg = MachineConfig::r10000();
         let mut acc = CycleAccounting::new();
-        let stats = simulate_program_observed(&prog, Scheme::TwoBit, &cfg, &mut acc)
-            .map(|(s, _)| s)
-            .unwrap();
+        let stats = observed(&prog, Scheme::TwoBit, &mut acc);
         acc.check(&stats);
         // The alternating branch owns nearly all mispredicts and therefore
         // tops the squashed-cost ranking.
@@ -1841,11 +1518,8 @@ mod observe_tests {
     #[test]
     fn perfect_scheme_has_no_recovery_cycles() {
         let prog = alt_program(1000);
-        let cfg = MachineConfig::r10000();
         let mut acc = CycleAccounting::new();
-        let stats = simulate_program_observed(&prog, Scheme::Perfect, &cfg, &mut acc)
-            .map(|(s, _)| s)
-            .unwrap();
+        let stats = observed(&prog, Scheme::Perfect, &mut acc);
         acc.check(&stats);
         assert_eq!(acc.bucket(CycleBucket::MispredictRecovery), 0);
         // With no recovery bubbles in the way, the strided loads' misses

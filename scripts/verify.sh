@@ -33,13 +33,6 @@ cargo run --release -p guardspec-bench --bin table4 -- \
     --scale test --json results/ci_table4.json
 test -s results/ci_table4.json
 
-echo "== bench smoke (tiny scale: table3 streamed + no-stream, hotloop) =="
-cargo run --release -p guardspec-bench --bin table3 -- --scale test > /tmp/ci_t3_stream.txt
-cargo run --release -p guardspec-bench --bin table3 -- --scale test --no-stream > /tmp/ci_t3_nostream.txt
-cmp /tmp/ci_t3_stream.txt /tmp/ci_t3_nostream.txt
-cargo run --release -p guardspec-bench --bin hotloop -- --scale test > /dev/null
-test -s results/BENCH_2.json
-
 echo "== compiled vs interpreted engines (table3, byte-identical stdout) =="
 # The compiled decoded-uop engine is the default; --no-compile selects the
 # per-entry interpreted loop.  The stage cache is wiped between modes so
@@ -242,9 +235,6 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "== fuzz smoke (200 differential cases, fixed seed) =="
 # Deterministic: fails (exit 1) on any transform-equivalence divergence.
 cargo run --release -p guardspec-fuzz --bin fuzz -- --cases 200 --seed 7
-
-echo "== criterion benches (test mode: one pass, no measurement loops) =="
-cargo test --release -p guardspec-bench --benches -q
 
 echo "== cargo fmt --check =="
 cargo fmt --check
