@@ -22,6 +22,10 @@
 //!    (`CycleAccounting` equality, which covers per-site counters too).
 //!    The packed trace is the one the harness replays, recorded by its own
 //!    interpretation, and must decode to the `Vec<TraceEntry>` reference.
+//!    Then both engines replay the packed trace *unobserved*, as every
+//!    harness cell does, under all three schemes on two machines (the
+//!    R10000 and `small_window_config`), and must return the same
+//!    `SimStats` or the same `SimError`.
 //!
 //! Transform panics and validation failures on the transformed program are
 //! reported as findings rather than crashing the fuzz run; an original
@@ -38,9 +42,9 @@ use guardspec_ir::validate::validate;
 use guardspec_ir::{Instruction, Opcode, Program};
 use guardspec_predict::Scheme;
 use guardspec_sim::{
-    prepare_program, simulate_compiled_packed_observed_in, simulate_compiled_trace_observed_in,
-    simulate_packed_observed_in, simulate_trace_observed, CompiledProgram, CycleAccounting,
-    MachineConfig, SimContext,
+    prepare_program, simulate_compiled_packed_in, simulate_compiled_packed_observed_in,
+    simulate_compiled_trace_observed_in, simulate_packed_in, simulate_packed_observed_in,
+    simulate_trace_observed, CompiledProgram, CycleAccounting, MachineConfig, SimContext,
 };
 use rand::prelude::*;
 
@@ -78,7 +82,7 @@ pub fn behavior_of(prog: &Program) -> Result<Behavior, ExecError> {
     let mut st = StoreTrace::default();
     let res = Interp::new(prog).with_fuel(CASE_FUEL).run_with(&mut st)?;
     Ok(Behavior {
-        mem: res.machine.mem.clone(),
+        mem: res.machine.mem.to_vec(),
         stores: st.stores,
         retired: res.summary.retired,
         machine: res.machine,
@@ -228,11 +232,30 @@ fn transform_guarded(
     }
 }
 
+/// The engine check's second machine: a window small enough that the
+/// reorder buffer, the queues and the branch limit fill all the time, no
+/// front-end delay, two-wide fetch and commit, and a cache-miss penalty
+/// past the compiled engine's timing-wheel span, so every D-cache miss
+/// completes through the overflow heap.
+fn small_window_config() -> MachineConfig {
+    let mut cfg = MachineConfig::r10000();
+    cfg.rob_size = 8;
+    cfg.queue_size = [2, 3, 4, 2];
+    cfg.max_inflight_branches = 2;
+    cfg.frontend_depth = 0;
+    cfg.fetch_width = 2;
+    cfg.commit_width = 2;
+    cfg.latencies.cache_miss_penalty = 1100;
+    cfg
+}
+
 /// Check the execution engines against each other on one program: the
 /// interpreted pipeline and the compiled decoded-uop engine, each over the
 /// materialized and packed sources, must produce identical `SimStats` and
 /// identical cycle accounting, and the trace the engines consume must
-/// carry exactly the interpreter's committed stores.
+/// carry exactly the interpreter's committed stores.  Unobserved replays
+/// of the packed trace, the harness's path, must agree too: only they
+/// take the compiled engine's idle-cycle jumps.
 fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), String> {
     let cfg = MachineConfig::r10000();
     // Materialized interpreted path.
@@ -370,7 +393,32 @@ fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), 
             ));
         }
     }
+
+    // Unobserved packed replays, one context reused across machines and
+    // schemes as a harness worker's is.
+    for (machine, cfg) in [("r10000", cfg), ("small-window", small_window_config())] {
+        for scheme in Scheme::ALL {
+            let interpreted = simulate_packed_in(&mut ctx, &prep, &packed, scheme, &cfg);
+            let compiled = simulate_compiled_packed_in(&mut ctx, &comp, &packed, scheme, &cfg);
+            if interpreted != compiled {
+                return Err(format!(
+                    "{tag}: unobserved packed runs diverge on {machine} under {scheme:?}: \
+                     interpreted {}, compiled {}",
+                    outcome(&interpreted),
+                    outcome(&compiled)
+                ));
+            }
+        }
+    }
     Ok(())
+}
+
+/// One line summarising a simulation result for a finding.
+fn outcome(r: &Result<guardspec_sim::SimStats, guardspec_sim::SimError>) -> String {
+    match r {
+        Ok(s) => format!("{} cycles, {} committed", s.cycles, s.committed),
+        Err(e) => e.to_string(),
+    }
 }
 
 /// How much work `run_case` does beyond the transform-equivalence core.
@@ -482,7 +530,7 @@ mod tests {
         let b = behavior_of(&prog).expect("runs");
         // Replaying the store trace onto a fresh image reproduces every cell
         // the program wrote (untouched cells come from the data preload).
-        let mut replay = Machine::for_program(&prog).mem;
+        let mut replay = Machine::for_program(&prog).mem.to_vec();
         for (a, v) in &b.stores {
             replay[*a as usize] = *v;
         }

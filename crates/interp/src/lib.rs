@@ -20,7 +20,8 @@
 //!   and [`trace::PackedTrace`], the one packed form many simulator
 //!   instances read concurrently,
 //! * [`tracefile`] — the packed trace's self-checking byte format: the
-//!   in-memory trace is the blob the harness trace cache stores.
+//!   in-memory trace is the blob the harness trace cache stores,
+//! * [`wordmem`] — the machine's word memory on fresh anonymous pages.
 
 pub mod bitvec;
 pub mod blocks;
@@ -30,6 +31,7 @@ pub mod machine;
 pub mod profile;
 pub mod trace;
 pub mod tracefile;
+pub mod wordmem;
 
 pub use bitvec::BitVec;
 pub use blocks::{block_of_table, BlockCursor, BlockRun};
@@ -38,3 +40,4 @@ pub use layout::StaticLayout;
 pub use machine::Machine;
 pub use profile::{BranchProfile, Profile, Profiler};
 pub use trace::{PackedIter, PackedRecorder, PackedTrace, TraceEntry, TraceRecorder};
+pub use wordmem::WordMem;

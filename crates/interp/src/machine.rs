@@ -1,5 +1,6 @@
 //! Architectural machine state.
 
+use crate::wordmem::WordMem;
 use guardspec_ir::reg::{NUM_FLT_REGS, NUM_INT_REGS, NUM_PRED_REGS};
 use guardspec_ir::{FltReg, IntReg, PredReg, Program};
 
@@ -8,12 +9,14 @@ use guardspec_ir::{FltReg, IntReg, PredReg, Program};
 /// Integer registers are 64-bit two's-complement; `r0` reads zero and
 /// ignores writes.  Memory is word-granular: `lw`/`sw` address words
 /// directly (the cache model in `guardspec-sim` scales to byte addresses).
+/// Memory lives on fresh anonymous pages ([`WordMem`]): words the program
+/// never writes never become resident.
 #[derive(Clone, Debug)]
 pub struct Machine {
     int: [i64; NUM_INT_REGS as usize],
     flt: [f64; NUM_FLT_REGS as usize],
     pred: [bool; NUM_PRED_REGS as usize],
-    pub mem: Vec<i64>,
+    pub mem: WordMem,
 }
 
 impl Machine {
@@ -23,7 +26,7 @@ impl Machine {
             int: [0; NUM_INT_REGS as usize],
             flt: [0.0; NUM_FLT_REGS as usize],
             pred: [false; NUM_PRED_REGS as usize],
-            mem: vec![0; mem_words as usize],
+            mem: WordMem::zeroed(mem_words as usize),
         }
     }
 
@@ -94,7 +97,7 @@ impl Machine {
     /// and must match exactly.  Semantic-equivalence tests use this.
     pub fn mem_checksum(&self) -> u64 {
         let mut h = 0xcbf29ce484222325u64; // FNV-1a
-        for &v in &self.mem {
+        for &v in self.mem.iter() {
             h ^= v as u64;
             h = h.wrapping_mul(0x100000001b3);
         }
@@ -112,7 +115,7 @@ impl Machine {
         for &v in &self.int {
             mix(v as u64);
         }
-        for &v in &self.mem {
+        for &v in self.mem.iter() {
             mix(v as u64);
         }
         h
@@ -142,6 +145,14 @@ mod tests {
         assert_eq!(m.load(4), None);
         assert_eq!(m.load(-1), None);
         assert!(!m.store(-1, 1));
+    }
+
+    #[test]
+    fn empty_memory_is_all_out_of_range() {
+        let mut m = Machine::new(0);
+        assert_eq!(m.load(0), None);
+        assert!(!m.store(0, 1));
+        assert!(m.clone().mem.is_empty());
     }
 
     #[test]

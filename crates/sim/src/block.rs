@@ -16,19 +16,35 @@
 //!
 //! In exact mode the compiled engine is **cycle-for-cycle identical** to
 //! [`crate::pipeline`]'s interpreted engine: same `SimStats`, same cycle
-//! buckets, same per-site attribution.  Two structural changes make it
+//! buckets, same per-site attribution.  These structural changes make it
 //! faster without changing any observable:
 //!
-//! * **Event-driven completion** — issued entries post their seq into a
-//!   timing wheel bucketed by finish cycle (with a min-heap overflow for
-//!   latencies beyond the wheel span, normally empty); the complete stage
+//! * **Compact window slots** — the window is a power-of-two ring of
+//!   56-byte [`Slot`]s, not the interpreted engine's `Entry`: a slot's seq
+//!   is its ring index relative to `head_seq`, its queue is its uop's, its
+//!   finish cycle is the wheel bucket it waits in, and its flags share one
+//!   byte.  Dispatch writes
+//!   each slot once, in place, after the branch logic.
+//! * **Intrusive timing wheel** — issued slots are threaded onto the
+//!   bucket of their finish cycle through [`Slot::wnext`] (the wheel holds
+//!   only bucket heads), with a `(finish, slot)` min-heap overflow for
+//!   latencies beyond the wheel span, normally empty; the complete stage
 //!   drains the current bucket instead of scanning the whole window every
 //!   cycle.  Completion order within a cycle does not affect any counter,
 //!   and at most one `blocks_fetch` entry is in flight at a time, so the
 //!   resume logic is order-free.
-//! * **In-queue counter** — a running count of `InQueue` entries lets the
-//!   issue stage skip its wake-up scan entirely on cycles where nothing
-//!   can issue (the scan would have found nothing and charged nothing).
+//! * **Issue list** — `InQueue` slots form a list threaded through the
+//!   ring in seq order ([`Slot::nextq`]); the issue stage walks only it,
+//!   stops at the first entry still inside its front-end delay, skips
+//!   entirely when it is empty, and counts a class's FU-full cycle at the
+//!   issue that fills the class.
+//! * **Run-owned state** — a run moves the context's [`HotState`] (ring,
+//!   wheel, register scoreboard, caches and predictors) into the pipeline
+//!   and copies the config scalars the stages read every cycle, then
+//!   hands the state back at the end of the run and of each sampling
+//!   window.  Neither move allocates.
+//! * **Stall jumps** — unobserved runs skip cycles on which no stage can
+//!   act (see `CompiledPipeline::stall_jump`).
 //!
 //! ## Sampling
 //!
@@ -45,7 +61,7 @@
 use crate::config::{class_idx, MachineConfig, QueueKind};
 use crate::observe::{CycleBucket, SimObserver};
 use crate::pipeline::{
-    EState, Entry, PackedSource, SimContext, SimError, SliceSource, StallKind, TraceSource,
+    EState, HotState, PackedSource, SimContext, SimError, SliceSource, StallKind, TraceSource,
     BUDGET_PER_ENTRY, BUDGET_SLACK, MAX_SRCS,
 };
 use crate::stats::SimStats;
@@ -62,8 +78,7 @@ pub(crate) struct Uop {
     /// PC of the taken-target block (direct branches and jumps only).
     pub(crate) target_pc: Option<u64>,
     pub(crate) class: FuClass,
-    pub(crate) queue: QueueKind,
-    /// `queue.index()`, precomputed.
+    /// Reservation-station queue (`QueueKind::index()`).
     pub(crate) qi: u8,
     pub(crate) uses: [u8; MAX_SRCS],
     pub(crate) nuses: u8,
@@ -114,14 +129,12 @@ impl CompiledProgram {
                 nuses += 1;
             }
             let class = insn.fu_class();
-            let queue = QueueKind::for_class(class);
             let kind = BranchKind::of(insn);
             uops.push(Uop {
                 pc: layout.pc(id),
                 target_pc,
                 class,
-                queue,
-                qi: queue.index() as u8,
+                qi: QueueKind::for_class(class).index() as u8,
                 uses,
                 nuses,
                 def: insn
@@ -179,16 +192,92 @@ fn latency_table(cfg: &MachineConfig) -> [u64; 8] {
     t
 }
 
+/// End of an intrusive slot list: the issue list and each wheel bucket.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// [`Slot::flags`] bits.
+const BLOCKS_FETCH: u8 = 1 << 0;
+const COND: u8 = 1 << 1;
+const ANNULLED: u8 = 1 << 2;
+const DMISS: u8 = 1 << 3;
+
+/// One in-flight instruction in the compiled engine's window ring.  Holds
+/// only what the stages read after dispatch: the seq is implied by the
+/// ring index and `head_seq`, the queue by the uop's `qi`, and the finish
+/// cycle by the wheel bucket the slot waits in.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slot {
+    /// Seqs of producers unfinished at dispatch, deduplicated; ready when
+    /// committed or `Complete`.
+    deps: [u64; MAX_SRCS],
+    /// First cycle the entry may issue: dispatch cycle + front-end depth
+    /// + 1.
+    eligible: u64,
+    /// Static site id.
+    id: u32,
+    /// D-cache word address (0 for entries that carry none, as the
+    /// interpreted engine's `unwrap_or(0)`).
+    mem_addr: u32,
+    /// Next slot of the in-queue issue list ([`NIL`] = end).
+    nextq: u32,
+    /// Next slot in the same timing-wheel bucket ([`NIL`] = end).
+    wnext: u32,
+    state: EState,
+    class: FuClass,
+    ndeps: u8,
+    /// [`BLOCKS_FETCH`] | [`COND`] | [`ANNULLED`] | [`DMISS`] (the last
+    /// written only when an observer is enabled).
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 56);
+
+impl Slot {
+    /// Inert ring filler: every live slot is rewritten by dispatch before
+    /// it is read.
+    const VACANT: Slot = Slot {
+        deps: [0; MAX_SRCS],
+        eligible: 0,
+        id: 0,
+        mem_addr: 0,
+        nextq: NIL,
+        wnext: NIL,
+        state: EState::Complete,
+        class: FuClass::Nop,
+        ndeps: 0,
+        flags: 0,
+    };
+
+    fn deps(&self) -> &[u64] {
+        &self.deps[..self.ndeps as usize]
+    }
+}
+
 /// The compiled pipeline.  A disciplined replica of
 /// [`crate::pipeline::Pipeline`]'s five stages over the flat uop table —
 /// any semantic divergence is a bug (enforced by the differential fuzz
 /// oracle and the unit tests below).
+///
+/// The run owns its hot state ([`HotState`], moved out of the
+/// [`SimContext`]) and copies of the config scalars the stages read every
+/// cycle, so each is one load from `self` rather than a walk through
+/// `&mut SimContext` or `&MachineConfig` that every ring store would force
+/// the compiler to repeat.
 struct CompiledPipeline<'a, S: TraceSource, O: SimObserver> {
-    cfg: &'a MachineConfig,
+    hot: HotState,
     uops: &'a [Uop],
     source: S,
     scheme: Scheme,
     lat: [u64; 8],
+    fetch_width: usize,
+    commit_width: usize,
+    rob_size: usize,
+    queue_size: [usize; 4],
+    fu_count: [usize; 8],
+    max_inflight_branches: usize,
+    mispredict_recovery: u64,
+    frontend_depth: u64,
+    cache_miss_penalty: u64,
     /// The run errors once `now` passes this cycle.
     budget: u64,
 
@@ -200,11 +289,11 @@ struct CompiledPipeline<'a, S: TraceSource, O: SimObserver> {
     fetch_resume: u64,
     fetch_blocked_by: Option<u64>,
     fpdiv_free_at: u64,
-    /// Oldest `InQueue` seq — head of the issue list threaded through the
-    /// ring via [`Entry::nextq`] (`u64::MAX` = empty).
-    q_head: u64,
-    /// Youngest `InQueue` seq (tail of the issue list).
-    q_tail: u64,
+    /// Slot of the oldest `InQueue` entry — head of the issue list
+    /// threaded through the ring via [`Slot::nextq`] ([`NIL`] = empty).
+    q_head: u32,
+    /// Slot of the youngest `InQueue` entry (tail of the issue list).
+    q_tail: u32,
     /// Instructions committed this cycle (cycle classification input).
     committed_cycle: u8,
     /// Record `(cycle, committed)` when `committed_total` first reaches
@@ -213,11 +302,11 @@ struct CompiledPipeline<'a, S: TraceSource, O: SimObserver> {
     mark_at: u64,
     mark: Option<(u64, u64)>,
 
-    /// Window-ring index mask: `ctx.ring.len() - 1` (the length is a power
+    /// Window-ring index mask: `hot.ring.len() - 1` (the length is a power
     /// of two covering `rob_size`, so the slot of seq `s` is `s & mask`).
     ring_mask: u64,
-    /// Timing-wheel index mask: `ctx.wheel.len() - 1` (the length is a
-    /// power of two sized to cover every latency `cfg` can produce).
+    /// Timing-wheel index mask: `hot.wheel.len() - 1` (the length is a
+    /// power of two sized to cover every latency the config can produce).
     wheel_mask: u64,
     /// Completion events currently held in the wheel (the overflow heap
     /// tracks its own length).
@@ -226,7 +315,6 @@ struct CompiledPipeline<'a, S: TraceSource, O: SimObserver> {
     /// lazily past empty buckets when stall-jumping needs the true value.
     wheel_next: u64,
 
-    ctx: &'a mut SimContext,
     stats: SimStats,
 
     obs: &'a mut O,
@@ -257,41 +345,35 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
         (self.next_seq - self.head_seq) as usize
     }
 
-    /// Ring slot of a live seq.
-    #[inline]
-    fn slot(&self, seq: u64) -> usize {
-        (seq & self.ring_mask) as usize
-    }
-
     /// Oldest live entry, if any.
     #[inline]
-    fn win_front(&self) -> Option<&Entry> {
+    fn win_front(&self) -> Option<&Slot> {
         if self.next_seq == self.head_seq {
             None
         } else {
-            Some(&self.ctx.ring[(self.head_seq & self.ring_mask) as usize])
+            Some(&self.hot.ring[(self.head_seq & self.ring_mask) as usize])
         }
     }
 
     fn dep_ready(&self, seq: u64) -> bool {
         // Committed producers (seq below the window head) are ready.
-        seq < self.head_seq || self.ctx.ring[self.slot(seq)].state == EState::Complete
+        seq < self.head_seq
+            || self.hot.ring[(seq & self.ring_mask) as usize].state == EState::Complete
     }
 
     /// Mark one finished execution complete (shared by the wheel and the
     /// overflow-heap drains).
     #[inline]
-    fn complete_one(&mut self, seq: u64, now: u64, recovery: u64, resume: &mut Option<u64>) {
-        let idx = self.slot(seq);
-        let e = &mut self.ctx.ring[idx];
-        debug_assert!(e.state == EState::Executing && e.finish <= now);
+    fn complete_one(&mut self, slot: u32, now: u64, resume: &mut Option<u64>) {
+        let e = &mut self.hot.ring[slot as usize];
+        debug_assert!(e.state == EState::Executing);
         e.state = EState::Complete;
-        if e.is_cond {
+        if e.flags & COND != 0 {
             self.unresolved_branches -= 1;
         }
-        if e.blocks_fetch {
-            *resume = Some(now + 1 + recovery);
-            e.blocks_fetch = false;
+        if e.flags & BLOCKS_FETCH != 0 {
+            *resume = Some(now + 1 + self.mispredict_recovery);
+            e.flags &= !BLOCKS_FETCH;
         }
     }
 
@@ -300,25 +382,22 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
     fn complete_stage(&mut self) {
         let now = self.now;
         let mut resume: Option<u64> = None;
-        let recovery = self.cfg.mispredict_recovery;
         if self.wheel_count > 0 {
             let bi = (now & self.wheel_mask) as usize;
-            if !self.ctx.wheel[bi].is_empty() {
-                let mut bucket = std::mem::take(&mut self.ctx.wheel[bi]);
-                self.wheel_count -= bucket.len();
-                for &seq in &bucket {
-                    self.complete_one(seq, now, recovery, &mut resume);
-                }
-                bucket.clear();
-                self.ctx.wheel[bi] = bucket; // hand the capacity back
+            let mut cur = std::mem::replace(&mut self.hot.wheel[bi], NIL);
+            while cur != NIL {
+                let next = self.hot.ring[cur as usize].wnext;
+                self.complete_one(cur, now, &mut resume);
+                self.wheel_count -= 1;
+                cur = next;
             }
         }
-        while let Some(&Reverse((finish, seq))) = self.ctx.events.peek() {
+        while let Some(&Reverse((finish, slot))) = self.hot.events.peek() {
             if finish > now {
                 break;
             }
-            self.ctx.events.pop();
-            self.complete_one(seq, now, recovery, &mut resume);
+            self.hot.events.pop();
+            self.complete_one(slot, now, &mut resume);
         }
         if let Some(r) = resume {
             self.fetch_blocked_by = None;
@@ -332,23 +411,24 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
 
     /// Stage 2: in-order commit of up to `commit_width`.
     fn commit_stage(&mut self) {
-        for _ in 0..self.cfg.commit_width {
+        for _ in 0..self.commit_width {
             match self.win_front() {
                 Some(e) if e.state == EState::Complete => {
-                    let e = *e;
-                    self.head_seq = e.seq + 1;
-                    let u = &self.uops[e.id as usize];
+                    let (id, annulled) = (e.id, e.flags & ANNULLED != 0);
+                    let seq = self.head_seq;
+                    self.head_seq = seq + 1;
+                    let u = &self.uops[id as usize];
                     self.queue_len[u.qi as usize] -= 1;
                     self.stats.committed_total += 1;
                     self.committed_cycle = self.committed_cycle.saturating_add(1);
-                    if e.annulled {
+                    if annulled {
                         self.stats.annulled += 1;
                     } else {
                         self.stats.committed += 1;
                     }
                     if let Some(d) = u.def {
-                        if self.ctx.reg_writer[d as usize] == Some(e.seq) {
-                            self.ctx.reg_writer[d as usize] = None;
+                        if self.hot.reg_writer[d as usize] == Some(seq) {
+                            self.hot.reg_writer[d as usize] = None;
                         }
                     }
                     if self.stats.committed_total == self.mark_at {
@@ -362,105 +442,101 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
 
     /// Stage 3: wake-up/select per reservation station, oldest first.
     /// Walks the linked list of `InQueue` entries threaded through the
-    /// ring (`q_head`/`Entry::nextq`) in seq order — the same visit order
+    /// ring (`q_head`/`Slot::nextq`) in seq order — the same visit order
     /// as the interpreted window scan, minus the entries that scan would
     /// skip for not being `InQueue`.  Skipped outright when the list is
     /// empty (the interpreted scan would find nothing, issue nothing, and
     /// charge nothing).
+    ///
+    /// A class is "full" on a cycle when every unit of it issued.  That is
+    /// counted at the issue that fills the class: `issued[ci]` can reach
+    /// `fu_count[ci]` but never pass it, so it equals it at most once a
+    /// cycle, and the interpreted engine's end-of-cycle scan counts the
+    /// same cycles.
     fn issue_stage(&mut self) {
-        if self.q_head == u64::MAX {
+        if self.q_head == NIL {
             return;
         }
         let mut issued = [0usize; 8];
         let now = self.now;
         let mut structural = false;
         let mut delay_at = u64::MAX;
-        let mut prev = u64::MAX;
+        let mut prev = NIL;
         let mut cur = self.q_head;
-        while cur != u64::MAX {
-            let sl = self.slot(cur);
-            let (ready, class, nxt) = {
-                let e = &self.ctx.ring[sl];
-                debug_assert!(e.state == EState::InQueue);
-                if now <= e.disp_cycle + self.cfg.frontend_depth {
-                    // Dispatch is in order and the front-end depth is
-                    // constant, so every younger list entry is also
-                    // still inside its front-end delay: the walk can
-                    // stop here.
-                    delay_at = e.disp_cycle + self.cfg.frontend_depth + 1;
-                    break;
-                }
-                let ready = e.deps().iter().all(|&d| self.dep_ready(d));
-                (ready, e.class, e.nextq)
-            };
-            if !ready {
+        while cur != NIL {
+            let e = &self.hot.ring[cur as usize];
+            debug_assert!(e.state == EState::InQueue);
+            if now < e.eligible {
+                // Dispatch is in order and the front-end depth is
+                // constant, so every younger list entry is also still
+                // inside its front-end delay: the walk can stop here.
+                delay_at = e.eligible;
+                break;
+            }
+            let next = e.nextq;
+            let class = e.class;
+            if !e.deps().iter().all(|&d| self.dep_ready(d)) {
                 prev = cur;
-                cur = nxt;
+                cur = next;
                 continue;
             }
             let ci = class_idx(class);
-            let fus = self.cfg.fu_count[ci];
+            let fus = self.fu_count[ci];
             if class != FuClass::Nop
                 && (issued[ci] >= fus || (class == FuClass::FpDiv && now < self.fpdiv_free_at))
             {
                 // Structural hazard this cycle (FU count or busy divider).
                 structural = true;
                 prev = cur;
-                cur = nxt;
+                cur = next;
                 continue;
             }
             let mut lat = self.lat[ci];
-            let (is_mem, addr, annulled) = {
-                let e = &self.ctx.ring[sl];
-                (e.class == FuClass::LoadStore, e.mem_addr, e.annulled)
-            };
-            let mut dmiss = false;
-            if is_mem && !annulled {
-                let byte = (addr.unwrap_or(0) as u64) << 2;
-                if !self.ctx.dcache.access(byte) {
-                    lat += self.cfg.latencies.cache_miss_penalty;
+            let e = &mut self.hot.ring[cur as usize];
+            if class == FuClass::LoadStore && e.flags & ANNULLED == 0 {
+                if !self.hot.dcache.access((e.mem_addr as u64) << 2) {
+                    lat += self.cache_miss_penalty;
                     self.stats.dcache_misses += 1;
-                    dmiss = true;
+                    if O::ENABLED {
+                        e.flags |= DMISS;
+                    }
                 } else {
                     self.stats.dcache_hits += 1;
                 }
             }
-            let (fin, sq) = {
-                let e = &mut self.ctx.ring[sl];
-                e.state = EState::Executing;
-                e.finish = now + lat;
-                if O::ENABLED {
-                    e.dmiss = dmiss;
-                }
-                (e.finish, e.seq)
-            };
-            // Unlink the issued entry from the InQueue list.
-            if prev == u64::MAX {
-                self.q_head = nxt;
-            } else {
-                let psl = self.slot(prev);
-                self.ctx.ring[psl].nextq = nxt;
-            }
-            if nxt == u64::MAX {
-                self.q_tail = prev;
-            }
-            cur = nxt;
+            e.state = EState::Executing;
+            let fin = now + lat;
             // Completion is observed no earlier than next cycle (the
             // complete stage for `now` already ran), matching the heap
             // engine's `finish <= now` pop condition.
             let due = fin.max(now + 1);
             if due - now <= self.wheel_mask {
-                self.ctx.wheel[(due & self.wheel_mask) as usize].push(sq);
+                let bucket = &mut self.hot.wheel[(due & self.wheel_mask) as usize];
+                e.wnext = *bucket;
+                *bucket = cur;
                 self.wheel_count += 1;
                 if due < self.wheel_next {
                     self.wheel_next = due;
                 }
             } else {
-                self.ctx.events.push(Reverse((fin, sq)));
+                self.hot.events.push(Reverse((fin, cur)));
             }
+            // Unlink the issued entry from the InQueue list.
+            if prev == NIL {
+                self.q_head = next;
+            } else {
+                self.hot.ring[prev as usize].nextq = next;
+            }
+            if next == NIL {
+                self.q_tail = prev;
+            }
+            cur = next;
             if class != FuClass::Nop {
                 issued[ci] += 1;
                 self.stats.fu_issues[ci] += 1;
+                if issued[ci] == fus {
+                    self.stats.fu_full_cycles[ci] += 1;
+                }
                 if class == FuClass::FpDiv {
                     self.fpdiv_free_at = fin;
                 }
@@ -468,12 +544,6 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
         }
         self.structural_retry = structural;
         self.delay_eligible_at = delay_at;
-        for (ci, &n) in issued.iter().enumerate() {
-            let fus = self.cfg.fu_count[ci];
-            if fus != usize::MAX && fus > 0 && n == fus {
-                self.stats.fu_full_cycles[ci] += 1;
-            }
-        }
     }
 
     /// Stage 4: fetch + dispatch through the uop table.
@@ -487,13 +557,13 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
         }
         let uops = self.uops;
         let mut fetched = 0usize;
-        for _ in 0..self.cfg.fetch_width {
+        for _ in 0..self.fetch_width {
             let Some(te) = self.source.cur() else {
                 break;
             };
             let u = &uops[te.id as usize];
 
-            if self.win_len() >= self.cfg.rob_size {
+            if self.win_len() >= self.rob_size {
                 if O::ENABLED {
                     self.capacity_stall = true;
                 }
@@ -501,7 +571,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                 break;
             }
             let qi = u.qi as usize;
-            if self.queue_len[qi] >= self.cfg.queue_size[qi] {
+            if self.queue_len[qi] >= self.queue_size[qi] {
                 if O::ENABLED {
                     self.capacity_stall = true;
                 }
@@ -509,16 +579,16 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                 break;
             }
             let is_cond = u.is_cond;
-            if is_cond && self.unresolved_branches >= self.cfg.max_inflight_branches {
+            if is_cond && self.unresolved_branches >= self.max_inflight_branches {
                 if O::ENABLED {
                     self.capacity_stall = true;
                 }
                 self.fetch_parked = fetched == 0;
                 break;
             }
-            if !self.ctx.icache.access(u.pc) {
+            if !self.hot.icache.access(u.pc) {
                 self.stats.icache_misses += 1;
-                self.fetch_resume = self.now + self.cfg.latencies.cache_miss_penalty;
+                self.fetch_resume = self.now + self.cache_miss_penalty;
                 if O::ENABLED {
                     self.resume_kind = StallKind::Icache;
                 }
@@ -531,7 +601,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
             let mut deps = [0u64; MAX_SRCS];
             let mut ndeps = 0u8;
             for &r in u.uses() {
-                if let Some(s) = self.ctx.reg_writer[r as usize] {
+                if let Some(s) = self.hot.reg_writer[r as usize] {
                     if !self.dep_ready(s) && !deps[..ndeps as usize].contains(&s) {
                         deps[ndeps as usize] = s;
                         ndeps += 1;
@@ -539,34 +609,19 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                 }
             }
             if let Some(d) = u.def {
-                self.ctx.reg_writer[d as usize] = Some(seq);
+                self.hot.reg_writer[d as usize] = Some(seq);
             }
             self.queue_len[qi] += 1;
             if is_cond {
                 self.unresolved_branches += 1;
             }
-            let mut entry = Entry {
-                seq,
-                id: te.id,
-                class: u.class,
-                queue: u.queue,
-                state: EState::InQueue,
-                disp_cycle: self.now,
-                finish: 0,
-                deps,
-                ndeps,
-                mem_addr: te.mem_addr(),
-                blocks_fetch: false,
-                is_cond,
-                annulled: te.annulled(),
-                dmiss: false,
-                nextq: u64::MAX,
-            };
+            let annulled = te.annulled();
+            let mut flags = if is_cond { COND } else { 0 } | if annulled { ANNULLED } else { 0 };
             self.source.advance();
             fetched += 1;
 
             let mut stop_group = false;
-            if let Some(kind) = u.kind.filter(|_| !te.annulled()) {
+            if let Some(kind) = u.kind.filter(|_| !annulled) {
                 let taken = te.taken();
                 if O::ENABLED && matches!(kind, BranchKind::CondDirect | BranchKind::CondLikely) {
                     self.obs.on_branch(te.id);
@@ -578,11 +633,11 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                         if self.scheme.is_perfect() {
                             stop_group = actual;
                         } else {
-                            let pred = self.ctx.bht.predict(u.pc);
-                            self.ctx.bht.update(u.pc, actual);
+                            let pred = self.hot.bht.predict(u.pc);
+                            self.hot.bht.update(u.pc, actual);
                             if pred == actual {
                                 if actual {
-                                    match self.ctx.btb.lookup(u.pc) {
+                                    match self.hot.btb.lookup(u.pc) {
                                         Some(_) => {
                                             self.stats.btb_hits += 1;
                                         }
@@ -593,7 +648,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                                                 self.resume_kind = StallKind::Redirect;
                                             }
                                             if let Some(t) = u.target_pc {
-                                                self.ctx.btb.install(u.pc, t);
+                                                self.hot.btb.install(u.pc, t);
                                             }
                                         }
                                     }
@@ -601,7 +656,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                                 }
                             } else {
                                 self.stats.mispredicts += 1;
-                                entry.blocks_fetch = true;
+                                flags |= BLOCKS_FETCH;
                                 self.fetch_blocked_by = Some(seq);
                                 if O::ENABLED {
                                     self.obs.on_mispredict(te.id, false);
@@ -610,7 +665,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                                 }
                                 if actual {
                                     if let Some(t) = u.target_pc {
-                                        self.ctx.btb.install(u.pc, t);
+                                        self.hot.btb.install(u.pc, t);
                                     }
                                 }
                                 stop_group = true;
@@ -628,7 +683,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                         } else {
                             self.stats.mispredicts += 1;
                             self.stats.likely_mispredicts += 1;
-                            entry.blocks_fetch = true;
+                            flags |= BLOCKS_FETCH;
                             self.fetch_blocked_by = Some(seq);
                             if O::ENABLED {
                                 self.obs.on_mispredict(te.id, true);
@@ -640,7 +695,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                     }
                     BranchKind::DirectJump => {
                         if !self.scheme.is_perfect() {
-                            match self.ctx.btb.lookup(u.pc) {
+                            match self.hot.btb.lookup(u.pc) {
                                 Some(_) => {
                                     self.stats.btb_hits += 1;
                                 }
@@ -651,7 +706,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                                         self.resume_kind = StallKind::Redirect;
                                     }
                                     if let Some(t) = u.target_pc {
-                                        self.ctx.btb.install(u.pc, t);
+                                        self.hot.btb.install(u.pc, t);
                                     }
                                 }
                             }
@@ -672,7 +727,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                             stop_group = true;
                         } else {
                             self.stats.indirect_stalls += 1;
-                            entry.blocks_fetch = true;
+                            flags |= BLOCKS_FETCH;
                             self.fetch_blocked_by = Some(seq);
                             if O::ENABLED {
                                 self.block_site = te.id;
@@ -684,16 +739,25 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
                 }
             }
 
-            let sl = self.slot(entry.seq);
-            self.ctx.ring[sl] = entry;
-            // Append to the InQueue issue list.
-            if self.q_head == u64::MAX {
-                self.q_head = seq;
+            // Write the slot once, in place, and append it to the InQueue
+            // issue list.
+            let sl = (seq & self.ring_mask) as u32;
+            let e = &mut self.hot.ring[sl as usize];
+            e.deps = deps;
+            e.ndeps = ndeps;
+            e.eligible = self.now + self.frontend_depth + 1;
+            e.id = te.id;
+            e.mem_addr = te.mem_addr().unwrap_or(0);
+            e.nextq = NIL;
+            e.state = EState::InQueue;
+            e.class = u.class;
+            e.flags = flags;
+            if self.q_head == NIL {
+                self.q_head = sl;
             } else {
-                let tsl = self.slot(self.q_tail);
-                self.ctx.ring[tsl].nextq = seq;
+                self.hot.ring[self.q_tail as usize].nextq = sl;
             }
-            self.q_tail = seq;
+            self.q_tail = sl;
             if stop_group {
                 break;
             }
@@ -704,7 +768,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
             // once their front-end delay matures.
             self.delay_eligible_at = self
                 .delay_eligible_at
-                .min(self.now + self.cfg.frontend_depth + 1);
+                .min(self.now + self.frontend_depth + 1);
         }
     }
 
@@ -736,15 +800,13 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
             match self.win_front() {
                 None => (CycleBucket::FetchStall, None),
                 Some(e) if e.state == EState::Executing => {
-                    if e.dmiss {
+                    if e.flags & DMISS != 0 {
                         (CycleBucket::DcacheMiss, None)
                     } else {
                         (CycleBucket::FuContention, None)
                     }
                 }
-                Some(e) if self.now <= e.disp_cycle + self.cfg.frontend_depth => {
-                    (CycleBucket::FetchStall, None)
-                }
+                Some(e) if self.now < e.eligible => (CycleBucket::FetchStall, None),
                 Some(_) => (CycleBucket::FuContention, None),
             }
         };
@@ -788,13 +850,13 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
             // Advance the lazy lower bound to the first occupied bucket;
             // every wheel event lies within one wheel span of `now`.
             let mut c = self.wheel_next.max(self.now + 1);
-            while self.ctx.wheel[(c & self.wheel_mask) as usize].is_empty() {
+            while self.hot.wheel[(c & self.wheel_mask) as usize] == NIL {
                 c += 1;
             }
             self.wheel_next = c;
             next = next.min(c);
         }
-        if let Some(&Reverse((finish, _))) = self.ctx.events.peek() {
+        if let Some(&Reverse((finish, _))) = self.hot.events.peek() {
             next = next.min(finish);
         }
         let mut charge_stall = false;
@@ -820,14 +882,14 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
         }
         for q in 0..4 {
             self.stats.queue_occupancy_sum[q] += self.queue_len[q] as u64 * delta;
-            if self.queue_len[q] >= self.cfg.queue_size[q] {
+            if self.queue_len[q] >= self.queue_size[q] {
                 self.stats.queue_full_cycles[q] += delta;
             }
         }
         self.now = next - 1;
     }
 
-    fn run(mut self) -> Result<(SimStats, (u64, u64)), SimError> {
+    fn run(&mut self) -> Result<(SimStats, (u64, u64)), SimError> {
         if self.mark_at == 0 {
             self.mark = Some((0, 0));
         }
@@ -849,7 +911,7 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
             }
             for q in 0..4 {
                 self.stats.queue_occupancy_sum[q] += self.queue_len[q] as u64;
-                if self.queue_len[q] >= self.cfg.queue_size[q] {
+                if self.queue_len[q] >= self.queue_size[q] {
                     self.stats.queue_full_cycles[q] += 1;
                 }
             }
@@ -865,14 +927,15 @@ impl<'a, S: TraceSource, O: SimObserver> CompiledPipeline<'a, S, O> {
         }
         self.stats.cycles = self.now;
         let mark = self.mark.unwrap_or((self.now, self.stats.committed));
-        Ok((self.stats, mark))
+        Ok((std::mem::take(&mut self.stats), mark))
     }
 }
 
 /// Run the compiled pipeline over `source` **without** resetting `ctx` or
 /// notifying the observer — the building block for both exact runs (one
 /// call after `prepare`) and sampled runs (one call per detailed window
-/// over continuously warmed state).
+/// over continuously warmed state).  The run takes `ctx`'s hot state for
+/// its length and hands it back, also when it fails.
 fn run_compiled<S: TraceSource, O: SimObserver>(
     ctx: &mut SimContext,
     comp: &CompiledProgram,
@@ -882,6 +945,7 @@ fn run_compiled<S: TraceSource, O: SimObserver>(
     obs: &mut O,
     mark_at: u64,
 ) -> Result<(SimStats, (u64, u64)), SimError> {
+    let mut hot = ctx.hot.take().expect("hot state is home between runs");
     let lat = latency_table(cfg);
     // Wheel span: the longest possible completion delay (max class latency
     // plus a cache-miss penalty) with headroom, rounded to a power of two.
@@ -889,21 +953,30 @@ fn run_compiled<S: TraceSource, O: SimObserver>(
     // longer latencies spill to the overflow heap instead.
     let span = lat.iter().copied().max().unwrap_or(1) + cfg.latencies.cache_miss_penalty + 2;
     let wheel_len = span.min(1024).next_power_of_two().max(4) as usize;
-    if ctx.wheel.len() != wheel_len {
-        ctx.wheel = vec![Vec::new(); wheel_len];
+    if hot.wheel.len() != wheel_len {
+        hot.wheel = vec![NIL; wheel_len];
     }
     let ring_len = cfg.rob_size.next_power_of_two().max(1);
-    if ctx.ring.len() != ring_len {
-        ctx.ring.clear();
-        ctx.ring.resize(ring_len, Entry::filler());
+    if hot.ring.len() != ring_len {
+        hot.ring.clear();
+        hot.ring.resize(ring_len, Slot::VACANT);
     }
-    let pipe = CompiledPipeline {
-        cfg,
+    let mut pipe = CompiledPipeline {
+        hot,
         uops: &comp.uops,
         budget: BUDGET_PER_ENTRY * source.len() + BUDGET_SLACK,
         source,
         scheme,
         lat,
+        fetch_width: cfg.fetch_width,
+        commit_width: cfg.commit_width,
+        rob_size: cfg.rob_size,
+        queue_size: cfg.queue_size,
+        fu_count: cfg.fu_count,
+        max_inflight_branches: cfg.max_inflight_branches,
+        mispredict_recovery: cfg.mispredict_recovery,
+        frontend_depth: cfg.frontend_depth,
+        cache_miss_penalty: cfg.latencies.cache_miss_penalty,
         now: 0,
         head_seq: 0,
         next_seq: 0,
@@ -912,12 +985,11 @@ fn run_compiled<S: TraceSource, O: SimObserver>(
         fetch_resume: 0,
         fetch_blocked_by: None,
         fpdiv_free_at: 0,
-        q_head: u64::MAX,
-        q_tail: u64::MAX,
+        q_head: NIL,
+        q_tail: NIL,
         committed_cycle: 0,
         mark_at,
         mark: None,
-        ctx,
         stats: SimStats::default(),
         obs,
         structural_retry: false,
@@ -933,7 +1005,9 @@ fn run_compiled<S: TraceSource, O: SimObserver>(
         block_misp: false,
         capacity_stall: false,
     };
-    pipe.run()
+    let res = pipe.run();
+    ctx.hot = Some(pipe.hot);
+    res
 }
 
 /// Exact compiled run over any [`TraceSource`], reusing `ctx` allocations
@@ -1116,10 +1190,10 @@ impl TraceSource for TakeSource<'_, '_> {
 /// BHT and BTB exactly as the detailed fetch stage would (the detailed
 /// miss-then-retry-hit I-cache pair is state-equivalent to one probe:
 /// both leave the line resident and most-recently used), with no timing.
-fn warm_entry(ctx: &mut SimContext, u: &Uop, te: TraceEntry, annulled: bool, perfect: bool) {
-    ctx.icache.access(u.pc);
+fn warm_entry(hot: &mut HotState, u: &Uop, te: TraceEntry, annulled: bool, perfect: bool) {
+    hot.icache.access(u.pc);
     if u.is_mem && !annulled {
-        ctx.dcache.access((te.mem_addr().unwrap_or(0) as u64) << 2);
+        hot.dcache.access((te.mem_addr().unwrap_or(0) as u64) << 2);
     }
     // Annulled predicated branches make no prediction (dispatch squashes
     // them); perfect schemes consult no predictor state at all.
@@ -1129,23 +1203,23 @@ fn warm_entry(ctx: &mut SimContext, u: &Uop, te: TraceEntry, annulled: bool, per
     match u.kind {
         Some(BranchKind::CondDirect) => {
             let actual = te.taken().unwrap_or(false);
-            let pred = ctx.bht.predict(u.pc);
-            ctx.bht.update(u.pc, actual);
+            let pred = hot.bht.predict(u.pc);
+            hot.bht.update(u.pc, actual);
             if pred == actual {
-                if actual && ctx.btb.lookup(u.pc).is_none() {
+                if actual && hot.btb.lookup(u.pc).is_none() {
                     if let Some(t) = u.target_pc {
-                        ctx.btb.install(u.pc, t);
+                        hot.btb.install(u.pc, t);
                     }
                 }
             } else if actual {
                 if let Some(t) = u.target_pc {
-                    ctx.btb.install(u.pc, t);
+                    hot.btb.install(u.pc, t);
                 }
             }
         }
-        Some(BranchKind::DirectJump) if ctx.btb.lookup(u.pc).is_none() => {
+        Some(BranchKind::DirectJump) if hot.btb.lookup(u.pc).is_none() => {
             if let Some(t) = u.target_pc {
-                ctx.btb.install(u.pc, t);
+                hot.btb.install(u.pc, t);
             }
         }
         // Branch-likelies are statically predicted, calls always bubble,
@@ -1196,10 +1270,11 @@ pub fn simulate_sampled_observed_in<O: SimObserver>(
     let perfect = scheme.is_perfect();
     while remaining > 0 {
         let g = gap.min(remaining);
+        let hot = ctx.hot_mut();
         cursor.consume(g, |te| {
             let annulled = te.annulled();
             annulled_warm += annulled as u64;
-            warm_entry(ctx, &comp.uops[te.id as usize], te, annulled, perfect);
+            warm_entry(hot, &comp.uops[te.id as usize], te, annulled, perfect);
         });
         remaining -= g;
         if remaining == 0 {

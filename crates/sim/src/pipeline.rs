@@ -1,5 +1,6 @@
 //! The out-of-order pipeline: fetch → dispatch → issue → execute → commit.
 
+use crate::block::{Slot, NIL};
 use crate::cache::Cache;
 use crate::config::{class_idx, MachineConfig, QueueKind};
 use crate::observe::{CycleBucket, SimObserver};
@@ -7,7 +8,8 @@ use crate::stats::SimStats;
 use guardspec_interp::{PackedIter, PackedTrace, StaticLayout, TraceEntry};
 use guardspec_ir::{FuClass, Opcode, Program, Reg};
 use guardspec_predict::{BranchKind, Btb, Scheme, TwoBitTable};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 /// Maximum source operands per instruction (two register operands plus the
@@ -101,6 +103,8 @@ pub(crate) enum EState {
     Complete,
 }
 
+/// One in-flight instruction of the interpreted engine's window.  The
+/// compiled engine keeps its own, smaller [`crate::block::Slot`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Entry {
     pub(crate) seq: u64,
@@ -124,36 +128,11 @@ pub(crate) struct Entry {
     /// Missed the D-cache at issue (observer bookkeeping; only written
     /// when an observer is enabled).
     pub(crate) dmiss: bool,
-    /// Next `InQueue` seq in the compiled engine's issue list
-    /// (`u64::MAX` = end; unused by the interpreted path).
-    pub(crate) nextq: u64,
 }
 
 impl Entry {
     pub(crate) fn deps(&self) -> &[u64] {
         &self.deps[..self.ndeps as usize]
-    }
-
-    /// Inert slot filler for the compiled engine's window ring — every
-    /// live slot is rewritten by dispatch before it is read.
-    pub(crate) fn filler() -> Entry {
-        Entry {
-            seq: 0,
-            id: 0,
-            class: FuClass::Nop,
-            queue: QueueKind::Integer,
-            state: EState::Complete,
-            disp_cycle: 0,
-            finish: 0,
-            deps: [0; MAX_SRCS],
-            ndeps: 0,
-            mem_addr: None,
-            blocks_fetch: false,
-            is_cond: false,
-            annulled: false,
-            dmiss: false,
-            nextq: u64::MAX,
-        }
     }
 }
 
@@ -305,53 +284,54 @@ impl TraceSource for PackedSource<'_> {
     }
 }
 
-/// Reusable simulator state: the prediction structures, cache models, and
-/// window scratch whose allocations survive across simulations.  Passing
-/// one context to many [`simulate_packed_in`] calls skips per-run
-/// construction; every run still starts from the architectural reset state.
-pub struct SimContext {
+/// The state a simulation touches every cycle: prediction structures,
+/// cache models, the register-writer scoreboard, and the compiled engine's
+/// window ring and completion wheel.  A compiled run moves it out of its
+/// [`SimContext`] for the length of the run (and of each sampling window),
+/// so the stages reach it straight from the pipeline, and hands it back
+/// at the end; both moves copy the struct and allocate nothing.
+pub(crate) struct HotState {
     pub(crate) bht: TwoBitTable,
     pub(crate) btb: Btb,
     pub(crate) icache: Cache,
     pub(crate) dcache: Cache,
-    pub(crate) window: VecDeque<Entry>,
     /// Last dispatched writer (seq) per dense register index.
     pub(crate) reg_writer: Vec<Option<u64>>,
     /// The compiled engine's re-order window: a power-of-two ring indexed
     /// by `seq & (len-1)` (live seqs span `[head_seq, next_seq)`, at most
     /// `rob_size` wide).  Slots are rewritten by dispatch before any read,
     /// so stale contents never need clearing.  The interpreted path keeps
-    /// using `window`.
-    pub(crate) ring: Vec<Entry>,
-    /// Completion timing wheel: `wheel[cycle & mask]` holds the seqs of
-    /// in-flight executions finishing at `cycle`.  Sized by the compiled
+    /// using [`SimContext::window`].
+    pub(crate) ring: Vec<Slot>,
+    /// Completion timing wheel: `wheel[cycle & mask]` heads the list of
+    /// ring slots whose executions finish at `cycle`, threaded through
+    /// [`Slot::wnext`] ([`NIL`] = empty bucket).  Sized by the compiled
     /// engine to cover every latency the config can produce; unused (and
     /// empty) on the interpreted path.
-    pub(crate) wheel: Vec<Vec<u64>>,
+    pub(crate) wheel: Vec<u32>,
     /// Overflow for completion events whose latency exceeds the wheel span
-    /// (possible only under extreme custom configs) — `(finish, seq)`
+    /// (possible only under extreme custom configs) — `(finish, slot)`
     /// min-heap, normally empty.
-    pub(crate) events: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
+    pub(crate) events: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl SimContext {
-    pub fn new(cfg: &MachineConfig) -> SimContext {
-        SimContext {
+impl HotState {
+    fn new(cfg: &MachineConfig) -> HotState {
+        HotState {
             bht: TwoBitTable::new(cfg.bht_entries),
             btb: Btb::new(cfg.btb_sets),
             icache: Cache::new(cfg.icache.0, cfg.icache.1, cfg.icache.2),
             dcache: Cache::new(cfg.dcache.0, cfg.dcache.1, cfg.dcache.2),
-            window: VecDeque::with_capacity(cfg.rob_size),
             reg_writer: vec![None; Reg::DENSE_COUNT],
             ring: Vec::new(),
             wheel: Vec::new(),
-            events: std::collections::BinaryHeap::new(),
+            events: BinaryHeap::new(),
         }
     }
 
     /// Reset to the architectural initial state for `cfg`, reallocating
     /// only the structures whose geometry changed.
-    pub(crate) fn prepare(&mut self, cfg: &MachineConfig) {
+    fn prepare(&mut self, cfg: &MachineConfig) {
         if self.bht.entries() == cfg.bht_entries {
             self.bht.reset();
         } else {
@@ -378,12 +358,44 @@ impl SimContext {
         } else {
             self.dcache = Cache::new(cfg.dcache.0, cfg.dcache.1, cfg.dcache.2);
         }
-        self.window.clear();
         self.reg_writer.fill(None);
-        for b in &mut self.wheel {
-            b.clear();
-        }
+        self.wheel.fill(NIL);
         self.events.clear();
+    }
+}
+
+/// Reusable simulator state whose allocations survive across simulations.
+/// Passing one context to many [`simulate_packed_in`] calls skips per-run
+/// construction; every run still starts from the architectural reset state.
+pub struct SimContext {
+    /// `None` only while a compiled run owns it, or after a run unwound
+    /// mid-way (the next `prepare` rebuilds it).
+    pub(crate) hot: Option<HotState>,
+    /// The interpreted engine's in-order window.
+    pub(crate) window: VecDeque<Entry>,
+}
+
+impl SimContext {
+    pub fn new(cfg: &MachineConfig) -> SimContext {
+        SimContext {
+            hot: Some(HotState::new(cfg)),
+            window: VecDeque::with_capacity(cfg.rob_size),
+        }
+    }
+
+    /// Reset to the architectural initial state for `cfg`, reallocating
+    /// only the structures whose geometry changed.
+    pub(crate) fn prepare(&mut self, cfg: &MachineConfig) {
+        match &mut self.hot {
+            Some(hot) => hot.prepare(cfg),
+            None => self.hot = Some(HotState::new(cfg)),
+        }
+        self.window.clear();
+    }
+
+    /// The hot state, which is home between runs.
+    pub(crate) fn hot_mut(&mut self) -> &mut HotState {
+        self.hot.as_mut().expect("hot state is home between runs")
     }
 }
 
@@ -432,7 +444,8 @@ struct Pipeline<'a, S: TraceSource, O: SimObserver> {
     /// when a full reorder buffer drains through narrow issue ports.
     issue_head: usize,
 
-    ctx: &'a mut SimContext,
+    hot: &'a mut HotState,
+    window: &'a mut VecDeque<Entry>,
     stats: SimStats,
     log: Option<CycleLog>,
     cycle_rec: CycleRecord,
@@ -455,7 +468,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
         if seq < self.head_seq {
             return None; // committed
         }
-        self.ctx.window.get((seq - self.head_seq) as usize)
+        self.window.get((seq - self.head_seq) as usize)
     }
 
     fn dep_ready(&self, seq: u64) -> bool {
@@ -470,7 +483,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
         let now = self.now;
         let mut resume: Option<u64> = None;
         let recovery = self.cfg.mispredict_recovery;
-        for e in self.ctx.window.iter_mut() {
+        for e in self.window.iter_mut() {
             if e.state == EState::Executing && e.finish <= now {
                 e.state = EState::Complete;
                 if e.is_cond {
@@ -497,9 +510,9 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
     /// Stage 2: in-order commit of up to `commit_width`.
     fn commit_stage(&mut self) {
         for _ in 0..self.cfg.commit_width {
-            match self.ctx.window.front() {
+            match self.window.front() {
                 Some(e) if e.state == EState::Complete => {
-                    let e = self.ctx.window.pop_front().unwrap();
+                    let e = self.window.pop_front().unwrap();
                     self.head_seq = e.seq + 1;
                     self.issue_head = self.issue_head.saturating_sub(1);
                     // Reservation-station entries are held until graduation
@@ -516,8 +529,8 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                     }
                     // Clear stale writer pointers.
                     if let Some(d) = self.infos[e.id as usize].def {
-                        if self.ctx.reg_writer[d as usize] == Some(e.seq) {
-                            self.ctx.reg_writer[d as usize] = None;
+                        if self.hot.reg_writer[d as usize] == Some(e.seq) {
+                            self.hot.reg_writer[d as usize] = None;
                         }
                     }
                 }
@@ -538,9 +551,9 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                 *new_head = Some(i);
             }
         };
-        for i in self.issue_head..self.ctx.window.len() {
+        for i in self.issue_head..self.window.len() {
             let (ready, class) = {
-                let e = &self.ctx.window[i];
+                let e = &self.window[i];
                 if e.state != EState::InQueue {
                     continue;
                 }
@@ -570,13 +583,13 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
             // Latency, including D-cache for memory ops.
             let mut lat = self.cfg.latencies.for_class(class);
             let (is_mem, addr, annulled) = {
-                let e = &self.ctx.window[i];
+                let e = &self.window[i];
                 (e.class == FuClass::LoadStore, e.mem_addr, e.annulled)
             };
             let mut dmiss = false;
             if is_mem && !annulled {
                 let byte = (addr.unwrap_or(0) as u64) << 2;
-                if !self.ctx.dcache.access(byte) {
+                if !self.hot.dcache.access(byte) {
                     lat += self.cfg.latencies.cache_miss_penalty;
                     self.stats.dcache_misses += 1;
                     dmiss = true;
@@ -584,7 +597,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                     self.stats.dcache_hits += 1;
                 }
             }
-            let e = &mut self.ctx.window[i];
+            let e = &mut self.window[i];
             e.state = EState::Executing;
             e.finish = now + lat;
             if O::ENABLED {
@@ -599,7 +612,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                 }
             }
         }
-        self.issue_head = new_head.unwrap_or(self.ctx.window.len());
+        self.issue_head = new_head.unwrap_or(self.window.len());
         // A class is "full" this cycle if every unit of the class issued.
         for (ci, &n) in issued.iter().enumerate() {
             let fus = self.cfg.fu_count[ci];
@@ -631,7 +644,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
             let pc = self.layout.pc(te.id);
 
             // Structural checks before consuming.
-            if self.ctx.window.len() >= self.cfg.rob_size {
+            if self.window.len() >= self.cfg.rob_size {
                 if O::ENABLED {
                     self.capacity_stall = true;
                 }
@@ -656,7 +669,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
             }
             // I-cache probe: a miss delays fetch; the probe fills the line
             // so the retry hits.
-            if !self.ctx.icache.access(pc) {
+            if !self.hot.icache.access(pc) {
                 self.stats.icache_misses += 1;
                 self.fetch_resume = self.now + self.cfg.latencies.cache_miss_penalty;
                 if O::ENABLED {
@@ -672,7 +685,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
             let mut deps = [0u64; MAX_SRCS];
             let mut ndeps = 0u8;
             for &u in info.uses() {
-                if let Some(s) = self.ctx.reg_writer[u as usize] {
+                if let Some(s) = self.hot.reg_writer[u as usize] {
                     if !self.dep_ready(s) && !deps[..ndeps as usize].contains(&s) {
                         deps[ndeps as usize] = s;
                         ndeps += 1;
@@ -680,7 +693,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                 }
             }
             if let Some(d) = info.def {
-                self.ctx.reg_writer[d as usize] = Some(seq);
+                self.hot.reg_writer[d as usize] = Some(seq);
             }
             self.queue_len[qi] += 1;
             if is_cond {
@@ -701,7 +714,6 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                 is_cond,
                 annulled: te.annulled(),
                 dmiss: false,
-                nextq: u64::MAX,
             };
             self.source.advance();
 
@@ -722,13 +734,13 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                         if self.scheme.is_perfect() {
                             stop_group = actual;
                         } else {
-                            let pred = self.ctx.bht.predict(pc);
-                            self.ctx.bht.update(pc, actual);
+                            let pred = self.hot.bht.predict(pc);
+                            self.hot.bht.update(pc, actual);
                             if pred == actual {
                                 if actual {
                                     // Taken, correctly predicted: BTB hit is
                                     // free, miss costs a decode redirect.
-                                    match self.ctx.btb.lookup(pc) {
+                                    match self.hot.btb.lookup(pc) {
                                         Some(_) => {
                                             self.stats.btb_hits += 1;
                                         }
@@ -739,7 +751,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                                                 self.resume_kind = StallKind::Redirect;
                                             }
                                             if let Some(t) = info.target_pc {
-                                                self.ctx.btb.install(pc, t);
+                                                self.hot.btb.install(pc, t);
                                             }
                                         }
                                     }
@@ -756,7 +768,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                                 }
                                 if actual {
                                     if let Some(t) = info.target_pc {
-                                        self.ctx.btb.install(pc, t);
+                                        self.hot.btb.install(pc, t);
                                     }
                                 }
                                 stop_group = true;
@@ -791,7 +803,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                         // A BTB hit redirects fetch for free; a miss costs
                         // one decode-redirect bubble and installs the entry.
                         if !self.scheme.is_perfect() {
-                            match self.ctx.btb.lookup(pc) {
+                            match self.hot.btb.lookup(pc) {
                                 Some(_) => {
                                     self.stats.btb_hits += 1;
                                 }
@@ -802,7 +814,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                                         self.resume_kind = StallKind::Redirect;
                                     }
                                     if let Some(t) = info.target_pc {
-                                        self.ctx.btb.install(pc, t);
+                                        self.hot.btb.install(pc, t);
                                     }
                                 }
                             }
@@ -837,7 +849,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
                 }
             }
 
-            self.ctx.window.push_back(entry);
+            self.window.push_back(entry);
             self.cycle_rec.fetched = self.cycle_rec.fetched.saturating_add(1);
             if stop_group {
                 break;
@@ -882,7 +894,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
             // Head-of-window diagnosis.  The head cannot be `Complete`
             // here: complete runs before commit, so a complete head would
             // have committed this cycle (the first arm above).
-            match self.ctx.window.front() {
+            match self.window.front() {
                 None => (CycleBucket::FetchStall, None), // frontend fill
                 Some(e) if e.state == EState::Executing => {
                     if e.dmiss {
@@ -924,7 +936,7 @@ impl<'a, S: TraceSource, O: SimObserver> Pipeline<'a, S, O> {
     }
 
     fn run_logged(mut self) -> Result<(SimStats, Option<CycleLog>), SimError> {
-        while self.source.cur().is_some() || !self.ctx.window.is_empty() {
+        while self.source.cur().is_some() || !self.window.is_empty() {
             self.now += 1;
             if O::ENABLED {
                 self.capacity_stall = false;
@@ -967,6 +979,7 @@ fn simulate_source<S: TraceSource, O: SimObserver>(
     if O::ENABLED {
         obs.on_run_start(infos.len());
     }
+    let SimContext { hot, window } = ctx;
     let pipe = Pipeline {
         cfg,
         infos,
@@ -983,7 +996,8 @@ fn simulate_source<S: TraceSource, O: SimObserver>(
         fetch_blocked_by: None,
         fpdiv_free_at: 0,
         issue_head: 0,
-        ctx,
+        hot: hot.as_mut().expect("prepare restores the hot state"),
+        window,
         stats: SimStats::default(),
         log: (log_cycles > 0).then(|| CycleLog::new(log_cycles)),
         cycle_rec: CycleRecord::default(),
