@@ -32,8 +32,6 @@
 //!   timings or machine-local meta) to `<path>`; byte-identical at any
 //!   `--jobs`, cold or warm cache, and to what the `gsd` server returns
 //!   for the same spec.
-//! * `--no-trace-cache` — do not persist/reuse binary trace blobs
-//!   (`trace-<digest>.bin`) in the results cache; every run re-interprets.
 //! * `--observe` — enable simulator cycle accounting: each cell's artifact
 //!   entry gains `cycle_buckets` (every cycle attributed to exactly one
 //!   cause; the buckets sum to `stats.cycles`) and `top_sites` (the branch
@@ -41,7 +39,7 @@
 //! * `--trace-out <path>` — write a Chrome trace-event timeline of the job
 //!   graph to `<path>`; load it at ui.perfetto.dev or `chrome://tracing`.
 //! * `--no-compile` — use the per-entry interpreted simulator loop instead
-//!   of the compiled block-descriptor engine.  Results (tables, stable
+//!   of the compiled decoded-uop engine.  Results (tables, stable
 //!   artifacts, cycle buckets) are byte-identical; the two engines also
 //!   share cache entries, so comparing them needs a cold cache.
 //! * `--sample` (with `--sample-detail N`, `--sample-warm N`,
@@ -58,26 +56,20 @@
 //! `results/cache/<shard>/<stage>-<digest>.json`, keyed on the program
 //! text, scale, driver options and machine configuration (see
 //! `guardspec_harness::key`).  A warm rerun re-profiles and re-simulates
-//! nothing; delete the directory to force recomputation.  Each run also
-//! appends a `results/BENCH_<n>.json` artifact recording wall time, cache
-//! hit/miss counts and per-stage timings (path reported on stderr).
+//! nothing; delete the directory to force recomputation.  The cache also
+//! keeps each program's packed trace as a binary blob
+//! (`trace-<digest>.bin`), so a warm run interprets nothing either.
+//! `--json`, `--stable-json` and `--trace-out` are the only artifacts a run
+//! writes (paths reported on stderr).
 
 use guardspec_harness::{ExperimentResult, HarnessArgs, RunOptions};
 use guardspec_interp::Profile;
 use guardspec_predict::measure_twobit_accuracy;
 use guardspec_workloads::{all_workloads, Scale, Workload};
-use std::path::Path;
 
 /// Parse the common flags; bad values report to stderr and exit(2).
 pub fn harness_args() -> HarnessArgs {
     HarnessArgs::parse()
-}
-
-/// Parse `--scale` from argv; default Small.  Kept for compatibility —
-/// delegates to the shared harness parser, so a bad value is a clean
-/// stderr + exit(2), never a panic.
-pub fn scale_from_args() -> Scale {
-    harness_args().scale
 }
 
 /// [`RunOptions`] for the parsed flags, with the conventional cache root.
@@ -85,7 +77,6 @@ pub fn run_options(args: &HarnessArgs) -> RunOptions {
     RunOptions {
         jobs: args.jobs,
         cache_dir: Some(guardspec_harness::DEFAULT_CACHE_DIR.into()),
-        trace_cache: !args.no_trace_cache,
         observe: args.observe,
         trace_spans: args.trace_out.is_some(),
         compile: !args.no_compile,
@@ -94,17 +85,10 @@ pub fn run_options(args: &HarnessArgs) -> RunOptions {
     }
 }
 
-/// Emit the standard run artifacts: `results/BENCH_<n>.json` always, plus
-/// `--json <path>` when requested.  Paths are reported on stderr so table
-/// text on stdout stays clean.
+/// Write the artifacts the flags ask for: `--json`, `--stable-json` and
+/// `--trace-out`.  Paths are reported on stderr so table text on stdout
+/// stays clean.
 pub fn finish_artifacts(result: &ExperimentResult, args: &HarnessArgs) {
-    match guardspec_harness::emit_bench_artifact(
-        Path::new(guardspec_harness::DEFAULT_RESULTS_DIR),
-        result,
-    ) {
-        Ok(p) => eprintln!("[artifact] {}", p.display()),
-        Err(e) => eprintln!("[artifact] write failed: {e}"),
-    }
     if let Some(path) = &args.json {
         match guardspec_harness::write_json_file(path, &guardspec_harness::full_json(result)) {
             Ok(()) => eprintln!("[artifact] {}", path.display()),

@@ -1,7 +1,7 @@
 //! Golden stdout: the table binaries must print byte-identical tables no
-//! matter how the work is scheduled — serial or work-stealing, with or
-//! without the trace cache, on either simulator engine, and from cold or
-//! warm trace/stage caches.  Each cold invocation gets a fresh scratch
+//! matter how the work is scheduled — serial or work-stealing, at any log
+//! level, on either simulator engine, and from cold or warm trace/stage
+//! caches.  Each cold invocation gets a fresh scratch
 //! working directory, so its cache/artifact side effects stay out of the
 //! repo; warm invocations deliberately rerun in the same directory.
 
@@ -43,10 +43,6 @@ fn assert_invariant_stdout(bin: &str, name: &str) {
     assert!(!reference.is_empty(), "{name} printed nothing");
     for (tag, args) in [
         ("jobs8", &["--scale", "test", "--jobs", "8"] as &[&str]),
-        (
-            "notracecache",
-            &["--scale", "test", "--jobs", "1", "--no-trace-cache"],
-        ),
         // Structured logging goes to stderr only: cranking the level to
         // debug must not add (or move) a single stdout byte.
         (

@@ -10,14 +10,12 @@
 //! * `--stable-json <path>` — additionally write the run's *stable*
 //!   payload (no timings or machine-local meta) to `<path>`; this is the
 //!   byte-comparable form the simulation server also returns,
-//! * `--no-trace-cache` — do not persist/reuse binary trace blobs under
-//!   `results/cache/`; every run re-interprets.
 //! * `--observe` — run cycle accounting and per-branch-site attribution in
 //!   the simulator and attach the buckets/top-sites to the artifact.
 //! * `--trace-out <path>` — write a Chrome trace-event (Perfetto-loadable)
 //!   span timeline of the job graph to `<path>` (implies span recording).
 //! * `--no-compile` — simulate through the historical per-entry interpreted
-//!   dispatch loop instead of the compiled block-descriptor engine.  Results
+//!   dispatch loop instead of the compiled decoded-uop engine.  Results
 //!   are byte-identical either way (and share cache entries); the flag
 //!   exists for differential testing and benchmarking.
 //! * `--sample` — SMARTS-style interval sampling: simulate short detailed
@@ -54,14 +52,12 @@ pub struct HarnessArgs {
     pub json: Option<PathBuf>,
     /// Where to write the stable (deterministic) payload, if requested.
     pub stable_json: Option<PathBuf>,
-    /// Disable the persistent binary trace cache.
-    pub no_trace_cache: bool,
     /// Enable simulator cycle accounting + per-site attribution.
     pub observe: bool,
     /// Where to write the Chrome trace-event timeline, if requested.
     pub trace_out: Option<PathBuf>,
     /// Use the interpreted per-entry dispatch loop instead of the compiled
-    /// block-descriptor engine (results identical; differential knob).
+    /// decoded-uop engine (results identical; differential knob).
     pub no_compile: bool,
     /// Enable SMARTS-style interval sampling.
     pub sample: bool,
@@ -82,7 +78,6 @@ impl Default for HarnessArgs {
             jobs: 0,
             json: None,
             stable_json: None,
-            no_trace_cache: false,
             observe: false,
             trace_out: None,
             no_compile: false,
@@ -158,10 +153,9 @@ impl HarnessArgs {
                 eprintln!("error: {e}");
                 eprintln!(
                     "usage: [--scale test|small|paper] [--jobs N] [--json <path>] \
-                     [--stable-json <path>] [--no-trace-cache] [--observe] \
-                     [--trace-out <path>] [--no-compile] [--sample] \
-                     [--sample-detail N] [--sample-warm N] [--sample-interval N] \
-                     [--log-level off|error|warn|info|debug]"
+                     [--stable-json <path>] [--observe] [--trace-out <path>] \
+                     [--no-compile] [--sample] [--sample-detail N] [--sample-warm N] \
+                     [--sample-interval N] [--log-level off|error|warn|info|debug]"
                 );
                 std::process::exit(2);
             }
@@ -192,7 +186,6 @@ impl HarnessArgs {
                 "--stable-json" => {
                     out.stable_json = Some(PathBuf::from(take_value(&mut args, "--stable-json")?))
                 }
-                "--no-trace-cache" => out.no_trace_cache = true,
                 "--observe" => out.observe = true,
                 "--no-compile" => out.no_compile = true,
                 "--sample" => out.sample = true,
@@ -389,11 +382,5 @@ mod tests {
         // Parsing set the process-global level; restore the default so
         // other tests in this binary see the usual threshold.
         crate::log::set_level(crate::log::LogLevel::Warn);
-    }
-
-    #[test]
-    fn trace_cache_flag() {
-        assert!(!parse(&[]).unwrap().no_trace_cache);
-        assert!(parse(&["--no-trace-cache"]).unwrap().no_trace_cache);
     }
 }

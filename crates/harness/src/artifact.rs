@@ -1,4 +1,4 @@
-//! Run artifacts: `results/BENCH_<n>.json`.
+//! Run artifacts: what `--json` and `--stable-json` write.
 //!
 //! Two views of an [`ExperimentResult`]:
 //!
@@ -9,17 +9,12 @@
 //! * [`full_json`] — the stable payload plus a `meta` object (jobs,
 //!   wall-clock, cache hit/miss counters) and per-stage wall times, which
 //!   naturally differ run to run.
-//!
-//! [`emit_bench_artifact`] claims the first free `BENCH_<n>.json` under the
-//! results directory with `O_EXCL`, so concurrent binaries never clobber
-//! each other's artifacts.
 
 use crate::codec;
 use crate::json::Json;
 use crate::key::scale_tag;
 use crate::runner::{CellResult, ExperimentResult, StageTiming, WorkloadResult};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 fn workload_stable(w: &WorkloadResult) -> Vec<(&'static str, Json)> {
     vec![
@@ -182,66 +177,4 @@ pub fn write_json_file(path: &Path, json: &Json) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, json.to_pretty())
-}
-
-/// Write the full artifact to the first free `BENCH_<n>.json` under
-/// `results_dir` (n counts up from 1) and return its path.
-pub fn emit_bench_artifact(results_dir: &Path, r: &ExperimentResult) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(results_dir)?;
-    let body = full_json(r).to_pretty();
-    for n in 1u32.. {
-        let path = results_dir.join(format!("BENCH_{n}.json"));
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut f) => {
-                f.write_all(body.as_bytes())?;
-                return Ok(path);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    unreachable!("u32 exhausted")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_numbering_skips_existing() {
-        let dir =
-            std::env::temp_dir().join(format!("guardspec-artifact-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let r = ExperimentResult {
-            name: "t".into(),
-            scale: guardspec_workloads::Scale::Test,
-            jobs: 1,
-            wall_ms: 0.0,
-            cache_hits: 0,
-            cache_misses: 0,
-            interpretations: 0,
-            workloads: Vec::new(),
-            cells: Vec::new(),
-            spans: Vec::new(),
-            metrics: vec![("sim.block_build_us".to_string(), 2)],
-        };
-        let p1 = emit_bench_artifact(&dir, &r).unwrap();
-        let p2 = emit_bench_artifact(&dir, &r).unwrap();
-        assert_eq!(p1.file_name().unwrap(), "BENCH_1.json");
-        assert_eq!(p2.file_name().unwrap(), "BENCH_2.json");
-        // The artifact parses and carries the meta block.
-        let text = std::fs::read_to_string(&p1).unwrap();
-        let j = crate::json::parse(&text).unwrap();
-        assert_eq!(
-            j.get("meta")
-                .and_then(|m| m.get("experiment"))
-                .and_then(Json::as_str),
-            Some("t")
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

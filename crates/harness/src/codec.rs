@@ -4,6 +4,9 @@
 //!   words are hex strings so full-range `u64` bit patterns survive exactly.
 //! * [`SimStats`] — via the `field_list`/`set_field` hooks on the stats
 //!   struct itself, so a field added upstream shows up here automatically.
+//! * [`SimEntry`] — one simulation's cache entry: bare stats, or stats
+//!   wrapped with the cycle accounting and/or sampling estimate the run
+//!   attached.
 //! * [`ReportSummary`] — the transform-report counts the tables print
 //!   (full per-branch decision lists are cheap to recompute and are *not*
 //!   cached).
@@ -382,6 +385,69 @@ pub fn stats_from_json(j: &Json) -> Result<SimStats, String> {
     Ok(s)
 }
 
+/// One simulation's cache entry: its stats, plus cycle accounting when the
+/// run was observed and the interval-sampling estimate when it was sampled.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SimEntry {
+    pub stats: SimStats,
+    pub accounting: Option<CycleAccounting>,
+    pub sampling: Option<SampleSummary>,
+}
+
+/// Bare [`stats_to_json`] when nothing is attached; otherwise
+/// `{stats, accounting?, sampling?}` in that field order.
+pub fn sim_entry_to_json(e: &SimEntry) -> Json {
+    if e.accounting.is_none() && e.sampling.is_none() {
+        return stats_to_json(&e.stats);
+    }
+    let mut fields = vec![("stats", stats_to_json(&e.stats))];
+    if let Some(a) = &e.accounting {
+        fields.push(("accounting", accounting_to_json(a)));
+    }
+    if let Some(s) = &e.sampling {
+        fields.push(("sampling", sample_to_json(s)));
+    }
+    Json::obj(fields)
+}
+
+/// Decode an entry of the shape its key family implies: accounting is
+/// required exactly when `observed`, sampling exactly when `sampled`.
+/// Accounting whose buckets do not sum to the stats' cycles is an error,
+/// so a corrupt entry is a miss, never a wrong attribution table.
+pub fn sim_entry_from_json(j: &Json, observed: bool, sampled: bool) -> Result<SimEntry, String> {
+    if !observed && !sampled {
+        return Ok(SimEntry {
+            stats: stats_from_json(j)?,
+            accounting: None,
+            sampling: None,
+        });
+    }
+    let stats = stats_from_json(j.get("stats").ok_or("no stats")?)?;
+    let accounting = if observed {
+        let a = accounting_from_json(j.get("accounting").ok_or("no accounting")?)?;
+        if a.bucket_sum() != stats.cycles {
+            return Err(format!(
+                "bucket sum {} != cycles {}",
+                a.bucket_sum(),
+                stats.cycles
+            ));
+        }
+        Some(a)
+    } else {
+        None
+    };
+    let sampling = if sampled {
+        Some(sample_from_json(j.get("sampling").ok_or("no sampling")?)?)
+    } else {
+        None
+    };
+    Ok(SimEntry {
+        stats,
+        accounting,
+        sampling,
+    })
+}
+
 fn bitvec_to_json(v: &BitVec) -> Json {
     Json::obj(vec![
         ("len", Json::U64(v.len() as u64)),
@@ -657,6 +723,62 @@ mod tests {
         // Canonical re-encode (warm artifacts must match cold ones).
         assert_eq!(sample_to_json(&back).to_compact(), text);
         assert!(sample_from_json(&parse("{}").unwrap()).is_err());
+    }
+
+    #[test]
+    fn sim_entries_roundtrip_in_every_shape() {
+        let stats = SimStats {
+            cycles: 10,
+            committed: 7,
+            ..SimStats::default()
+        };
+        let mut buckets = [0u64; CycleBucket::COUNT];
+        buckets[CycleBucket::UsefulCommit.index()] = 10;
+        let acct = CycleAccounting::from_parts(buckets, 3, []);
+        let smp = SampleSummary {
+            windows: 2,
+            detail: 50,
+            warmup: 50,
+            interval: 1000,
+            measured_entries: 100,
+            total_entries: 2000,
+            ipc_mean: 0.7,
+            ipc_ci95: 0.01,
+            est_cycles: 2857,
+        };
+        for (observed, sampled) in [(false, false), (true, false), (false, true), (true, true)] {
+            let e = SimEntry {
+                stats: stats.clone(),
+                accounting: observed.then(|| acct.clone()),
+                sampling: sampled.then(|| smp.clone()),
+            };
+            let text = sim_entry_to_json(&e).to_compact();
+            let back = sim_entry_from_json(&parse(&text).unwrap(), observed, sampled).unwrap();
+            assert_eq!(back, e, "observed={observed} sampled={sampled}");
+        }
+        // The plain entry is the bare stats object.
+        let plain = SimEntry {
+            stats: stats.clone(),
+            accounting: None,
+            sampling: None,
+        };
+        assert_eq!(
+            sim_entry_to_json(&plain).to_compact(),
+            stats_to_json(&stats).to_compact()
+        );
+        // Accounting that does not sum to the cycles is a miss.
+        let short = SimEntry {
+            stats: SimStats {
+                cycles: 11,
+                ..stats
+            },
+            accounting: Some(acct),
+            sampling: None,
+        };
+        let text = sim_entry_to_json(&short).to_compact();
+        assert!(sim_entry_from_json(&parse(&text).unwrap(), true, false)
+            .unwrap_err()
+            .contains("bucket sum"));
     }
 
     #[test]

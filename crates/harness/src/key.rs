@@ -9,7 +9,9 @@
 //! * for transforms, every field of [`DriverOptions`] (including every
 //!   [`FeedbackParams`] threshold),
 //! * for simulations, the [`Scheme`] and every field of [`MachineConfig`]
-//!   (including all latencies, queue sizes and unit counts).
+//!   (including all latencies, queue sizes and unit counts), plus every
+//!   [`SampleParams`] field for sampled runs.  The stage tag names the
+//!   entry's payload shape ([`sim_key`]).
 //!
 //! The canonical descriptions below enumerate struct fields *by hand* — if a
 //! field is added upstream it must be added here too, or two configurations
@@ -137,78 +139,42 @@ pub fn transform_key(program_text: &str, scale: Scale, opts: &DriverOptions) -> 
 }
 
 /// Key for a cycle-level simulation of `program_text` under `scheme`/`cfg`.
-pub fn sim_key(program_text: &str, scale: Scale, scheme: Scheme, cfg: &MachineConfig) -> String {
-    stage_key(
-        "sim",
-        program_text,
-        scale,
-        &[&format!("{scheme:?}"), &describe_config(cfg)],
-    )
-}
-
-/// Key for an *observed* simulation (stats + cycle accounting) of
-/// `program_text` under `scheme`/`cfg`.  Distinct from [`sim_key`] so plain
-/// and observed runs never alias each other's payload shapes.
-pub fn obs_sim_key(
+///
+/// The stage tag names the entry's payload shape, so no two shapes ever
+/// share a key: `sim` holds bare stats, `obsim` adds cycle accounting
+/// (`observed`), `smpsim` adds the sampling estimate, and `smpobsim` adds
+/// both.  Sampled keys also hash every [`SampleParams`] field, so each
+/// sampling configuration gets its own entry.
+pub fn sim_key(
     program_text: &str,
     scale: Scale,
     scheme: Scheme,
     cfg: &MachineConfig,
+    sample: Option<&SampleParams>,
+    observed: bool,
 ) -> String {
-    stage_key(
-        "obsim",
-        program_text,
-        scale,
-        &[&format!("{scheme:?}"), &describe_config(cfg)],
-    )
-}
-
-/// Key for a *sampled* simulation ({stats, sampling} payload).  The sample
-/// parameters ride in the extras so every distinct sampling configuration
-/// gets its own entry, and the stage tag differs from [`sim_key`] so a
-/// sampled payload can never alias an exact one.
-pub fn sampled_sim_key(
-    program_text: &str,
-    scale: Scale,
-    scheme: Scheme,
-    cfg: &MachineConfig,
-    sample: &SampleParams,
-) -> String {
-    stage_key(
-        "smpsim",
-        program_text,
-        scale,
-        &[
-            &format!("{scheme:?}"),
-            &describe_config(cfg),
-            &describe_sample(sample),
-        ],
-    )
-}
-
-/// Key for a sampled *observed* simulation ({stats, accounting, sampling}).
-pub fn sampled_obs_sim_key(
-    program_text: &str,
-    scale: Scale,
-    scheme: Scheme,
-    cfg: &MachineConfig,
-    sample: &SampleParams,
-) -> String {
-    stage_key(
-        "smpobsim",
-        program_text,
-        scale,
-        &[
-            &format!("{scheme:?}"),
-            &describe_config(cfg),
-            &describe_sample(sample),
-        ],
-    )
+    let stage = match (sample.is_some(), observed) {
+        (false, false) => "sim",
+        (false, true) => "obsim",
+        (true, false) => "smpsim",
+        (true, true) => "smpobsim",
+    };
+    let scheme = format!("{scheme:?}");
+    let config = describe_config(cfg);
+    let sample = sample.map(describe_sample);
+    let mut extras = vec![scheme.as_str(), config.as_str()];
+    extras.extend(sample.as_deref());
+    stage_key(stage, program_text, scale, &extras)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The plain simulation key of `"prog"` at test scale.
+    fn plain(scheme: Scheme, cfg: &MachineConfig) -> String {
+        sim_key("prog", Scale::Test, scheme, cfg, None, false)
+    }
 
     #[test]
     fn stage_and_inputs_separate_keys() {
@@ -216,7 +182,7 @@ mod tests {
         let cfg = MachineConfig::r10000();
         let p = profile_key("prog", Scale::Test);
         let t = transform_key("prog", Scale::Test, &opts);
-        let s = sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg);
+        let s = plain(Scheme::TwoBit, &cfg);
         let tr = trace_key("prog", Scale::Test);
         assert_ne!(p, t);
         assert_ne!(t, s);
@@ -237,35 +203,32 @@ mod tests {
             profile_key("prog", Scale::Test),
             profile_key("prog2", Scale::Test)
         );
+        assert_ne!(plain(Scheme::TwoBit, &cfg), plain(Scheme::Perfect, &cfg));
+        let observed = |scheme| sim_key("prog", Scale::Test, scheme, &cfg, None, true);
         assert_ne!(
-            sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg),
-            sim_key("prog", Scale::Test, Scheme::Perfect, &cfg)
-        );
-        assert_ne!(
-            obs_sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg),
-            sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg),
+            observed(Scheme::TwoBit),
+            plain(Scheme::TwoBit, &cfg),
             "observed and plain sim keys must not alias"
         );
-        assert_ne!(
-            obs_sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg),
-            obs_sim_key("prog", Scale::Test, Scheme::Perfect, &cfg)
-        );
+        assert_ne!(observed(Scheme::TwoBit), observed(Scheme::Perfect));
     }
 
     #[test]
     fn sampled_keys_are_distinct_and_parameter_sensitive() {
         let cfg = MachineConfig::r10000();
         let base = SampleParams::default();
-        let smp = sampled_sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg, &base);
-        let osmp = sampled_obs_sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg, &base);
+        let key =
+            |sample, observed| sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg, sample, observed);
+        let smp = key(Some(&base), false);
+        let osmp = key(Some(&base), true);
         assert_ne!(
             smp,
-            sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg),
+            key(None, false),
             "sampled and exact sim keys must not alias"
         );
         assert_ne!(
             osmp,
-            obs_sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg),
+            key(None, true),
             "sampled and exact observed keys must not alias"
         );
         assert_ne!(smp, osmp);
@@ -287,17 +250,33 @@ mod tests {
         .iter()
         .enumerate()
         {
-            assert_ne!(
-                smp,
-                sampled_sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg, p),
-                "sample field {i} not keyed"
-            );
+            assert_ne!(smp, key(Some(p), false), "sample field {i} not keyed");
             assert_ne!(
                 osmp,
-                sampled_obs_sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg, p),
+                key(Some(p), true),
                 "sample field {i} not keyed (observed)"
             );
         }
+    }
+
+    /// Existing caches keep hitting only while every family's key stays
+    /// exactly what it was when its entries were written.
+    #[test]
+    fn sim_keys_are_pinned() {
+        let cfg = MachineConfig::r10000();
+        let base = SampleParams::default();
+        let key =
+            |sample, observed| sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg, sample, observed);
+        assert_eq!(key(None, false), "sim-dbab868cf02b22d76b6c64f4ac9ffeb8");
+        assert_eq!(key(None, true), "obsim-76296744fb516f5664020e0b23a9c869");
+        assert_eq!(
+            key(Some(&base), false),
+            "smpsim-d45b89419bf8e63b8d7f7572c9a7cb3c"
+        );
+        assert_eq!(
+            key(Some(&base), true),
+            "smpobsim-ea98d16404bc386e44c2a70f8f634155"
+        );
     }
 
     #[test]

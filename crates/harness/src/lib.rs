@@ -12,9 +12,9 @@
 //! * memoising every stage in a content-addressed on-disk [`cache`] under
 //!   `results/cache/`, keyed by a stable 128-bit hash of the program text,
 //!   scale and full option/config state ([`key`]),
-//! * emitting machine-readable run [`artifact`]s (`results/BENCH_<n>.json`
-//!   and `--json <path>`) with per-stage timings and cache counters via a
-//!   dependency-free [`json`] writer.
+//! * emitting machine-readable run [`artifact`]s (`--json <path>`) with
+//!   per-stage timings and cache counters via a dependency-free [`json`]
+//!   writer.
 //!
 //! The binaries in `guardspec-bench` are thin views over this crate: they
 //! build a spec, run it, and format the paper's tables from the result.
@@ -35,7 +35,7 @@ pub mod spec;
 pub mod trace_out;
 
 pub use args::{parse_jobs, parse_scale, HarnessArgs};
-pub use artifact::{emit_bench_artifact, full_json, stable_json, write_json_file};
+pub use artifact::{full_json, stable_json, write_json_file};
 pub use cache::DiskCache;
 pub use codec::{DecisionSummary, ReportSummary};
 pub use json::Json;

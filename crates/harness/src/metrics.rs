@@ -2,7 +2,7 @@
 //!
 //! Stages increment counters ("sim.block_build_us", "cache.race_lost", …)
 //! through a shared [`MetricsRegistry`]; the artifact layer snapshots them
-//! into the `meta` object of `results/BENCH_<n>.json`.  Counters are sorted
+//! into the `meta` object of the `--json` artifact.  Counters are sorted
 //! by name at snapshot time so the emitted JSON is deterministic regardless
 //! of which worker thread incremented first.
 //!

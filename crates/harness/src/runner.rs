@@ -24,7 +24,9 @@
 //!   interpretation entirely.
 //! * One **simulate** job per cell ("simulate many"): all cells of the same
 //!   program read the packed trace concurrently, each through its own
-//!   decoding cursor.
+//!   decoding cursor.  A cell looks up its one [`key::sim_key`] entry and,
+//!   on a miss, runs `simulate_cell`, the runner's only call into a
+//!   simulator engine, and stores the result.
 //!
 //! Every stage consults the content-addressed [`DiskCache`] first; cold
 //! results are verified against the workload's golden memory image before
@@ -36,7 +38,7 @@
 
 use crate::cache::DiskCache;
 use crate::codec;
-use crate::codec::ReportSummary;
+use crate::codec::{ReportSummary, SimEntry};
 use crate::key;
 use crate::metrics::MetricsRegistry;
 use crate::pool::JobGraph;
@@ -47,8 +49,8 @@ use guardspec_predict::Scheme;
 use guardspec_sim::{
     prepare_program, simulate_compiled_packed_in, simulate_compiled_packed_observed_in,
     simulate_packed_in, simulate_packed_observed_in, simulate_sampled_in,
-    simulate_sampled_observed_in, CompiledProgram, CycleAccounting, PreparedSim, SampleParams,
-    SampleSummary, SimContext, SimStats,
+    simulate_sampled_observed_in, CompiledProgram, CycleAccounting, MachineConfig, PreparedSim,
+    SampleParams, SampleSummary, SimContext, SimError, SimStats,
 };
 use guardspec_workloads::Scale;
 use std::cell::RefCell;
@@ -114,15 +116,10 @@ fn progress_emit(
 pub struct RunOptions {
     /// Worker threads; `0` means one per available core.
     pub jobs: usize,
-    /// Cache root; `None` disables caching entirely.
+    /// Cache root; `None` disables caching entirely.  An enabled cache
+    /// also keeps each program's packed trace as a binary blob, so warm
+    /// runs skip interpretation entirely.
     pub cache_dir: Option<PathBuf>,
-    /// Persist each program's packed trace as a binary blob in the cache so
-    /// warm runs skip interpretation entirely.  Only meaningful with an
-    /// enabled cache.
-    pub trace_cache: bool,
-    /// Total on-disk budget for trace blobs; oldest blobs beyond it are
-    /// evicted after each run ([`DiskCache::gc_blobs`]).
-    pub trace_blob_cap: u64,
     /// Run every simulation under the cycle-accounting observer and attach
     /// [`CycleAccounting`] to each cell.  Off by default: the no-op
     /// observer compiles to the exact uninstrumented hot loop and all
@@ -131,16 +128,15 @@ pub struct RunOptions {
     /// Record per-stage [`Span`]s for the Chrome trace export
     /// (`--trace-out`).
     pub trace_spans: bool,
-    /// Simulate through the compiled block-descriptor engine (the default).
+    /// Simulate through the compiled decoded-uop engine (the default).
     /// `false` restores the per-entry interpreted dispatch loop.  Exact-mode
     /// results are **byte-identical** either way, so this knob is
     /// deliberately *not* part of any cache key — both engines read and
     /// write the same entries.
     pub compile: bool,
     /// SMARTS-style interval sampling parameters; `None` (the default) runs
-    /// every cell exactly.  Sampling forces the compiled engine and switches
-    /// the sim cache entries to a `{stats, sampling}` payload under
-    /// sampling-aware keys.
+    /// every cell exactly.  Sampling forces the compiled engine and adds
+    /// the estimate to the sim cache entries, under sampling-aware keys.
     pub sample: Option<SampleParams>,
     /// Stage start/done notifications ([`ProgressEvent`]) delivered from
     /// pool worker threads as the run advances; `None` emits nothing.
@@ -154,8 +150,6 @@ impl Default for RunOptions {
         RunOptions {
             jobs: 0,
             cache_dir: Some(PathBuf::from("results/cache")),
-            trace_cache: true,
-            trace_blob_cap: 256 * 1024 * 1024,
             observe: false,
             trace_spans: false,
             compile: true,
@@ -263,7 +257,7 @@ impl ExperimentResult {
 struct TraceData {
     prep: PreparedSim,
     trace: PackedTrace,
-    /// Decoded-uop block descriptors ([`RunOptions::compile`] runs only) —
+    /// Decoded-uop descriptors ([`RunOptions::compile`] runs only) —
     /// built once per distinct program, shared by every dependent cell.
     comp: Option<Arc<CompiledProgram>>,
 }
@@ -292,9 +286,7 @@ struct TransformSlot {
 struct SimSlot {
     timing: StageTiming,
     trace_timing: StageTiming,
-    stats: SimStats,
-    accounting: Option<CycleAccounting>,
-    sampling: Option<SampleSummary>,
+    entry: SimEntry,
 }
 
 /// Execute a spec.  Panics (after cancelling outstanding jobs) if any
@@ -325,7 +317,6 @@ pub fn run_experiment_shared(
     let race0 = cache.race_lost();
     let scale = spec.scale;
     let jobs_n = opts.effective_jobs();
-    let use_trace_cache = opts.trace_cache && cache.is_enabled();
     let observe = opts.observe;
     // Sampling needs the compiled engine (functional warming walks the uop
     // descriptors), so it forces it.
@@ -381,7 +372,7 @@ pub fn run_experiment_shared(
             let pkey = key::profile_key(&text, scale);
             let tkey = key::trace_key(&text, scale);
             let exp_digest = expected_digest(&expected);
-            let cached_trace = (wants_trace && use_trace_cache)
+            let cached_trace = wants_trace
                 .then(|| load_trace(&cache, &tkey, &program, exp_digest, compile, &metrics))
                 .flatten();
             let t1 = Instant::now();
@@ -421,12 +412,7 @@ pub fn run_experiment_shared(
             let t2 = Instant::now();
             let trace_data = match packer {
                 Some(packer) => Some(finish_trace(
-                    packer,
-                    &program,
-                    exp_digest,
-                    use_trace_cache.then_some((&*cache, tkey.as_str())),
-                    compile,
-                    &metrics,
+                    packer, &program, exp_digest, &cache, &tkey, compile, &metrics,
                 )),
                 None => cached_trace,
             };
@@ -437,7 +423,7 @@ pub fn run_experiment_shared(
                 let args = vec![("cached".to_string(), cached.to_string())];
                 recorder.record_to(format!("{name} {wname}"), cat, from, to, args);
             };
-            if wants_trace && use_trace_cache {
+            if wants_trace && cache.is_enabled() {
                 span("trace", "trace", t0, t1, trace_cached);
             }
             span("profile", "profile", t1, t2, profile_cached);
@@ -563,9 +549,7 @@ pub fn run_experiment_shared(
                 .expect("transform dependency ran");
             let tkey = key::trace_key(&t.text, scale);
             let exp_digest = expected_digest(&expected);
-            let cached_trace = use_trace_cache
-                .then(|| load_trace(&cache, &tkey, &t.program, exp_digest, compile, &metrics))
-                .flatten();
+            let cached_trace = load_trace(&cache, &tkey, &t.program, exp_digest, compile, &metrics);
             let cached = cached_trace.is_some();
             let data = match cached_trace {
                 Some(d) => d,
@@ -577,12 +561,7 @@ pub fn run_experiment_shared(
                         .unwrap_or_else(|e| panic!("{wname}: trace failed: {e}"));
                     assert_golden(wname, "tracing", &expected, &exec.machine.mem);
                     finish_trace(
-                        packer,
-                        &t.program,
-                        exp_digest,
-                        use_trace_cache.then_some((&*cache, tkey.as_str())),
-                        compile,
-                        &metrics,
+                        packer, &t.program, exp_digest, &cache, &tkey, compile, &metrics,
                     )
                 }
             };
@@ -640,133 +619,29 @@ pub fn run_experiment_shared(
                     (base_text, tr.data.clone(), tr.timing)
                 }
             };
-            let (stats, accounting, sampling, cached) = if let Some(p) = sample {
-                let comp = data
-                    .comp
-                    .as_ref()
-                    .expect("sampling forces compiled descriptors");
-                if observe {
-                    let okey = key::sampled_obs_sim_key(&text, scale, scheme, &cfg, &p);
-                    match load_observed_sampled(&cache, &okey) {
-                        Some((s, a, smp)) => (s, Some(a), Some(smp), true),
-                        None => {
-                            let mut acct = CycleAccounting::new();
-                            let (stats, smp) = SIM_CTX
-                                .with(|ctx| {
-                                    simulate_sampled_observed_in(
-                                        &mut ctx.borrow_mut(),
-                                        comp,
-                                        &data.trace,
-                                        scheme,
-                                        &cfg,
-                                        p,
-                                        &mut acct,
-                                    )
-                                })
-                                .unwrap_or_else(|e| {
-                                    panic!("{wname}/{label}: simulate failed: {e}")
-                                });
-                            acct.check(&stats);
-                            cache.put(
-                                &okey,
-                                &observed_sampled_to_json(&stats, &acct, &smp).to_compact(),
-                            );
-                            let skey = key::sampled_sim_key(&text, scale, scheme, &cfg, &p);
-                            cache.put(&skey, &sampled_to_json(&stats, &smp).to_compact());
-                            (stats, Some(acct), Some(smp), false)
+            let key = key::sim_key(&text, scale, scheme, &cfg, sample.as_ref(), observe);
+            let (entry, cached) = match load_sim(&cache, &key, observe, sample.is_some()) {
+                Some(entry) => (entry, true),
+                None => {
+                    let entry = simulate_cell(&data, scheme, &cfg, sample, observe)
+                        .unwrap_or_else(|e| panic!("{unit}: simulate failed: {e}"));
+                    cache.put(&key, &codec::sim_entry_to_json(&entry).to_compact());
+                    if observe {
+                        // Seed the unobserved entry too, so later unobserved
+                        // runs stay warm.  Only when absent: rewriting an
+                        // existing entry would count as a lost race.
+                        let plain_key =
+                            key::sim_key(&text, scale, scheme, &cfg, sample.as_ref(), false);
+                        if cache.peek(&plain_key).is_none() {
+                            let plain = SimEntry {
+                                stats: entry.stats.clone(),
+                                accounting: None,
+                                sampling: entry.sampling.clone(),
+                            };
+                            cache.put(&plain_key, &codec::sim_entry_to_json(&plain).to_compact());
                         }
                     }
-                } else {
-                    let skey = key::sampled_sim_key(&text, scale, scheme, &cfg, &p);
-                    match load_sampled(&cache, &skey) {
-                        Some((s, smp)) => (s, None, Some(smp), true),
-                        None => {
-                            let (stats, smp) = SIM_CTX
-                                .with(|ctx| {
-                                    simulate_sampled_in(
-                                        &mut ctx.borrow_mut(),
-                                        comp,
-                                        &data.trace,
-                                        scheme,
-                                        &cfg,
-                                        p,
-                                    )
-                                })
-                                .unwrap_or_else(|e| {
-                                    panic!("{wname}/{label}: simulate failed: {e}")
-                                });
-                            cache.put(&skey, &sampled_to_json(&stats, &smp).to_compact());
-                            (stats, None, Some(smp), false)
-                        }
-                    }
-                }
-            } else if observe {
-                let okey = key::obs_sim_key(&text, scale, scheme, &cfg);
-                match load_observed(&cache, &okey) {
-                    Some((s, a)) => (s, Some(a), None, true),
-                    None => {
-                        let mut acct = CycleAccounting::new();
-                        let stats = SIM_CTX
-                            .with(|ctx| {
-                                let ctx = &mut ctx.borrow_mut();
-                                match &data.comp {
-                                    Some(comp) => simulate_compiled_packed_observed_in(
-                                        ctx,
-                                        comp,
-                                        &data.trace,
-                                        scheme,
-                                        &cfg,
-                                        &mut acct,
-                                    ),
-                                    None => simulate_packed_observed_in(
-                                        ctx,
-                                        &data.prep,
-                                        &data.trace,
-                                        scheme,
-                                        &cfg,
-                                        &mut acct,
-                                    ),
-                                }
-                            })
-                            .unwrap_or_else(|e| panic!("{wname}/{label}: simulate failed: {e}"));
-                        acct.check(&stats);
-                        cache.put(&okey, &observed_to_json(&stats, &acct).to_compact());
-                        // Seed the plain entry too: an observed run
-                        // leaves later unobserved runs warm.
-                        let skey = key::sim_key(&text, scale, scheme, &cfg);
-                        cache.put(&skey, &codec::stats_to_json(&stats).to_compact());
-                        (stats, Some(acct), None, false)
-                    }
-                }
-            } else {
-                let key = key::sim_key(&text, scale, scheme, &cfg);
-                match load_stats(&cache, &key) {
-                    Some(s) => (s, None, None, true),
-                    None => {
-                        let stats = SIM_CTX
-                            .with(|ctx| {
-                                let ctx = &mut ctx.borrow_mut();
-                                match &data.comp {
-                                    Some(comp) => simulate_compiled_packed_in(
-                                        ctx,
-                                        comp,
-                                        &data.trace,
-                                        scheme,
-                                        &cfg,
-                                    ),
-                                    None => simulate_packed_in(
-                                        ctx,
-                                        &data.prep,
-                                        &data.trace,
-                                        scheme,
-                                        &cfg,
-                                    ),
-                                }
-                            })
-                            .unwrap_or_else(|e| panic!("{wname}/{label}: simulate failed: {e}"));
-                        cache.put(&key, &codec::stats_to_json(&stats).to_compact());
-                        (stats, None, None, false)
-                    }
+                    (entry, false)
                 }
             };
             recorder.record(
@@ -780,19 +655,17 @@ pub fn run_experiment_shared(
             let _ = slots[ci].set(SimSlot {
                 timing: StageTiming { ms, cached },
                 trace_timing,
-                stats,
-                accounting,
-                sampling,
+                entry,
             });
         });
     }
 
     graph.execute(jobs_n);
 
-    // Keep the blob footprint bounded; JSON stage entries are never evicted.
-    if use_trace_cache {
-        cache.gc_blobs(opts.trace_blob_cap);
-    }
+    // Keep the blob footprint bounded (oldest evicted first); JSON stage
+    // entries are never evicted.
+    const TRACE_BLOB_CAP: u64 = 256 * 1024 * 1024;
+    cache.gc_blobs(TRACE_BLOB_CAP);
 
     // Deterministic collection in spec order — the fifth pipeline stage
     // (after profile/transform/trace/simulate): assemble slot outputs into
@@ -824,13 +697,13 @@ pub fn run_experiment_shared(
                 workload: spec.workloads[cell.workload].name.to_string(),
                 label: cell.label.clone(),
                 scheme: cell.scheme,
-                stats: sim.stats.clone(),
+                stats: sim.entry.stats.clone(),
                 report: transform.map(|t| t.report.clone()),
                 transform_timing: transform.map(|t| t.timing),
                 trace_timing: sim.trace_timing,
                 sim_timing: sim.timing,
-                accounting: sim.accounting.clone(),
-                sampling: sim.sampling.clone(),
+                accounting: sim.entry.accounting.clone(),
+                sampling: sim.entry.sampling.clone(),
             }
         })
         .collect();
@@ -874,20 +747,19 @@ pub fn run_experiment_shared(
 }
 
 /// The trace stage's work after interpretation: frame the packed records,
-/// store their bytes as the cache blob (when `store` names a cache and
-/// key), and build the per-program simulation tables.
+/// store their bytes as the cache blob under `key`, and build the
+/// per-program simulation tables.
 fn finish_trace(
     packer: PackedRecorder,
     program: &guardspec_ir::Program,
     exp_digest: u64,
-    store: Option<(&DiskCache, &str)>,
+    cache: &DiskCache,
+    key: &str,
     compile: bool,
     metrics: &MetricsRegistry,
 ) -> Arc<TraceData> {
     let trace = packer.finish(exp_digest);
-    if let Some((cache, key)) = store {
-        cache.put_bytes(key, trace.blob());
-    }
+    cache.put_bytes(key, trace.blob());
     let prep = prepare_program(program);
     let comp = build_compiled(program, compile, metrics);
     Arc::new(TraceData { prep, trace, comp })
@@ -1041,43 +913,13 @@ fn load_transform(
     }
 }
 
-fn observed_to_json(stats: &SimStats, acct: &CycleAccounting) -> crate::json::Json {
-    crate::json::Json::obj(vec![
-        ("stats", codec::stats_to_json(stats)),
-        ("accounting", codec::accounting_to_json(acct)),
-    ])
-}
-
-fn sampled_to_json(stats: &SimStats, smp: &SampleSummary) -> crate::json::Json {
-    crate::json::Json::obj(vec![
-        ("stats", codec::stats_to_json(stats)),
-        ("sampling", codec::sample_to_json(smp)),
-    ])
-}
-
-fn observed_sampled_to_json(
-    stats: &SimStats,
-    acct: &CycleAccounting,
-    smp: &SampleSummary,
-) -> crate::json::Json {
-    crate::json::Json::obj(vec![
-        ("stats", codec::stats_to_json(stats)),
-        ("accounting", codec::accounting_to_json(acct)),
-        ("sampling", codec::sample_to_json(smp)),
-    ])
-}
-
-/// Load a cached sampled-simulation entry ({stats, sampling}).
-fn load_sampled(cache: &DiskCache, key: &str) -> Option<(SimStats, SampleSummary)> {
+/// A cached simulation entry of the shape its key family implies (see
+/// [`codec::sim_entry_from_json`]).
+fn load_sim(cache: &DiskCache, key: &str, observed: bool, sampled: bool) -> Option<SimEntry> {
     let text = cache.get(key)?;
-    let decode = || -> Result<_, String> {
-        let j = crate::json::parse(&text)?;
-        let stats = codec::stats_from_json(j.get("stats").ok_or("no stats")?)?;
-        let smp = codec::sample_from_json(j.get("sampling").ok_or("no sampling")?)?;
-        Ok((stats, smp))
-    };
-    match decode() {
-        Ok(v) => Some(v),
+    match crate::json::parse(&text).and_then(|j| codec::sim_entry_from_json(&j, observed, sampled))
+    {
+        Ok(e) => Some(e),
         Err(e) => {
             warn_bad_cache(key, &e);
             None
@@ -1085,70 +927,55 @@ fn load_sampled(cache: &DiskCache, key: &str) -> Option<(SimStats, SampleSummary
     }
 }
 
-/// Load a cached sampled+observed entry; the bucket-sum invariant is
-/// re-checked against the aggregate window stats on load.
-fn load_observed_sampled(
-    cache: &DiskCache,
-    key: &str,
-) -> Option<(SimStats, CycleAccounting, SampleSummary)> {
-    let text = cache.get(key)?;
-    let decode = || -> Result<_, String> {
-        let j = crate::json::parse(&text)?;
-        let stats = codec::stats_from_json(j.get("stats").ok_or("no stats")?)?;
-        let acct = codec::accounting_from_json(j.get("accounting").ok_or("no accounting")?)?;
-        if acct.bucket_sum() != stats.cycles {
-            return Err(format!(
-                "bucket sum {} != cycles {}",
-                acct.bucket_sum(),
-                stats.cycles
-            ));
-        }
-        let smp = codec::sample_from_json(j.get("sampling").ok_or("no sampling")?)?;
-        Ok((stats, acct, smp))
-    };
-    match decode() {
-        Ok(v) => Some(v),
-        Err(e) => {
-            warn_bad_cache(key, &e);
-            None
-        }
-    }
-}
-
-/// Load a cached observed-simulation entry (stats + cycle accounting).
-/// The bucket-sum invariant is re-checked on load so a corrupt entry is a
-/// miss, never a wrong attribution table.
-fn load_observed(cache: &DiskCache, key: &str) -> Option<(SimStats, CycleAccounting)> {
-    let text = cache.get(key)?;
-    let decode = || -> Result<_, String> {
-        let j = crate::json::parse(&text)?;
-        let stats = codec::stats_from_json(j.get("stats").ok_or("no stats")?)?;
-        let acct = codec::accounting_from_json(j.get("accounting").ok_or("no accounting")?)?;
-        if acct.bucket_sum() != stats.cycles {
-            return Err(format!(
-                "bucket sum {} != cycles {}",
-                acct.bucket_sum(),
-                stats.cycles
-            ));
-        }
-        Ok((stats, acct))
-    };
-    match decode() {
-        Ok(v) => Some(v),
-        Err(e) => {
-            warn_bad_cache(key, &e);
-            None
-        }
-    }
-}
-
-fn load_stats(cache: &DiskCache, key: &str) -> Option<SimStats> {
-    let text = cache.get(key)?;
-    match crate::json::parse(&text).and_then(|j| codec::stats_from_json(&j)) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            warn_bad_cache(key, &e);
-            None
-        }
-    }
+/// Simulate one cell on this worker's reusable context: the one place the
+/// runner calls a simulator engine.  Sampling needs the compiled tables;
+/// an observed run's cycle accounting is checked against its stats here.
+fn simulate_cell(
+    data: &TraceData,
+    scheme: Scheme,
+    cfg: &MachineConfig,
+    sample: Option<SampleParams>,
+    observe: bool,
+) -> Result<SimEntry, SimError> {
+    let trace = &data.trace;
+    let mut acct = CycleAccounting::new();
+    let (stats, sampling) = SIM_CTX.with(|ctx| -> Result<_, SimError> {
+        let ctx = &mut ctx.borrow_mut();
+        Ok(match (sample, &data.comp, observe) {
+            (Some(p), comp, _) => {
+                let comp = comp.as_ref().expect("sampling forces compiled descriptors");
+                let (stats, smp) = if observe {
+                    simulate_sampled_observed_in(ctx, comp, trace, scheme, cfg, p, &mut acct)?
+                } else {
+                    simulate_sampled_in(ctx, comp, trace, scheme, cfg, p)?
+                };
+                (stats, Some(smp))
+            }
+            (None, Some(comp), true) => (
+                simulate_compiled_packed_observed_in(ctx, comp, trace, scheme, cfg, &mut acct)?,
+                None,
+            ),
+            (None, Some(comp), false) => (
+                simulate_compiled_packed_in(ctx, comp, trace, scheme, cfg)?,
+                None,
+            ),
+            (None, None, true) => (
+                simulate_packed_observed_in(ctx, &data.prep, trace, scheme, cfg, &mut acct)?,
+                None,
+            ),
+            (None, None, false) => (
+                simulate_packed_in(ctx, &data.prep, trace, scheme, cfg)?,
+                None,
+            ),
+        })
+    })?;
+    let accounting = observe.then(|| {
+        acct.check(&stats);
+        acct
+    });
+    Ok(SimEntry {
+        stats,
+        accounting,
+        sampling,
+    })
 }

@@ -28,7 +28,7 @@ pub struct CellSpec {
 
 /// A batch of cells over a fixed workload set.
 pub struct ExperimentSpec {
-    /// Artifact name (`BENCH_<n>.json` records it; usually the binary name).
+    /// Artifact name (`meta.experiment` records it; usually the binary name).
     pub name: String,
     pub scale: Scale,
     pub workloads: Vec<Workload>,

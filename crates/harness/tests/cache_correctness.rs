@@ -3,8 +3,9 @@
 //! zero re-profiles / re-transforms / re-simulations (every stage a hit).
 
 use guardspec_harness::{
-    codec, json, run_experiment, stable_json, ExperimentSpec, Json, RunOptions,
+    codec, json, run_experiment, stable_json, ExperimentResult, ExperimentSpec, Json, RunOptions,
 };
+use guardspec_sim::{SampleParams, SimStats};
 use guardspec_workloads::Scale;
 use std::path::{Path, PathBuf};
 
@@ -282,4 +283,95 @@ fn corrupt_cache_entries_are_recomputed_not_trusted() {
         "recovery run must recompute identical results"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn race_lost(r: &ExperimentResult) -> u64 {
+    r.metrics
+        .iter()
+        .find(|(k, _)| k == "cache.race_lost")
+        .map_or(0, |&(_, v)| v)
+}
+
+/// One cache directory shared by every mode: each run replays what earlier
+/// runs of any mode stored, an observed run seeds the unobserved entry only
+/// when it is absent, and no run rewrites an existing entry (which would
+/// count as a lost race).
+#[test]
+fn one_cache_dir_serves_every_mode() {
+    let spec = ExperimentSpec::three_schemes("modes-test", Scale::Test);
+    // Test traces are ~10k entries; size the sampling windows to them.
+    let sample = SampleParams {
+        detail: 50,
+        warmup: 50,
+        interval: 1000,
+    };
+    // Runs in order, each in the same fresh directory:
+    // (observe, sampled, cache hits, cache misses, interpretations).
+    type Run = (bool, bool, u64, u64, u64);
+    let a: &[Run] = &[
+        (true, false, 0, 28, 8),
+        (false, false, 28, 0, 0),
+        (true, false, 28, 0, 0),
+    ];
+    let b: &[Run] = &[
+        (false, false, 0, 28, 8),
+        (true, false, 16, 12, 0),
+        (false, false, 28, 0, 0),
+        (false, true, 16, 12, 0),
+        (true, true, 16, 12, 0),
+        (false, true, 28, 0, 0),
+    ];
+    for (tag, runs) in [("a", a), ("b", b)] {
+        let dir = scratch(&format!("modes-{tag}"));
+        let mut exact: Option<Vec<SimStats>> = None;
+        let mut sampled_stats: Option<Vec<SimStats>> = None;
+        let mut plain_artifact: Option<String> = None;
+        for (i, &(observe, sampled, hits, misses, interps)) in runs.iter().enumerate() {
+            let what = format!("sequence {tag} run {i} (observe={observe}, sampled={sampled})");
+            let r = run_experiment(
+                &spec,
+                &RunOptions {
+                    jobs: 1,
+                    cache_dir: Some(dir.clone()),
+                    observe,
+                    sample: sampled.then_some(sample),
+                    ..RunOptions::default()
+                },
+            );
+            assert_eq!(
+                (
+                    r.cache_hits,
+                    r.cache_misses,
+                    r.interpretations,
+                    race_lost(&r)
+                ),
+                (hits, misses, interps, 0),
+                "{what}: (hits, misses, interpretations, race_lost)"
+            );
+            for c in &r.cells {
+                assert_eq!(c.accounting.is_some(), observe, "{what}: {}", c.label);
+                assert_eq!(c.sampling.is_some(), sampled, "{what}: {}", c.label);
+            }
+            let stats: Vec<SimStats> = r.cells.iter().map(|c| c.stats.clone()).collect();
+            let first = if sampled {
+                &mut sampled_stats
+            } else {
+                &mut exact
+            };
+            assert_eq!(
+                first.get_or_insert_with(|| stats.clone()),
+                &stats,
+                "{what}: stats differ from the first run of this mode"
+            );
+            if !observe && !sampled {
+                let artifact = stable_json(&r).to_pretty();
+                assert_eq!(
+                    plain_artifact.get_or_insert_with(|| artifact.clone()),
+                    &artifact,
+                    "{what}: plain stable artifact differs"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -116,8 +116,8 @@ proptest! {
         let mut perturbed = base.clone();
         m(&mut perturbed);
         prop_assert_ne!(
-            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &base),
-            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &perturbed),
+            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &base, None, false),
+            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &perturbed, None, false),
             "MachineConfig field {} did not affect the cache key", name
         );
     }
@@ -142,8 +142,8 @@ fn every_field_perturbation_changes_the_key() {
         let mut p = base_c.clone();
         m(&mut p);
         assert_ne!(
-            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &base_c),
-            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &p),
+            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &base_c, None, false),
+            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &p, None, false),
             "MachineConfig field {name} not in the cache key"
         );
     }
@@ -158,8 +158,8 @@ fn scale_scheme_and_text_are_in_the_key() {
         transform_key(TEXT, Scale::Small, &o)
     );
     assert_ne!(
-        sim_key(TEXT, Scale::Test, Scheme::TwoBit, &c),
-        sim_key(TEXT, Scale::Test, Scheme::Perfect, &c)
+        sim_key(TEXT, Scale::Test, Scheme::TwoBit, &c, None, false),
+        sim_key(TEXT, Scale::Test, Scheme::Perfect, &c, None, false)
     );
     assert_ne!(
         transform_key(TEXT, Scale::Test, &o),

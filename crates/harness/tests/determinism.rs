@@ -85,6 +85,10 @@ fn full_artifact_carries_meta_and_timings() {
     let r = run_experiment(&spec, &uncached(2));
     let j = full_json(&r);
     let meta = j.get("meta").expect("meta object");
+    assert_eq!(
+        meta.get("experiment").and_then(|v| v.as_str()),
+        Some("meta-test")
+    );
     assert_eq!(meta.get("jobs").and_then(|v| v.as_u64()), Some(2));
     assert!(meta.get("wall_ms").and_then(|v| v.as_f64()).unwrap() > 0.0);
     // Every cell records a simulate timing; Proposed cells also a transform.

@@ -99,26 +99,6 @@ fn cold_interprets_once_per_distinct_program_and_warm_replays_blobs() {
 }
 
 #[test]
-fn no_trace_cache_writes_no_blobs() {
-    let spec = ExperimentSpec::three_schemes("trace-off", Scale::Test);
-    let dir = scratch("nocache");
-    let mut o = opts(&dir);
-    o.trace_cache = false;
-    let cold = run_experiment(&spec, &o);
-    assert!(cache_files(&dir, |n| n.ends_with(".bin")).is_empty());
-    // Without the blob cache every run re-interprets...
-    let again = run_experiment(&spec, &o);
-    assert_eq!(again.interpretations, cold.interpretations);
-    assert!(again.interpretations > 0);
-    // ...but the stage (JSON) cache still works and the science is stable.
-    assert_eq!(
-        stable_json(&cold).to_pretty(),
-        stable_json(&again).to_pretty()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn corrupt_trace_blobs_are_re_recorded_not_trusted() {
     let dir = scratch("corrupt");
     let spec = ExperimentSpec::three_schemes("trace-corrupt", Scale::Test);

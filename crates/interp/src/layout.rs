@@ -68,17 +68,6 @@ impl StaticLayout {
     pub fn pc_of(&self, site: InsnRef) -> u64 {
         self.pc(self.id(site))
     }
-
-    /// Per-block `(first_site_id, len)` spans in layout order (function,
-    /// then block).  Empty blocks yield zero-length spans.  Ids are
-    /// assigned contiguously in this exact order, so flattening the
-    /// per-function start tables and differencing adjacent bounds
-    /// recovers every span.
-    pub fn block_spans(&self) -> Vec<(u32, u32)> {
-        let mut bounds: Vec<u32> = self.starts.iter().flatten().copied().collect();
-        bounds.push(self.sites.len() as u32);
-        bounds.windows(2).map(|w| (w[0], w[1] - w[0])).collect()
-    }
 }
 
 #[cfg(test)]

@@ -9,9 +9,6 @@
 //!   traces are collected),
 //! * [`layout`] — dense numbering of static instruction sites and their
 //!   pseudo-PCs (what the 512-entry branch-history table indexes),
-//! * [`blocks`] — a block-granular cursor over recorded traces (maximal
-//!   consecutive-site runs), the trace-side half of the compiled
-//!   simulator's decoded-uop cache,
 //! * [`bitvec`] — compact branch-outcome bit vectors ("the previous branch
 //!   outcomes are recorded using bit vectors", Section 5),
 //! * [`profile`] — the profiler observer: per-branch outcome vectors, edge
@@ -24,7 +21,6 @@
 //! * [`wordmem`] — the machine's word memory on fresh anonymous pages.
 
 pub mod bitvec;
-pub mod blocks;
 pub mod exec;
 pub mod layout;
 pub mod machine;
@@ -34,7 +30,6 @@ pub mod tracefile;
 pub mod wordmem;
 
 pub use bitvec::BitVec;
-pub use blocks::{block_of_table, BlockCursor, BlockRun};
 pub use exec::{run, ExecError, ExecResult, ExecSummary, Interp, Observer, RetireEvent};
 pub use layout::StaticLayout;
 pub use machine::Machine;

@@ -1,16 +1,14 @@
-//! Compiled basic-block execution: the decoded-uop cache and the
-//! specialized pipeline that executes it, plus SMARTS-style interval
-//! sampling.
+//! Compiled execution: the decoded-uop cache and the specialized pipeline
+//! that executes it, plus SMARTS-style interval sampling.
 //!
 //! ## Decoded-uop cache
 //!
 //! [`CompiledProgram::build`] decodes every static instruction **once** at
 //! layout time into a flat [`Uop`] descriptor — dense register uses/def,
 //! functional-unit class, reservation-station queue index, branch kind and
-//! resolved taken-target PC — grouped into per-basic-block spans (the
-//! block-granular counterpart lives in [`guardspec_interp::blocks`]).  The
-//! compiled pipeline then executes trace entries against this table with no
-//! per-entry opcode dispatch, no `InsnRef` chasing, and no PC arithmetic.
+//! resolved taken-target PC — indexed by site id.  The compiled pipeline
+//! then executes trace entries against this table with no per-entry opcode
+//! dispatch, no `InsnRef` chasing, and no PC arithmetic.
 //!
 //! ## Exactness contract
 //!
@@ -94,20 +92,15 @@ impl Uop {
     }
 }
 
-/// The decoded-uop cache for one program: flat per-site descriptors plus
-/// per-basic-block spans, built once and shared (read-only) by every
-/// simulation of the program.
+/// The decoded-uop cache for one program: one flat descriptor per static
+/// site, built once and shared (read-only) by every simulation of the
+/// program.
 pub struct CompiledProgram {
-    layout: StaticLayout,
     uops: Vec<Uop>,
-    /// Per-block `(first site id, len)` spans in layout order.
-    blocks: Vec<(u32, u32)>,
-    /// Dense site-id → block-index table.
-    block_of: Vec<u32>,
 }
 
 impl CompiledProgram {
-    /// Decode `prog` into flat block descriptors.
+    /// Decode `prog` into one descriptor per static site.
     pub fn build(prog: &Program) -> CompiledProgram {
         let layout = StaticLayout::build(prog);
         debug_assert!(Reg::DENSE_COUNT <= u8::MAX as usize + 1);
@@ -149,36 +142,7 @@ impl CompiledProgram {
                 is_mem: class == FuClass::LoadStore,
             });
         }
-        let blocks = layout.block_spans();
-        let block_of = guardspec_interp::blocks::block_of_table(&layout);
-        CompiledProgram {
-            layout,
-            uops,
-            blocks,
-            block_of,
-        }
-    }
-
-    pub fn layout(&self) -> &StaticLayout {
-        &self.layout
-    }
-
-    pub fn num_uops(&self) -> usize {
-        self.uops.len()
-    }
-
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Dense block index of a static site.
-    pub fn block_of(&self, site: u32) -> u32 {
-        self.block_of[site as usize]
-    }
-
-    /// `(first site id, len)` of a block's descriptor span.
-    pub fn block_span(&self, block: u32) -> (u32, u32) {
-        self.blocks[block as usize]
+        CompiledProgram { uops }
     }
 }
 
@@ -1475,22 +1439,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, exact_packed(&mut ctx, &comp, &packed(&prog)));
-    }
-
-    #[test]
-    fn descriptors_group_into_blocks() {
-        let prog = mixed_prog();
-        let comp = CompiledProgram::build(&prog);
-        assert_eq!(comp.num_uops(), comp.layout().num_sites());
-        assert!(comp.num_blocks() >= 4);
-        let spanned: u32 = (0..comp.num_blocks() as u32)
-            .map(|b| comp.block_span(b).1)
-            .sum();
-        assert_eq!(spanned as usize, comp.num_uops());
-        for id in 0..comp.num_uops() as u32 {
-            let (first, len) = comp.block_span(comp.block_of(id));
-            assert!(first <= id && id < first + len);
-        }
     }
 
     #[test]

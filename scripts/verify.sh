@@ -44,11 +44,11 @@ rm -rf "$ENGDIR"/results/cache
 cmp "$ENGDIR"/compiled.txt "$ENGDIR"/interp.txt
 rm -rf "$ENGDIR"
 
-echo "== sampling smoke (table3 --sample: estimates present, CI > 0) =="
+echo "== sampling smoke (table3 --sample: estimates present, CI > 0, warm replay) =="
 SMPDIR=$(mktemp -d)
-(cd "$SMPDIR" && "$OLDPWD/target/release/table3" --scale test --sample \
-    --sample-interval 1000 --sample-detail 50 --sample-warm 50 \
-    --stable-json sampled.json > /dev/null)
+SMPARGS=(--scale test --sample --sample-interval 1000 --sample-detail 50 --sample-warm 50)
+(cd "$SMPDIR" && "$OLDPWD/target/release/table3" "${SMPARGS[@]}" \
+    --stable-json sampled.json > cold.txt)
 grep -q '"sampling"' "$SMPDIR"/sampled.json
 # Every cell sampled at this scale yields >= 2 windows, so no cell may
 # report the exact-fallback CI of exactly zero.
@@ -56,6 +56,12 @@ if grep -q '"ipc_ci95": 0\.0[,}]' "$SMPDIR"/sampled.json; then
     echo "sampling smoke: found a zero-width CI" >&2
     exit 1
 fi
+# The sampled entries replay: a warm rerun misses nothing and prints the
+# same table.
+(cd "$SMPDIR" && "$OLDPWD/target/release/table3" "${SMPARGS[@]}" \
+    --json warm.json > warm.txt)
+cmp "$SMPDIR"/cold.txt "$SMPDIR"/warm.txt
+assert_fully_warm "$SMPDIR"/warm.json
 rm -rf "$SMPDIR"
 
 echo "== blockcomp (compiled >= 1.5x, sampled >= 5x on the sim stage) =="
@@ -106,12 +112,24 @@ if find "$WCDIR"/results/cache -name 'transform-*.json' -exec grep -l '"bin"' {}
 fi
 rm -rf "$WCDIR"
 
-echo "== observability (report bin, trace-out validation, decision schema) =="
+echo "== observability (plain then observed table3, report bin, trace-out, decision schema) =="
+# Observability off must not perturb the science: table3 output with and
+# without --observe is byte-identical on stdout.  The observed run follows
+# a plain one in a fresh dir, so its unobserved entries already exist: it
+# must leave them be, not rewrite them and count lost cache races.
+OBSDIR=$(mktemp -d)
+(cd "$OBSDIR" && "$OLDPWD/target/release/table3" --scale test > t3_plain.txt \
+    && "$OLDPWD/target/release/table3" --scale test --observe --json t3_obs.json > t3_obs.txt)
+cmp "$OBSDIR"/t3_plain.txt "$OBSDIR"/t3_obs.txt
+if grep -q '"cache.race_lost"' "$OBSDIR"/t3_obs.json; then
+    echo "observability: an observed run after a plain one lost cache races" >&2
+    grep '"cache.race_lost"' "$OBSDIR"/t3_obs.json >&2
+    exit 1
+fi
 # The report bin runs with cycle accounting forced on: it asserts per cell
 # that the eight cycle buckets sum to stats.cycles and that the decision
 # log carries a reason/action/behavior per visited branch (plus the cost
 # comparison for every gated transform) — the schema check is internal.
-OBSDIR=$(mktemp -d)
 (cd "$OBSDIR" && "$OLDPWD/target/release/report" --scale test --jobs 2 \
     --trace-out trace.json > report.txt)
 test -s "$OBSDIR"/report.txt
@@ -119,11 +137,6 @@ grep -q "mispredict_recovery" "$OBSDIR"/report.txt
 # The emitted Chrome trace-event document must load: required fields
 # present, spans strictly nested per thread.
 "$OLDPWD/target/release/report" --check-trace "$OBSDIR"/trace.json
-# Observability off must not perturb the science: table3 output with and
-# without --observe is byte-identical on stdout.
-(cd "$OBSDIR" && "$OLDPWD/target/release/table3" --scale test > t3_plain.txt \
-    && "$OLDPWD/target/release/table3" --scale test --observe > t3_obs.txt)
-cmp "$OBSDIR"/t3_plain.txt "$OBSDIR"/t3_obs.txt
 rm -rf "$OBSDIR"
 
 echo "== server smoke (2 sharded gsd + gsc sweep vs offline artifact) =="
