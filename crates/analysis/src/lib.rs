@@ -2,7 +2,7 @@
 //!
 //! Control-flow and dataflow analyses over [`guardspec_ir`] functions:
 //!
-//! * [`cfg`] — explicit CFG with predecessor/successor edges and orderings,
+//! * [`cfg`](mod@cfg) — explicit CFG with predecessor/successor edges and orderings,
 //! * [`dom`] — dominator and post-dominator trees (Cooper–Harvey–Kennedy),
 //! * [`loops`] — natural-loop detection (back edges, bodies, exits), the
 //!   unit the paper's Figure-6 algorithm iterates over,

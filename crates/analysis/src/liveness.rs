@@ -4,7 +4,7 @@
 //! treated conservatively: a guarded def is *not* a kill (the old value
 //! survives when the guard is false) but still counts as a def for def-use
 //! queries.  This is exactly the conservatism Section 3 describes: "a clear
-//! demarcation of the different live ranges ... can be [a] complicated task
+//! demarcation of the different live ranges ... can be \[a\] complicated task
 //! especially now that the register lifetimes are conditional.  Most
 //! conservative assumptions need to be made unless a full-blown predicate
 //! analyzer is available."

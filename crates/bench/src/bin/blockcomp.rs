@@ -1,60 +1,56 @@
-//! `blockcomp` — before/after evidence for the compiled block-descriptor
-//! engine and SMARTS-style interval sampling.
+//! `blockcomp` — before/after evidence for the compiled decoded-uop engine
+//! and SMARTS-style interval sampling.
 //!
 //! The workload is the three-schemes matrix (the shape `table3`/`table4`
-//! run): every workload under 2-bit BP, Proposed and Perfect BP.  Three
-//! paths simulate the identical spec with the cache disabled, so the
-//! comparison measures simulation compute, not cache temperature:
+//! run): every workload under 2-bit BP, Proposed and Perfect BP.  Each
+//! cell's inputs are built once, before any timing: the workload's
+//! profile, the cell's program (the Figure-6 transform for the Proposed
+//! cells), and that program's packed trace, reference-engine tables and
+//! compiled uops.  Three paths then simulate every cell from its packed
+//! trace, on one reused `SimContext`:
 //!
-//! * **interpreted** — `compile: false`: the per-entry interpreted
-//!   pipeline loop;
-//! * **compiled** — the decoded-uop engine, exact mode.  Stable artifacts
-//!   must stay byte-identical to the interpreted path;
+//! * **reference** — the interpreted pipeline (`guardspec_sim::reference`);
+//! * **compiled** — the decoded-uop engine, exact mode.  Its `SimStats`
+//!   must equal the reference's, cell by cell;
 //! * **sampled** — the compiled engine under interval sampling: detailed
-//!   windows separated by functional warming.  Per-cell `sampling`
-//!   estimates must cover the exact IPC within their 95% CI.
+//!   windows separated by functional warming.  Every cell's estimate must
+//!   cover the exact IPC within its 95% CI.
 //!
-//! The figure of merit is the **sim-stage wall clock** (the summed
-//! per-cell simulate timings — profile/transform/trace stages are common
-//! to all three paths), compared on the fastest rep per path (noise only
-//! ever adds time).  Reps are interleaved round-robin across the paths so
-//! a sustained load spike on a shared box taxes every path, not just the
-//! one that happened to run inside it.  Asserts the PR's structural and
-//! performance
-//! claims (≥1.5× compiled, ≥5× sampled, CI width > 0, CI covers exact)
-//! and writes `results/BENCH_8.json`.  The file is overwritten on
-//! purpose: it is the PR's before/after evidence, not a per-run log.
+//! The figure of merit is the summed engine time over all cells, compared
+//! on the fastest rep per path (noise only ever adds time).  Reps are
+//! interleaved round-robin across the paths so a sustained load spike on
+//! a shared box taxes every path, not just the one that happened to run
+//! inside it.  Every engine call runs on this thread, one cell after
+//! another, so `--jobs` has no effect and the artifact records one job.
+//! Asserts the structural and performance claims (≥1.5× compiled, ≥5×
+//! sampled, CI width > 0, CI covers exact) and writes
+//! `results/BENCH_8.json`.  The file is overwritten on purpose: it is the
+//! engines' before/after evidence, not a per-run log.
 
 use guardspec_bench::harness_args;
-use guardspec_harness::{
-    run_experiment, stable_json, write_json_file, ExperimentResult, ExperimentSpec, Json,
-    RunOptions,
+use guardspec_core::transform_program;
+use guardspec_harness::{write_json_file, ExperimentSpec, Json};
+use guardspec_interp::profile::profile_program;
+use guardspec_interp::{Interp, PackedRecorder, PackedTrace};
+use guardspec_predict::Scheme;
+use guardspec_sim::reference::{prepare_program, simulate as simulate_reference, PreparedSim};
+use guardspec_sim::{
+    simulate_compiled_packed_in, simulate_sampled_in, CompiledProgram, MachineConfig, PackedSource,
+    SampleParams, SimContext, SimError,
 };
-use guardspec_sim::SampleParams;
 use guardspec_workloads::Scale;
 use std::path::Path;
+use std::time::Instant;
 
 fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Least-noise estimate of a path's sim-stage cost: the fastest rep.
+/// Least-noise estimate of a path's engine cost: the fastest rep.
 /// Scheduler preemption and frequency dips only ever add time, so the
 /// minimum is the most stable cross-rep statistic for a ratio.
 fn best(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Summed per-cell simulate-stage wall time — the cost the compiled
-/// engine and sampling attack.  Cache is disabled, so no cell is cached.
-fn sim_ms(r: &ExperimentResult) -> f64 {
-    r.cells
-        .iter()
-        .map(|c| {
-            assert!(!c.sim_timing.cached, "cache must be disabled");
-            c.sim_timing.ms
-        })
-        .sum()
 }
 
 /// Sampling parameters sized to the scale: test traces are ~10k entries,
@@ -72,156 +68,185 @@ fn sample_params(scale: Scale) -> SampleParams {
     }
 }
 
-struct Measured {
+/// One cell's simulation inputs, built before any timing.
+struct Cell {
+    what: String,
+    scheme: Scheme,
+    cfg: MachineConfig,
+    trace: PackedTrace,
+    prep: PreparedSim,
+    comp: CompiledProgram,
+}
+
+/// Profile, transform and trace every cell of `spec`, as the harness's
+/// profile, transform and trace stages would.
+fn build_cells(spec: &ExperimentSpec) -> Vec<Cell> {
+    let profiles: Vec<_> = spec
+        .workloads
+        .iter()
+        .map(|w| profile_program(&w.program).expect("profiles").0)
+        .collect();
+    spec.cells
+        .iter()
+        .map(|cell| {
+            let w = &spec.workloads[cell.workload];
+            let mut program = w.program.clone();
+            if let Some(options) = &cell.transform {
+                transform_program(&mut program, &profiles[cell.workload], options);
+            }
+            let mut recorder = PackedRecorder::new(&program);
+            Interp::new(&program)
+                .run_with(&mut recorder)
+                .unwrap_or_else(|e| panic!("{}: trace failed: {e}", w.name));
+            let comp = CompiledProgram::build(&program, recorder.layout());
+            Cell {
+                what: format!("{}/{}", w.name, cell.label),
+                scheme: cell.scheme,
+                cfg: cell.cfg.clone(),
+                trace: recorder.finish(0),
+                prep: prepare_program(&program),
+                comp,
+            }
+        })
+        .collect()
+}
+
+/// One path's per-rep engine times, checking that every rep reproduces the
+/// first rep's outputs.
+struct Measured<T> {
+    tag: &'static str,
     sim: Vec<f64>,
-    stable: String,
+    out: Vec<T>,
 }
 
-fn summarize(tag: &str, runs: &[ExperimentResult]) -> Measured {
-    let stable = stable_json(&runs[0]).to_pretty();
-    for r in runs {
-        assert_eq!(
-            stable_json(r).to_pretty(),
-            stable,
-            "{tag}: stable artifact varies across reps"
-        );
+impl<T: PartialEq> Measured<T> {
+    fn new(tag: &'static str) -> Measured<T> {
+        Measured {
+            tag,
+            sim: Vec::new(),
+            out: Vec::new(),
+        }
     }
-    let sim: Vec<f64> = runs.iter().map(sim_ms).collect();
-    for (i, ms) in sim.iter().enumerate() {
+
+    /// Time one rep: one `sim` call per cell, back to back.
+    fn run(&mut self, cells: &[Cell], mut sim: impl FnMut(&Cell) -> Result<T, SimError>) {
+        let tag = self.tag;
+        let t0 = Instant::now();
+        let out: Vec<T> = cells
+            .iter()
+            .map(|c| sim(c).unwrap_or_else(|e| panic!("{}: {tag} run failed: {e}", c.what)))
+            .collect();
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        if self.sim.is_empty() {
+            self.out = out;
+        } else {
+            assert!(out == self.out, "{tag}: results vary across reps");
+        }
+        self.sim.push(ms);
         eprintln!(
-            "[blockcomp] {tag} rep {}/{}: sim stage {:.1} ms",
-            i + 1,
-            sim.len(),
-            ms
+            "[blockcomp] {tag} rep {}: engines {ms:.1} ms",
+            self.sim.len()
         );
     }
-    Measured { sim, stable }
-}
 
-fn measured_json(m: &Measured) -> Json {
-    Json::obj(vec![
-        (
-            "sim_ms",
-            Json::Arr(m.sim.iter().map(|&x| Json::F64(x)).collect()),
-        ),
-        ("sim_ms_mean", Json::F64(mean(&m.sim))),
-        ("sim_ms_best", Json::F64(best(&m.sim))),
-    ])
+    fn json(&self) -> Json {
+        Json::obj(vec![
+            (
+                "sim_ms",
+                Json::Arr(self.sim.iter().map(|&x| Json::F64(x)).collect()),
+            ),
+            ("sim_ms_mean", Json::F64(mean(&self.sim))),
+            ("sim_ms_best", Json::F64(best(&self.sim))),
+        ])
+    }
 }
 
 fn main() {
     let args = harness_args();
     let reps = if args.scale == Scale::Test { 1 } else { 5 };
     let spec = ExperimentSpec::three_schemes("blockcomp", args.scale);
-    let cells = spec.cells.len() as u64;
     let params = sample_params(args.scale);
+    let cells = build_cells(&spec);
+    let ncells = cells.len() as u64;
 
-    let interp_opts = RunOptions {
-        jobs: args.jobs,
-        cache_dir: None,
-        compile: false,
-        ..RunOptions::default()
-    };
-    let compiled_opts = RunOptions {
-        jobs: args.jobs,
-        cache_dir: None,
-        ..RunOptions::default()
-    };
-    let sampled_opts = RunOptions {
-        jobs: args.jobs,
-        cache_dir: None,
-        sample: Some(params),
-        ..RunOptions::default()
-    };
-    let mut interp_runs: Vec<ExperimentResult> = Vec::with_capacity(reps);
-    let mut compiled_runs: Vec<ExperimentResult> = Vec::with_capacity(reps);
-    let mut sampled_runs: Vec<ExperimentResult> = Vec::with_capacity(reps);
+    let mut ctx = SimContext::default();
+    let mut reference = Measured::new("reference");
+    let mut compiled = Measured::new("compiled");
+    let mut sampled = Measured::new("sampled");
     for _ in 0..reps {
-        interp_runs.push(run_experiment(&spec, &interp_opts));
-        compiled_runs.push(run_experiment(&spec, &compiled_opts));
-        sampled_runs.push(run_experiment(&spec, &sampled_opts));
+        reference.run(&cells, |c| {
+            let source = PackedSource::new(&c.trace);
+            simulate_reference(&mut ctx, &c.prep, source, c.scheme, &c.cfg, &mut ())
+        });
+        compiled.run(&cells, |c| {
+            simulate_compiled_packed_in(&mut ctx, &c.comp, &c.trace, c.scheme, &c.cfg)
+        });
+        sampled.run(&cells, |c| {
+            simulate_sampled_in(&mut ctx, &c.comp, &c.trace, c.scheme, &c.cfg, params)
+        });
     }
-    let interp = summarize("interpreted", &interp_runs);
-    let compiled = summarize("compiled", &compiled_runs);
-    let sampled = summarize("sampled", &sampled_runs);
 
     // The engines agree bit for bit; sampling is a different (estimated)
     // payload, checked against the exact run below instead.
-    assert_eq!(
-        interp.stable, compiled.stable,
-        "compiled engine changed the science"
-    );
-    eprintln!("[blockcomp] interpreted and compiled stable artifacts byte-identical");
+    for ((c, r), e) in cells.iter().zip(&reference.out).zip(&compiled.out) {
+        assert_eq!(r, e, "{}: compiled engine changed the science", c.what);
+    }
+    eprintln!("[blockcomp] reference and compiled stats identical on all {ncells} cells");
 
     // Every sampled cell carries an estimate whose 95% CI (which already
     // includes the SMARTS bias allowance) covers the exact-run IPC.
-    let exact_cells = &compiled_runs[0];
     let mut covered = 0u64;
-    for (s, e) in sampled_runs[0].cells.iter().zip(&exact_cells.cells) {
-        assert_eq!((&s.workload, &s.label), (&e.workload, &e.label));
-        let smp = s.sampling.as_ref().unwrap_or_else(|| {
-            panic!(
-                "{}/{}: sampled run carries no estimate",
-                s.workload, s.label
-            )
-        });
+    for ((c, (_, smp)), exact) in cells.iter().zip(&sampled.out).zip(&compiled.out) {
         assert!(
             smp.windows >= 2,
-            "{}/{}: trace too short for sampling ({} windows)",
-            s.workload,
-            s.label,
+            "{}: trace too short for sampling ({} windows)",
+            c.what,
             smp.windows
         );
-        assert!(
-            smp.ipc_ci95 > 0.0,
-            "{}/{}: CI width must be positive",
-            s.workload,
-            s.label
-        );
-        let exact_ipc = e.stats.ipc();
+        assert!(smp.ipc_ci95 > 0.0, "{}: CI width must be positive", c.what);
+        let exact_ipc = exact.ipc();
         if (smp.ipc_mean - exact_ipc).abs() <= smp.ipc_ci95 {
             covered += 1;
         } else {
             eprintln!(
-                "[blockcomp] {}/{}: exact IPC {:.4} outside {:.4} ± {:.4}",
-                s.workload, s.label, exact_ipc, smp.ipc_mean, smp.ipc_ci95
+                "[blockcomp] {}: exact IPC {:.4} outside {:.4} ± {:.4}",
+                c.what, exact_ipc, smp.ipc_mean, smp.ipc_ci95
             );
         }
     }
     assert_eq!(
-        covered, cells,
+        covered, ncells,
         "every cell's CI must cover its exact IPC on this deterministic spec"
     );
-    eprintln!("[blockcomp] all {cells} sampled CIs cover the exact IPC");
+    eprintln!("[blockcomp] all {ncells} sampled CIs cover the exact IPC");
 
-    let compiled_speedup = best(&interp.sim) / best(&compiled.sim);
-    let sampled_speedup = best(&interp.sim) / best(&sampled.sim);
+    let compiled_speedup = best(&reference.sim) / best(&compiled.sim);
+    let sampled_speedup = best(&reference.sim) / best(&sampled.sim);
     println!(
-        "{:<14} {:>10} {:>8}   (scale {:?}, jobs {}, {} cells, interval {} @ {}+{} detail)",
+        "{:<14} {:>10} {:>8}   (scale {:?}, {} cells, interval {} @ {}+{} detail)",
         "path",
         "sim/ms",
         "speedup",
         args.scale,
-        args.jobs,
-        cells,
+        ncells,
         params.interval,
         params.warmup,
         params.detail
     );
-    for (tag, m, s) in [
-        ("interpreted", &interp, 1.0),
-        ("compiled", &compiled, compiled_speedup),
-        ("sampled", &sampled, sampled_speedup),
+    for (tag, sim, s) in [
+        ("reference", &reference.sim, 1.0),
+        ("compiled", &compiled.sim, compiled_speedup),
+        ("sampled", &sampled.sim, sampled_speedup),
     ] {
-        println!("{tag:<14} {:>10.1} {s:>7.2}x", best(&m.sim));
+        println!("{tag:<14} {:>10.1} {s:>7.2}x", best(sim));
     }
     assert!(
         compiled_speedup >= 1.5,
-        "compiled engine must be >= 1.5x on the sim stage (got {compiled_speedup:.2}x)"
+        "compiled engine must be >= 1.5x the reference (got {compiled_speedup:.2}x)"
     );
     assert!(
         sampled_speedup >= 5.0,
-        "sampling must be >= 5x on the sim stage (got {sampled_speedup:.2}x)"
+        "sampling must be >= 5x the reference (got {sampled_speedup:.2}x)"
     );
 
     let json = Json::obj(vec![
@@ -231,12 +256,12 @@ fn main() {
                 ("bench", Json::str("blockcomp")),
                 (
                     "spec",
-                    Json::str("three-schemes matrix, cache disabled, sim-stage wall"),
+                    Json::str("three-schemes matrix, prebuilt inputs, summed engine wall"),
                 ),
                 ("scale", Json::str(format!("{:?}", args.scale))),
-                ("jobs", Json::U64(args.jobs as u64)),
+                ("jobs", Json::U64(1)),
                 ("reps", Json::U64(reps as u64)),
-                ("cells", Json::U64(cells)),
+                ("cells", Json::U64(ncells)),
                 ("sample_detail", Json::U64(params.detail)),
                 ("sample_warmup", Json::U64(params.warmup)),
                 ("sample_interval", Json::U64(params.interval)),
@@ -247,9 +272,9 @@ fn main() {
         (
             "paths",
             Json::obj(vec![
-                ("interpreted", measured_json(&interp)),
-                ("compiled_exact", measured_json(&compiled)),
-                ("sampled", measured_json(&sampled)),
+                ("interpreted", reference.json()),
+                ("compiled_exact", compiled.json()),
+                ("sampled", sampled.json()),
             ]),
         ),
         (

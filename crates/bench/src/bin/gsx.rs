@@ -7,8 +7,10 @@
 //! gsx opt  prog.s            apply the Figure-6 transforms, print the result
 //! gsx sim  prog.s            simulate under all three schemes (cached; accepts
 //!                            --jobs N and --json <path>)
-//! gsx pipeview prog.s [N]    per-cycle pipeline activity for the first N cycles
 //! ```
+//!
+//! For where a program's cycles go, run the `report` bin's cycle
+//! accounting over a workload.
 
 use guardspec_core::{cleanup_program, transform_program, DriverOptions};
 use guardspec_harness::{run_experiment, ExperimentSpec, HarnessArgs, RunOptions};
@@ -21,9 +23,7 @@ use guardspec_sim::MachineConfig;
 use guardspec_workloads::{Scale, Workload};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: gsx <run|prof|opt|sim|pipeview> <file.s> [cycles] [--jobs N] [--json <path>]"
-    );
+    eprintln!("usage: gsx <run|prof|opt|sim> <file.s> [--jobs N] [--json <path>]");
     std::process::exit(2)
 }
 
@@ -187,55 +187,6 @@ fn main() {
                     Err(e) => eprintln!("[artifact] {} write failed: {e}", path.display()),
                 }
             }
-        }
-        "pipeview" => {
-            let n: usize = match args.get(3) {
-                Some(s) => s.parse().unwrap_or_else(|_| {
-                    eprintln!("gsx: bad cycle count {s:?} (want a non-negative integer)");
-                    std::process::exit(2);
-                }),
-                None => 40,
-            };
-            if let Some(extra) = args.get(4) {
-                eprintln!("gsx: {}", guardspec_harness::args::unknown_argument(extra));
-                std::process::exit(2);
-            }
-            let (layout, trace, _) = guardspec_interp::trace::trace_program(&prog).expect("trace");
-            let cfg = MachineConfig::r10000();
-            let (stats, log) = guardspec_sim::simulate_trace_logged(
-                &prog,
-                &layout,
-                &trace,
-                Scheme::TwoBit,
-                &cfg,
-                n,
-            )
-            .expect("sim");
-            let log = log.expect("log");
-            println!(
-                "{:>6} {:>5} {:>5} {:>6} | {:>3} {:>4} {:>4} | fetch state",
-                "cycle", "fetch", "issue", "commit", "BRq", "LDq", "INTq"
-            );
-            for r in &log.records {
-                let issued: u32 = r.issued.iter().map(|&x| x as u32).sum();
-                println!(
-                    "{:>6} {:>5} {:>5} {:>6} | {:>3} {:>4} {:>4} | {}",
-                    r.cycle,
-                    r.fetched,
-                    issued,
-                    r.committed,
-                    r.queue_len[0],
-                    r.queue_len[1],
-                    r.queue_len[2],
-                    if r.fetch_stalled { "STALL" } else { "" }
-                );
-            }
-            println!(
-                "... {} total cycles, IPC {:.3}, {} mispredicts",
-                stats.cycles,
-                stats.ipc(),
-                stats.mispredicts
-            );
         }
         _ => usage(),
     }

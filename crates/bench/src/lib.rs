@@ -38,15 +38,11 @@
 //!   sites costing the most mispredict-recovery cycles).
 //! * `--trace-out <path>` — write a Chrome trace-event timeline of the job
 //!   graph to `<path>`; load it at ui.perfetto.dev or `chrome://tracing`.
-//! * `--no-compile` — use the per-entry interpreted simulator loop instead
-//!   of the compiled decoded-uop engine.  Results (tables, stable
-//!   artifacts, cycle buckets) are byte-identical; the two engines also
-//!   share cache entries, so comparing them needs a cold cache.
 //! * `--sample` (with `--sample-detail N`, `--sample-warm N`,
 //!   `--sample-interval N`) — SMARTS-style interval sampling: per-cell
 //!   `sampling` estimates (mean IPC ± 95% CI, estimated cycles) replace
-//!   the exact whole-trace simulation.  Implies the compiled engine;
-//!   sampled cache entries live under their own keys.
+//!   the exact whole-trace simulation; sampled cache entries live under
+//!   their own keys.
 //!
 //! Unknown flags print the offending argument to stderr and exit 2.
 //!
@@ -79,7 +75,6 @@ pub fn run_options(args: &HarnessArgs) -> RunOptions {
         cache_dir: Some(guardspec_harness::DEFAULT_CACHE_DIR.into()),
         observe: args.observe,
         trace_spans: args.trace_out.is_some(),
-        compile: !args.no_compile,
         sample: args.sample_params(),
         ..RunOptions::default()
     }

@@ -1,7 +1,6 @@
 //! Golden stdout: the table binaries must print byte-identical tables no
 //! matter how the work is scheduled — serial or work-stealing, at any log
-//! level, on either simulator engine, and from cold or warm trace/stage
-//! caches.  Each cold invocation gets a fresh scratch
+//! level, and from cold or warm trace/stage caches.  Each cold invocation gets a fresh scratch
 //! working directory, so its cache/artifact side effects stay out of the
 //! repo; warm invocations deliberately rerun in the same directory.
 
@@ -52,16 +51,6 @@ fn assert_invariant_stdout(bin: &str, name: &str) {
         (
             "debuglog8",
             &["--scale", "test", "--jobs", "8", "--log-level", "debug"],
-        ),
-        // The interpreted per-entry engine must print the same bytes as the
-        // compiled decoded-uop engine (the default), under both schedulers.
-        (
-            "interp",
-            &["--scale", "test", "--jobs", "1", "--no-compile"],
-        ),
-        (
-            "interp8",
-            &["--scale", "test", "--jobs", "8", "--no-compile"],
         ),
     ] {
         let got = run(bin, args, &format!("{name}-{tag}"));

@@ -4,7 +4,7 @@
 //! CFG-shape generator ([`gen`]), a transform-equivalence oracle ([`oracle`])
 //! that checks every `DriverOptions` preset plus randomized option mixes
 //! against the interpreter and both simulation paths, coordinate-descent
-//! shrinking of failing cases ([`shrink`]), and a replayable regression
+//! shrinking of failing cases ([`shrink`](mod@shrink)), and a replayable regression
 //! corpus ([`corpus`], persisted under `tests/corpus/`).
 //!
 //! Long runs go through the `fuzz` binary:

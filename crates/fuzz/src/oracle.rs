@@ -13,11 +13,13 @@
 //!    meaningful register to memory in its epilogue, so anything that matters
 //!    is covered by the memory/store comparison.
 //! 2. **Engine agreement** — for a *single* program, a four-way
-//!    differential: {interpreted, compiled} engine × {materialized slice,
-//!    packed} trace source.  The plain interpreter and every interpretation
-//!    that records a trace must land in the same architectural state
-//!    (int/flt/pred registers and memory), and the recorded trace must
-//!    carry exactly the interpreter's committed stores.  All four runs must
+//!    differential: {reference, compiled} engine × {materialized slice,
+//!    packed} trace source, where the reference is the interpreted
+//!    pipeline in `guardspec_sim::reference`.  The plain interpreter and
+//!    every interpretation that records a trace must land in the same
+//!    architectural state (int/flt/pred registers and memory), and the
+//!    recorded trace must carry exactly the interpreter's committed
+//!    stores.  All four runs must
 //!    produce identical `SimStats` and identical cycle-bucket accounting
 //!    (`CycleAccounting` equality, which covers per-site counters too).
 //!    The packed trace is the one the harness replays, recorded by its own
@@ -41,10 +43,11 @@ use guardspec_ir::reg::{f, p, r};
 use guardspec_ir::validate::validate;
 use guardspec_ir::{Instruction, Opcode, Program};
 use guardspec_predict::Scheme;
+use guardspec_sim::reference::{prepare_program, simulate as simulate_reference};
 use guardspec_sim::{
-    prepare_program, simulate_compiled_packed_in, simulate_compiled_packed_observed_in,
-    simulate_compiled_trace_observed_in, simulate_packed_in, simulate_packed_observed_in,
-    simulate_trace_observed, CompiledProgram, CycleAccounting, MachineConfig, SimContext,
+    simulate_compiled_packed_in, simulate_compiled_packed_observed_in,
+    simulate_compiled_trace_observed_in, CompiledProgram, CycleAccounting, MachineConfig,
+    PackedSource, SimContext, SliceSource,
 };
 use rand::prelude::*;
 
@@ -266,16 +269,18 @@ fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), 
         &reference.machine,
         &exec.machine,
     )?;
+    let prep = prepare_program(prog);
+    let mut ctx = SimContext::new(&cfg);
     let mut acct_interp = CycleAccounting::new();
-    let stats_mat = simulate_trace_observed(
-        prog,
-        &layout,
-        &trace,
+    let stats_mat = simulate_reference(
+        &mut ctx,
+        &prep,
+        SliceSource::new(&trace),
         Scheme::TwoBit,
         &cfg,
         &mut acct_interp,
     )
-    .map_err(|e| format!("{tag}: simulate_trace failed: {e}"))?;
+    .map_err(|e| format!("{tag}: reference simulate failed: {e}"))?;
 
     // The committed-store trace the simulators consume must be exactly the
     // interpreter's: every non-annulled store entry, same addresses, same
@@ -310,8 +315,7 @@ fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), 
 
     // Compiled engine, materialized path: byte-identical stats and cycle
     // accounting to the interpreted pipeline over the same trace.
-    let comp = CompiledProgram::build(prog);
-    let mut ctx = SimContext::new(&cfg);
+    let comp = CompiledProgram::build(prog, &layout);
     let mut acct_comp = CycleAccounting::new();
     let stats_comp = simulate_compiled_trace_observed_in(
         &mut ctx,
@@ -363,7 +367,6 @@ fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), 
             "{tag}: packed trace decodes to different entries than the recorded reference"
         ));
     }
-    let prep = prepare_program(prog);
     for (engine, compiled) in [("interpreted", false), ("compiled", true)] {
         let mut acct = CycleAccounting::new();
         let stats = if compiled {
@@ -376,7 +379,8 @@ fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), 
                 &mut acct,
             )
         } else {
-            simulate_packed_observed_in(&mut ctx, &prep, &packed, Scheme::TwoBit, &cfg, &mut acct)
+            let source = PackedSource::new(&packed);
+            simulate_reference(&mut ctx, &prep, source, Scheme::TwoBit, &cfg, &mut acct)
         }
         .map_err(|e| format!("{tag}: packed {engine} simulate failed: {e}"))?;
         if stats != stats_mat || acct != acct_interp {
@@ -398,7 +402,8 @@ fn check_engines(tag: &str, prog: &Program, reference: &Behavior) -> Result<(), 
     // schemes as a harness worker's is.
     for (machine, cfg) in [("r10000", cfg), ("small-window", small_window_config())] {
         for scheme in Scheme::ALL {
-            let interpreted = simulate_packed_in(&mut ctx, &prep, &packed, scheme, &cfg);
+            let source = PackedSource::new(&packed);
+            let interpreted = simulate_reference(&mut ctx, &prep, source, scheme, &cfg, &mut ());
             let compiled = simulate_compiled_packed_in(&mut ctx, &comp, &packed, scheme, &cfg);
             if interpreted != compiled {
                 return Err(format!(

@@ -12,10 +12,8 @@ use guardspec_fuzz::{case_seed, generate, ShapeParams};
 use guardspec_interp::trace::trace_program;
 use guardspec_interp::{Interp, PackedRecorder};
 use guardspec_predict::Scheme;
-use guardspec_sim::{
-    prepare_program, simulate_packed_observed_in, simulate_trace_observed, CycleAccounting,
-    MachineConfig, SimContext,
-};
+use guardspec_sim::reference::{prepare_program, simulate};
+use guardspec_sim::{CycleAccounting, MachineConfig, PackedSource, SimContext, SliceSource};
 
 const CASES: u64 = 16;
 const BASE_SEED: u64 = 0xacc0_0171;
@@ -33,7 +31,7 @@ fn bucket_sums_equal_cycles_across_trace_sources() {
         let params = ShapeParams::sample(&mut rng);
         let prog = generate(&params, seed);
 
-        let (layout, entries, _exec) = trace_program(&prog).expect("trace");
+        let (_, entries, _exec) = trace_program(&prog).expect("trace");
         if entries.len() > 100 {
             nontrivial += 1;
         }
@@ -49,19 +47,25 @@ fn bucket_sums_equal_cycles_across_trace_sources() {
 
         for scheme in Scheme::ALL {
             let mut slice_acct = CycleAccounting::new();
-            let slice_stats =
-                simulate_trace_observed(&prog, &layout, &entries, scheme, &cfg, &mut slice_acct)
-                    .expect("simulate slice");
+            let slice_stats = simulate(
+                &mut SimContext::new(&cfg),
+                &prep,
+                SliceSource::new(&entries),
+                scheme,
+                &cfg,
+                &mut slice_acct,
+            )
+            .expect("simulate slice");
             // The invariant set: buckets sum to cycles, site counters sum
             // to the aggregate mispredict statistics.
             slice_acct.check(&slice_stats);
 
             let mut ctx = SimContext::new(&cfg);
             let mut packed_acct = CycleAccounting::new();
-            let packed_stats = simulate_packed_observed_in(
+            let packed_stats = simulate(
                 &mut ctx,
                 &prep,
-                &packed,
+                PackedSource::new(&packed),
                 scheme,
                 &cfg,
                 &mut packed_acct,

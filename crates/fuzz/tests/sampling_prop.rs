@@ -54,7 +54,7 @@ fn sampled_ci_covers_exact_ipc_at_nominal_rate() {
         let prog = generate(&params, seed);
         let (layout, trace, _) = trace_program(&prog).expect("generated program runs");
         let shared = tracefile::pack(&layout, &trace, 0);
-        let comp = CompiledProgram::build(&prog);
+        let comp = CompiledProgram::build(&prog, &layout);
         let exact = simulate_compiled_packed_in(&mut ctx, &comp, &shared, Scheme::TwoBit, &cfg)
             .expect("exact run");
         let (_, s1) = simulate_sampled_in(&mut ctx, &comp, &shared, Scheme::TwoBit, &cfg, sp)

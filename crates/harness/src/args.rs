@@ -14,14 +14,10 @@
 //!   the simulator and attach the buckets/top-sites to the artifact.
 //! * `--trace-out <path>` — write a Chrome trace-event (Perfetto-loadable)
 //!   span timeline of the job graph to `<path>` (implies span recording).
-//! * `--no-compile` — simulate through the historical per-entry interpreted
-//!   dispatch loop instead of the compiled decoded-uop engine.  Results
-//!   are byte-identical either way (and share cache entries); the flag
-//!   exists for differential testing and benchmarking.
 //! * `--sample` — SMARTS-style interval sampling: simulate short detailed
 //!   windows, functionally warm the predictors/caches between them, and
 //!   attach a per-cell `sampling` estimate (mean IPC ± 95% CI) to the
-//!   artifact.  Forces the compiled engine.
+//!   artifact.
 //! * `--sample-detail N` / `--sample-warm N` / `--sample-interval N` —
 //!   override the measured/warm-up/total entries per sampling interval
 //!   (each implies `--sample`).
@@ -56,9 +52,6 @@ pub struct HarnessArgs {
     pub observe: bool,
     /// Where to write the Chrome trace-event timeline, if requested.
     pub trace_out: Option<PathBuf>,
-    /// Use the interpreted per-entry dispatch loop instead of the compiled
-    /// decoded-uop engine (results identical; differential knob).
-    pub no_compile: bool,
     /// Enable SMARTS-style interval sampling.
     pub sample: bool,
     /// Measured entries per sampling window.
@@ -80,7 +73,6 @@ impl Default for HarnessArgs {
             stable_json: None,
             observe: false,
             trace_out: None,
-            no_compile: false,
             sample: false,
             sample_detail: SampleParams::default().detail,
             sample_warm: SampleParams::default().warmup,
@@ -154,7 +146,7 @@ impl HarnessArgs {
                 eprintln!(
                     "usage: [--scale test|small|paper] [--jobs N] [--json <path>] \
                      [--stable-json <path>] [--observe] [--trace-out <path>] \
-                     [--no-compile] [--sample] [--sample-detail N] [--sample-warm N] \
+                     [--sample] [--sample-detail N] [--sample-warm N] \
                      [--sample-interval N] [--log-level off|error|warn|info|debug]"
                 );
                 std::process::exit(2);
@@ -187,7 +179,6 @@ impl HarnessArgs {
                     out.stable_json = Some(PathBuf::from(take_value(&mut args, "--stable-json")?))
                 }
                 "--observe" => out.observe = true,
-                "--no-compile" => out.no_compile = true,
                 "--sample" => out.sample = true,
                 "--sample-detail" => {
                     out.sample = true;
@@ -327,8 +318,10 @@ mod tests {
 
     #[test]
     fn no_compile_flag() {
-        assert!(!parse(&[]).unwrap().no_compile);
-        assert!(parse(&["--no-compile"]).unwrap().no_compile);
+        // The interpreted engine is test-only, so `--no-compile` is an
+        // unknown argument like any other.
+        let err = parse(&["--no-compile", "--scale", "test"]).unwrap_err();
+        assert_eq!(err, unknown_argument("--no-compile"));
     }
 
     #[test]

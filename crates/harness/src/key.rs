@@ -7,7 +7,7 @@
 //!   the program's data section, so text fully determines execution),
 //! * the **scale** tag,
 //! * for transforms, every field of [`DriverOptions`] (including every
-//!   [`FeedbackParams`] threshold),
+//!   [`FeedbackParams`](guardspec_core::FeedbackParams) threshold),
 //! * for simulations, the [`Scheme`] and every field of [`MachineConfig`]
 //!   (including all latencies, queue sizes and unit counts), plus every
 //!   [`SampleParams`] field for sampled runs.  The stage tag names the
@@ -99,10 +99,7 @@ pub fn describe_config(c: &MachineConfig) -> String {
 
 /// Canonical `name=value` listing of every [`SampleParams`] field.  Only
 /// appended to simulation keys when sampling is on: an unsampled run's key
-/// is unchanged, and the **engine choice is deliberately not keyed** — the
-/// compiled and interpreted pipelines are contractually byte-identical in
-/// exact mode (the differential fuzz oracle enforces it), so their results
-/// are interchangeable cache entries.
+/// is unchanged.  No engine is keyed: the runner has one.
 pub fn describe_sample(p: &SampleParams) -> String {
     format!(
         "detail={};warmup={};interval={}",

@@ -44,13 +44,12 @@ use crate::metrics::MetricsRegistry;
 use crate::pool::JobGraph;
 use crate::spec::ExperimentSpec;
 use crate::trace_out::{Span, SpanRecorder};
-use guardspec_interp::{tracefile, Interp, PackedRecorder, PackedTrace, Profile};
+use guardspec_interp::{tracefile, Interp, PackedRecorder, PackedTrace, Profile, StaticLayout};
 use guardspec_predict::Scheme;
 use guardspec_sim::{
-    prepare_program, simulate_compiled_packed_in, simulate_compiled_packed_observed_in,
-    simulate_packed_in, simulate_packed_observed_in, simulate_sampled_in,
-    simulate_sampled_observed_in, CompiledProgram, CycleAccounting, MachineConfig, PreparedSim,
-    SampleParams, SampleSummary, SimContext, SimError, SimStats,
+    simulate_compiled_packed_in, simulate_compiled_packed_observed_in, simulate_sampled_in,
+    simulate_sampled_observed_in, CompiledProgram, CycleAccounting, MachineConfig, SampleParams,
+    SampleSummary, SimContext, SimError, SimStats,
 };
 use guardspec_workloads::Scale;
 use std::cell::RefCell;
@@ -128,15 +127,9 @@ pub struct RunOptions {
     /// Record per-stage [`Span`]s for the Chrome trace export
     /// (`--trace-out`).
     pub trace_spans: bool,
-    /// Simulate through the compiled decoded-uop engine (the default).
-    /// `false` restores the per-entry interpreted dispatch loop.  Exact-mode
-    /// results are **byte-identical** either way, so this knob is
-    /// deliberately *not* part of any cache key — both engines read and
-    /// write the same entries.
-    pub compile: bool,
     /// SMARTS-style interval sampling parameters; `None` (the default) runs
-    /// every cell exactly.  Sampling forces the compiled engine and adds
-    /// the estimate to the sim cache entries, under sampling-aware keys.
+    /// every cell exactly.  Sampling adds the estimate to the sim cache
+    /// entries, under sampling-aware keys.
     pub sample: Option<SampleParams>,
     /// Stage start/done notifications ([`ProgressEvent`]) delivered from
     /// pool worker threads as the run advances; `None` emits nothing.
@@ -152,7 +145,6 @@ impl Default for RunOptions {
             cache_dir: Some(PathBuf::from("results/cache")),
             observe: false,
             trace_spans: false,
-            compile: true,
             sample: None,
             progress: None,
         }
@@ -252,14 +244,12 @@ impl ExperimentResult {
     }
 }
 
-/// A program's packed trace plus the static tables every simulation of it
-/// needs — produced once, consumed by all dependent cells concurrently.
+/// A program's packed trace plus its decoded-uop descriptors — produced
+/// once per distinct program, consumed by all dependent cells
+/// concurrently.
 struct TraceData {
-    prep: PreparedSim,
     trace: PackedTrace,
-    /// Decoded-uop descriptors ([`RunOptions::compile`] runs only) —
-    /// built once per distinct program, shared by every dependent cell.
-    comp: Option<Arc<CompiledProgram>>,
+    comp: Arc<CompiledProgram>,
 }
 
 struct TraceSlot {
@@ -318,10 +308,7 @@ pub fn run_experiment_shared(
     let scale = spec.scale;
     let jobs_n = opts.effective_jobs();
     let observe = opts.observe;
-    // Sampling needs the compiled engine (functional warming walks the uop
-    // descriptors), so it forces it.
     let sample = opts.sample.as_ref().map(|p| p.normalized());
-    let compile = opts.compile || sample.is_some();
     let interps = Arc::new(AtomicU64::new(0));
     let metrics = Arc::new(MetricsRegistry::new());
     let recorder = Arc::new(SpanRecorder::new(opts.trace_spans));
@@ -373,7 +360,7 @@ pub fn run_experiment_shared(
             let tkey = key::trace_key(&text, scale);
             let exp_digest = expected_digest(&expected);
             let cached_trace = wants_trace
-                .then(|| load_trace(&cache, &tkey, &program, exp_digest, compile, &metrics))
+                .then(|| load_trace(&cache, &tkey, &program, exp_digest, &metrics))
                 .flatten();
             let t1 = Instant::now();
             let cached_profile = load_profile(&cache, &pkey);
@@ -412,7 +399,7 @@ pub fn run_experiment_shared(
             let t2 = Instant::now();
             let trace_data = match packer {
                 Some(packer) => Some(finish_trace(
-                    packer, &program, exp_digest, &cache, &tkey, compile, &metrics,
+                    packer, &program, exp_digest, &cache, &tkey, &metrics,
                 )),
                 None => cached_trace,
             };
@@ -549,7 +536,7 @@ pub fn run_experiment_shared(
                 .expect("transform dependency ran");
             let tkey = key::trace_key(&t.text, scale);
             let exp_digest = expected_digest(&expected);
-            let cached_trace = load_trace(&cache, &tkey, &t.program, exp_digest, compile, &metrics);
+            let cached_trace = load_trace(&cache, &tkey, &t.program, exp_digest, &metrics);
             let cached = cached_trace.is_some();
             let data = match cached_trace {
                 Some(d) => d,
@@ -560,9 +547,7 @@ pub fn run_experiment_shared(
                         .run_with(&mut packer)
                         .unwrap_or_else(|e| panic!("{wname}: trace failed: {e}"));
                     assert_golden(wname, "tracing", &expected, &exec.machine.mem);
-                    finish_trace(
-                        packer, &t.program, exp_digest, &cache, &tkey, compile, &metrics,
-                    )
+                    finish_trace(packer, &t.program, exp_digest, &cache, &tkey, &metrics)
                 }
             };
             recorder.record(
@@ -746,41 +731,36 @@ pub fn run_experiment_shared(
     }
 }
 
-/// The trace stage's work after interpretation: frame the packed records,
-/// store their bytes as the cache blob under `key`, and build the
-/// per-program simulation tables.
+/// The trace stage's work after interpretation: decode the program's uops
+/// against the recorder's layout, frame the packed records, and store
+/// their bytes as the cache blob under `key`.
 fn finish_trace(
     packer: PackedRecorder,
     program: &guardspec_ir::Program,
     exp_digest: u64,
     cache: &DiskCache,
     key: &str,
-    compile: bool,
     metrics: &MetricsRegistry,
 ) -> Arc<TraceData> {
+    let comp = build_compiled(program, packer.layout(), metrics);
     let trace = packer.finish(exp_digest);
     cache.put_bytes(key, trace.blob());
-    let prep = prepare_program(program);
-    let comp = build_compiled(program, compile, metrics);
-    Arc::new(TraceData { prep, trace, comp })
+    Arc::new(TraceData { trace, comp })
 }
 
-/// Build the decoded-uop descriptors for a compiled run, recording the
-/// build time as the `sim.block_build_us` run metric: warm trace-cache
-/// hits skip interpretation entirely but still pay this (small) decode
-/// cost, so it is accounted separately from the sim stage proper.
+/// Decode `program`'s uops against the layout the stage already holds,
+/// recording the decode time as the `sim.block_build_us` run metric: warm
+/// trace-cache hits skip interpretation entirely but still pay this
+/// (small) cost, so it is accounted separately from the sim stage proper.
 fn build_compiled(
     program: &guardspec_ir::Program,
-    compile: bool,
+    layout: &StaticLayout,
     metrics: &MetricsRegistry,
-) -> Option<Arc<CompiledProgram>> {
-    if !compile {
-        return None;
-    }
+) -> Arc<CompiledProgram> {
     let t0 = Instant::now();
-    let comp = Arc::new(CompiledProgram::build(program));
+    let comp = Arc::new(CompiledProgram::build(program, layout));
     metrics.add("sim.block_build_us", t0.elapsed().as_micros() as u64);
-    Some(comp)
+    comp
 }
 
 fn ms_since(t0: Instant) -> f64 {
@@ -852,21 +832,20 @@ fn load_trace(
     key: &str,
     program: &guardspec_ir::Program,
     want_digest: u64,
-    compile: bool,
     metrics: &MetricsRegistry,
 ) -> Option<Arc<TraceData>> {
     let bytes = cache.get_bytes(key)?;
-    let prep = prepare_program(program);
+    let layout = StaticLayout::build(program);
     let check = || -> Result<PackedTrace, String> {
         let d = tracefile::decode(bytes).map_err(|e| e.to_string())?;
-        let sites = prep.layout().num_sites();
+        let sites = layout.num_sites();
         if d.num_sites as usize != sites {
             return Err(format!(
                 "site count mismatch: blob has {}, program has {sites}",
                 d.num_sites
             ));
         }
-        if d.layout_digest != tracefile::layout_digest(prep.layout()) {
+        if d.layout_digest != tracefile::layout_digest(&layout) {
             return Err("layout digest mismatch".into());
         }
         if d.exec_digest != want_digest {
@@ -876,8 +855,8 @@ fn load_trace(
     };
     match check() {
         Ok(trace) => {
-            let comp = build_compiled(program, compile, metrics);
-            Some(Arc::new(TraceData { prep, trace, comp }))
+            let comp = build_compiled(program, &layout, metrics);
+            Some(Arc::new(TraceData { trace, comp }))
         }
         Err(e) => {
             warn_bad_cache(key, &e);
@@ -928,8 +907,8 @@ fn load_sim(cache: &DiskCache, key: &str, observed: bool, sampled: bool) -> Opti
 }
 
 /// Simulate one cell on this worker's reusable context: the one place the
-/// runner calls a simulator engine.  Sampling needs the compiled tables;
-/// an observed run's cycle accounting is checked against its stats here.
+/// runner calls a simulator engine.  An observed run's cycle accounting is
+/// checked against its stats here.
 fn simulate_cell(
     data: &TraceData,
     scheme: Scheme,
@@ -937,13 +916,12 @@ fn simulate_cell(
     sample: Option<SampleParams>,
     observe: bool,
 ) -> Result<SimEntry, SimError> {
-    let trace = &data.trace;
+    let (trace, comp) = (&data.trace, &*data.comp);
     let mut acct = CycleAccounting::new();
     let (stats, sampling) = SIM_CTX.with(|ctx| -> Result<_, SimError> {
         let ctx = &mut ctx.borrow_mut();
-        Ok(match (sample, &data.comp, observe) {
-            (Some(p), comp, _) => {
-                let comp = comp.as_ref().expect("sampling forces compiled descriptors");
+        Ok(match (sample, observe) {
+            (Some(p), _) => {
                 let (stats, smp) = if observe {
                     simulate_sampled_observed_in(ctx, comp, trace, scheme, cfg, p, &mut acct)?
                 } else {
@@ -951,20 +929,12 @@ fn simulate_cell(
                 };
                 (stats, Some(smp))
             }
-            (None, Some(comp), true) => (
+            (None, true) => (
                 simulate_compiled_packed_observed_in(ctx, comp, trace, scheme, cfg, &mut acct)?,
                 None,
             ),
-            (None, Some(comp), false) => (
+            (None, false) => (
                 simulate_compiled_packed_in(ctx, comp, trace, scheme, cfg)?,
-                None,
-            ),
-            (None, None, true) => (
-                simulate_packed_observed_in(ctx, &data.prep, trace, scheme, cfg, &mut acct)?,
-                None,
-            ),
-            (None, None, false) => (
-                simulate_packed_in(ctx, &data.prep, trace, scheme, cfg)?,
                 None,
             ),
         })

@@ -8,7 +8,8 @@ use guardspec_core::transform_program;
 use guardspec_harness::{full_json, run_experiment, stable_json, ExperimentSpec, RunOptions};
 use guardspec_interp::profile::profile_program;
 use guardspec_interp::trace::trace_program;
-use guardspec_sim::simulate_trace;
+use guardspec_sim::reference::{prepare_program, simulate};
+use guardspec_sim::{SimContext, SliceSource};
 use guardspec_workloads::Scale;
 
 fn uncached(jobs: usize) -> RunOptions {
@@ -48,7 +49,8 @@ fn ablation_matrix_is_jobcount_invariant() {
 fn every_cell_matches_the_materialized_reference() {
     // The reference shares nothing with the harness past the workload
     // definitions: it interprets each cell's program into a plain
-    // `Vec<TraceEntry>` and runs the interpreted engine over that slice.
+    // `Vec<TraceEntry>` and runs the interpreted reference engine over
+    // that slice.
     for spec in [
         ExperimentSpec::three_schemes("ref-three", Scale::Test),
         ExperimentSpec::ablation("ref-ablation", Scale::Test),
@@ -70,9 +72,16 @@ fn every_cell_matches_the_materialized_reference() {
             if let Some(options) = &cell.transform {
                 transform_program(&mut program, &profiles[cell.workload], options);
             }
-            let (layout, trace, exec) = trace_program(&program).expect("traces");
-            let want = simulate_trace(&program, &layout, &trace, cell.scheme, &cell.cfg)
-                .expect("simulates");
+            let (_, trace, exec) = trace_program(&program).expect("traces");
+            let want = simulate(
+                &mut SimContext::new(&cell.cfg),
+                &prepare_program(&program),
+                SliceSource::new(&trace),
+                cell.scheme,
+                &cell.cfg,
+                &mut (),
+            )
+            .expect("simulates");
             assert_eq!(got.stats, want, "{what}");
             assert_eq!(got.stats.committed_total, exec.summary.retired, "{what}");
         }

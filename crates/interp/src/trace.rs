@@ -262,6 +262,11 @@ impl PackedRecorder {
         }
     }
 
+    /// The program's layout, which the trace's site ids index.
+    pub fn layout(&self) -> &StaticLayout {
+        &self.layout
+    }
+
     /// Frame the records into the finished trace; `exec_digest` goes into
     /// the header verbatim (see [`tracefile::DecodedTrace::exec_digest`]).
     pub fn finish(self, exec_digest: u64) -> PackedTrace {

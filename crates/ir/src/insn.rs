@@ -516,7 +516,7 @@ impl Instruction {
     /// True if the instruction may legally carry a guard predicate:
     /// computational and memory instructions, plus *conditional branches*
     /// (the "predicated branch instructions" of the authors' prior work
-    /// [13], which the split-branch transform relies on: a false guard
+    /// \[13\], which the split-branch transform relies on: a false guard
     /// annuls the branch entirely).  Unconditional control flow and calls
     /// cannot be guarded.
     pub fn can_guard(&self) -> bool {

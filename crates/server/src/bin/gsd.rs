@@ -3,7 +3,7 @@
 //! ```text
 //! gsd [--port P] [--cache-dir DIR | --no-cache] [--workers N]
 //!     [--queue-cap N] [--shard N/M] [--jobs N] [--est-job-ms MS]
-//!     [--hold-ms MS] [--peers HOST:PORT,...] [--peer-timeout-ms MS]
+//!     [--peers HOST:PORT,...] [--peer-timeout-ms MS]
 //!     [--idle-timeout-ms MS] [--max-conn-requests N]
 //!     [--pipeline-depth N] [--slow-ms MS]
 //!     [--log-level off|error|warn|info|debug]
@@ -90,10 +90,6 @@ fn parse_config(argv: impl Iterator<Item = String>) -> Result<(ServerConfig, Log
             "--est-job-ms" => {
                 let v = take_value(&mut args, "--est-job-ms")?;
                 config.est_job_ms = v.parse().map_err(|_| format!("bad --est-job-ms {v:?}"))?;
-            }
-            "--hold-ms" => {
-                let v = take_value(&mut args, "--hold-ms")?;
-                config.hold_ms = v.parse().map_err(|_| format!("bad --hold-ms {v:?}"))?;
             }
             "--peers" => {
                 config.peers = take_value(&mut args, "--peers")?
@@ -198,8 +194,6 @@ mod tests {
             "2",
             "--est-job-ms",
             "50",
-            "--hold-ms",
-            "5",
             "--peers",
             "127.0.0.1:7001, 127.0.0.1:7002",
             "--idle-timeout-ms",
@@ -223,7 +217,6 @@ mod tests {
         assert_eq!(c.shard.tag(), "1/4");
         assert_eq!(c.jobs_per_request, 2);
         assert_eq!(c.est_job_ms, 50);
-        assert_eq!(c.hold_ms, 5);
         assert_eq!(c.peers, vec!["127.0.0.1:7001", "127.0.0.1:7002"]);
         assert_eq!(c.idle_timeout_ms, 1500);
         assert_eq!(c.max_conn_requests, 64);
@@ -231,6 +224,9 @@ mod tests {
         assert_eq!(c.peer_timeout_ms, 250);
         assert_eq!(c.slow_ms, Some(900));
         assert_eq!(level, LogLevel::Debug);
+        // The job hold is a test hook set through `ServerConfig`, not a flag.
+        let err = parse(&["--hold-ms", "5"]).unwrap_err();
+        assert!(err.contains("--hold-ms"), "{err}");
     }
 
     #[test]

@@ -84,7 +84,8 @@ pub struct ServerConfig {
     /// Total queued-job cap across all clients (admission control).
     pub queue_cap: usize,
     /// Testing hook: each worker sleeps this long before executing a job,
-    /// widening the dedup window deterministically.
+    /// widening the dedup window deterministically.  Tests set it here;
+    /// `gsd` has no flag for it.
     pub hold_ms: u64,
     /// This daemon's slice of a sharded sweep.
     pub shard: ShardSpec,
@@ -725,7 +726,6 @@ fn execute(job: &Job, shared: &Shared) -> Outcome {
         sample: job.request.sample,
         progress: Some(job.progress.clone()),
         trace_spans: job.trace.is_some(),
-        ..RunOptions::default()
     };
     let started = Instant::now();
     let cache = shared.cache.clone();

@@ -4,7 +4,7 @@
 //! [`SpanRecorder`] whose origin is the instant the request was parsed, so
 //! the request phases — `admit` (loop thread), `queue.wait`, `flight`
 //! (worker), `respond` (publication → bytes handed to the loop) — tile
-//! exactly by sharing their boundary `Instant`s through [`Marks`].  The
+//! exactly by sharing their boundary `Instant`s through `Marks`.  The
 //! harness runner's own stage spans are folded in with a timestamp offset
 //! ([`RequestTrace::absorb`]), so one Chrome document shows the whole
 //! story: admission → queue → peer pull → profile/transform/trace/

@@ -4,7 +4,7 @@
 //! ## Decoded-uop cache
 //!
 //! [`CompiledProgram::build`] decodes every static instruction **once** at
-//! layout time into a flat [`Uop`] descriptor — dense register uses/def,
+//! layout time into a flat `Uop` descriptor — dense register uses/def,
 //! functional-unit class, reservation-station queue index, branch kind and
 //! resolved taken-target PC — indexed by site id.  The compiled pipeline
 //! then executes trace entries against this table with no per-entry opcode
@@ -13,18 +13,18 @@
 //! ## Exactness contract
 //!
 //! In exact mode the compiled engine is **cycle-for-cycle identical** to
-//! [`crate::pipeline`]'s interpreted engine: same `SimStats`, same cycle
-//! buckets, same per-site attribution.  These structural changes make it
-//! faster without changing any observable:
+//! the interpreted reference engine in [`crate::reference`]: same
+//! `SimStats`, same cycle buckets, same per-site attribution.  These
+//! structural changes make it faster without changing any observable:
 //!
 //! * **Compact window slots** — the window is a power-of-two ring of
-//!   56-byte [`Slot`]s, not the interpreted engine's `Entry`: a slot's seq
+//!   56-byte `Slot`s, not the interpreted engine's `Entry`: a slot's seq
 //!   is its ring index relative to `head_seq`, its queue is its uop's, its
 //!   finish cycle is the wheel bucket it waits in, and its flags share one
 //!   byte.  Dispatch writes
 //!   each slot once, in place, after the branch logic.
 //! * **Intrusive timing wheel** — issued slots are threaded onto the
-//!   bucket of their finish cycle through [`Slot::wnext`] (the wheel holds
+//!   bucket of their finish cycle through `Slot::wnext` (the wheel holds
 //!   only bucket heads), with a `(finish, slot)` min-heap overflow for
 //!   latencies beyond the wheel span, normally empty; the complete stage
 //!   drains the current bucket instead of scanning the whole window every
@@ -32,11 +32,11 @@
 //!   and at most one `blocks_fetch` entry is in flight at a time, so the
 //!   resume logic is order-free.
 //! * **Issue list** — `InQueue` slots form a list threaded through the
-//!   ring in seq order ([`Slot::nextq`]); the issue stage walks only it,
+//!   ring in seq order (`Slot::nextq`); the issue stage walks only it,
 //!   stops at the first entry still inside its front-end delay, skips
 //!   entirely when it is empty, and counts a class's FU-full cycle at the
 //!   issue that fills the class.
-//! * **Run-owned state** — a run moves the context's [`HotState`] (ring,
+//! * **Run-owned state** — a run moves the context's `HotState` (ring,
 //!   wheel, register scoreboard, caches and predictors) into the pipeline
 //!   and copies the config scalars the stages read every cycle, then
 //!   hands the state back at the end of the run and of each sampling
@@ -100,9 +100,10 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Decode `prog` into one descriptor per static site.
-    pub fn build(prog: &Program) -> CompiledProgram {
-        let layout = StaticLayout::build(prog);
+    /// Decode `prog` into one descriptor per static site of `layout`, which
+    /// must be `prog`'s own (`StaticLayout::build(prog)`, or the layout a
+    /// trace recorder built for it).
+    pub fn build(prog: &Program, layout: &StaticLayout) -> CompiledProgram {
         debug_assert!(Reg::DENSE_COUNT <= u8::MAX as usize + 1);
         let mut uops = Vec::with_capacity(layout.num_sites());
         for id in 0..layout.num_sites() as u32 {
@@ -217,8 +218,8 @@ impl Slot {
     }
 }
 
-/// The compiled pipeline.  A disciplined replica of
-/// [`crate::pipeline::Pipeline`]'s five stages over the flat uop table —
+/// The compiled pipeline.  A disciplined replica of the five stages of the
+/// reference engine ([`crate::reference`]) over the flat uop table —
 /// any semantic divergence is a bug (enforced by the differential fuzz
 /// oracle and the unit tests below).
 ///
@@ -993,7 +994,7 @@ fn simulate_compiled_source_observed_in<S: TraceSource, O: SimObserver>(
 }
 
 /// Exact compiled run over a materialized trace slice, reporting to `obs`
-/// (the fuzz oracle's reference leg).
+/// (the fuzz oracle's slice leg, and [`simulate_program`]).
 pub fn simulate_compiled_trace_observed_in(
     ctx: &mut SimContext,
     comp: &CompiledProgram,
@@ -1029,6 +1030,21 @@ pub fn simulate_compiled_packed_observed_in(
     obs: &mut impl SimObserver,
 ) -> Result<SimStats, SimError> {
     simulate_compiled_source_observed_in(ctx, comp, PackedSource::new(trace), scheme, cfg, obs)
+}
+
+/// Run `prog` functionally, then simulate its trace on the compiled
+/// engine.  Returns the timing statistics together with the functional
+/// result (so callers can check semantics and dynamic counts in one shot).
+pub fn simulate_program(
+    prog: &Program,
+    scheme: Scheme,
+    cfg: &MachineConfig,
+) -> Result<(SimStats, guardspec_interp::ExecResult), Box<dyn std::error::Error>> {
+    let (layout, trace, res) = guardspec_interp::trace::trace_program(prog)?;
+    let comp = CompiledProgram::build(prog, &layout);
+    let mut ctx = SimContext::new(cfg);
+    let stats = simulate_compiled_trace_observed_in(&mut ctx, &comp, &trace, scheme, cfg, &mut ())?;
+    Ok((stats, res))
 }
 
 // ---------------------------------------------------------------------------
@@ -1117,7 +1133,7 @@ pub struct SampleSummary {
     pub ipc_mean: f64,
     /// 95% CI half-width around `ipc_mean`: the CPI-domain `t·s/√n`
     /// interval mapped through the reciprocal (delta method), plus the
-    /// 2%-of-mean bias allowance ([`CI_BIAS_FRAC`]); 0 in fallback.
+    /// 2%-of-mean bias allowance (`CI_BIAS_FRAC`); 0 in fallback.
     pub ipc_ci95: f64,
     /// Estimated total cycles: exact committed count × mean CPI.
     pub est_cycles: u64,
@@ -1335,7 +1351,7 @@ pub fn simulate_sampled_in(
 mod tests {
     use super::*;
     use crate::observe::CycleAccounting;
-    use crate::pipeline::{simulate_trace, simulate_trace_observed};
+    use crate::reference::{prepare_program, simulate};
     use guardspec_interp::trace::trace_program;
     use guardspec_ir::builder::*;
     use guardspec_ir::reg::{p, r};
@@ -1377,21 +1393,31 @@ mod tests {
         single_func_program(fb)
     }
 
+    /// The compiled engine, on a reused context and through
+    /// [`simulate_program`], matches the reference engine on `prog`.
     fn assert_engines_identical(prog: &Program) {
         let (layout, trace, _res) = trace_program(prog).expect("runs");
         let cfg = MachineConfig::r10000();
-        let comp = CompiledProgram::build(prog);
+        let comp = CompiledProgram::build(prog, &layout);
+        let prep = prepare_program(prog);
         let mut ctx = SimContext::new(&cfg);
         for scheme in Scheme::ALL {
-            let interp = simulate_trace(prog, &layout, &trace, scheme, &cfg).expect("interp");
+            let source = SliceSource::new(&trace);
+            let interp = simulate(&mut ctx, &prep, source, scheme, &cfg, &mut ()).expect("interp");
             let compiled =
                 simulate_compiled_trace_observed_in(&mut ctx, &comp, &trace, scheme, &cfg, &mut ())
                     .expect("compiled");
             assert_eq!(interp, compiled, "scheme {scheme:?}: stats diverge");
+            let (one_shot, _) = simulate_program(prog, scheme, &cfg).expect("simulate_program");
+            assert_eq!(
+                interp, one_shot,
+                "scheme {scheme:?}: simulate_program diverges"
+            );
 
             let mut ai = CycleAccounting::new();
             let mut ac = CycleAccounting::new();
-            let si = simulate_trace_observed(prog, &layout, &trace, scheme, &cfg, &mut ai).unwrap();
+            let source = SliceSource::new(&trace);
+            let si = simulate(&mut ctx, &prep, source, scheme, &cfg, &mut ai).unwrap();
             let sc =
                 simulate_compiled_trace_observed_in(&mut ctx, &comp, &trace, scheme, &cfg, &mut ac)
                     .unwrap();
@@ -1417,6 +1443,10 @@ mod tests {
         guardspec_interp::tracefile::pack(&layout, &trace, 0)
     }
 
+    fn compiled(prog: &Program) -> CompiledProgram {
+        CompiledProgram::build(prog, &StaticLayout::build(prog))
+    }
+
     fn exact_packed(ctx: &mut SimContext, comp: &CompiledProgram, t: &PackedTrace) -> SimStats {
         let cfg = MachineConfig::r10000();
         simulate_compiled_packed_in(ctx, comp, t, Scheme::TwoBit, &cfg).unwrap()
@@ -1425,9 +1455,9 @@ mod tests {
     #[test]
     fn compiled_packed_matches_slice() {
         let prog = mixed_prog();
-        let (_layout, trace, _res) = trace_program(&prog).expect("runs");
+        let (layout, trace, _res) = trace_program(&prog).expect("runs");
         let cfg = MachineConfig::r10000();
-        let comp = CompiledProgram::build(&prog);
+        let comp = CompiledProgram::build(&prog, &layout);
         let mut ctx = SimContext::new(&cfg);
         let a = simulate_compiled_trace_observed_in(
             &mut ctx,
@@ -1446,7 +1476,7 @@ mod tests {
         let prog = count_loop(4000);
         let shared = packed(&prog);
         let cfg = MachineConfig::r10000();
-        let comp = CompiledProgram::build(&prog);
+        let comp = compiled(&prog);
         let mut ctx = SimContext::new(&cfg);
         let exact = exact_packed(&mut ctx, &comp, &shared);
         let params = SampleParams {
@@ -1473,7 +1503,7 @@ mod tests {
         let prog = mixed_prog();
         let shared = packed(&prog);
         let cfg = MachineConfig::r10000();
-        let comp = CompiledProgram::build(&prog);
+        let comp = compiled(&prog);
         let params = SampleParams {
             detail: 32,
             warmup: 16,
@@ -1493,7 +1523,7 @@ mod tests {
         let prog = count_loop(10);
         let shared = packed(&prog);
         let cfg = MachineConfig::r10000();
-        let comp = CompiledProgram::build(&prog);
+        let comp = compiled(&prog);
         let mut ctx = SimContext::new(&cfg);
         let exact = exact_packed(&mut ctx, &comp, &shared);
         let (stats, summary) = simulate_sampled_in(
@@ -1516,7 +1546,7 @@ mod tests {
         let prog = mixed_prog();
         let shared = packed(&prog);
         let cfg = MachineConfig::r10000();
-        let comp = CompiledProgram::build(&prog);
+        let comp = compiled(&prog);
         let mut ctx = SimContext::new(&cfg);
         let mut acct = CycleAccounting::new();
         let params = SampleParams {

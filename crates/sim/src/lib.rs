@@ -40,25 +40,31 @@
 //! Annulled guarded instructions flow through the pipeline and consume
 //! resources, but are excluded from IPC, matching Table 4's note
 //! "instructions per cycle (excluding annulled)".
+//!
+//! ## Engines
+//!
+//! Every runtime path simulates on the compiled engine ([`block`]): exact
+//! runs, SMARTS-style sampled runs, and [`simulate_program`].  The
+//! interpreted pipeline lives on as [`reference`](mod@reference), the plain statement of
+//! the model that tests, the fuzz oracle and the `blockcomp` bench check
+//! the compiled engine against, cycle for cycle.  Both read the trace
+//! sources and run state in [`pipeline`].
 
 pub mod block;
 pub mod cache;
 pub mod config;
 pub mod observe;
 pub mod pipeline;
+pub mod reference;
 pub mod stats;
 
 pub use block::{
     simulate_compiled_packed_in, simulate_compiled_packed_observed_in,
-    simulate_compiled_trace_observed_in, simulate_sampled_in, simulate_sampled_observed_in,
-    CompiledProgram, SampleParams, SampleSummary,
+    simulate_compiled_trace_observed_in, simulate_program, simulate_sampled_in,
+    simulate_sampled_observed_in, CompiledProgram, SampleParams, SampleSummary,
 };
 pub use cache::Cache;
 pub use config::{Latencies, MachineConfig, QueueKind};
 pub use observe::{CycleAccounting, CycleBucket, SimObserver, SiteCounters};
-pub use pipeline::{
-    prepare_program, simulate_packed_in, simulate_packed_observed_in, simulate_program,
-    simulate_trace, simulate_trace_logged, simulate_trace_observed, CycleLog, CycleRecord,
-    PackedSource, PreparedSim, SimContext, SimError, SliceSource, TraceSource,
-};
+pub use pipeline::{PackedSource, SimContext, SimError, SliceSource, TraceSource};
 pub use stats::SimStats;

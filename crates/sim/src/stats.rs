@@ -20,7 +20,7 @@ pub struct SimStats {
     /// Sum of per-cycle queue occupancy (for average occupancy).
     pub queue_occupancy_sum: [u64; 4],
     /// Cycles every functional unit of a class was issued/busy at once,
-    /// by `FuClass` dense index ("% times <unit> is full").
+    /// by `FuClass` dense index ("% times `<unit>` is full").
     pub fu_full_cycles: [u64; 8],
     /// Total issues per class.
     pub fu_issues: [u64; 8],

@@ -81,7 +81,7 @@ fn fixture() -> (CompiledProgram, PackedTrace) {
     let prog = branchy(300, 40);
     let (layout, trace, _) = trace_program(&prog).expect("runs");
     let packed = pack(&layout, &trace, 0);
-    (CompiledProgram::build(&prog), packed)
+    (CompiledProgram::build(&prog, &layout), packed)
 }
 
 /// Exact runs, sampled runs, and a run that fails its cycle budget, in

@@ -1,9 +1,10 @@
 //! The cycle budget: a run that cannot drain within 64 cycles per trace
 //! entry plus 100,000 cycles of slack fails with
-//! `SimError::CycleBudgetExceeded`.  Both engines, over both the slice and
-//! the packed source, must fail on the same cycle with the same committed
-//! count — the compiled engine's stall jump is capped at the budget so it
-//! cannot skip past the failing cycle.
+//! `SimError::CycleBudgetExceeded`.  Both engines (the compiled one and the
+//! interpreted reference), over both the slice and the packed source, must
+//! fail on the same cycle with the same committed count — the compiled
+//! engine's stall jump is capped at the budget so it cannot skip past the
+//! failing cycle.
 //!
 //! A miss penalty of 65,536 cycles also pushes every D-cache miss past the
 //! compiled engine's 1,024-cycle timing wheel into its overflow heap.
@@ -14,10 +15,10 @@ use guardspec_ir::builder::*;
 use guardspec_ir::reg::r;
 use guardspec_ir::Program;
 use guardspec_predict::Scheme;
+use guardspec_sim::reference::{prepare_program, simulate};
 use guardspec_sim::{
-    prepare_program, simulate_compiled_packed_in, simulate_compiled_trace_observed_in,
-    simulate_packed_in, simulate_trace, CompiledProgram, MachineConfig, SimContext, SimError,
-    SimStats,
+    simulate_compiled_packed_in, simulate_compiled_trace_observed_in, CompiledProgram,
+    MachineConfig, PackedSource, SimContext, SimError, SimStats, SliceSource,
 };
 
 /// A loop of `iters` loads, each on a fresh D-cache line, then a tail that
@@ -48,7 +49,7 @@ fn config(miss_penalty: u64) -> MachineConfig {
     cfg
 }
 
-/// The trace length and the four runs: {interpreted, compiled} ×
+/// The trace length and the four runs: {reference, compiled} ×
 /// {slice, packed}.
 fn four_ways(
     prog: &Program,
@@ -58,11 +59,25 @@ fn four_ways(
     let (layout, trace, _) = trace_program(prog).expect("runs");
     let packed = pack(&layout, &trace, 0);
     let prep = prepare_program(prog);
-    let comp = CompiledProgram::build(prog);
+    let comp = CompiledProgram::build(prog, &layout);
     let mut ctx = SimContext::new(cfg);
     let runs = [
-        simulate_trace(prog, &layout, &trace, scheme, cfg),
-        simulate_packed_in(&mut ctx, &prep, &packed, scheme, cfg),
+        simulate(
+            &mut ctx,
+            &prep,
+            SliceSource::new(&trace),
+            scheme,
+            cfg,
+            &mut (),
+        ),
+        simulate(
+            &mut ctx,
+            &prep,
+            PackedSource::new(&packed),
+            scheme,
+            cfg,
+            &mut (),
+        ),
         simulate_compiled_trace_observed_in(&mut ctx, &comp, &trace, scheme, cfg, &mut ()),
         simulate_compiled_packed_in(&mut ctx, &comp, &packed, scheme, cfg),
     ];
@@ -88,7 +103,7 @@ fn overrun_fails_on_the_same_cycle_in_both_engines_and_sources() {
         assert_eq!(
             run,
             &Err(SimError::CycleBudgetExceeded { cycles, retired }),
-            "run {i} of interpreted/slice, interpreted/packed, compiled/slice, compiled/packed"
+            "run {i} of reference/slice, reference/packed, compiled/slice, compiled/packed"
         );
     }
 }
