@@ -2,28 +2,26 @@
 //! writes `results/BENCH_35.json`: requests/sec, p50/p95/p99/max latency
 //! (from the same log-linear [`Histogram`] the daemon exports on
 //! `/metrics`), dedup ratio, connection accounting, and cold- vs
-//! warm-cache behaviour of the service layer under three transport modes
-//! — close-per-request (the before), HTTP/1.1 keep-alive, and bounded
-//! pipelining (the after).
+//! warm-cache behaviour of the service layer under two transport modes:
+//! close-per-request and HTTP/1.1 keep-alive.
 //!
 //! The server runs in-process on an ephemeral port with a scratch cache,
 //! so the numbers measure the daemon (epoll loop + dedup + queue +
 //! runner), not network weather.  Each client cycles through a small set
 //! of distinct sweeps; with more clients than distinct sweeps, concurrent
 //! duplicates dedup into shared flights (the `dedup_ratio` reported).
-//! After the cold pass populates the cache, three warm passes replay the
+//! After the cold pass populates the cache, two warm passes replay the
 //! same mix: once closing the connection per request, once on keep-alive
-//! connections, once pipelined.  The file is overwritten on purpose: it
-//! is the PR's evidence artifact, not a per-run log.
+//! connections.  The file is overwritten on purpose: it is the latest
+//! evidence artifact, not a per-run log.
 //!
 //! ```text
 //! loadgen [--scale test|small|paper] [--clients N] [--requests R]
-//!         [--workers W] [--keep-alive] [--pipeline N] [--out PATH]
+//!         [--workers W] [--keep-alive] [--out PATH]
 //! ```
 //!
 //! `--keep-alive` makes the *cold* pass reuse connections too (default:
-//! close per request, comparable to the historical BENCH_6 numbers);
-//! `--pipeline N` sets the warm pipelined pass's batch depth (default 4).
+//! close per request, comparable to the historical BENCH_6 numbers).
 //! Unknown flags print the offending flag and exit 2.
 
 use guardspec_harness::args::{parse_scale, take_value, unknown_argument};
@@ -42,7 +40,6 @@ struct Args {
     requests: usize,
     workers: usize,
     keep_alive: bool,
-    pipeline: usize,
     out: PathBuf,
 }
 
@@ -53,7 +50,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         requests: 8,
         workers: 2,
         keep_alive: false,
-        pipeline: 4,
         out: PathBuf::from("results/BENCH_35.json"),
     };
     let mut args: Box<dyn Iterator<Item = String>> = Box::new(argv);
@@ -73,19 +69,12 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 parsed.workers = v.parse().map_err(|_| format!("bad --workers {v:?}"))?;
             }
             "--keep-alive" => parsed.keep_alive = true,
-            "--pipeline" => {
-                let v = take_value(&mut args, "--pipeline")?;
-                parsed.pipeline = v.parse().map_err(|_| format!("bad --pipeline {v:?}"))?;
-            }
             "--out" => parsed.out = PathBuf::from(take_value(&mut args, "--out")?),
             other => return Err(unknown_argument(other)),
         }
     }
     if parsed.clients == 0 || parsed.requests == 0 {
         return Err("--clients and --requests must be positive".to_string());
-    }
-    if parsed.pipeline == 0 {
-        return Err("--pipeline must be positive".to_string());
     }
     Ok(parsed)
 }
@@ -97,10 +86,6 @@ enum Mode {
     Close,
     /// One keep-alive connection per client for the whole pass.
     KeepAlive,
-    /// Keep-alive + batches of N pipelined requests.  Per-request latency
-    /// is the batch wall time divided by the batch size (requests in a
-    /// batch are not individually timeable on one socket).
-    Pipeline(usize),
 }
 
 impl Mode {
@@ -108,7 +93,6 @@ impl Mode {
         match self {
             Mode::Close => "close",
             Mode::KeepAlive => "keep-alive",
-            Mode::Pipeline(_) => "pipelined",
         }
     }
 }
@@ -152,25 +136,6 @@ fn drive(
                                 .expect("request failed");
                             assert_eq!(resp.status, 200);
                             lat.push(t0.elapsed().as_secs_f64() * 1000.0);
-                        }
-                        (lat, conn.connections_opened())
-                    }
-                    Mode::Pipeline(depth) => {
-                        let mut conn = ClientConn::new(&addr);
-                        let order: Vec<&String> =
-                            (0..requests).map(|r| &mix[(c + r) % mix.len()]).collect();
-                        for batch in order.chunks(depth) {
-                            let reqs: Vec<(&str, &str, &[u8])> = batch
-                                .iter()
-                                .map(|b| ("POST", "/run", b.as_bytes()))
-                                .collect();
-                            let t0 = Instant::now();
-                            let responses = conn.pipeline(&reqs).expect("pipeline failed");
-                            let per_req = t0.elapsed().as_secs_f64() * 1000.0 / batch.len() as f64;
-                            for resp in &responses {
-                                assert_eq!(resp.status, 200);
-                                lat.push(per_req);
-                            }
                         }
                         (lat, conn.connections_opened())
                     }
@@ -294,13 +259,6 @@ fn main() {
     let (wc_lat, wc_wall, wc_conns) = drive(&addr, &mix, args.clients, args.requests, Mode::Close);
     let (wk_lat, wk_wall, wk_conns) =
         drive(&addr, &mix, args.clients, args.requests, Mode::KeepAlive);
-    let (wp_lat, wp_wall, wp_conns) = drive(
-        &addr,
-        &mix,
-        args.clients,
-        args.requests,
-        Mode::Pipeline(args.pipeline),
-    );
     let (_, final_metrics) = http::get_json(&addr, "/metrics").expect("metrics");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -308,7 +266,6 @@ fn main() {
     let cold = pass_stats(cold_mode, &cold_lat, cold_wall, cold_conns);
     let wc = pass_stats(Mode::Close, &wc_lat, wc_wall, wc_conns);
     let wk = pass_stats(Mode::KeepAlive, &wk_lat, wk_wall, wk_conns);
-    let wp = pass_stats(Mode::Pipeline(args.pipeline), &wp_lat, wp_wall, wp_conns);
 
     let run = metric(&cold_metrics, &["counters", "requests.run"]);
     let joined = metric(&cold_metrics, &["counters", "dedup.joined"]);
@@ -320,26 +277,24 @@ fn main() {
     };
 
     println!(
-        "{:<22} {:>12} {:>12} {:>12} {:>12}",
-        "metric", "cold", "warm/close", "warm/ka", "warm/pipe"
+        "{:<22} {:>12} {:>12} {:>12}",
+        "metric", "cold", "warm/close", "warm/ka"
     );
-    let row = |name: &str, a: f64, b: f64, c: f64, d: f64| {
-        println!("{name:<22} {a:>12.2} {b:>12.2} {c:>12.2} {d:>12.2}")
-    };
-    row("requests/sec", cold.rps, wc.rps, wk.rps, wp.rps);
-    row("p50 latency (ms)", cold.p50, wc.p50, wk.p50, wp.p50);
-    row("p95 latency (ms)", cold.p95, wc.p95, wk.p95, wp.p95);
-    row("p99 latency (ms)", cold.p99, wc.p99, wk.p99, wp.p99);
-    row("max latency (ms)", cold.max, wc.max, wk.max, wp.max);
+    let row =
+        |name: &str, a: f64, b: f64, c: f64| println!("{name:<22} {a:>12.2} {b:>12.2} {c:>12.2}");
+    row("requests/sec", cold.rps, wc.rps, wk.rps);
+    row("p50 latency (ms)", cold.p50, wc.p50, wk.p50);
+    row("p95 latency (ms)", cold.p95, wc.p95, wk.p95);
+    row("p99 latency (ms)", cold.p99, wc.p99, wk.p99);
+    row("max latency (ms)", cold.max, wc.max, wk.max);
     println!(
         "dedup: {joined}/{run} cold requests joined an in-flight duplicate ({:.0}%), {executed} jobs executed",
         dedup_ratio * 100.0
     );
     println!(
-        "connections: server opened {} / reused {}, pipeline depth max {}",
+        "connections: server opened {} / reused {}",
         metric(&final_metrics, &["counters", "connections.opened"]),
         metric(&final_metrics, &["counters", "connections.reused"]),
-        metric(&final_metrics, &["counters", "pipeline.depth_max"]),
     );
 
     let json = Json::obj(vec![
@@ -351,14 +306,12 @@ fn main() {
                 ("clients", Json::U64(args.clients as u64)),
                 ("requests_per_client", Json::U64(args.requests as u64)),
                 ("workers", Json::U64(args.workers as u64)),
-                ("pipeline_depth", Json::U64(args.pipeline as u64)),
                 ("mix", Json::str("table3 + ablation, alternating")),
             ]),
         ),
         ("cold", cold.json),
         ("warm_close", wc.json),
         ("warm_keep_alive", wk.json),
-        ("warm_pipelined", wp.json),
         (
             "dedup",
             Json::obj(vec![
@@ -378,10 +331,6 @@ fn main() {
                 (
                     "server_reused",
                     Json::U64(metric(&final_metrics, &["counters", "connections.reused"])),
-                ),
-                (
-                    "pipeline_depth_max",
-                    Json::U64(metric(&final_metrics, &["counters", "pipeline.depth_max"])),
                 ),
             ]),
         ),
@@ -427,16 +376,12 @@ mod tests {
 
     #[test]
     fn transport_flags_parse() {
-        let a = parse_args(
-            ["--keep-alive", "--pipeline", "8"]
-                .iter()
-                .map(|s| s.to_string()),
-        )
-        .unwrap();
+        let a = parse_args(["--keep-alive".to_string()].into_iter()).unwrap();
         assert!(a.keep_alive);
-        assert_eq!(a.pipeline, 8);
         assert!(a.out.ends_with("BENCH_35.json"));
-        assert!(parse_args(["--pipeline".to_string(), "0".to_string()].into_iter()).is_err());
+        // Every pass sends one request at a time; `--pipeline` is rejected.
+        let err = parse_args(["--pipeline", "8"].iter().map(|s| s.to_string())).unwrap_err();
+        assert!(err.contains("--pipeline"), "{err}");
     }
 
     #[test]

@@ -41,14 +41,6 @@ impl MetricsRegistry {
         *c.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    /// Raise `name` to `value` if it is higher (a high-water mark, e.g.
-    /// the deepest pipeline a connection ever reached).
-    pub fn record_max(&self, name: &str, value: u64) {
-        let mut c = self.counters.lock().unwrap();
-        let e = c.entry(name.to_string()).or_insert(0);
-        *e = (*e).max(value);
-    }
-
     /// Current value of `name` (zero if never touched).
     pub fn get(&self, name: &str) -> u64 {
         self.counters
@@ -222,16 +214,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_max_is_a_high_water_mark() {
-        let m = MetricsRegistry::new();
-        m.record_max("depth", 3);
-        m.record_max("depth", 1);
-        assert_eq!(m.get("depth"), 3);
-        m.record_max("depth", 7);
-        assert_eq!(m.get("depth"), 7);
-    }
 
     #[test]
     fn counters_accumulate_and_sort() {

@@ -1,11 +1,8 @@
 //! `gsd` — the guardspec simulation daemon.
 //!
 //! ```text
-//! gsd [--port P] [--cache-dir DIR | --no-cache] [--workers N]
-//!     [--queue-cap N] [--shard N/M] [--jobs N] [--est-job-ms MS]
-//!     [--peers HOST:PORT,...] [--peer-timeout-ms MS]
-//!     [--idle-timeout-ms MS] [--max-conn-requests N]
-//!     [--pipeline-depth N] [--slow-ms MS]
+//! gsd [--port P] [--cache-dir DIR] [--workers N] [--shard N/M]
+//!     [--peers HOST:PORT,...] [--slow-ms MS]
 //!     [--log-level off|error|warn|info|debug]
 //! ```
 //!
@@ -71,25 +68,12 @@ fn parse_config(argv: impl Iterator<Item = String>) -> Result<(ServerConfig, Log
             "--cache-dir" => {
                 config.cache_dir = Some(PathBuf::from(take_value(&mut args, "--cache-dir")?));
             }
-            "--no-cache" => config.cache_dir = None,
             "--workers" => {
                 let v = take_value(&mut args, "--workers")?;
                 config.workers = v.parse().map_err(|_| format!("bad --workers {v:?}"))?;
             }
-            "--queue-cap" => {
-                let v = take_value(&mut args, "--queue-cap")?;
-                config.queue_cap = v.parse().map_err(|_| format!("bad --queue-cap {v:?}"))?;
-            }
             "--shard" => {
                 config.shard = ShardSpec::parse(&take_value(&mut args, "--shard")?)?;
-            }
-            "--jobs" => {
-                let v = take_value(&mut args, "--jobs")?;
-                config.jobs_per_request = v.parse().map_err(|_| format!("bad --jobs {v:?}"))?;
-            }
-            "--est-job-ms" => {
-                let v = take_value(&mut args, "--est-job-ms")?;
-                config.est_job_ms = v.parse().map_err(|_| format!("bad --est-job-ms {v:?}"))?;
             }
             "--peers" => {
                 config.peers = take_value(&mut args, "--peers")?
@@ -98,30 +82,6 @@ fn parse_config(argv: impl Iterator<Item = String>) -> Result<(ServerConfig, Log
                     .filter(|s| !s.is_empty())
                     .map(String::from)
                     .collect();
-            }
-            "--idle-timeout-ms" => {
-                let v = take_value(&mut args, "--idle-timeout-ms")?;
-                config.idle_timeout_ms = v
-                    .parse()
-                    .map_err(|_| format!("bad --idle-timeout-ms {v:?}"))?;
-            }
-            "--max-conn-requests" => {
-                let v = take_value(&mut args, "--max-conn-requests")?;
-                config.max_conn_requests = v
-                    .parse()
-                    .map_err(|_| format!("bad --max-conn-requests {v:?}"))?;
-            }
-            "--pipeline-depth" => {
-                let v = take_value(&mut args, "--pipeline-depth")?;
-                config.pipeline_depth = v
-                    .parse()
-                    .map_err(|_| format!("bad --pipeline-depth {v:?}"))?;
-            }
-            "--peer-timeout-ms" => {
-                let v = take_value(&mut args, "--peer-timeout-ms")?;
-                config.peer_timeout_ms = v
-                    .parse()
-                    .map_err(|_| format!("bad --peer-timeout-ms {v:?}"))?;
             }
             "--slow-ms" => {
                 let v = take_value(&mut args, "--slow-ms")?;
@@ -183,27 +143,14 @@ mod tests {
         let (c, level) = parse(&[
             "--port",
             "8123",
-            "--no-cache",
+            "--cache-dir",
+            "/tmp/gsd-cache",
             "--workers",
             "3",
-            "--queue-cap",
-            "7",
             "--shard",
             "1/4",
-            "--jobs",
-            "2",
-            "--est-job-ms",
-            "50",
             "--peers",
             "127.0.0.1:7001, 127.0.0.1:7002",
-            "--idle-timeout-ms",
-            "1500",
-            "--max-conn-requests",
-            "64",
-            "--pipeline-depth",
-            "4",
-            "--peer-timeout-ms",
-            "250",
             "--slow-ms",
             "900",
             "--log-level",
@@ -211,22 +158,28 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(c.port, 8123);
-        assert_eq!(c.cache_dir, None);
+        assert_eq!(c.cache_dir, Some(PathBuf::from("/tmp/gsd-cache")));
         assert_eq!(c.workers, 3);
-        assert_eq!(c.queue_cap, 7);
         assert_eq!(c.shard.tag(), "1/4");
-        assert_eq!(c.jobs_per_request, 2);
-        assert_eq!(c.est_job_ms, 50);
         assert_eq!(c.peers, vec!["127.0.0.1:7001", "127.0.0.1:7002"]);
-        assert_eq!(c.idle_timeout_ms, 1500);
-        assert_eq!(c.max_conn_requests, 64);
-        assert_eq!(c.pipeline_depth, 4);
-        assert_eq!(c.peer_timeout_ms, 250);
         assert_eq!(c.slow_ms, Some(900));
         assert_eq!(level, LogLevel::Debug);
-        // The job hold is a test hook set through `ServerConfig`, not a flag.
-        let err = parse(&["--hold-ms", "5"]).unwrap_err();
-        assert!(err.contains("--hold-ms"), "{err}");
+        // Settings no caller passes are `ServerConfig` fields (or
+        // constants), not flags: each is rejected by name.
+        for flag in [
+            "--hold-ms",
+            "--no-cache",
+            "--queue-cap",
+            "--jobs",
+            "--est-job-ms",
+            "--peer-timeout-ms",
+            "--idle-timeout-ms",
+            "--max-conn-requests",
+            "--pipeline-depth",
+        ] {
+            let err = parse(&[flag, "5"]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
     }
 
     #[test]

@@ -76,22 +76,11 @@ pub fn post_run_on(
     ))
 }
 
-/// POST `req` to `addr` on a fresh connection.  Kept for one-shot callers;
-/// fan-out uses [`post_run_on`] with a per-shard keep-alive connection.
-pub fn post_run(addr: &str, req: &RunRequest) -> Result<String, String> {
-    let mut conn = ClientConn::new(addr);
-    post_run_on(&mut conn, addr, req, &mut 0)
-}
-
 /// Fan `req` across `servers` (shard `k` of `servers.len()` goes to
 /// `servers[k]`) and merge the partial artifacts back into one stable
-/// artifact, byte-identical to an offline run of the full sweep.
-pub fn run_fanout(servers: &[String], req: &RunRequest) -> Result<String, String> {
-    run_fanout_stats(servers, req).map(|(body, _)| body)
-}
-
-/// [`run_fanout`] plus [`ClientStats`].  Each shard gets one keep-alive
-/// connection for its whole request/retry conversation.
+/// artifact, byte-identical to an offline run of the full sweep, with the
+/// [`ClientStats`] it cost.  Each shard gets one keep-alive connection for
+/// its whole request/retry conversation.
 pub fn run_fanout_stats(
     servers: &[String],
     req: &RunRequest,

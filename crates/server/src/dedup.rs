@@ -4,14 +4,11 @@
 //! The map is keyed by [`crate::protocol::request_key`].  The first
 //! arrival becomes the **owner** (it schedules the job and must eventually
 //! [`FlightMap::publish`]); later arrivals while the flight is open become
-//! **joiners**.  Two joining styles share one flight:
-//!
-//! * [`FlightMap::enter`] blocks the calling thread until the outcome
-//!   lands (the historical thread-per-connection style, kept for tests);
-//! * [`FlightMap::enter_async`] registers a callback instead — the event
-//!   loop's style, where no thread may ever block.  Callbacks run on the
-//!   publisher's thread, so they must be cheap (the server's push a
-//!   completion and poke an eventfd).
+//! **joiners**.  Every arrival joins through [`FlightMap::enter_async`],
+//! which registers a callback rather than blocking, because the event
+//! loop thread that calls it may never block.  Callbacks run on the
+//! publisher's thread, so they must be cheap (the server's push a
+//! completion and poke an eventfd).
 //!
 //! Publishing removes the entry — a request arriving *after* publication
 //! starts a fresh flight, which is correct (it will hit the disk cache)
@@ -22,7 +19,7 @@
 //! never a hang.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// What a flight resolved to.  Cheap to clone — the payload is shared.
 #[derive(Clone, Debug)]
@@ -48,38 +45,7 @@ struct FlightState {
     trace_id: Option<String>,
 }
 
-struct Flight {
-    state: Mutex<FlightState>,
-    published: Condvar,
-}
-
-/// The owner's handle on its own flight.  Holding the `Arc` directly means
-/// the owner can [`FlightTicket::wait`] for a worker's publication without
-/// re-entering the map — immune to the race where the worker publishes
-/// (removing the entry) before the owner starts waiting.
-pub struct FlightTicket {
-    flight: Arc<Flight>,
-}
-
-impl FlightTicket {
-    /// Block until someone publishes this flight's outcome.
-    pub fn wait(self) -> Outcome {
-        let mut st = self.flight.state.lock().unwrap();
-        while st.outcome.is_none() {
-            st = self.flight.published.wait(st).unwrap();
-        }
-        st.outcome.clone().unwrap()
-    }
-}
-
-/// What `enter` decided for this arrival.
-pub enum Entered {
-    /// First arrival: run the job, then `publish` (or `wait` on the ticket
-    /// after handing the job to a worker that will publish).
-    Owner(FlightTicket),
-    /// Duplicate arrival: the flight's outcome, once published.
-    Joined(Outcome),
-}
+type Flight = Mutex<FlightState>;
 
 #[derive(Default)]
 pub struct FlightMap {
@@ -96,32 +62,15 @@ impl FlightMap {
         match map.get(key) {
             Some(f) => (f.clone(), false),
             None => {
-                let flight = Arc::new(Flight {
-                    state: Mutex::new(FlightState {
-                        outcome: None,
-                        waiters: Vec::new(),
-                        trace_id: None,
-                    }),
-                    published: Condvar::new(),
-                });
+                let flight = Arc::new(Mutex::new(FlightState {
+                    outcome: None,
+                    waiters: Vec::new(),
+                    trace_id: None,
+                }));
                 map.insert(key.to_string(), flight.clone());
                 (flight, true)
             }
         }
-    }
-
-    /// Enter the flight for `key`.  Owners return immediately; joiners
-    /// block until the owner publishes.
-    pub fn enter(&self, key: &str) -> Entered {
-        let (flight, owner) = self.enter_flight(key);
-        if owner {
-            return Entered::Owner(FlightTicket { flight });
-        }
-        let mut st = flight.state.lock().unwrap();
-        while st.outcome.is_none() {
-            st = flight.published.wait(st).unwrap();
-        }
-        Entered::Joined(st.outcome.clone().unwrap())
     }
 
     /// Non-blocking entry: `waiter` fires with the outcome whenever it
@@ -132,7 +81,7 @@ impl FlightMap {
     pub fn enter_async(&self, key: &str, waiter: Waiter) -> bool {
         let (flight, owner) = self.enter_flight(key);
         let fire_now = {
-            let mut st = flight.state.lock().unwrap();
+            let mut st = flight.lock().unwrap();
             match st.outcome.clone() {
                 Some(o) => Some((waiter, o)),
                 None => {
@@ -147,10 +96,9 @@ impl FlightMap {
         owner
     }
 
-    /// Publish the owner's outcome: wake every blocking joiner and fire
-    /// every registered callback (on this thread, outside the locks).  The
-    /// entry is removed first, so arrivals from this instant on start a
-    /// new flight.
+    /// Publish the owner's outcome: fire every registered callback (on
+    /// this thread, outside the locks).  The entry is removed first, so
+    /// arrivals from this instant on start a new flight.
     pub fn publish(&self, key: &str, outcome: Outcome) {
         let flight = self
             .flights
@@ -159,11 +107,10 @@ impl FlightMap {
             .remove(key)
             .expect("publish without an open flight");
         let waiters = {
-            let mut st = flight.state.lock().unwrap();
+            let mut st = flight.lock().unwrap();
             st.outcome = Some(outcome.clone());
             std::mem::take(&mut st.waiters)
         };
-        flight.published.notify_all();
         for w in waiters {
             w(outcome.clone());
         }
@@ -178,14 +125,14 @@ impl FlightMap {
     /// the flight already published).
     pub fn set_trace(&self, key: &str, trace_id: &str) {
         if let Some(f) = self.flights.lock().unwrap().get(key) {
-            f.state.lock().unwrap().trace_id = Some(trace_id.to_string());
+            f.lock().unwrap().trace_id = Some(trace_id.to_string());
         }
     }
 
     /// The owner's trace id for the open flight on `key`, if any.
     pub fn trace_of(&self, key: &str) -> Option<String> {
         let f = self.flights.lock().unwrap().get(key)?.clone();
-        let st = f.state.lock().unwrap();
+        let st = f.lock().unwrap();
         st.trace_id.clone()
     }
 }
@@ -193,62 +140,59 @@ impl FlightMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn joiners_receive_the_owners_outcome() {
         let map = Arc::new(FlightMap::new());
-        let owners = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let map = map.clone();
-            let owners = owners.clone();
-            handles.push(std::thread::spawn(move || match map.enter("k") {
-                Entered::Owner(_ticket) => {
-                    owners.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    map.publish("k", Outcome::Done(Arc::new("payload".to_string())));
-                    "owner".to_string()
-                }
-                Entered::Joined(Outcome::Done(s)) => s.as_str().to_string(),
-                Entered::Joined(other) => panic!("unexpected {other:?}"),
-            }));
+        let (tx, rx) = std::sync::mpsc::channel();
+        // All eight arrive before anyone publishes, so one owns the flight
+        // and the other seven join it.
+        let entered = Arc::new(std::sync::Barrier::new(9));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let (map, tx, entered) = (map.clone(), tx.clone(), entered.clone());
+                std::thread::spawn(move || {
+                    let waiter: Waiter = Box::new(move |o| tx.send(o).unwrap());
+                    let owner = map.enter_async("k", waiter);
+                    entered.wait();
+                    owner
+                })
+            })
+            .collect();
+        entered.wait();
+        assert_eq!(map.in_flight(), 1);
+        map.publish("k", Outcome::Done(Arc::new("payload".to_string())));
+        let owners = handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .filter(|&owner| owner)
+            .count();
+        assert_eq!(owners, 1, "exactly one arrival owns the flight");
+        drop(tx);
+        let outcomes: Vec<Outcome> = rx.iter().collect();
+        assert_eq!(outcomes.len(), 8, "every arrival's waiter fires once");
+        for o in outcomes {
+            assert!(
+                matches!(&o, Outcome::Done(s) if s.as_str() == "payload"),
+                "{o:?}"
+            );
         }
-        let results: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // Exactly one owner; with the 50ms hold, at least one thread joined
-        // (typically all seven — but scheduling can start threads late, so
-        // only the ownership invariant is asserted strictly).
-        assert_eq!(owners.load(Ordering::SeqCst), 1);
-        assert!(results.iter().filter(|r| *r == "owner").count() == 1);
-        assert!(results.iter().all(|r| r == "owner" || r == "payload"));
         assert_eq!(map.in_flight(), 0);
     }
 
     #[test]
     fn publication_closes_the_flight() {
         let map = FlightMap::new();
-        assert!(matches!(map.enter("k"), Entered::Owner(_)));
+        assert!(map.enter_async("k", Box::new(|_| {})));
         assert_eq!(map.in_flight(), 1);
         map.publish("k", Outcome::Rejected { retry_after_ms: 9 });
         assert_eq!(map.in_flight(), 0);
         // The next arrival is a fresh owner, not a joiner of stale state.
-        assert!(matches!(map.enter("k"), Entered::Owner(_)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        assert!(map.enter_async("k", Box::new(move |o| tx.send(o).unwrap())));
+        assert!(rx.try_recv().is_err(), "a fresh flight has no outcome yet");
         map.publish("k", Outcome::Draining);
-    }
-
-    #[test]
-    fn owner_ticket_survives_publication_racing_ahead_of_wait() {
-        // The worker may publish (removing the map entry) before the owner
-        // starts waiting; the ticket's Arc still carries the outcome.
-        let map = Arc::new(FlightMap::new());
-        let Entered::Owner(ticket) = map.enter("k") else {
-            panic!("first arrival must own");
-        };
-        map.publish("k", Outcome::Done(Arc::new("late".to_string())));
-        match ticket.wait() {
-            Outcome::Done(s) => assert_eq!(s.as_str(), "late"),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(rx.try_recv(), Ok(Outcome::Draining)));
     }
 
     #[test]
@@ -290,22 +234,5 @@ mod tests {
         // Tagging a published (absent) flight is a no-op, not a panic.
         map.set_trace("k", "zz");
         assert_eq!(map.trace_of("k"), None);
-    }
-
-    #[test]
-    fn mixed_blocking_and_async_joiners_share_one_flight() {
-        let map = Arc::new(FlightMap::new());
-        assert!(map.enter_async("k", Box::new(|_| {})));
-        let blocked = {
-            let map = map.clone();
-            std::thread::spawn(move || match map.enter("k") {
-                Entered::Joined(Outcome::Done(s)) => s.as_str().to_string(),
-                _ => panic!("must join the async-owned flight"),
-            })
-        };
-        // Give the blocking joiner a moment to park.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        map.publish("k", Outcome::Done(Arc::new("both".to_string())));
-        assert_eq!(blocked.join().unwrap(), "both");
     }
 }

@@ -17,23 +17,30 @@
 //!   `eventfd` poke).  A [`Responder`] is the cloneable capability to do
 //!   so for one specific request.
 //!
-//! Per-connection state machine:
+//! Per-connection state machine (one request in flight at a time):
 //!
 //! ```text
-//!   read → rbuf → try_parse ─┬─ Partial   → wait for more bytes
-//!                            ├─ Complete  → dispatch slot(seq), repeat
-//!                            └─ Error     → synthetic error slot, close
-//!   completions → slots[seq].done
-//!   pump: slots flushed strictly in seq order  (pipelining keeps order)
+//!   read → rbuf
+//!   pump:     the open slot, once done → wbuf (slot closes); flush wbuf
+//!   dispatch: no slot open → try_parse(rbuf) ─┬─ Partial  → wait for bytes
+//!                                             ├─ Complete → open slot(seq)
+//!                                             └─ Error    → error slot, close
+//!   repeat pump → dispatch until neither makes progress
+//!   completions → the open slot, if their seq is its seq
 //! ```
+//!
+//! A pipelining client is answered in request order because the next
+//! request is parsed only after its predecessor's response has been
+//! queued for write.  Bytes already in `rbuf` raise no new `EPOLLIN`, so
+//! the loop dispatches such a request in the same iteration that writes
+//! its predecessor's response.  While a slot is open the connection's
+//! `EPOLLIN` interest is dropped, so a flooding client is back-pressured
+//! by TCP instead of ballooning `rbuf`.
 //!
 //! Keep-alive is the default (HTTP/1.1 semantics, see
 //! [`HttpRequest::keep_alive`]); a connection closes when the client
 //! asks, after `max_conn_requests`, on a parse error, while draining, or
-//! after `idle_timeout_ms` with nothing in flight.  Pipelining is
-//! bounded by `pipeline_depth`: at the cap the connection's `EPOLLIN`
-//! interest is dropped, so a flooding client is back-pressured by TCP
-//! instead of ballooning `rbuf`.
+//! after `idle_timeout_ms` with nothing in flight.
 //!
 //! Streaming responses (`POST /run?stream=1`) hold their slot open:
 //! `Responder::event` lines are flushed as chunked NDJSON the moment
@@ -42,7 +49,7 @@
 //! body.  The HTTP status is always 200 on a stream; the real status
 //! rides in the result event.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -91,25 +98,13 @@ mod ffi {
     }
 }
 
-/// Tuning knobs for the loop, all settable from `gsd` flags.
+/// Connection limits, taken from the server's configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EventLoopConfig {
     /// Close keep-alive connections idle (no request in flight) this long.
     pub idle_timeout_ms: u64,
     /// Close a connection after serving this many requests.
     pub max_conn_requests: u64,
-    /// Per-connection cap on dispatched-but-unanswered pipelined requests.
-    pub pipeline_depth: usize,
-}
-
-impl Default for EventLoopConfig {
-    fn default() -> EventLoopConfig {
-        EventLoopConfig {
-            idle_timeout_ms: 30_000,
-            max_conn_requests: 1000,
-            pipeline_depth: 16,
-        }
-    }
 }
 
 /// What the application hands back to the loop for one request.
@@ -215,7 +210,6 @@ pub trait Service: Send + Sync + 'static {
     /// True once the application side has no queued/executing work left.
     fn drained(&self) -> bool;
     fn metric_incr(&self, name: &str);
-    fn metric_max(&self, name: &str, value: u64);
     /// Record a duration sample (nanoseconds) into a latency histogram.
     fn metric_time(&self, name: &str, ns: u64);
 }
@@ -223,8 +217,11 @@ pub trait Service: Send + Sync + 'static {
 /// A finished response: status, extra headers, body.
 type Reply = (u16, Vec<(String, String)>, Vec<u8>);
 
-/// One request's place in the response order.
+/// The one request a connection has in flight.
 struct Slot {
+    /// The request's number on its connection; completions carrying
+    /// another `seq` are dropped.
+    seq: u64,
     stream: bool,
     close_after: bool,
     /// Stream head bytes already emitted.
@@ -238,14 +235,13 @@ struct Conn {
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Dispatched-but-not-fully-written requests, keyed by sequence.
-    slots: BTreeMap<u64, Slot>,
-    next_seq: u64,
-    next_write: u64,
-    /// Requests dispatched over the connection's lifetime.
+    /// The dispatched request whose response is not yet queued for write.
+    slot: Option<Slot>,
+    /// Requests dispatched over the connection's lifetime; the latest
+    /// one's `seq`.
     dispatched: u64,
     last_activity: Instant,
-    /// No more reads; close once every slot has flushed.
+    /// No more reads; close once the slot and `wbuf` have flushed.
     closing: bool,
     interest: u32,
 }
@@ -257,9 +253,7 @@ impl Conn {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            slots: BTreeMap::new(),
-            next_seq: 0,
-            next_write: 0,
+            slot: None,
             dispatched: 0,
             last_activity: Instant::now(),
             closing: false,
@@ -272,7 +266,12 @@ impl Conn {
     }
 
     fn quiescent(&self) -> bool {
-        self.slots.is_empty() && self.flushed()
+        self.slot.is_none() && self.flushed()
+    }
+
+    /// The open slot, if `seq` names it.
+    fn slot_for(&mut self, seq: u64) -> Option<&mut Slot> {
+        self.slot.as_mut().filter(|s| s.seq == seq)
     }
 }
 
@@ -373,12 +372,12 @@ pub fn run_event_loop(
                     headers,
                     body,
                 } => {
-                    if let Some(slot) = conns.get_mut(&token).and_then(|c| c.slots.get_mut(&seq)) {
+                    if let Some(slot) = conns.get_mut(&token).and_then(|c| c.slot_for(seq)) {
                         slot.done = Some((status, headers, body));
                     }
                 }
                 Completion::Event { token, seq, line } => {
-                    if let Some(slot) = conns.get_mut(&token).and_then(|c| c.slots.get_mut(&seq)) {
+                    if let Some(slot) = conns.get_mut(&token).and_then(|c| c.slot_for(seq)) {
                         if slot.stream && slot.done.is_none() {
                             slot.events.push(line);
                         }
@@ -390,11 +389,18 @@ pub fn run_event_loop(
         let now = Instant::now();
         let mut dead = Vec::new();
         for (&token, conn) in conns.iter_mut() {
-            parse_loop(conn, token, &*service, &wake, &cfg, t_wake);
-            let (alive, flush_ns) = pump(conn);
-            if flush_ns > 0 {
-                service.metric_time("conn.flush", flush_ns);
-            }
+            // Pump first: a finished slot must close before the next
+            // request in `rbuf` can dispatch.  Repeat, because a dispatch
+            // may open an error slot that is already answered.
+            let alive = loop {
+                let (alive, flush_ns) = pump(conn);
+                if flush_ns > 0 {
+                    service.metric_time("conn.flush", flush_ns);
+                }
+                if !alive || !dispatch(conn, token, &*service, &wake, &cfg, t_wake) {
+                    break alive;
+                }
+            };
             if !alive || (conn.closing && conn.quiescent()) {
                 dead.push(token);
                 continue;
@@ -409,7 +415,7 @@ pub fn run_event_loop(
                 continue;
             }
             let mut want = 0u32;
-            if !conn.closing && conn.slots.len() < cfg.pipeline_depth {
+            if !conn.closing && conn.slot.is_none() {
                 want |= ffi::EPOLLIN;
             }
             if !conn.flushed() {
@@ -500,94 +506,89 @@ fn read_conn(conn: &mut Conn) {
     }
 }
 
-/// Dispatch every complete request in `rbuf`, up to the pipeline cap.
-fn parse_loop(
+/// Dispatch the next complete request in `rbuf` unless a request is
+/// already in flight.  Returns whether a slot opened.
+fn dispatch(
     conn: &mut Conn,
     token: u64,
     service: &dyn Service,
     wake: &Arc<Wakeup>,
     cfg: &EventLoopConfig,
     t_wake: Instant,
-) {
-    while !conn.closing && conn.slots.len() < cfg.pipeline_depth {
-        match http::try_parse(&conn.rbuf) {
-            Parsed::Partial => break,
-            Parsed::Complete { req, consumed } => {
-                conn.rbuf.drain(..consumed);
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                conn.dispatched += 1;
-                if conn.dispatched > 1 {
-                    service.metric_incr("connections.reused");
-                }
-                service.metric_max("pipeline.depth_max", conn.slots.len() as u64 + 1);
-                let stream = req.method == "POST" && req.path == "/run" && req.query_flag("stream");
-                let keep = req.keep_alive()
-                    && conn.dispatched < cfg.max_conn_requests
-                    && !service.draining();
-                conn.slots.insert(
-                    seq,
-                    Slot {
-                        stream,
-                        close_after: !keep,
-                        started: false,
-                        events: Vec::new(),
-                        done: None,
-                    },
-                );
-                if !keep {
-                    conn.closing = true;
-                }
-                let peer = conn
-                    .stream
-                    .peer_addr()
-                    .unwrap_or_else(|_| "0.0.0.0:0".parse().unwrap());
-                service.metric_time("loop.dispatch", t_wake.elapsed().as_nanos() as u64);
-                service.handle(
-                    req,
-                    peer,
-                    Responder {
-                        wake: wake.clone(),
-                        token,
-                        seq,
-                    },
-                );
+) -> bool {
+    if conn.closing || conn.slot.is_some() {
+        return false;
+    }
+    match http::try_parse(&conn.rbuf) {
+        Parsed::Partial => false,
+        Parsed::Complete { req, consumed } => {
+            conn.rbuf.drain(..consumed);
+            conn.dispatched += 1;
+            let seq = conn.dispatched;
+            if seq > 1 {
+                service.metric_incr("connections.reused");
             }
-            Parsed::Error { status, msg } => {
-                // Answer what we can make sense of, then hang up: bytes
-                // after a framing error are garbage.
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                let body = format!("{{\"error\":\"{msg}\"}}\n").into_bytes();
-                conn.slots.insert(
-                    seq,
-                    Slot {
-                        stream: false,
-                        close_after: true,
-                        started: false,
-                        events: Vec::new(),
-                        done: Some((
-                            status,
-                            vec![("Content-Type".to_string(), "application/json".to_string())],
-                            body,
-                        )),
-                    },
-                );
+            let stream = req.method == "POST" && req.path == "/run" && req.query_flag("stream");
+            let keep = req.keep_alive() && seq < cfg.max_conn_requests && !service.draining();
+            conn.slot = Some(Slot {
+                seq,
+                stream,
+                close_after: !keep,
+                started: false,
+                events: Vec::new(),
+                done: None,
+            });
+            if !keep {
                 conn.closing = true;
-                conn.rbuf.clear();
-                break;
             }
+            let peer = conn
+                .stream
+                .peer_addr()
+                .unwrap_or_else(|_| "0.0.0.0:0".parse().unwrap());
+            service.metric_time("loop.dispatch", t_wake.elapsed().as_nanos() as u64);
+            service.handle(
+                req,
+                peer,
+                Responder {
+                    wake: wake.clone(),
+                    token,
+                    seq,
+                },
+            );
+            true
+        }
+        Parsed::Error { status, msg } => {
+            // Answer what we can make sense of, then hang up: bytes
+            // after a framing error are garbage.  The loop answers this
+            // slot itself, so its seq (0) matches no responder.
+            let body = format!("{{\"error\":\"{msg}\"}}\n").into_bytes();
+            conn.slot = Some(Slot {
+                seq: 0,
+                stream: false,
+                close_after: true,
+                started: false,
+                events: Vec::new(),
+                done: Some((
+                    status,
+                    vec![("Content-Type".to_string(), "application/json".to_string())],
+                    body,
+                )),
+            });
+            conn.closing = true;
+            conn.rbuf.clear();
+            true
         }
     }
 }
 
-/// Encode finished slots (strictly in sequence order) into `wbuf` and
-/// flush as much as the socket accepts.  Returns `(alive, flush_ns)`:
-/// `alive` is false if the peer died; `flush_ns` is the time spent in
-/// the write loop when any bytes actually moved (0 otherwise), so the
-/// loop can histogram its per-connection flush cost.
+/// Encode the open slot into `wbuf` (a stream's head and event lines as
+/// they arrive), closing the slot once its reply is encoded, then flush as
+/// much as the socket accepts.  Returns `(alive, flush_ns)`: `alive` is
+/// false if the peer died; `flush_ns` is the time spent in the write loop
+/// when any bytes actually moved (0 otherwise), so the loop can histogram
+/// its per-connection flush cost.
 fn pump(conn: &mut Conn) -> (bool, u64) {
-    while let Some(slot) = conn.slots.get_mut(&conn.next_write) {
+    if let Some(slot) = &mut conn.slot {
         if slot.stream {
             if !slot.started && (!slot.events.is_empty() || slot.done.is_some()) {
                 conn.wbuf
@@ -599,20 +600,17 @@ fn pump(conn: &mut Conn) -> (bool, u64) {
                 framed.push(b'\n');
                 conn.wbuf.extend_from_slice(&http::encode_chunk(&framed));
             }
-            let Some((status, _headers, body)) = slot.done.take() else {
-                break; // stream still open; later slots must wait
-            };
-            let result = format!("{{\"event\":\"result\",\"status\":{status}}}\n");
-            conn.wbuf
-                .extend_from_slice(&http::encode_chunk(result.as_bytes()));
-            if !body.is_empty() {
-                conn.wbuf.extend_from_slice(&http::encode_chunk(&body));
+            if let Some((status, _headers, body)) = slot.done.take() {
+                let result = format!("{{\"event\":\"result\",\"status\":{status}}}\n");
+                conn.wbuf
+                    .extend_from_slice(&http::encode_chunk(result.as_bytes()));
+                if !body.is_empty() {
+                    conn.wbuf.extend_from_slice(&http::encode_chunk(&body));
+                }
+                conn.wbuf.extend_from_slice(http::encode_last_chunk());
+                conn.slot = None;
             }
-            conn.wbuf.extend_from_slice(http::encode_last_chunk());
-        } else {
-            let Some((status, headers, body)) = slot.done.take() else {
-                break;
-            };
+        } else if let Some((status, headers, body)) = slot.done.take() {
             let hdrs: Vec<(&str, String)> = headers
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.clone()))
@@ -620,9 +618,8 @@ fn pump(conn: &mut Conn) -> (bool, u64) {
             let keep = !slot.close_after;
             conn.wbuf
                 .extend_from_slice(&http::encode_response(status, &hdrs, &body, keep));
+            conn.slot = None;
         }
-        conn.slots.remove(&conn.next_write);
-        conn.next_write += 1;
     }
 
     let t_flush = Instant::now();
@@ -675,56 +672,5 @@ mod tests {
         assert!(matches!(&drained[0], Completion::Event { line, .. } if line == "a"));
         assert!(matches!(&drained[1], Completion::Reply { status: 200, .. }));
         assert!(wake.drain().is_empty());
-    }
-
-    #[test]
-    fn pump_orders_pipelined_responses_by_sequence() {
-        // Answer seq 1 before seq 0: nothing may flush until 0 lands.
-        let (a, mut b) = local_pair();
-        let mut conn = Conn::new(a);
-        for seq in [0u64, 1] {
-            conn.slots.insert(
-                seq,
-                Slot {
-                    stream: false,
-                    close_after: false,
-                    started: false,
-                    events: Vec::new(),
-                    done: None,
-                },
-            );
-        }
-        conn.slots.get_mut(&1).unwrap().done = Some((200, Vec::new(), b"second".to_vec()));
-        let (alive, flush_ns) = pump(&mut conn);
-        assert!(alive);
-        assert_eq!(flush_ns, 0, "no bytes moved, no flush sample");
-        assert!(conn.wbuf.is_empty(), "seq 1 must wait for seq 0");
-        conn.slots.get_mut(&0).unwrap().done = Some((200, Vec::new(), b"first".to_vec()));
-        let (alive, flush_ns) = pump(&mut conn);
-        assert!(alive);
-        assert!(flush_ns > 0, "both responses flushed, sample recorded");
-        assert!(conn.slots.is_empty());
-        b.set_read_timeout(Some(std::time::Duration::from_millis(500)))
-            .unwrap();
-        let mut wire = Vec::new();
-        let mut buf = [0u8; 4096];
-        while !String::from_utf8_lossy(&wire).contains("second") {
-            let n = b.read(&mut buf).expect("both responses on the wire");
-            assert!(n > 0, "peer closed before both responses arrived");
-            wire.extend_from_slice(&buf[..n]);
-        }
-        let wire = String::from_utf8_lossy(&wire).to_string();
-        let first = wire.find("first").expect("first response on the wire");
-        let second = wire.find("second").expect("second response on the wire");
-        assert!(first < second, "responses must flush in request order");
-    }
-
-    fn local_pair() -> (TcpStream, TcpStream) {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = l.local_addr().unwrap();
-        let a = TcpStream::connect(addr).unwrap();
-        let (b, _) = l.accept().unwrap();
-        a.set_nonblocking(true).unwrap();
-        (a, b)
     }
 }

@@ -18,12 +18,12 @@
 //! [`encode_chunk`]) for the `POST /run?stream=1` progress stream.  The
 //! client side offers one-shot helpers ([`roundtrip`], [`get`],
 //! [`post_json`] — all `Connection: close`) and [`ClientConn`], a
-//! keep-alive connection that reuses one TCP stream across requests,
-//! reconnects transparently when the server reaped it, and can pipeline
-//! several requests or decode a chunked progress stream.
+//! keep-alive connection that sends one request at a time over one TCP
+//! stream, reconnects transparently when the server closed it, and
+//! decodes a chunked progress stream.
 //!
 //! Hard limits keep a misbehaving peer from ballooning memory: 64 KiB of
-//! headers, 16 MiB of body.
+//! headers, 16 MiB of body (a chunked body's chunks together included).
 
 use guardspec_harness::{json, Json};
 use std::io::{Read, Write};
@@ -327,7 +327,7 @@ pub fn roundtrip_with(
     )?;
     stream.write_all(body)?;
     stream.flush()?;
-    read_response(&mut stream)
+    read_response(&mut stream).map(|(resp, _)| resp)
 }
 
 /// Convenience: GET `path` and return `(status, body as String)`.
@@ -418,13 +418,15 @@ impl ClientConn {
         Ok(self.stream.as_mut().unwrap())
     }
 
+    /// One request and its response, plus whether bytes past the response
+    /// arrived with it (see [`read_response`]).
     fn send_recv(
         &mut self,
         method: &str,
         path: &str,
         extra_headers: &[(&str, &str)],
         body: &[u8],
-    ) -> std::io::Result<HttpResponse> {
+    ) -> std::io::Result<(HttpResponse, bool)> {
         let addr = self.addr.clone();
         let stream = self.connect()?;
         write_request_head(stream, &addr, method, path, extra_headers, body.len(), true)?;
@@ -433,10 +435,11 @@ impl ClientConn {
         read_response(stream)
     }
 
-    /// Issue one request, reusing the live connection when possible.  A
-    /// failure on a **reused** stream (the server may have reaped it
-    /// between requests) retries once on a fresh connection; a failure on
-    /// a fresh connection is the caller's problem.
+    /// Issue one request, reusing the live connection when possible.  If
+    /// the server closed a **reused** stream (it may have reaped it between
+    /// requests), the request is retried once on a fresh connection.  Any
+    /// other failure, a timeout included, is the caller's problem: a hung
+    /// server costs one timeout, not two.
     pub fn request(
         &mut self,
         method: &str,
@@ -456,60 +459,17 @@ impl ClientConn {
         body: &[u8],
     ) -> std::io::Result<HttpResponse> {
         let reused = self.stream.is_some();
-        match self.send_recv(method, path, extra_headers, body) {
-            Ok(resp) => {
-                if resp.wants_close() {
-                    self.stream = None;
-                }
-                Ok(resp)
-            }
-            Err(_) if reused => {
-                self.stream = None;
-                let resp = self.send_recv(method, path, extra_headers, body)?;
-                if resp.wants_close() {
-                    self.stream = None;
-                }
-                Ok(resp)
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
+        let mut sent = self.send_recv(method, path, extra_headers, body);
+        if reused && sent.as_ref().is_err_and(server_closed) {
+            self.stream = None;
+            sent = self.send_recv(method, path, extra_headers, body);
         }
-    }
-
-    /// Write every request back to back, then read the responses in order
-    /// — bounded client-side pipelining.  The batch must fit the server's
-    /// per-connection pipeline depth.
-    pub fn pipeline(&mut self, reqs: &[(&str, &str, &[u8])]) -> std::io::Result<Vec<HttpResponse>> {
-        let addr = self.addr.clone();
-        let run = |stream: &mut TcpStream| -> std::io::Result<(Vec<HttpResponse>, bool)> {
-            for (method, path, body) in reqs {
-                write_request_head(stream, &addr, method, path, &[], body.len(), true)?;
-                stream.write_all(body)?;
-            }
-            stream.flush()?;
-            let mut out = Vec::with_capacity(reqs.len());
-            let mut closed = false;
-            for _ in reqs {
-                let resp = read_response(stream)?;
-                closed = resp.wants_close();
-                out.push(resp);
-                if closed {
-                    break;
-                }
-            }
-            Ok((out, closed))
-        };
-        match run(self.connect()?) {
-            Ok((out, closed)) => {
-                if closed {
+        match sent {
+            Ok((resp, surplus)) => {
+                if resp.wants_close() || surplus {
                     self.stream = None;
                 }
-                if out.len() < reqs.len() {
-                    return Err(bad("server closed mid-pipeline"));
-                }
-                Ok(out)
+                Ok(resp)
             }
             Err(e) => {
                 self.stream = None;
@@ -577,9 +537,11 @@ impl ClientConn {
                     on_event(line);
                 }
             })?;
-            let close = headers.iter().any(|(k, v)| {
-                k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close")
-            });
+            // Bytes past the last chunk make the stream untrustworthy.
+            let close = !rest.is_empty()
+                || headers.iter().any(|(k, v)| {
+                    k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close")
+                });
             Ok(StreamEnd::Chunked(result_status, artifact, close))
         };
         match run(self.connect()?) {
@@ -633,27 +595,31 @@ fn write_request_head(
 }
 
 /// Read one complete response (status line, headers, `Content-Length` or
-/// chunked body) off the stream, leaving any pipelined successor in place.
-fn read_response(stream: &mut TcpStream) -> std::io::Result<HttpResponse> {
+/// chunked body) off the stream.  Also returns whether bytes past the
+/// response's end were read (and dropped): a well-behaved server sends
+/// nothing before the next request, so such a stream must not be reused —
+/// its next bytes could be a stale answer.
+fn read_response(stream: &mut TcpStream) -> std::io::Result<(HttpResponse, bool)> {
     let (head, mut rest) = read_head(stream)?;
     let (status, headers) = parse_status_head(&head)?;
     let chunked = headers.iter().any(|(k, v)| {
         k.eq_ignore_ascii_case("transfer-encoding") && v.eq_ignore_ascii_case("chunked")
     });
-    let body = if chunked {
+    let (body, surplus) = if chunked {
         let mut body = Vec::new();
         read_chunked(stream, &mut rest, |c| body.extend_from_slice(c))?;
-        body
+        (body, !rest.is_empty())
     } else {
         let content_length = content_length_of(&headers)?;
-        read_exact_body(stream, &mut rest, content_length)?;
-        rest
+        let surplus = read_exact_body(stream, &mut rest, content_length)?;
+        (rest, surplus)
     };
-    Ok(HttpResponse {
+    let resp = HttpResponse {
         status,
         headers,
         body,
-    })
+    };
+    Ok((resp, surplus))
 }
 
 fn parse_status_head(head: &str) -> std::io::Result<(u16, Vec<(String, String)>)> {
@@ -700,7 +666,7 @@ fn read_head(stream: &mut TcpStream) -> std::io::Result<(String, Vec<u8>)> {
         }
         let n = stream.read(&mut chunk)?;
         if n == 0 {
-            return Err(bad("connection closed mid-head"));
+            return Err(closed("connection closed mid-head"));
         }
         buf.extend_from_slice(&chunk[..n]);
     }
@@ -710,38 +676,43 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+/// Complete a `Content-Length` body; `body` holds the bytes already read
+/// past the head.  Returns whether it held bytes past the body's end,
+/// which are dropped.
 fn read_exact_body(
     stream: &mut TcpStream,
     body: &mut Vec<u8>,
     content_length: usize,
-) -> std::io::Result<()> {
-    if body.len() > content_length {
-        // Keep-alive: the excess belongs to the next pipelined response.
+) -> std::io::Result<bool> {
+    if body.len() >= content_length {
+        let surplus = body.len() > content_length;
         body.truncate(content_length);
-        return Ok(());
+        return Ok(surplus);
     }
     let mut remaining = content_length - body.len();
     let mut chunk = [0u8; 8192];
     while remaining > 0 {
         let n = stream.read(&mut chunk[..remaining.min(8192)])?;
         if n == 0 {
-            return Err(bad("connection closed mid-body"));
+            return Err(closed("connection closed mid-body"));
         }
         body.extend_from_slice(&chunk[..n]);
         remaining -= n;
     }
-    Ok(())
+    Ok(false)
 }
 
 /// Decode a chunked body, invoking `on_chunk` once per data chunk (the
 /// server's chunk boundaries are the event-line boundaries).  `pending`
-/// holds bytes already read past the head.
+/// holds bytes already read past the head, and on return any read past
+/// the last chunk.  The chunks together may total at most [`MAX_BODY`].
 fn read_chunked(
     stream: &mut TcpStream,
     pending: &mut Vec<u8>,
     mut on_chunk: impl FnMut(&[u8]),
 ) -> std::io::Result<()> {
     let mut chunk = [0u8; 8192];
+    let mut total = 0usize;
     loop {
         // Find the "<hex>\r\n" size line.
         let line_end = loop {
@@ -753,21 +724,22 @@ fn read_chunked(
             }
             let n = stream.read(&mut chunk)?;
             if n == 0 {
-                return Err(bad("connection closed mid-chunk"));
+                return Err(closed("connection closed mid-chunk"));
             }
             pending.extend_from_slice(&chunk[..n]);
         };
         let size_str =
             std::str::from_utf8(&pending[..line_end]).map_err(|_| bad("bad chunk size"))?;
         let size = usize::from_str_radix(size_str.trim(), 16).map_err(|_| bad("bad chunk size"))?;
-        if size > MAX_BODY {
-            return Err(bad("chunk too large"));
+        if size > MAX_BODY - total {
+            return Err(bad("body too large"));
         }
+        total += size;
         let need = line_end + 2 + size + 2; // size line + data + trailing CRLF
         while pending.len() < need {
             let n = stream.read(&mut chunk)?;
             if n == 0 {
-                return Err(bad("connection closed mid-chunk"));
+                return Err(closed("connection closed mid-chunk"));
             }
             pending.extend_from_slice(&chunk[..n]);
         }
@@ -796,6 +768,21 @@ fn reason(status: u16) -> &'static str {
 
 fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// The server closed the stream before a whole response arrived.
+fn closed(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, msg.to_string())
+}
+
+/// Whether `e` means the server closed the stream (EOF, reset or broken
+/// pipe), the one failure a fresh connection can cure.
+fn server_closed(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+    matches!(
+        e.kind(),
+        UnexpectedEof | ConnectionReset | ConnectionAborted | BrokenPipe
+    )
 }
 
 #[cfg(test)]
@@ -1002,6 +989,87 @@ mod tests {
         // Server dropped the socket; the reused-stream failure retries.
         assert_eq!(conn.request("GET", "/b", b"").unwrap().body, b"two");
         assert_eq!(conn.connections_opened(), 2);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_timed_out_request_is_not_retried_on_a_fresh_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // The test keeps the listener open, so a retry would connect.
+        let accept = listener.try_clone().unwrap();
+        let server = std::thread::spawn(move || {
+            // Answer once, then take the second request and hang until the
+            // client gives up and closes.
+            let (mut s, _) = accept.accept().unwrap();
+            let _ = read_request(&mut s).unwrap();
+            s.write_all(&encode_response(200, &[], b"one", true))
+                .unwrap();
+            let _ = read_request(&mut s).unwrap();
+            let _ = s.read(&mut [0u8; 1]);
+        });
+        let mut conn = ClientConn::with_timeout(&addr, std::time::Duration::from_millis(300));
+        assert_eq!(conn.request("GET", "/a", b"").unwrap().body, b"one");
+        let err = conn.request("GET", "/b", b"").unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "{err:?}"
+        );
+        assert_eq!(conn.connections_opened(), 1, "a timeout must not reconnect");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn bytes_past_a_response_poison_the_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            // A junk response rides behind the real one; reusing this
+            // stream would answer the next request with it.
+            let (mut s, _) = listener.accept().unwrap();
+            let _ = read_request(&mut s).unwrap();
+            let mut out = encode_response(200, &[], b"one", true);
+            out.extend(encode_response(200, &[], b"junk", true));
+            s.write_all(&out).unwrap();
+            let (mut s2, _) = listener.accept().unwrap();
+            let _ = read_request(&mut s2).unwrap();
+            s2.write_all(&encode_response(200, &[], b"two", true))
+                .unwrap();
+        });
+        // A reused stream would wait for an answer that never comes.
+        let mut conn = ClientConn::with_timeout(&addr, std::time::Duration::from_secs(5));
+        assert_eq!(conn.request("GET", "/a", b"").unwrap().body, b"one");
+        assert_eq!(conn.request("GET", "/b", b"").unwrap().body, b"two");
+        assert_eq!(conn.connections_opened(), 2);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn chunked_bodies_are_capped_in_total_not_just_per_chunk() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            // 17 chunks of 1 MiB: each under the cap, together over it.
+            // The client hangs up mid-body, so later writes may fail.
+            let (mut s, _) = listener.accept().unwrap();
+            let _ = read_request(&mut s).unwrap();
+            let mib = vec![b'x'; 1 << 20];
+            let _ = s.write_all(&encode_stream_head(true));
+            for _ in 0..17 {
+                if s.write_all(&encode_chunk(&mib)).is_err() {
+                    return;
+                }
+            }
+            let _ = s.write_all(encode_last_chunk());
+        });
+        let mut conn = ClientConn::new(&addr);
+        let err = conn.request_with("GET", "/cache/k", &[], b"").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err:?}");
+        assert!(err.to_string().contains("body too large"), "{err}");
+        drop(conn);
         server.join().unwrap();
     }
 }

@@ -10,10 +10,11 @@
 //!
 //! Failure is soft by design: any connect/read error or non-200 just
 //! means "that peer doesn't have it", and the worker falls back to the
-//! next peer or to local compute.  Timeouts (`--peer-timeout-ms`) bound
-//! the worst case — a down peer costs one short timeout per fetch, not
-//! a wedged worker — and are counted separately (`cache.peer_timeouts`)
-//! from plain misses so a sick topology is visible in `/metrics`.
+//! next peer or to local compute.  Timeouts
+//! (`ServerConfig::peer_timeout_ms`) bound the worst case — a down or
+//! hung peer costs one short timeout per fetch, not a wedged worker — and
+//! are counted separately (`cache.peer_timeouts`) from plain misses so a
+//! sick topology is visible in `/metrics`.
 //! Connections are keep-alive ([`ClientConn`]) so a warm peering pair
 //! costs one TCP handshake, not one per fetch.
 //!
@@ -36,7 +37,7 @@ pub struct PeerSet {
 impl PeerSet {
     /// `addrs` as given on the command line; empty means peering is off.
     /// `timeout` bounds connect + read + write per probe
-    /// (`--peer-timeout-ms`, default 2000).
+    /// (`ServerConfig::peer_timeout_ms`, default 2000).
     pub fn new(addrs: &[String], timeout: Duration) -> PeerSet {
         PeerSet {
             peers: addrs

@@ -71,6 +71,9 @@ use std::time::{Duration, Instant};
 /// Completed request timelines kept for `GET /trace` scrapers.
 const TRACE_RING_CAP: usize = 64;
 
+/// Per-job service-time estimate behind the 429 `Retry-After` hint.
+const EST_JOB_MS: u64 = 1000;
+
 /// How a [`Server`] is wired up.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -91,19 +94,15 @@ pub struct ServerConfig {
     pub shard: ShardSpec,
     /// `RunOptions::jobs` for each experiment (intra-request parallelism).
     pub jobs_per_request: usize,
-    /// Per-job service-time estimate behind the 429 `Retry-After` hint.
-    pub est_job_ms: u64,
     /// Sibling daemons (`host:port`) to probe for finished artifacts
     /// before simulating.  Empty disables peering.
     pub peers: Vec<String>,
-    /// Per-probe peer budget (connect + read + write), `--peer-timeout-ms`.
+    /// Per-probe peer budget (connect + read + write).
     pub peer_timeout_ms: u64,
     /// Close keep-alive connections idle this long (ms).
     pub idle_timeout_ms: u64,
     /// Close a connection after serving this many requests.
     pub max_conn_requests: u64,
-    /// Per-connection pipelining depth cap.
-    pub pipeline_depth: usize,
     /// Trace every request and log (level `warn`, with the full span
     /// tree) any that takes at least this long, `--slow-ms`.
     pub slow_ms: Option<u64>,
@@ -119,12 +118,10 @@ impl Default for ServerConfig {
             hold_ms: 0,
             shard: ShardSpec::default(),
             jobs_per_request: 1,
-            est_job_ms: 1000,
             peers: Vec::new(),
             peer_timeout_ms: 2_000,
             idle_timeout_ms: 30_000,
             max_conn_requests: 1000,
-            pipeline_depth: 16,
             slow_ms: None,
         }
     }
@@ -188,7 +185,7 @@ impl Server {
         });
         let wake = Arc::new(Wakeup::new()?);
         let shared = Arc::new(Shared {
-            queue: FairQueue::new(config.queue_cap, config.est_job_ms),
+            queue: FairQueue::new(config.queue_cap, EST_JOB_MS),
             cache,
             metrics: Arc::new(MetricsRegistry::new()),
             flights: FlightMap::new(),
@@ -211,7 +208,6 @@ impl Server {
         let loop_cfg = EventLoopConfig {
             idle_timeout_ms: shared.config.idle_timeout_ms,
             max_conn_requests: shared.config.max_conn_requests.max(1),
-            pipeline_depth: shared.config.pipeline_depth.max(1),
         };
         let loop_thread = {
             let service: Arc<dyn Service> = shared.clone();
@@ -291,10 +287,6 @@ impl Service for Shared {
 
     fn metric_incr(&self, name: &str) {
         self.metrics.incr(name);
-    }
-
-    fn metric_max(&self, name: &str, value: u64) {
-        self.metrics.record_max(name, value);
     }
 
     fn metric_time(&self, name: &str, ns: u64) {

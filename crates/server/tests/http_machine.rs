@@ -3,8 +3,9 @@
 //! service semantics (dedup, shard/merge, drain), this file asserts the
 //! epoll state machine itself: incremental parsing under adversarial
 //! write boundaries (slow-loris, split pipelines), keep-alive accounting,
-//! limits (oversized heads/bodies, max-requests, idle reaping), response
-//! ordering under pipelining, and the chunked progress stream.
+//! limits (oversized heads/bodies, max-requests, idle reaping), request
+//! order for a pipelining client served one request at a time, and the
+//! chunked progress stream.
 
 use guardspec_harness::{json, run_experiment, Json, RunOptions};
 use guardspec_server::http::{self, ClientConn};
@@ -14,7 +15,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -295,7 +296,6 @@ fn pipelined_runs_answer_in_request_order_with_offline_bytes() {
     let handle = Server::start(ServerConfig {
         cache_dir: Some(scratch("pipeline")),
         workers: 1,
-        hold_ms: 100, // keep the jobs queued long enough to stack slots
         ..ServerConfig::default()
     })
     .unwrap();
@@ -304,33 +304,68 @@ fn pipelined_runs_answer_in_request_order_with_offline_bytes() {
     let body = request_to_json(&req).to_compact();
     let expected = offline_stable(&req);
 
-    let mut conn = ClientConn::new(&addr);
-    let reqs: Vec<(&str, &str, &[u8])> = vec![
-        ("POST", "/run", body.as_bytes()),
-        ("POST", "/run", body.as_bytes()),
-        ("GET", "/healthz", b""),
-    ];
-    let responses = conn.pipeline(&reqs).unwrap();
-    assert_eq!(responses.len(), 3);
-    for r in &responses[..2] {
-        assert_eq!(r.status, 200);
+    // Two runs and a healthz in one write: the server takes them one at a
+    // time, so the fast healthz still comes back last.
+    let run = format!(
+        "POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let wire = format!("{run}{run}GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(wire.as_bytes()).unwrap();
+    for _ in 0..2 {
+        let (status, _, artifact) = read_raw_response(&mut stream);
+        assert_eq!(status, 200);
         assert_eq!(
-            String::from_utf8_lossy(&r.body),
-            expected,
+            artifact, expected,
             "pipelined /run must return the offline stable bytes"
         );
     }
-    // The healthz queued *behind* two slow /runs still comes back last —
-    // order preserved, not reordered by readiness.
-    assert_eq!(responses[2].status, 200);
-    assert!(String::from_utf8_lossy(&responses[2].body).contains("\"ok\""));
+    let (status, _, health) = read_raw_response(&mut stream);
+    assert_eq!(status, 200);
+    assert!(health.contains("\"ok\""), "{health}");
 
-    let resp = conn
-        .request_with("GET", "/metrics", &[("Accept", "application/json")], b"")
+    let (_, metrics) = http::get_json(&addr, "/metrics").unwrap();
+    assert_eq!(counter(&metrics, "connections.reused"), 2, "{metrics}");
+    handle.shutdown();
+}
+
+#[test]
+fn a_pipelined_burst_is_answered_without_waiting_out_the_poll_timeout() {
+    let handle = Server::start(ServerConfig {
+        cache_dir: None,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    // 32 requests already sitting in the server's read buffer raise no new
+    // readiness event: each must dispatch as soon as its predecessor's
+    // response is queued, not after the loop's 100 ms poll timeout
+    // (32 stalls would take 3.2 s).
+    let wire = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".repeat(32);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let metrics = String::from_utf8_lossy(&resp.body).to_string();
-    assert!(counter(&metrics, "pipeline.depth_max") >= 2, "{metrics}");
-    assert_eq!(conn.connections_opened(), 1);
+    let t0 = Instant::now();
+    stream.write_all(&wire).unwrap();
+    for i in 0..32 {
+        let (status, head, body) = read_raw_response(&mut stream);
+        assert_eq!(status, 200, "response {i}");
+        assert!(
+            head.to_ascii_lowercase().contains("connection: keep-alive"),
+            "response {i}: {head}"
+        );
+        assert!(body.contains("\"ok\""), "response {i}: {body}");
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "32 pipelined answers took {elapsed:?}"
+    );
     handle.shutdown();
 }
 

@@ -11,7 +11,7 @@ use guardspec_harness::{json, run_experiment, Json, RunOptions};
 use guardspec_server::protocol::{
     request_to_json, three_schemes_request, to_spec, CellReq, RunRequest, WorkloadReq,
 };
-use guardspec_server::{http, run_fanout, Server, ServerConfig, ShardSpec};
+use guardspec_server::{http, run_fanout_stats, Server, ServerConfig, ShardSpec};
 use guardspec_sim::MachineConfig;
 use guardspec_workloads::{extended_workloads, Scale};
 use std::path::PathBuf;
@@ -120,7 +120,7 @@ fn sharded_fanout_merges_to_the_offline_bytes() {
     let (h0, h1) = (mk(0), mk(1));
     let servers = vec![h0.addr().to_string(), h1.addr().to_string()];
     let req = three_schemes_request("table3", Scale::Test);
-    let merged = run_fanout(&servers, &req).unwrap();
+    let (merged, _) = run_fanout_stats(&servers, &req).unwrap();
     assert_eq!(merged, offline_stable(&req));
 
     // A full (unsplit) sweep posted straight at one shard is a structured
@@ -140,7 +140,6 @@ fn queue_full_is_a_structured_429_and_nothing_is_dropped() {
         workers: 1,
         queue_cap: 1,
         hold_ms: 600,
-        est_job_ms: 100,
         ..ServerConfig::default()
     })
     .unwrap();

@@ -222,10 +222,10 @@ grep -q '"event"' "$TELDIR/gsda.err"
 rm -rf "$TELDIR"
 
 echo "== loadgen keep-alive (BENCH_35.json: reuse + latency percentiles) =="
-# Four passes against an embedded daemon — cold/close, warm/close,
-# warm/keep-alive, warm/pipelined — overwriting the PR evidence artifact.
-# The keep-alive and pipelined passes must actually reuse connections, and
-# every pass reports histogram-derived p50/p95/p99/max latencies.
+# Three passes against an embedded daemon — cold, warm close and warm
+# keep-alive — overwriting the evidence artifact.  The keep-alive pass
+# must actually reuse connections, and every pass reports
+# histogram-derived p50/p95/p99/max latencies.
 cargo run --release -p guardspec-bench --bin loadgen -- \
     --scale test --clients 4 --requests 8
 test -s results/BENCH_35.json
