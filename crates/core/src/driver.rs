@@ -103,6 +103,20 @@ impl DriverOptions {
             ..DriverOptions::proposed()
         }
     }
+
+    /// The presets by name, in ablation order: the title's individual
+    /// effects between the untransformed baseline and the combined scheme.
+    /// The names are the ablation's column labels and the `/run` protocol's
+    /// option shorthands.
+    pub fn presets() -> [(&'static str, DriverOptions); 5] {
+        [
+            ("baseline", DriverOptions::baseline()),
+            ("speculation", DriverOptions::speculation_only()),
+            ("guarded", DriverOptions::guarded_only()),
+            ("conventional", DriverOptions::conventional()),
+            ("proposed", DriverOptions::proposed()),
+        ]
+    }
 }
 
 impl Default for DriverOptions {
@@ -1058,16 +1072,10 @@ mod tests {
     fn every_preset_preserves_semantics() {
         let prog = mixed_program(150);
         let base = run(&prog).unwrap().machine.mem_checksum();
-        for opts in [
-            DriverOptions::baseline(),
-            DriverOptions::conventional(),
-            DriverOptions::speculation_only(),
-            DriverOptions::guarded_only(),
-            DriverOptions::proposed(),
-        ] {
+        for (name, opts) in DriverOptions::presets() {
             let (out, _) = apply(&opts, &prog);
             let got = run(&out).unwrap().machine.mem_checksum();
-            assert_eq!(base, got, "semantics changed under {opts:?}");
+            assert_eq!(base, got, "semantics changed under {name}");
         }
     }
 

@@ -2,14 +2,14 @@
 //! entries on disk and `gsd` request bodies.
 //!
 //! Seeds are real documents: a cached transform entry written by the
-//! runner, a `/run` body naming builtin, textual and binary workloads, and
-//! the runner's trace blobs.  Seeded SplitMix64 mutations (truncate, byte
+//! runner, a `/run` body naming builtin and textual workloads, and the
+//! runner's trace blobs.  Seeded SplitMix64 mutations (truncate, byte
 //! flip, splice, repeat, deep nest) of the JSON seeds go through every
 //! decoder a warm hit or a request would reach: `http::try_parse` on the
 //! framed request, `json::parse`, `protocol::request_from_json`, the
-//! `codec::*_from_json` decoders on every object, `ir::parse` on every
-//! `program` string and `codec::words_from_hex` +
-//! `ir::encode::decode_program` on every `bin` string.  The blobs get the
+//! `codec::*_from_json` decoders on every object (the options, config and
+//! sampling field lists included) and `ir::parse` on every `program`
+//! string.  The blobs get the
 //! byte mutations plus header-field edits and record rewrites (a run byte
 //! or an entry header, found by walking the records), mostly with the
 //! checksum recomputed so the record checks are reached, and go through
@@ -19,13 +19,14 @@
 //! per-input wall budget, so a decoder that goes quadratic or recurses
 //! without bound shows up here, not as a hung run.
 
+use guardspec_core::DriverOptions;
 use guardspec_harness::{codec, json, run_experiment, ExperimentSpec, Json, RunOptions};
 use guardspec_interp::tracefile::{self, TraceFileError, CHECKSUM_LEN};
 use guardspec_server::http;
 use guardspec_server::protocol::{
     request_from_json, request_to_json, three_schemes_request, WorkloadReq,
 };
-use guardspec_sim::{PackedSource, TraceSource};
+use guardspec_sim::{MachineConfig, PackedSource, SampleParams, TraceSource};
 use guardspec_workloads::{extended_workloads, Scale};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
@@ -99,10 +100,6 @@ fn run_body_seed() -> Vec<u8> {
     req.workloads.push(WorkloadReq::Text {
         name: "text".to_string(),
         program: w.program.to_string(),
-    });
-    req.workloads.push(WorkloadReq::Bin {
-        name: "bin".to_string(),
-        hex: codec::words_to_hex(&guardspec_ir::encode::encode_program(&w.program)),
     });
     request_to_json(&req).to_compact().into_bytes()
 }
@@ -312,6 +309,9 @@ fn decode_all(j: &Json, reached: &mut Reached, depth: usize) {
             let _ = codec::stats_from_json(j);
             let _ = codec::accounting_from_json(j);
             let _ = codec::sample_from_json(j);
+            let _ = codec::fields_from_json::<DriverOptions>(j);
+            let _ = codec::fields_from_json::<MachineConfig>(j);
+            let _ = codec::fields_from_json::<SampleParams>(j);
             if codec::report_from_json(j).is_ok() {
                 reached.report_ok += 1;
             }
@@ -320,11 +320,6 @@ fn decode_all(j: &Json, reached: &mut Reached, depth: usize) {
                     ("program", Json::Str(src)) => {
                         if guardspec_ir::parse::parse_program(src, None).is_ok() {
                             reached.program_ok += 1;
-                        }
-                    }
-                    ("bin", Json::Str(hex)) => {
-                        if let Ok(words) = codec::words_from_hex(hex) {
-                            let _ = guardspec_ir::encode::decode_program(&words);
                         }
                     }
                     _ => decode_all(v, reached, depth + 1),

@@ -14,17 +14,23 @@
 //!   hit (print → parse identity is property-tested in `guardspec-ir`).
 //!   The text is also the cache-key material, and it is both smaller and
 //!   faster to load than a binary copy would be.
+//! * [`DriverOptions`], [`MachineConfig`] and [`SampleParams`] — each
+//!   through its one field list ([`Fields`]), which the cache-key text
+//!   ([`crate::key`]) and `gsd`'s `/run` protocol also walk.
 //!
 //! Decoders return `Err` on any shape mismatch; callers treat that as a
 //! cache miss and recompute, so a stale or corrupt entry can never poison a
 //! run.
 
 use crate::json::Json;
-use guardspec_core::{Decision, TransformReport};
+use guardspec_core::{Decision, DriverOptions, FeedbackParams, TransformReport};
 use guardspec_interp::profile::BranchProfile;
 use guardspec_interp::{BitVec, Profile};
 use guardspec_ir::{BlockId, FuncId, InsnRef};
-use guardspec_sim::{CycleAccounting, CycleBucket, SampleSummary, SimStats, SiteCounters};
+use guardspec_sim::{
+    CycleAccounting, CycleBucket, Latencies, MachineConfig, SampleParams, SampleSummary, SimStats,
+    SiteCounters,
+};
 
 /// One branch decision of the Figure-6 driver, in cache/artifact form.
 ///
@@ -326,28 +332,207 @@ pub fn sample_from_json(j: &Json) -> Result<SampleSummary, String> {
     })
 }
 
-/// Hex encoding for the binary IR form of ad-hoc programs in `gsd` run
-/// requests (one lowercase `%08x` group per `encode_program` word).
-pub fn words_to_hex(words: &[u32]) -> String {
-    let mut out = String::with_capacity(words.len() * 8);
-    for w in words {
-        use std::fmt::Write as _;
-        let _ = write!(out, "{w:08x}");
-    }
-    out
+/// One field of a [`Fields`] struct: a typed reference through which the
+/// key text reads it, [`fields_to_json`] encodes it and [`fields_from_json`]
+/// decodes it.
+pub enum Field<'a> {
+    F64(&'a mut f64),
+    Usize(&'a mut usize),
+    U64(&'a mut u64),
+    Bool(&'a mut bool),
+    /// A fixed-length array (`queue_size`, `fu_count`).
+    Array(&'a mut [usize]),
+    /// A cache's `(total bytes, line bytes, ways)`.
+    Triple(&'a mut (usize, usize, usize)),
 }
 
-pub fn words_from_hex(s: &str) -> Result<Vec<u32>, String> {
-    if !s.len().is_multiple_of(8) || !s.is_ascii() {
-        return Err("bin: bad hex length".to_string());
+/// A struct whose every field is part of an experiment's identity.
+/// [`Fields::fields`] lists each field once, nested structs flattened, in
+/// key order; the key text, the JSON encoder and the JSON decoder are all
+/// derived from that one list.  Each implementation destructures its
+/// struct without `..`, so a field added upstream is a compile error here
+/// rather than two experiments sharing one cache key.
+pub trait Fields: Clone + Default {
+    fn fields(&mut self) -> Vec<(&'static str, Field<'_>)>;
+}
+
+impl Fields for DriverOptions {
+    fn fields(&mut self) -> Vec<(&'static str, Field<'_>)> {
+        let DriverOptions {
+            feedback,
+            enable_likely,
+            enable_ifconvert,
+            enable_split,
+            enable_speculation,
+            max_arm_len,
+            max_speculate_ops,
+            allow_speculative_loads,
+            max_likelies_per_site,
+            mispredict_penalty,
+        } = self;
+        let FeedbackParams {
+            likely_threshold,
+            convert_threshold,
+            monotonic_toggle_max,
+            seg_window,
+            seg_bias,
+            max_segments,
+            min_segment_frac,
+            max_period,
+            period_agreement,
+        } = feedback;
+        vec![
+            ("likely_threshold", Field::F64(likely_threshold)),
+            ("convert_threshold", Field::F64(convert_threshold)),
+            ("monotonic_toggle_max", Field::F64(monotonic_toggle_max)),
+            ("seg_window", Field::Usize(seg_window)),
+            ("seg_bias", Field::F64(seg_bias)),
+            ("max_segments", Field::Usize(max_segments)),
+            ("min_segment_frac", Field::F64(min_segment_frac)),
+            ("max_period", Field::Usize(max_period)),
+            ("period_agreement", Field::F64(period_agreement)),
+            ("enable_likely", Field::Bool(enable_likely)),
+            ("enable_ifconvert", Field::Bool(enable_ifconvert)),
+            ("enable_split", Field::Bool(enable_split)),
+            ("enable_speculation", Field::Bool(enable_speculation)),
+            ("max_arm_len", Field::Usize(max_arm_len)),
+            ("max_speculate_ops", Field::Usize(max_speculate_ops)),
+            (
+                "allow_speculative_loads",
+                Field::Bool(allow_speculative_loads),
+            ),
+            ("max_likelies_per_site", Field::Usize(max_likelies_per_site)),
+            ("mispredict_penalty", Field::F64(mispredict_penalty)),
+        ]
     }
-    s.as_bytes()
-        .chunks(8)
-        .map(|c| {
-            u32::from_str_radix(std::str::from_utf8(c).map_err(|e| e.to_string())?, 16)
-                .map_err(|e| e.to_string())
-        })
-        .collect()
+}
+
+impl Fields for MachineConfig {
+    fn fields(&mut self) -> Vec<(&'static str, Field<'_>)> {
+        let MachineConfig {
+            fetch_width,
+            commit_width,
+            rob_size,
+            queue_size,
+            fu_count,
+            max_inflight_branches,
+            mispredict_recovery,
+            frontend_depth,
+            latencies,
+            bht_entries,
+            btb_sets,
+            icache,
+            dcache,
+        } = self;
+        let Latencies {
+            alu,
+            ldst,
+            sft,
+            fp_add,
+            fp_mul,
+            fp_div,
+            cache_miss_penalty,
+        } = latencies;
+        vec![
+            ("fetch_width", Field::Usize(fetch_width)),
+            ("commit_width", Field::Usize(commit_width)),
+            ("rob_size", Field::Usize(rob_size)),
+            ("queue_size", Field::Array(queue_size)),
+            ("fu_count", Field::Array(fu_count)),
+            ("max_inflight_branches", Field::Usize(max_inflight_branches)),
+            ("mispredict_recovery", Field::U64(mispredict_recovery)),
+            ("frontend_depth", Field::U64(frontend_depth)),
+            ("alu", Field::U64(alu)),
+            ("ldst", Field::U64(ldst)),
+            ("sft", Field::U64(sft)),
+            ("fp_add", Field::U64(fp_add)),
+            ("fp_mul", Field::U64(fp_mul)),
+            ("fp_div", Field::U64(fp_div)),
+            ("cache_miss_penalty", Field::U64(cache_miss_penalty)),
+            ("bht_entries", Field::Usize(bht_entries)),
+            ("btb_sets", Field::Usize(btb_sets)),
+            ("icache", Field::Triple(icache)),
+            ("dcache", Field::Triple(dcache)),
+        ]
+    }
+}
+
+impl Fields for SampleParams {
+    fn fields(&mut self) -> Vec<(&'static str, Field<'_>)> {
+        let SampleParams {
+            detail,
+            warmup,
+            interval,
+        } = self;
+        vec![
+            ("detail", Field::U64(detail)),
+            ("warmup", Field::U64(warmup)),
+            ("interval", Field::U64(interval)),
+        ]
+    }
+}
+
+/// Every field of `v` as one JSON object, in key order.
+pub fn fields_to_json<T: Fields>(v: &T) -> Json {
+    let mut v = v.clone();
+    let usz = |x: usize| Json::U64(x as u64);
+    let pairs = v.fields().into_iter().map(|(name, field)| {
+        let value = match field {
+            Field::F64(x) => Json::F64(*x),
+            Field::Usize(x) => usz(*x),
+            Field::U64(x) => Json::U64(*x),
+            Field::Bool(x) => Json::Bool(*x),
+            Field::Array(xs) => Json::Arr(xs.iter().map(|&x| usz(x)).collect()),
+            Field::Triple(&mut (a, b, c)) => Json::Arr(vec![usz(a), usz(b), usz(c)]),
+        };
+        (name.to_string(), value)
+    });
+    Json::Obj(pairs.collect())
+}
+
+/// Decode what [`fields_to_json`] writes.  Every field is required: a
+/// request that omits one is rejected with the field's name, never
+/// defaulted, so a client and server that disagree on defaults can never
+/// alias two different experiments.
+pub fn fields_from_json<T: Fields>(j: &Json) -> Result<T, String> {
+    fn required<'j, V>(
+        j: &'j Json,
+        k: &str,
+        what: &str,
+        get: impl FnOnce(&'j Json) -> Option<V>,
+    ) -> Result<V, String> {
+        j.get(k)
+            .and_then(get)
+            .ok_or_else(|| format!("no {what} field {k:?}"))
+    }
+    let ints = |k: &str, n: usize| -> Result<Vec<usize>, String> {
+        let v = required(j, k, "array", Json::as_arr)?;
+        if v.len() != n {
+            return Err(format!("{k:?} wants {n} entries"));
+        }
+        v.iter()
+            .map(|x| x.as_u64().map(|x| x as usize))
+            .collect::<Option<_>>()
+            .ok_or_else(|| format!("bad entry in {k:?}"))
+    };
+    let mut out = T::default();
+    for (name, field) in out.fields() {
+        match field {
+            Field::F64(x) => *x = required(j, name, "number", Json::as_f64)?,
+            Field::Usize(x) => *x = required(j, name, "integer", Json::as_u64)? as usize,
+            Field::U64(x) => *x = required(j, name, "integer", Json::as_u64)?,
+            Field::Bool(x) => *x = required(j, name, "boolean", Json::as_bool)?,
+            Field::Array(xs) => {
+                let v = ints(name, xs.len())?;
+                xs.copy_from_slice(&v);
+            }
+            Field::Triple(t) => {
+                let v = ints(name, 3)?;
+                *t = (v[0], v[1], v[2]);
+            }
+        }
+    }
+    Ok(out)
 }
 
 pub fn stats_to_json(s: &SimStats) -> Json {
@@ -567,6 +752,9 @@ pub fn profile_from_json(j: &Json) -> Result<Profile, String> {
 mod tests {
     use super::*;
     use crate::json::parse;
+    use crate::key;
+    use guardspec_predict::Scheme;
+    use guardspec_workloads::Scale;
 
     #[test]
     fn stats_roundtrip_through_text() {
@@ -781,13 +969,70 @@ mod tests {
             .contains("bucket sum"));
     }
 
+    /// Perturb each field of `base` in turn: encode → decode through JSON
+    /// text gives back an equal description, and the cache key moves.
+    /// Dropping any one field from the encoding fails, naming the field.
+    fn roundtrip_every_field<T: Fields + std::fmt::Debug>(
+        base: &T,
+        describe: fn(&T) -> String,
+        key: fn(&T) -> String,
+    ) {
+        let n = base.clone().fields().len();
+        for i in 0..n {
+            let mut v = base.clone();
+            let name = {
+                let mut fields = v.fields();
+                let (name, field) = &mut fields[i];
+                match field {
+                    Field::F64(x) => **x += 0.25,
+                    Field::Usize(x) => **x += 1,
+                    Field::U64(x) => **x += 1,
+                    Field::Bool(x) => **x = !**x,
+                    Field::Array(xs) => xs[0] += 1,
+                    Field::Triple(t) => t.2 += 1,
+                }
+                *name
+            };
+            let text = fields_to_json(&v).to_compact();
+            let back: T = fields_from_json(&parse(&text).unwrap()).unwrap();
+            assert_eq!(describe(&back), describe(&v), "{name} does not roundtrip");
+            assert_ne!(key(&v), key(base), "{name} is not keyed");
+
+            let mut j = fields_to_json(base);
+            let Json::Obj(pairs) = &mut j else {
+                unreachable!("fields encode as an object")
+            };
+            assert_eq!(pairs.remove(i).0, name, "JSON order is field-list order");
+            let err = fields_from_json::<T>(&j).unwrap_err();
+            assert!(err.contains(&format!("{name:?}")), "dropping {name}: {err}");
+        }
+    }
+
     #[test]
-    fn words_hex_roundtrip() {
-        let words = vec![0u32, 1, 0xdead_beef, u32::MAX];
-        let hex = words_to_hex(&words);
-        assert_eq!(hex, "0000000000000001deadbeefffffffff");
-        assert_eq!(words_from_hex(&hex).unwrap(), words);
-        assert!(words_from_hex("123").is_err());
-        assert!(words_from_hex("zzzzzzzz").is_err());
+    fn options_roundtrip_every_field() {
+        for (_, preset) in DriverOptions::presets() {
+            roundtrip_every_field(&preset, key::describe_options, |o| {
+                key::transform_key("p", Scale::Test, o)
+            });
+        }
+    }
+
+    #[test]
+    fn config_roundtrip_every_field() {
+        roundtrip_every_field(&MachineConfig::r10000(), key::describe_config, |c| {
+            key::sim_key("p", Scale::Test, Scheme::TwoBit, c, None, false)
+        });
+    }
+
+    #[test]
+    fn sample_params_roundtrip_every_field() {
+        roundtrip_every_field(&SampleParams::default(), key::describe_sample, |p| {
+            let cfg = MachineConfig::r10000();
+            key::sim_key("p", Scale::Test, Scheme::TwoBit, &cfg, Some(p), false)
+        });
+        assert_eq!(
+            fields_to_json(&SampleParams::default()).to_compact(),
+            r#"{"detail":1000,"warmup":1000,"interval":20000}"#
+        );
     }
 }

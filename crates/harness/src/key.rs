@@ -13,12 +13,12 @@
 //!   [`SampleParams`] field for sampled runs.  The stage tag names the
 //!   entry's payload shape ([`sim_key`]).
 //!
-//! The canonical descriptions below enumerate struct fields *by hand* — if a
-//! field is added upstream it must be added here too, or two configurations
-//! differing only in that field would alias.  The property tests in
-//! `tests/cache_key_prop.rs` perturb every current field and assert the key
-//! changes.
+//! The descriptions walk each struct's one field list ([`Fields`]), which
+//! the `/run` protocol's JSON codec shares.  A field added upstream fails
+//! to compile there until it is listed, so it cannot silently alias two
+//! configurations' keys.
 
+use crate::codec::{Field, Fields};
 use crate::hash::StableHasher;
 use guardspec_core::DriverOptions;
 use guardspec_predict::Scheme;
@@ -34,77 +34,49 @@ pub fn scale_tag(scale: Scale) -> &'static str {
     }
 }
 
-/// Canonical `name=value` listing of every `DriverOptions` field.  Floats
-/// are rendered as bit patterns so distinct values never collide through
-/// decimal formatting.
+/// Canonical `name=value;…` listing of every field of `v`, in its field
+/// list's order.  Floats are rendered as bit patterns so distinct values
+/// never collide through decimal formatting; arrays render as `[a, b, …]`
+/// and cache triples as `(a, b, c)`.
+fn describe(v: &impl Fields) -> String {
+    use std::fmt::Write as _;
+    let mut v = v.clone();
+    let mut out = String::with_capacity(512);
+    for (i, (name, field)) in v.fields().into_iter().enumerate() {
+        if i > 0 {
+            out.push(';');
+        }
+        out.push_str(name);
+        out.push('=');
+        let _ = match field {
+            Field::F64(x) => write!(out, "{:016x}", x.to_bits()),
+            Field::Usize(x) => write!(out, "{x}"),
+            Field::U64(x) => write!(out, "{x}"),
+            Field::Bool(x) => write!(out, "{x}"),
+            Field::Array(xs) => write!(out, "{xs:?}"),
+            Field::Triple(t) => write!(out, "{t:?}"),
+        };
+    }
+    out
+}
+
+/// Canonical listing of every `DriverOptions` field, its
+/// [`FeedbackParams`](guardspec_core::FeedbackParams) thresholds included.
 pub fn describe_options(o: &DriverOptions) -> String {
-    let f = &o.feedback;
-    format!(
-        "likely_threshold={:016x};convert_threshold={:016x};monotonic_toggle_max={:016x};\
-         seg_window={};seg_bias={:016x};max_segments={};min_segment_frac={:016x};\
-         max_period={};period_agreement={:016x};\
-         enable_likely={};enable_ifconvert={};enable_split={};enable_speculation={};\
-         max_arm_len={};max_speculate_ops={};allow_speculative_loads={};\
-         max_likelies_per_site={};mispredict_penalty={:016x}",
-        f.likely_threshold.to_bits(),
-        f.convert_threshold.to_bits(),
-        f.monotonic_toggle_max.to_bits(),
-        f.seg_window,
-        f.seg_bias.to_bits(),
-        f.max_segments,
-        f.min_segment_frac.to_bits(),
-        f.max_period,
-        f.period_agreement.to_bits(),
-        o.enable_likely,
-        o.enable_ifconvert,
-        o.enable_split,
-        o.enable_speculation,
-        o.max_arm_len,
-        o.max_speculate_ops,
-        o.allow_speculative_loads,
-        o.max_likelies_per_site,
-        o.mispredict_penalty.to_bits(),
-    )
+    describe(o)
 }
 
-/// Canonical `name=value` listing of every `MachineConfig` field.
+/// Canonical listing of every `MachineConfig` field, its latencies
+/// included.
 pub fn describe_config(c: &MachineConfig) -> String {
-    let l = &c.latencies;
-    format!(
-        "fetch_width={};commit_width={};rob_size={};queue_size={:?};fu_count={:?};\
-         max_inflight_branches={};mispredict_recovery={};frontend_depth={};\
-         alu={};ldst={};sft={};fp_add={};fp_mul={};fp_div={};cache_miss_penalty={};\
-         bht_entries={};btb_sets={};icache={:?};dcache={:?}",
-        c.fetch_width,
-        c.commit_width,
-        c.rob_size,
-        c.queue_size,
-        c.fu_count,
-        c.max_inflight_branches,
-        c.mispredict_recovery,
-        c.frontend_depth,
-        l.alu,
-        l.ldst,
-        l.sft,
-        l.fp_add,
-        l.fp_mul,
-        l.fp_div,
-        l.cache_miss_penalty,
-        c.bht_entries,
-        c.btb_sets,
-        c.icache,
-        c.dcache,
-    )
+    describe(c)
 }
 
-/// Canonical `name=value` listing of every [`SampleParams`] field.  Only
-/// appended to simulation keys when sampling is on: an unsampled run's key
-/// is unchanged.  No engine is keyed: the runner has one.
+/// Canonical listing of every [`SampleParams`] field.  Only appended to
+/// simulation keys when sampling is on: an unsampled run's key is
+/// unchanged.  No engine is keyed: the runner has one.
 pub fn describe_sample(p: &SampleParams) -> String {
-    format!(
-        "detail={};warmup={};interval={}",
-        p.detail, p.warmup, p.interval
-    )
+    describe(p)
 }
 
 fn stage_key(stage: &str, program_text: &str, scale: Scale, extras: &[&str]) -> String {
@@ -278,20 +250,71 @@ mod tests {
 
     #[test]
     fn preset_options_all_distinct() {
-        let keys: Vec<String> = [
-            DriverOptions::baseline(),
-            DriverOptions::speculation_only(),
-            DriverOptions::guarded_only(),
-            DriverOptions::conventional(),
-            DriverOptions::proposed(),
-        ]
-        .iter()
-        .map(|o| transform_key("p", Scale::Test, o))
-        .collect();
+        let keys: Vec<String> = DriverOptions::presets()
+            .iter()
+            .map(|(_, o)| transform_key("p", Scale::Test, o))
+            .collect();
         for i in 0..keys.len() {
             for j in i + 1..keys.len() {
                 assert_ne!(keys[i], keys[j], "presets {i} and {j} alias");
             }
         }
+    }
+
+    /// The transform key of every preset and the exact key texts, as
+    /// computed before the texts were derived from one field list per
+    /// struct: a preset's warm transform entries keep hitting only while
+    /// these hold.
+    #[test]
+    fn transform_keys_and_key_texts_are_pinned() {
+        for (opts, pinned) in [
+            (
+                DriverOptions::baseline(),
+                "2b46eaedbb636a9e16dd6bc3a6303491",
+            ),
+            (
+                DriverOptions::speculation_only(),
+                "685324e483013b2e19b76abf9e79b661",
+            ),
+            (
+                DriverOptions::guarded_only(),
+                "cba1a4fe1bf0a09ab0b9d01ec48278c7",
+            ),
+            (
+                DriverOptions::conventional(),
+                "881da0c7fdd846c2dae6dd335ec17905",
+            ),
+            (
+                DriverOptions::proposed(),
+                "f8441d9c7e8448e19617a4a986180dd7",
+            ),
+        ] {
+            assert_eq!(
+                transform_key("prog", Scale::Test, &opts),
+                format!("transform-{pinned}")
+            );
+        }
+        assert_eq!(
+            describe_options(&DriverOptions::proposed()),
+            "likely_threshold=3fee666666666666;convert_threshold=3fe4cccccccccccd;\
+             monotonic_toggle_max=3fc999999999999a;seg_window=16;seg_bias=3feccccccccccccd;\
+             max_segments=4;min_segment_frac=3fc3333333333333;max_period=8;\
+             period_agreement=3fee666666666666;enable_likely=true;enable_ifconvert=true;\
+             enable_split=true;enable_speculation=true;max_arm_len=24;max_speculate_ops=4;\
+             allow_speculative_loads=false;max_likelies_per_site=4;\
+             mispredict_penalty=4020000000000000"
+        );
+        assert_eq!(
+            describe_config(&MachineConfig::r10000()),
+            "fetch_width=4;commit_width=4;rob_size=32;queue_size=[4, 16, 16, 16];\
+             fu_count=[2, 1, 1, 1, 1, 1, 1, 18446744073709551615];max_inflight_branches=4;\
+             mispredict_recovery=3;frontend_depth=2;alu=1;ldst=2;sft=1;fp_add=3;fp_mul=3;\
+             fp_div=3;cache_miss_penalty=6;bht_entries=512;btb_sets=64;\
+             icache=(32768, 32, 2);dcache=(32768, 32, 2)"
+        );
+        assert_eq!(
+            describe_sample(&SampleParams::default()),
+            "detail=1000;warmup=1000;interval=20000"
+        );
     }
 }

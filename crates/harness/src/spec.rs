@@ -13,6 +13,11 @@ use guardspec_predict::Scheme;
 use guardspec_sim::MachineConfig;
 use guardspec_workloads::{all_workloads, Scale, Workload};
 
+/// The paper workloads every paper matrix spans, in Table 1 order: the
+/// names [`all_workloads`] builds, for describing a matrix (a `gsd`
+/// request) without building its programs.
+pub const PAPER_WORKLOADS: [&str; 4] = ["compress", "espresso", "xlisp", "grep"];
+
 /// One table cell to evaluate.
 #[derive(Clone, Debug)]
 pub struct CellSpec {
@@ -46,53 +51,18 @@ impl ExperimentSpec {
         }
     }
 
-    /// The Tables 3/4 matrix: every workload under 2-bit BP (original code),
-    /// Proposed (transformed code), and perfect BP (original code) — in
-    /// exactly the [`Scheme::ALL`] column order the tables print.
+    /// The Tables 3/4 matrix over the paper workloads
+    /// ([`three_scheme_cells`]).
     pub fn three_schemes(name: &str, scale: Scale) -> ExperimentSpec {
         let mut spec = ExperimentSpec::profiles_only(name, scale);
-        let cfg = MachineConfig::r10000();
-        for w in 0..spec.workloads.len() {
-            for scheme in Scheme::ALL {
-                spec.cells.push(CellSpec {
-                    workload: w,
-                    label: scheme.label().to_string(),
-                    transform: (scheme == Scheme::Proposed).then(DriverOptions::proposed),
-                    scheme,
-                    cfg: cfg.clone(),
-                });
-            }
-        }
+        spec.cells = three_scheme_cells(spec.workloads.len());
         spec
     }
 
-    /// The ablation matrix: the five driver presets per workload (the
-    /// title's individual/combined effects).
+    /// The ablation matrix over the paper workloads ([`ablation_cells`]).
     pub fn ablation(name: &str, scale: Scale) -> ExperimentSpec {
         let mut spec = ExperimentSpec::profiles_only(name, scale);
-        let cfg = MachineConfig::r10000();
-        let presets: [(&str, DriverOptions); 5] = [
-            ("baseline", DriverOptions::baseline()),
-            ("speculation", DriverOptions::speculation_only()),
-            ("guarded", DriverOptions::guarded_only()),
-            ("conventional", DriverOptions::conventional()),
-            ("proposed", DriverOptions::proposed()),
-        ];
-        for w in 0..spec.workloads.len() {
-            for (label, opts) in &presets {
-                spec.cells.push(CellSpec {
-                    workload: w,
-                    label: label.to_string(),
-                    transform: Some(opts.clone()),
-                    scheme: if *label == "baseline" {
-                        Scheme::TwoBit
-                    } else {
-                        Scheme::Proposed
-                    },
-                    cfg: cfg.clone(),
-                });
-            }
-        }
+        spec.cells = ablation_cells(spec.workloads.len());
         spec
     }
 
@@ -114,6 +84,53 @@ impl ExperimentSpec {
         });
         self.cells.len() - 1
     }
+}
+
+/// The Tables 3/4 cells over `rows` workloads: every workload under 2-bit
+/// BP (original code), Proposed (transformed code) and perfect BP
+/// (original code), in exactly the [`Scheme::ALL`] column order the tables
+/// print.
+pub fn three_scheme_cells(rows: usize) -> Vec<CellSpec> {
+    let columns = Scheme::ALL.map(|scheme| {
+        let transform = (scheme == Scheme::Proposed).then(DriverOptions::proposed);
+        (scheme.label(), transform, scheme)
+    });
+    grid(rows, &columns)
+}
+
+/// The ablation cells over `rows` workloads: every preset, in
+/// [`DriverOptions::presets`] order (the title's individual/combined
+/// effects).  The baseline preset, which transforms nothing, runs under
+/// 2-bit BP; every other preset runs under the proposed scheme.
+pub fn ablation_cells(rows: usize) -> Vec<CellSpec> {
+    let columns = DriverOptions::presets().map(|(name, opts)| {
+        let scheme = if name == "baseline" {
+            Scheme::TwoBit
+        } else {
+            Scheme::Proposed
+        };
+        (name, Some(opts), scheme)
+    });
+    grid(rows, &columns)
+}
+
+/// `rows` workloads × `columns` (label, transform, scheme), row-major, on
+/// the R10000 machine.
+fn grid(rows: usize, columns: &[(&str, Option<DriverOptions>, Scheme)]) -> Vec<CellSpec> {
+    let cfg = MachineConfig::r10000();
+    let mut cells = Vec::with_capacity(rows * columns.len());
+    for workload in 0..rows {
+        for (label, transform, scheme) in columns {
+            cells.push(CellSpec {
+                workload,
+                label: label.to_string(),
+                transform: transform.clone(),
+                scheme: *scheme,
+                cfg: cfg.clone(),
+            });
+        }
+    }
+    cells
 }
 
 #[cfg(test)]
@@ -138,5 +155,12 @@ mod tests {
         assert_eq!(spec.cells.len(), spec.workloads.len() * 5);
         assert!(spec.cells.iter().all(|c| c.transform.is_some()));
         assert_eq!(spec.cells[0].scheme, Scheme::TwoBit); // baseline column
+    }
+
+    #[test]
+    fn paper_workload_names_are_the_built_ones() {
+        let spec = ExperimentSpec::profiles_only("p", Scale::Test);
+        let built: Vec<&str> = spec.workloads.iter().map(|w| w.name).collect();
+        assert_eq!(built, PAPER_WORKLOADS);
     }
 }

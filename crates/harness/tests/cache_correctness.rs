@@ -3,7 +3,7 @@
 //! zero re-profiles / re-transforms / re-simulations (every stage a hit).
 
 use guardspec_harness::{
-    codec, json, run_experiment, stable_json, ExperimentResult, ExperimentSpec, Json, RunOptions,
+    json, run_experiment, stable_json, ExperimentResult, ExperimentSpec, Json, RunOptions,
 };
 use guardspec_sim::{SampleParams, SimStats};
 use guardspec_workloads::Scale;
@@ -152,7 +152,10 @@ fn legacy_transform_entries_with_bin_still_hit() {
         let j = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         let src = j.get("program").and_then(Json::as_str).unwrap();
         let program = guardspec_ir::parse::parse_program(src, None).unwrap();
-        let bin = codec::words_to_hex(&guardspec_ir::encode::encode_program(&program));
+        let bin: String = guardspec_ir::encode::encode_program(&program)
+            .iter()
+            .map(|w| format!("{w:08x}"))
+            .collect();
         let legacy = Json::obj(vec![
             ("program", Json::str(src)),
             ("bin", Json::str(bin)),

@@ -1,9 +1,11 @@
 //! Cache-key sensitivity: changing ANY field of `DriverOptions` (including
 //! every `FeedbackParams` threshold) or `MachineConfig` (including every
-//! latency) must change the corresponding cache key.  Guards the hand-
-//! enumerated field lists in `guardspec_harness::key` against upstream
-//! struct growth: a field added there but not to the key description makes
-//! one of these perturbations a no-op and fails the test.
+//! latency, array slot and cache parameter) must change the corresponding
+//! cache key.  The mutation tables below are written by hand, apart from
+//! the one field list per struct (`guardspec_harness::codec::Fields`) that
+//! the key text is derived from, so a listed field that the key text
+//! drops fails here.  A field added upstream is caught earlier: the field
+//! list destructures its struct without `..`, so it stops compiling.
 
 use guardspec_core::DriverOptions;
 use guardspec_harness::key::{sim_key, transform_key};

@@ -1,9 +1,8 @@
 //! `gsc` — the guardspec sweep client.
 //!
 //! ```text
-//! gsc --servers ADDR[,ADDR...] [--spec table3|ablation] [--name NAME]
-//!     [--scale test|small|paper] [--out PATH] [--client ID] [--observe]
-//!     [--stream] [--trace-out PATH] [--log-level L]
+//! gsc --servers ADDR[,ADDR...] [--spec table3|ablation]
+//!     [--scale test|small|paper] [--out PATH] [--stream] [--trace-out PATH]
 //! gsc --servers ADDR[,ADDR...] --healthz
 //! gsc --servers ADDR[,ADDR...] --metrics [--prom]
 //! ```
@@ -13,7 +12,9 @@
 //! artifacts are merged back into one stable artifact, byte-identical to
 //! an offline `--stable-json` run of the same sweep.  The merged artifact
 //! goes to `--out` (or stdout); transport diagnostics go to stderr as
-//! structured JSON log lines so the artifact bytes stay pure.
+//! structured JSON log lines (info level) so the artifact bytes stay pure.
+//! The experiment is named after `--spec`, as the offline binaries name
+//! theirs.
 //! `--stream` (single server only) asks for `POST /run?stream=1` and
 //! relays the server's stage-progress events to stderr as they arrive.
 //! `--trace-out PATH` (single server only) additionally requests the
@@ -25,7 +26,7 @@
 //! JSON document.  Unknown flags print the offending flag and exit 2.
 
 use guardspec_harness::args::{parse_scale, take_value, unknown_argument};
-use guardspec_harness::log::{self as glog, parse_log_level, LogLevel};
+use guardspec_harness::log::{self as glog, LogLevel};
 use guardspec_harness::{json, validate_chrome_trace, Json};
 use guardspec_server::http::{self, ClientConn};
 use guardspec_server::protocol::{
@@ -40,34 +41,26 @@ use std::path::{Path, PathBuf};
 struct Args {
     servers: Vec<String>,
     spec: String,
-    name: Option<String>,
     scale: Scale,
     out: Option<PathBuf>,
-    client: Option<String>,
-    observe: bool,
     healthz: bool,
     metrics: bool,
     stream: bool,
     trace_out: Option<PathBuf>,
     prom: bool,
-    log_level: LogLevel,
 }
 
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut parsed = Args {
         servers: Vec::new(),
         spec: "table3".to_string(),
-        name: None,
         scale: Scale::Test,
         out: None,
-        client: None,
-        observe: false,
         healthz: false,
         metrics: false,
         stream: false,
         trace_out: None,
         prom: false,
-        log_level: LogLevel::Info,
     };
     let mut args: Box<dyn Iterator<Item = String>> = Box::new(argv);
     while let Some(arg) = args.next() {
@@ -86,11 +79,8 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
                 parsed.spec = v;
             }
-            "--name" => parsed.name = Some(take_value(&mut args, "--name")?),
             "--scale" => parsed.scale = parse_scale(&take_value(&mut args, "--scale")?)?,
             "--out" => parsed.out = Some(PathBuf::from(take_value(&mut args, "--out")?)),
-            "--client" => parsed.client = Some(take_value(&mut args, "--client")?),
-            "--observe" => parsed.observe = true,
             "--healthz" => parsed.healthz = true,
             "--metrics" => parsed.metrics = true,
             "--stream" => parsed.stream = true,
@@ -98,9 +88,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 parsed.trace_out = Some(PathBuf::from(take_value(&mut args, "--trace-out")?));
             }
             "--prom" => parsed.prom = true,
-            "--log-level" => {
-                parsed.log_level = parse_log_level(&take_value(&mut args, "--log-level")?)?;
-            }
             other => return Err(unknown_argument(other)),
         }
     }
@@ -129,17 +116,14 @@ fn main() {
             std::process::exit(2);
         }
     };
-    glog::set_level(args.log_level);
+    glog::set_level(LogLevel::Info);
     if args.healthz || args.metrics {
         std::process::exit(probe_servers(&args));
     }
-    let name = args.name.clone().unwrap_or_else(|| args.spec.clone());
-    let mut request = match args.spec.as_str() {
-        "ablation" => ablation_request(&name, args.scale),
-        _ => three_schemes_request(&name, args.scale),
+    let request = match args.spec.as_str() {
+        "ablation" => ablation_request(&args.spec, args.scale),
+        _ => three_schemes_request(&args.spec, args.scale),
     };
-    request.client = args.client.clone();
-    request.observe = args.observe;
     let result = if args.stream {
         run_streaming(&args.servers[0], &request, args.trace_out.as_deref())
     } else if let Some(path) = &args.trace_out {
@@ -387,14 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn log_level_parses_and_defaults_to_info() {
-        assert_eq!(
-            parse(&["--servers", "a:1"]).unwrap().log_level,
-            LogLevel::Info
-        );
-        let a = parse(&["--servers", "a:1", "--log-level", "debug"]).unwrap();
-        assert_eq!(a.log_level, LogLevel::Debug);
-        assert!(parse(&["--servers", "a:1", "--log-level", "blaring"]).is_err());
+    fn deleted_flags_are_rejected_by_name() {
+        for flag in ["--name", "--client", "--observe", "--log-level"] {
+            let err = parse(&["--servers", "a:1", flag, "x"]).unwrap_err();
+            assert!(err.contains(flag), "{flag}: {err}");
+        }
     }
 
     #[test]

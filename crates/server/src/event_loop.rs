@@ -40,7 +40,10 @@
 //! Keep-alive is the default (HTTP/1.1 semantics, see
 //! [`HttpRequest::keep_alive`]); a connection closes when the client
 //! asks, after `max_conn_requests`, on a parse error, while draining, or
-//! after `idle_timeout_ms` with nothing in flight.
+//! after `idle_timeout_ms` with nothing in flight.  A client that
+//! half-closes is still answered: every complete request that arrived
+//! before its EOF is dispatched in turn, and the connection closes once
+//! none is left (a partial request at EOF can never complete).
 //!
 //! Streaming responses (`POST /run?stream=1`) hold their slot open:
 //! `Responder::event` lines are flushed as chunked NDJSON the moment
@@ -241,8 +244,11 @@ struct Conn {
     /// one's `seq`.
     dispatched: u64,
     last_activity: Instant,
-    /// No more reads; close once the slot and `wbuf` have flushed.
+    /// No more dispatches; close once the slot and `wbuf` have flushed.
     closing: bool,
+    /// The peer half-closed: nothing more will arrive, but the complete
+    /// requests already in `rbuf` are still answered, one at a time.
+    eof: bool,
     interest: u32,
 }
 
@@ -257,6 +263,7 @@ impl Conn {
             dispatched: 0,
             last_activity: Instant::now(),
             closing: false,
+            eof: false,
             interest: ffi::EPOLLIN,
         }
     }
@@ -401,7 +408,10 @@ pub fn run_event_loop(
                     break alive;
                 }
             };
-            if !alive || (conn.closing && conn.quiescent()) {
+            // Quiescent after the dispatch loop means no complete request
+            // is left in `rbuf`: after a half-close, what remains is a
+            // partial request that can never complete.
+            if !alive || ((conn.closing || conn.eof) && conn.quiescent()) {
                 dead.push(token);
                 continue;
             }
@@ -415,7 +425,7 @@ pub fn run_event_loop(
                 continue;
             }
             let mut want = 0u32;
-            if !conn.closing && conn.slot.is_none() {
+            if !conn.closing && !conn.eof && conn.slot.is_none() {
                 want |= ffi::EPOLLIN;
             }
             if !conn.flushed() {
@@ -489,7 +499,7 @@ fn read_conn(conn: &mut Conn) {
     loop {
         match conn.stream.read(&mut buf) {
             Ok(0) => {
-                conn.closing = true;
+                conn.eof = true;
                 break;
             }
             Ok(n) => {

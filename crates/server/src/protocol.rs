@@ -7,13 +7,12 @@
 //! {
 //!   "name": "table3",
 //!   "scale": "test",
-//!   "client": "gsc",
+//!   "client": "tenant-a",
 //!   "observe": false,
-//!   "sample": {"detail": 1000, "warmup": 1000, "interval": 20000},
+//!   "sample": {<every SampleParams field>},
 //!   "workloads": [
 //!     {"builtin": "compress"},
-//!     {"name": "mine", "program": "<textual assembly>"},
-//!     {"name": "mine2", "bin": "<hex-encoded words>"}
+//!     {"name": "mine", "program": "<textual assembly>"}
 //!   ],
 //!   "cells": [
 //!     {"workload": 0, "label": "2-bit BP", "scheme": "2-bit BP",
@@ -22,6 +21,11 @@
 //!   ]
 //! }
 //! ```
+//!
+//! Options, configs and sampling parameters go through the harness's one
+//! field list per struct ([`codec::Fields`]), the same list their cache
+//! keys are built from; every field is required.  An options preset name
+//! is any of [`DriverOptions::presets`].
 //!
 //! The response body for a successful run is exactly the **stable** artifact
 //! payload the bench binaries write with `--stable-json` — byte-identical,
@@ -41,14 +45,15 @@
 //!   descriptors, not transformed program text, which only the server ever
 //!   sees).  `gsc` routes each cell to shard `hash % M`.
 
-use guardspec_core::{DriverOptions, FeedbackParams};
+use guardspec_core::DriverOptions;
 use guardspec_harness::args::parse_scale;
 use guardspec_harness::hash::StableHasher;
-use guardspec_harness::key::scale_tag;
+use guardspec_harness::key::{describe_config, describe_options, describe_sample, scale_tag};
+use guardspec_harness::spec::{ablation_cells, three_scheme_cells, PAPER_WORKLOADS};
 use guardspec_harness::{codec, Json};
 use guardspec_harness::{CellSpec, ExperimentSpec};
 use guardspec_predict::Scheme;
-use guardspec_sim::{Latencies, MachineConfig, SampleParams};
+use guardspec_sim::{MachineConfig, SampleParams};
 use guardspec_workloads::{extended_workloads, Scale, Workload};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -61,8 +66,6 @@ pub enum WorkloadReq {
     Builtin(String),
     /// Ad-hoc textual assembly (no golden verification).
     Text { name: String, program: String },
-    /// Ad-hoc binary-encoded program, hex words (no golden verification).
-    Bin { name: String, hex: String },
 }
 
 impl WorkloadReq {
@@ -70,7 +73,7 @@ impl WorkloadReq {
     pub fn name(&self) -> &str {
         match self {
             WorkloadReq::Builtin(n) => n,
-            WorkloadReq::Text { name, .. } | WorkloadReq::Bin { name, .. } => name,
+            WorkloadReq::Text { name, .. } => name,
         }
     }
 
@@ -81,7 +84,6 @@ impl WorkloadReq {
         match self {
             WorkloadReq::Builtin(n) => format!("builtin:{n}"),
             WorkloadReq::Text { program, .. } => format!("text:{program}"),
-            WorkloadReq::Bin { hex, .. } => format!("bin:{hex}"),
         }
     }
 }
@@ -126,181 +128,17 @@ pub fn scheme_from_label(s: &str) -> Result<Scheme, String> {
         .ok_or_else(|| format!("bad scheme {s:?} (want \"2-bit BP\"|\"Proposed\"|\"Perfect BP\")"))
 }
 
-/// Preset name → options, mirroring the ablation presets.
+/// Preset name → options, from [`DriverOptions::presets`].
 pub fn options_preset(name: &str) -> Result<DriverOptions, String> {
-    match name {
-        "baseline" => Ok(DriverOptions::baseline()),
-        "speculation" => Ok(DriverOptions::speculation_only()),
-        "guarded" => Ok(DriverOptions::guarded_only()),
-        "conventional" => Ok(DriverOptions::conventional()),
-        "proposed" => Ok(DriverOptions::proposed()),
-        other => Err(format!(
-            "bad options preset {other:?} (want baseline|speculation|guarded|conventional|proposed)"
-        )),
+    let presets = DriverOptions::presets();
+    if let Some((_, opts)) = presets.iter().find(|(n, _)| *n == name) {
+        return Ok(opts.clone());
     }
-}
-
-/// Every `DriverOptions` field, explicitly.  [`options_from_json`] requires
-/// every field — a request that omits one is rejected rather than silently
-/// defaulted, so a client and server disagreeing on defaults can never
-/// alias two different experiments.
-pub fn options_to_json(o: &DriverOptions) -> Json {
-    let f = &o.feedback;
-    Json::obj(vec![
-        ("likely_threshold", Json::F64(f.likely_threshold)),
-        ("convert_threshold", Json::F64(f.convert_threshold)),
-        ("monotonic_toggle_max", Json::F64(f.monotonic_toggle_max)),
-        ("seg_window", Json::U64(f.seg_window as u64)),
-        ("seg_bias", Json::F64(f.seg_bias)),
-        ("max_segments", Json::U64(f.max_segments as u64)),
-        ("min_segment_frac", Json::F64(f.min_segment_frac)),
-        ("max_period", Json::U64(f.max_period as u64)),
-        ("period_agreement", Json::F64(f.period_agreement)),
-        ("enable_likely", Json::Bool(o.enable_likely)),
-        ("enable_ifconvert", Json::Bool(o.enable_ifconvert)),
-        ("enable_split", Json::Bool(o.enable_split)),
-        ("enable_speculation", Json::Bool(o.enable_speculation)),
-        ("max_arm_len", Json::U64(o.max_arm_len as u64)),
-        ("max_speculate_ops", Json::U64(o.max_speculate_ops as u64)),
-        (
-            "allow_speculative_loads",
-            Json::Bool(o.allow_speculative_loads),
-        ),
-        (
-            "max_likelies_per_site",
-            Json::U64(o.max_likelies_per_site as u64),
-        ),
-        ("mispredict_penalty", Json::F64(o.mispredict_penalty)),
-    ])
-}
-
-pub fn options_from_json(j: &Json) -> Result<DriverOptions, String> {
-    if let Some(preset) = j.as_str() {
-        return options_preset(preset);
-    }
-    Ok(DriverOptions {
-        feedback: FeedbackParams {
-            likely_threshold: f(j, "likely_threshold")?,
-            convert_threshold: f(j, "convert_threshold")?,
-            monotonic_toggle_max: f(j, "monotonic_toggle_max")?,
-            seg_window: u(j, "seg_window")? as usize,
-            seg_bias: f(j, "seg_bias")?,
-            max_segments: u(j, "max_segments")? as usize,
-            min_segment_frac: f(j, "min_segment_frac")?,
-            max_period: u(j, "max_period")? as usize,
-            period_agreement: f(j, "period_agreement")?,
-        },
-        enable_likely: b(j, "enable_likely")?,
-        enable_ifconvert: b(j, "enable_ifconvert")?,
-        enable_split: b(j, "enable_split")?,
-        enable_speculation: b(j, "enable_speculation")?,
-        max_arm_len: u(j, "max_arm_len")? as usize,
-        max_speculate_ops: u(j, "max_speculate_ops")? as usize,
-        allow_speculative_loads: b(j, "allow_speculative_loads")?,
-        max_likelies_per_site: u(j, "max_likelies_per_site")? as usize,
-        mispredict_penalty: f(j, "mispredict_penalty")?,
-    })
-}
-
-/// Every `MachineConfig` field, explicitly (same no-defaults contract as
-/// [`options_to_json`]; the string `"r10000"` is the one blessed shorthand).
-pub fn config_to_json(c: &MachineConfig) -> Json {
-    let l = &c.latencies;
-    let usz = |v: usize| Json::U64(v as u64);
-    let triple = |(a, b, c): (usize, usize, usize)| Json::Arr(vec![usz(a), usz(b), usz(c)]);
-    Json::obj(vec![
-        ("fetch_width", usz(c.fetch_width)),
-        ("commit_width", usz(c.commit_width)),
-        ("rob_size", usz(c.rob_size)),
-        (
-            "queue_size",
-            Json::Arr(c.queue_size.iter().map(|&v| usz(v)).collect()),
-        ),
-        (
-            "fu_count",
-            Json::Arr(c.fu_count.iter().map(|&v| usz(v)).collect()),
-        ),
-        ("max_inflight_branches", usz(c.max_inflight_branches)),
-        ("mispredict_recovery", Json::U64(c.mispredict_recovery)),
-        ("frontend_depth", Json::U64(c.frontend_depth)),
-        ("alu", Json::U64(l.alu)),
-        ("ldst", Json::U64(l.ldst)),
-        ("sft", Json::U64(l.sft)),
-        ("fp_add", Json::U64(l.fp_add)),
-        ("fp_mul", Json::U64(l.fp_mul)),
-        ("fp_div", Json::U64(l.fp_div)),
-        ("cache_miss_penalty", Json::U64(l.cache_miss_penalty)),
-        ("bht_entries", usz(c.bht_entries)),
-        ("btb_sets", usz(c.btb_sets)),
-        ("icache", triple(c.icache)),
-        ("dcache", triple(c.dcache)),
-    ])
-}
-
-pub fn config_from_json(j: &Json) -> Result<MachineConfig, String> {
-    if let Some(s) = j.as_str() {
-        return match s {
-            "r10000" => Ok(MachineConfig::r10000()),
-            other => Err(format!("bad config preset {other:?} (want \"r10000\")")),
-        };
-    }
-    let usz = |k: &str| -> Result<usize, String> { Ok(u(j, k)? as usize) };
-    let arr = |k: &str| -> Result<Vec<u64>, String> {
-        j.get(k)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("no array field {k:?}"))?
-            .iter()
-            .map(|v| v.as_u64().ok_or_else(|| format!("bad entry in {k:?}")))
-            .collect()
-    };
-    let quad = |k: &str| -> Result<[usize; 4], String> {
-        let v = arr(k)?;
-        if v.len() != 4 {
-            return Err(format!("{k:?} wants 4 entries"));
-        }
-        Ok([v[0] as usize, v[1] as usize, v[2] as usize, v[3] as usize])
-    };
-    let oct = |k: &str| -> Result<[usize; 8], String> {
-        let v = arr(k)?;
-        if v.len() != 8 {
-            return Err(format!("{k:?} wants 8 entries"));
-        }
-        let mut out = [0usize; 8];
-        for (o, x) in out.iter_mut().zip(v) {
-            *o = x as usize;
-        }
-        Ok(out)
-    };
-    let triple = |k: &str| -> Result<(usize, usize, usize), String> {
-        let v = arr(k)?;
-        if v.len() != 3 {
-            return Err(format!("{k:?} wants 3 entries"));
-        }
-        Ok((v[0] as usize, v[1] as usize, v[2] as usize))
-    };
-    Ok(MachineConfig {
-        fetch_width: usz("fetch_width")?,
-        commit_width: usz("commit_width")?,
-        rob_size: usz("rob_size")?,
-        queue_size: quad("queue_size")?,
-        fu_count: oct("fu_count")?,
-        max_inflight_branches: usz("max_inflight_branches")?,
-        mispredict_recovery: u(j, "mispredict_recovery")?,
-        frontend_depth: u(j, "frontend_depth")?,
-        latencies: Latencies {
-            alu: u(j, "alu")?,
-            ldst: u(j, "ldst")?,
-            sft: u(j, "sft")?,
-            fp_add: u(j, "fp_add")?,
-            fp_mul: u(j, "fp_mul")?,
-            fp_div: u(j, "fp_div")?,
-            cache_miss_penalty: u(j, "cache_miss_penalty")?,
-        },
-        bht_entries: usz("bht_entries")?,
-        btb_sets: usz("btb_sets")?,
-        icache: triple("icache")?,
-        dcache: triple("dcache")?,
-    })
+    let names: Vec<&str> = presets.iter().map(|(n, _)| *n).collect();
+    Err(format!(
+        "bad options preset {name:?} (want {})",
+        names.join("|")
+    ))
 }
 
 fn workload_to_json(w: &WorkloadReq) -> Json {
@@ -310,9 +148,6 @@ fn workload_to_json(w: &WorkloadReq) -> Json {
             ("name", Json::str(name)),
             ("program", Json::str(program)),
         ]),
-        WorkloadReq::Bin { name, hex } => {
-            Json::obj(vec![("name", Json::str(name)), ("bin", Json::str(hex))])
-        }
     }
 }
 
@@ -325,19 +160,12 @@ fn workload_from_json(j: &Json) -> Result<WorkloadReq, String> {
         .and_then(Json::as_str)
         .ok_or("workload wants \"builtin\" or \"name\"")?
         .to_string();
-    if let Some(p) = j.get("program").and_then(Json::as_str) {
-        return Ok(WorkloadReq::Text {
-            name,
-            program: p.to_string(),
-        });
-    }
-    if let Some(h) = j.get("bin").and_then(Json::as_str) {
-        return Ok(WorkloadReq::Bin {
-            name,
-            hex: h.to_string(),
-        });
-    }
-    Err("workload wants \"program\" or \"bin\"".to_string())
+    let program = j
+        .get("program")
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("workload {name:?} wants a \"program\" string"))?
+        .to_string();
+    Ok(WorkloadReq::Text { name, program })
 }
 
 fn cell_to_json(c: &CellReq) -> Json {
@@ -347,10 +175,10 @@ fn cell_to_json(c: &CellReq) -> Json {
         ("scheme", Json::str(c.scheme.label())),
     ];
     match &c.options {
-        Some(o) => fields.push(("options", options_to_json(o))),
+        Some(o) => fields.push(("options", codec::fields_to_json(o))),
         None => fields.push(("options", Json::Null)),
     }
-    fields.push(("config", config_to_json(&c.config)));
+    fields.push(("config", codec::fields_to_json(&c.config)));
     Json::obj(fields)
 }
 
@@ -363,11 +191,16 @@ fn cell_from_json(j: &Json, n_workloads: usize) -> Result<CellReq, String> {
     }
     let options = match j.get("options") {
         None | Some(Json::Null) => None,
-        Some(o) => Some(options_from_json(o)?),
+        Some(Json::Str(preset)) => Some(options_preset(preset)?),
+        Some(o) => Some(codec::fields_from_json(o)?),
     };
     let config = match j.get("config") {
         None => MachineConfig::r10000(),
-        Some(c) => config_from_json(c)?,
+        Some(Json::Str(preset)) if preset == "r10000" => MachineConfig::r10000(),
+        Some(Json::Str(other)) => {
+            return Err(format!("bad config preset {other:?} (want \"r10000\")"))
+        }
+        Some(c) => codec::fields_from_json(c)?,
     };
     Ok(CellReq {
         workload,
@@ -391,14 +224,7 @@ pub fn request_to_json(r: &RunRequest) -> Json {
         fields.push(("observe", Json::Bool(true)));
     }
     if let Some(p) = &r.sample {
-        fields.push((
-            "sample",
-            Json::obj(vec![
-                ("detail", Json::U64(p.detail)),
-                ("warmup", Json::U64(p.warmup)),
-                ("interval", Json::U64(p.interval)),
-            ]),
-        ));
+        fields.push(("sample", codec::fields_to_json(p)));
     }
     fields.push((
         "workloads",
@@ -419,11 +245,7 @@ pub fn request_from_json(j: &Json) -> Result<RunRequest, String> {
     let observe = j.get("observe").and_then(Json::as_bool).unwrap_or(false);
     let sample = match j.get("sample") {
         None | Some(Json::Null) => None,
-        Some(obj) => Some(SampleParams {
-            detail: u(obj, "detail")?,
-            warmup: u(obj, "warmup")?,
-            interval: u(obj, "interval")?,
-        }),
+        Some(obj) => Some(codec::fields_from_json::<SampleParams>(obj)?),
     };
     let workloads: Vec<WorkloadReq> = j
         .get("workloads")
@@ -466,7 +288,7 @@ pub fn request_key(r: &RunRequest) -> String {
     h.write_str(scale_tag(r.scale));
     h.write_bool(r.observe);
     match &r.sample {
-        Some(p) => h.write_str(&guardspec_harness::key::describe_sample(p)),
+        Some(p) => h.write_str(&describe_sample(p)),
         None => h.write_str("no-sample"),
     };
     h.write_u64(r.workloads.len() as u64);
@@ -480,10 +302,10 @@ pub fn request_key(r: &RunRequest) -> String {
         h.write_str(&c.label);
         h.write_str(c.scheme.label());
         match &c.options {
-            Some(o) => h.write_str(&guardspec_harness::key::describe_options(o)),
+            Some(o) => h.write_str(&describe_options(o)),
             None => h.write_str("no-transform"),
         };
-        h.write_str(&guardspec_harness::key::describe_config(&c.config));
+        h.write_str(&describe_config(&c.config));
     }
     format!("req-{}", h.finish_hex())
 }
@@ -511,10 +333,10 @@ pub fn cell_shard_hash(workload: &WorkloadReq, scale: Scale, cell: &CellReq) -> 
     h.write_str(scale_tag(scale));
     h.write_str(cell.scheme.label());
     match &cell.options {
-        Some(o) => h.write_str(&guardspec_harness::key::describe_options(o)),
+        Some(o) => h.write_str(&describe_options(o)),
         None => h.write_str("no-transform"),
     };
-    h.write_str(&guardspec_harness::key::describe_config(&cell.config));
+    h.write_str(&describe_config(&cell.config));
     // Truncate the 128-bit digest to its low 64 bits (hex tail).
     u64::from_str_radix(&h.finish_hex()[16..], 16).expect("32 hex chars")
 }
@@ -536,8 +358,8 @@ fn intern(name: &str) -> &'static str {
 }
 
 /// Resolve a request into the spec the harness runs.  Builtins are built at
-/// the request scale (with golden results); ad-hoc programs are parsed or
-/// decoded and validated, with no golden verification (empty `expected`).
+/// the request scale (with golden results); ad-hoc programs are parsed and
+/// validated, with no golden verification (empty `expected`).
 pub fn to_spec(r: &RunRequest) -> Result<ExperimentSpec, String> {
     let mut workloads = Vec::with_capacity(r.workloads.len());
     for w in &r.workloads {
@@ -568,22 +390,6 @@ pub fn to_spec(r: &RunRequest) -> Result<ExperimentSpec, String> {
                     expected: Vec::new(),
                 });
             }
-            WorkloadReq::Bin { name, hex } => {
-                let words =
-                    codec::words_from_hex(hex).map_err(|e| format!("workload {name:?}: {e}"))?;
-                let prog = guardspec_ir::encode::decode_program(&words)
-                    .map_err(|e| format!("workload {name:?}: decode error: {e}"))?;
-                let errs = guardspec_ir::validate::validate(&prog);
-                if !errs.is_empty() {
-                    return Err(format!("workload {name:?}: invalid program: {errs:?}"));
-                }
-                workloads.push(Workload {
-                    name: intern(name),
-                    description: "ad-hoc request program (binary)",
-                    program: prog,
-                    expected: Vec::new(),
-                });
-            }
         }
     }
     let cells = r
@@ -607,76 +413,41 @@ pub fn to_spec(r: &RunRequest) -> Result<ExperimentSpec, String> {
 
 // --- Request builders (shared by gsc and tests) --------------------------
 
-/// The Tables-3/4 three-scheme matrix over the four paper workloads —
-/// exactly [`ExperimentSpec::three_schemes`], as a request.
+/// The Tables-3/4 three-scheme matrix — [`ExperimentSpec::three_schemes`]'s
+/// cells, as a request.
 pub fn three_schemes_request(name: &str, scale: Scale) -> RunRequest {
-    let workloads: Vec<WorkloadReq> = ["compress", "espresso", "xlisp", "grep"]
-        .iter()
-        .map(|n| WorkloadReq::Builtin(n.to_string()))
-        .collect();
-    let cfg = MachineConfig::r10000();
-    let mut cells = Vec::new();
-    for w in 0..workloads.len() {
-        for scheme in Scheme::ALL {
-            cells.push(CellReq {
-                workload: w,
-                label: scheme.label().to_string(),
-                scheme,
-                options: (scheme == Scheme::Proposed).then(DriverOptions::proposed),
-                config: cfg.clone(),
-            });
-        }
-    }
-    RunRequest {
-        name: name.to_string(),
-        scale,
-        client: None,
-        observe: false,
-        sample: None,
-        workloads,
-        cells,
-    }
+    paper_request(name, scale, three_scheme_cells(PAPER_WORKLOADS.len()))
 }
 
-/// The five-preset ablation matrix — exactly [`ExperimentSpec::ablation`],
+/// The five-preset ablation matrix — [`ExperimentSpec::ablation`]'s cells,
 /// as a request.
 pub fn ablation_request(name: &str, scale: Scale) -> RunRequest {
-    let workloads: Vec<WorkloadReq> = ["compress", "espresso", "xlisp", "grep"]
-        .iter()
-        .map(|n| WorkloadReq::Builtin(n.to_string()))
-        .collect();
-    let cfg = MachineConfig::r10000();
-    let presets: [(&str, DriverOptions); 5] = [
-        ("baseline", DriverOptions::baseline()),
-        ("speculation", DriverOptions::speculation_only()),
-        ("guarded", DriverOptions::guarded_only()),
-        ("conventional", DriverOptions::conventional()),
-        ("proposed", DriverOptions::proposed()),
-    ];
-    let mut cells = Vec::new();
-    for w in 0..workloads.len() {
-        for (label, opts) in &presets {
-            cells.push(CellReq {
-                workload: w,
-                label: label.to_string(),
-                scheme: if *label == "baseline" {
-                    Scheme::TwoBit
-                } else {
-                    Scheme::Proposed
-                },
-                options: Some(opts.clone()),
-                config: cfg.clone(),
-            });
-        }
-    }
+    paper_request(name, scale, ablation_cells(PAPER_WORKLOADS.len()))
+}
+
+/// `cells` over the paper workloads, named as builtins: nothing is built
+/// until a server resolves the request.
+fn paper_request(name: &str, scale: Scale, cells: Vec<CellSpec>) -> RunRequest {
     RunRequest {
         name: name.to_string(),
         scale,
         client: None,
         observe: false,
         sample: None,
-        workloads,
-        cells,
+        workloads: PAPER_WORKLOADS
+            .iter()
+            .map(|n| WorkloadReq::Builtin(n.to_string()))
+            .collect(),
+        cells: cells
+            .into_iter()
+            .map(|c| CellReq {
+                workload: c.workload,
+                label: c.label,
+                scheme: c.scheme,
+                options: c.transform,
+                config: c.cfg,
+            })
+            .collect(),
     }
 }
 
@@ -688,18 +459,6 @@ fn u(j: &Json, k: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("no integer field {k:?}"))
 }
 
-fn f(j: &Json, k: &str) -> Result<f64, String> {
-    j.get(k)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("no number field {k:?}"))
-}
-
-fn b(j: &Json, k: &str) -> Result<bool, String> {
-    j.get(k)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("no boolean field {k:?}"))
-}
-
 fn s<'a>(j: &'a Json, k: &str) -> Result<&'a str, String> {
     j.get(k)
         .and_then(Json::as_str)
@@ -709,47 +468,45 @@ fn s<'a>(j: &'a Json, k: &str) -> Result<&'a str, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guardspec_harness::key::{describe_config, describe_options};
 
+    /// A cell naming its options and config by shorthand decodes to the
+    /// same cell, and the same request key, as one spelling every field.
     #[test]
-    fn options_roundtrip_every_field() {
-        for preset in [
-            DriverOptions::baseline(),
-            DriverOptions::speculation_only(),
-            DriverOptions::guarded_only(),
-            DriverOptions::conventional(),
-            DriverOptions::proposed(),
-        ] {
-            let back = options_from_json(&options_to_json(&preset)).unwrap();
-            // describe_options enumerates every field with float bit
-            // patterns, so equality of descriptions is field-exact equality.
-            assert_eq!(describe_options(&back), describe_options(&preset));
+    fn shorthands_resolve_to_the_preset_table() {
+        for (name, opts) in DriverOptions::presets() {
+            let cell = |options: Json, config: Json| {
+                let body = Json::obj(vec![
+                    ("name", Json::str("x")),
+                    ("scale", Json::str("test")),
+                    (
+                        "workloads",
+                        Json::Arr(vec![Json::obj(vec![("builtin", Json::str("grep"))])]),
+                    ),
+                    (
+                        "cells",
+                        Json::Arr(vec![Json::obj(vec![
+                            ("workload", Json::U64(0)),
+                            ("label", Json::str(name)),
+                            ("scheme", Json::str("Proposed")),
+                            ("options", options),
+                            ("config", config),
+                        ])]),
+                    ),
+                ]);
+                request_from_json(&body).unwrap()
+            };
+            let short = cell(Json::str(name), Json::str("r10000"));
+            let long = cell(
+                codec::fields_to_json(&opts),
+                codec::fields_to_json(&MachineConfig::r10000()),
+            );
+            assert_eq!(
+                short.cells[0].options.as_ref().map(describe_options),
+                Some(describe_options(&opts)),
+                "{name}"
+            );
+            assert_eq!(request_key(&short), request_key(&long), "{name}");
         }
-        // Preset shorthand resolves to the identical option set.
-        assert_eq!(
-            describe_options(&options_from_json(&Json::str("proposed")).unwrap()),
-            describe_options(&DriverOptions::proposed())
-        );
-        // A missing field is an error, never a default.
-        let mut j = options_to_json(&DriverOptions::proposed());
-        if let Json::Obj(pairs) = &mut j {
-            pairs.retain(|(k, _)| k != "max_arm_len");
-        }
-        assert!(options_from_json(&j).unwrap_err().contains("max_arm_len"));
-    }
-
-    #[test]
-    fn config_roundtrip_every_field() {
-        let mut cfg = MachineConfig::r10000();
-        cfg.rob_size = 48;
-        cfg.queue_size = [2, 8, 8, 8];
-        cfg.latencies.fp_div = 12;
-        let back = config_from_json(&config_to_json(&cfg)).unwrap();
-        assert_eq!(describe_config(&back), describe_config(&cfg));
-        assert_eq!(
-            describe_config(&config_from_json(&Json::str("r10000")).unwrap()),
-            describe_config(&MachineConfig::r10000())
-        );
     }
 
     #[test]
@@ -816,11 +573,9 @@ mod tests {
         assert!(request_from_json(&j).unwrap_err().contains("interval"));
     }
 
-    #[test]
-    fn resolved_spec_matches_the_offline_builder() {
-        let req = three_schemes_request("table3", Scale::Test);
-        let spec = to_spec(&req).unwrap();
-        let offline = ExperimentSpec::three_schemes("table3", Scale::Test);
+    /// `req` resolves to exactly `offline`: same workloads, same cells.
+    fn assert_resolves_to(req: &RunRequest, offline: &ExperimentSpec) {
+        let spec = to_spec(req).unwrap();
         assert_eq!(spec.name, offline.name);
         assert_eq!(spec.workloads.len(), offline.workloads.len());
         assert_eq!(spec.cells.len(), offline.cells.len());
@@ -838,6 +593,62 @@ mod tests {
             );
             assert_eq!(describe_config(&a.cfg), describe_config(&b.cfg));
         }
+    }
+
+    #[test]
+    fn resolved_spec_matches_the_offline_builder() {
+        assert_resolves_to(
+            &three_schemes_request("table3", Scale::Test),
+            &ExperimentSpec::three_schemes("table3", Scale::Test),
+        );
+    }
+
+    #[test]
+    fn resolved_ablation_spec_matches_the_offline_builder() {
+        assert_resolves_to(
+            &ablation_request("ablation", Scale::Test),
+            &ExperimentSpec::ablation("ablation", Scale::Test),
+        );
+    }
+
+    /// The paper matrices' request keys, body bytes and one shard hash,
+    /// as computed when protocol.rs still built the cells itself: cached
+    /// responses keep hitting, and shards keep their cells, only while
+    /// these hold.
+    #[test]
+    fn paper_requests_are_pinned() {
+        use guardspec_harness::hash::hex_digest;
+        for (req, key, body) in [
+            (
+                three_schemes_request("table3", Scale::Test),
+                "b5e62280c2168c1d6d24eb6a2b0a0d73",
+                "d85e8bfb3766e03c372bdd2f79bd315f",
+            ),
+            (
+                three_schemes_request("table3", Scale::Small),
+                "8bd373e7637860e55a7f0e1220f93e67",
+                "eca710c5b264021618e32cae301fc16b",
+            ),
+            (
+                ablation_request("ablation", Scale::Test),
+                "44e80ae5d50b99c0ec81daa3d7363a56",
+                "c1c7007d4f1c3f92e6786427bbad0df1",
+            ),
+            (
+                ablation_request("ablation", Scale::Small),
+                "80fdb0d635234946a4104546c9446ea8",
+                "e8e1f11792d332074cbea086a89832b5",
+            ),
+        ] {
+            assert_eq!(request_key(&req), format!("req-{key}"), "{}", req.name);
+            let text = request_to_json(&req).to_compact();
+            assert_eq!(hex_digest(&text), body, "{}", req.name);
+        }
+        let req = ablation_request("ablation", Scale::Test);
+        assert_eq!(
+            cell_shard_hash(&req.workloads[1], req.scale, &req.cells[7]),
+            0x2c9b_2009_a86c_41c0
+        );
     }
 
     #[test]
@@ -871,5 +682,24 @@ mod tests {
              \"workloads\":[{\"builtin\":\"grep\"}],\
              \"cells\":[{\"workload\":3,\"label\":\"l\",\"scheme\":\"Proposed\"}]}";
         assert!(parse(bad_cell).contains("references workload 3"));
+        let with_cell = |workload: &str, cell: &str| {
+            parse(&format!(
+                "{{\"name\":\"x\",\"scale\":\"test\",\"workloads\":[{workload}],\
+                 \"cells\":[{{\"workload\":0,\"label\":\"l\",\"scheme\":\"Proposed\",{cell}}}]}}"
+            ))
+        };
+        // Ad-hoc programs travel as assembly text only.
+        let bin = with_cell(r#"{"name":"mine","bin":"00000000"}"#, r#""options":null"#);
+        assert!(
+            bin.contains("workload \"mine\"") && bin.contains("program"),
+            "{bin}"
+        );
+        let grep = r#"{"builtin":"grep"}"#;
+        let preset = with_cell(grep, r#""options":"everything""#);
+        assert!(
+            preset.contains("baseline|speculation|guarded|conventional|proposed"),
+            "{preset}"
+        );
+        assert!(with_cell(grep, r#""config":"r12000""#).contains("r10000"));
     }
 }

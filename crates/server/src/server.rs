@@ -730,22 +730,6 @@ fn execute(job: &Job, shared: &Shared) -> Outcome {
             shared
                 .metrics
                 .add("jobs.wall_us", started.elapsed().as_micros() as u64);
-            let mut profile_us = 0u64;
-            for w in &result.workloads {
-                profile_us += (w.timing.ms * 1000.0) as u64;
-            }
-            let (mut transform_us, mut trace_us, mut sim_us) = (0u64, 0u64, 0u64);
-            for c in &result.cells {
-                if let Some(t) = c.transform_timing {
-                    transform_us += (t.ms * 1000.0) as u64;
-                }
-                trace_us += (c.trace_timing.ms * 1000.0) as u64;
-                sim_us += (c.sim_timing.ms * 1000.0) as u64;
-            }
-            shared.metrics.add("stage.profile_us", profile_us);
-            shared.metrics.add("stage.transform_us", transform_us);
-            shared.metrics.add("stage.trace_us", trace_us);
-            shared.metrics.add("stage.simulate_us", sim_us);
             if let Some(tr) = &job.trace {
                 // The runner's stage spans are timestamped from its own
                 // origin; shift them onto the request clock.  The stable

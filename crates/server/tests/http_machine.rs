@@ -4,8 +4,8 @@
 //! epoll state machine itself: incremental parsing under adversarial
 //! write boundaries (slow-loris, split pipelines), keep-alive accounting,
 //! limits (oversized heads/bodies, max-requests, idle reaping), request
-//! order for a pipelining client served one request at a time, and the
-//! chunked progress stream.
+//! order for a pipelining client served one request at a time, answers
+//! to a client that half-closes, and the chunked progress stream.
 
 use guardspec_harness::{json, run_experiment, Json, RunOptions};
 use guardspec_server::http::{self, ClientConn};
@@ -366,6 +366,47 @@ fn a_pipelined_burst_is_answered_without_waiting_out_the_poll_timeout() {
         elapsed < Duration::from_secs(1),
         "32 pipelined answers took {elapsed:?}"
     );
+    handle.shutdown();
+}
+
+#[test]
+fn a_half_closing_client_gets_every_answer_before_eof() {
+    let handle = Server::start(ServerConfig {
+        cache_dir: None,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    // Three requests and the FIN arrive together, usually in one read: the
+    // EOF must not cost the complete requests ahead of it their answers.
+    let wire = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".repeat(3);
+    for round in 0..20 {
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let t0 = Instant::now();
+        stream.write_all(&wire).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        for i in 0..3 {
+            let (status, _, body) = read_raw_response(&mut stream);
+            assert_eq!(status, 200, "round {round}, response {i}");
+            assert!(
+                body.contains("\"ok\""),
+                "round {round}, response {i}: {body}"
+            );
+        }
+        let mut rest = Vec::new();
+        stream
+            .read_to_end(&mut rest)
+            .expect("the server closes after the last answer");
+        assert!(rest.is_empty(), "round {round}: bytes after the answers");
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "round {round} took {elapsed:?}"
+        );
+    }
     handle.shutdown();
 }
 

@@ -191,23 +191,20 @@ fn wait_until(addr: &str, mut pred: impl FnMut(&str) -> bool) {
 }
 
 #[test]
-fn adhoc_bin_programs_run_and_match_offline() {
-    // Ship a builtin's encoded words as an ad-hoc hex program: the server
-    // must produce exactly what the in-process runner produces for the
-    // same request.
+fn adhoc_text_programs_run_and_match_offline() {
+    // Ship a builtin's printed program as an ad-hoc one: the server must
+    // produce exactly what the in-process runner produces for the same
+    // request.
     let workloads = extended_workloads(Scale::Test);
-    let w = &workloads[0];
-    let hex =
-        guardspec_harness::codec::words_to_hex(&guardspec_ir::encode::encode_program(&w.program));
     let req = RunRequest {
         name: "adhoc".to_string(),
         scale: Scale::Test,
         client: None,
         observe: false,
         sample: None,
-        workloads: vec![WorkloadReq::Bin {
+        workloads: vec![WorkloadReq::Text {
             name: "shipped".to_string(),
-            hex,
+            program: workloads[0].program.to_string(),
         }],
         cells: vec![CellReq {
             workload: 0,
@@ -231,13 +228,31 @@ fn adhoc_bin_programs_run_and_match_offline() {
 
     // Garbage programs are a 400, not a hung flight or a 500 panic page.
     let mut bad = req.clone();
-    bad.workloads = vec![WorkloadReq::Bin {
+    bad.workloads = vec![WorkloadReq::Text {
         name: "garbage".to_string(),
-        hex: "zz".to_string(),
+        program: "not assembly".to_string(),
     }];
     let (status, body) =
         http::post_json(&addr, "/run", &request_to_json(&bad).to_compact()).unwrap();
     assert_eq!(status, 400, "{body}");
+
+    // Binary-encoded programs are not part of the protocol: a `bin` slot
+    // is a 400 that names it.
+    let mut bin = request_to_json(&req);
+    let Json::Obj(pairs) = &mut bin else {
+        unreachable!("a request encodes as an object")
+    };
+    for (k, v) in pairs.iter_mut() {
+        if k == "workloads" {
+            *v = Json::Arr(vec![Json::obj(vec![
+                ("name", Json::str("shipped")),
+                ("bin", Json::str("00000000")),
+            ])]);
+        }
+    }
+    let (status, body) = http::post_json(&addr, "/run", &bin.to_compact()).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("shipped"), "{body}");
     handle.shutdown();
 }
 

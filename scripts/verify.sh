@@ -130,12 +130,14 @@ grep -q "mispredict_recovery" "$OBSDIR"/report.txt
 "$OLDPWD/target/release/report" --check-trace "$OBSDIR"/trace.json
 rm -rf "$OBSDIR"
 
-echo "== server smoke (2 sharded gsd + gsc sweep vs offline artifact) =="
+echo "== server smoke (2 sharded gsd + gsc sweeps vs offline artifacts) =="
 # Two daemons each own half the sweep by cache-key range; gsc fans out,
 # merges, and the merged artifact must be byte-identical to the offline
-# bench binary's --stable-json output.  SIGTERM must drain and exit 0.
+# bench binary's --stable-json output, for Table 3 and for the ablation.
+# SIGTERM must drain and exit 0.
 SRVDIR=$(mktemp -d)
 target/release/table3 --scale small --stable-json "$SRVDIR/offline.json" > /dev/null
+target/release/ablation --scale small --stable-json "$SRVDIR/offline_ablation.json" > /dev/null
 target/release/gsd --port 0 --cache-dir "$SRVDIR/cache0" --shard 0/2 > "$SRVDIR/gsd0.log" &
 GSD0=$!
 target/release/gsd --port 0 --cache-dir "$SRVDIR/cache1" --shard 1/2 > "$SRVDIR/gsd1.log" &
@@ -155,6 +157,9 @@ cmp "$SRVDIR/offline.json" "$SRVDIR/served.json"
 target/release/gsc --servers "$ADDR0,$ADDR1" --spec table3 --scale small \
     --out "$SRVDIR/served_warm.json"
 cmp "$SRVDIR/offline.json" "$SRVDIR/served_warm.json"
+target/release/gsc --servers "$ADDR0,$ADDR1" --spec ablation --scale small \
+    --out "$SRVDIR/served_ablation.json"
+cmp "$SRVDIR/offline_ablation.json" "$SRVDIR/served_ablation.json"
 target/release/gsc --servers "$ADDR0" --metrics > /dev/null
 kill -TERM "$GSD0" "$GSD1"
 wait "$GSD0"
