@@ -24,8 +24,9 @@
 //! * `--scale test|small|paper` — workload size preset (default `small`;
 //!   `paper` regenerates the numbers quoted in EXPERIMENTS.md).  A bad
 //!   value prints a diagnostic to stderr and exits with status 2.
-//! * `--jobs N` — worker threads for the experiment job graph (`0`/absent
-//!   = one per core).  Output is byte-identical at any thread count.
+//! * `--jobs N` — worker threads for the experiment's jobs, one per
+//!   workload and then one per program (`0`/absent = one per core).
+//!   Output is byte-identical at any thread count.
 //! * `--json <path>` — also write the run's machine-readable artifact to
 //!   `<path>`.
 //! * `--stable-json <path>` — also write the run's *stable* payload (no

@@ -1,5 +1,5 @@
 //! Golden stdout: the table binaries must print byte-identical tables no
-//! matter how the work is scheduled — serial or work-stealing, at any log
+//! matter how the work is scheduled — on one thread or several, at any log
 //! level, and from cold or warm trace/stage caches.  Each cold invocation gets a fresh scratch
 //! working directory, so its cache/artifact side effects stay out of the
 //! repo; warm invocations deliberately rerun in the same directory.

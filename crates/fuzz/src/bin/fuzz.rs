@@ -4,18 +4,19 @@
 //! fuzz [--cases N] [--seed S] [--jobs N] [--quick] [--no-shrink]
 //! ```
 //!
-//! Runs `N` generated cases through the oracle on the harness work-stealing
-//! pool.  Output is deterministic for a given `(--cases, --seed)` at any
-//! `--jobs` value, because each case's parameters and data seed derive from
+//! Runs `N` generated cases through the oracle on the harness's
+//! [`par_for`], one thread per core unless `--jobs` says otherwise.  Output
+//! is deterministic for a given `(--cases, --seed)` at any `--jobs` value,
+//! because each case's parameters and data seed derive from
 //! `(base seed, case index)` alone.  On divergence the first failing case
 //! (lowest index) is shrunk by coordinate descent and written as a
 //! replayable `.case` file under `tests/corpus/`; the process exits 1.
 
 use guardspec_fuzz::oracle::Thoroughness;
 use guardspec_fuzz::{case_seed, Case, CaseResult, ShapeParams};
-use guardspec_harness::JobGraph;
+use guardspec_harness::{par_for, worker_count};
 use rand::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::OnceLock;
 
 #[derive(Debug)]
 struct Args {
@@ -88,47 +89,18 @@ fn main() {
     };
 
     let n = args.cases;
-    let results: Arc<Mutex<Vec<Option<CaseResult>>>> = Arc::new(Mutex::new(vec![None; n as usize]));
-
-    // Chunk the index space so the pool has a few tasks per worker without
-    // per-case locking overhead.
-    let workers = if args.jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        args.jobs
-    };
-    let chunks = (workers * 4).max(1) as u64;
-    let chunk_len = n.div_ceil(chunks).max(1);
-
-    let mut graph = JobGraph::new();
-    let mut start = 0u64;
-    while start < n {
-        let end = (start + chunk_len).min(n);
-        let results = Arc::clone(&results);
-        let base_seed = args.seed;
-        graph.add(&[], move || {
-            for i in start..end {
-                let (params, seed) = params_for(base_seed, i);
-                let res = guardspec_fuzz::run_case(&params, seed, thoroughness);
-                results.lock().unwrap()[i as usize] = Some(res);
-            }
-        });
-        start = end;
-    }
+    let results: Vec<OnceLock<CaseResult>> = (0..n).map(|_| OnceLock::new()).collect();
     let t0 = std::time::Instant::now();
-    graph.execute(args.jobs);
+    par_for(results.len(), worker_count(args.jobs), |i| {
+        let (params, seed) = params_for(args.seed, i as u64);
+        let _ = results[i].set(guardspec_fuzz::run_case(&params, seed, thoroughness));
+    });
     let wall = t0.elapsed();
 
-    let results = Arc::try_unwrap(results)
-        .expect("pool done")
-        .into_inner()
-        .unwrap();
     let mut retired_total: u64 = 0;
     let mut first_failure: Option<CaseResult> = None;
     let mut failures = 0usize;
-    for res in results.into_iter().flatten() {
+    for res in results.into_iter().filter_map(OnceLock::into_inner) {
         retired_total += res.retired;
         if !res.ok() {
             failures += 1;

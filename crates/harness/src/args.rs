@@ -13,7 +13,8 @@
 //! * `--observe` — run cycle accounting and per-branch-site attribution in
 //!   the simulator and attach the buckets/top-sites to the artifact.
 //! * `--trace-out <path>` — write a Chrome trace-event (Perfetto-loadable)
-//!   span timeline of the job graph to `<path>` (implies span recording).
+//!   span timeline of the run's stages to `<path>` (implies span
+//!   recording).
 //! * `--sample` — SMARTS-style interval sampling: simulate short detailed
 //!   windows, functionally warm the predictors/caches between them, and
 //!   attach a per-cell `sampling` estimate (mean IPC ± 95% CI) to the

@@ -4,10 +4,10 @@
 //! measure as an [`ExperimentSpec`] (workload × transform × scheme ×
 //! machine cells), and [`run_experiment`] takes care of *how* —
 //!
-//! * expanding cells into a profile → transform → simulate job graph with
-//!   shared stages de-duplicated (one profile per workload, one transform
-//!   per distinct option set),
-//! * executing the graph on a hand-rolled work-stealing [`pool`]
+//! * grouping cells into one job per program and running the jobs in two
+//!   passes of the scoped [`pool::par_for`]: one profile per workload,
+//!   then per program its transform (one per distinct option set), its
+//!   trace (only when a cell misses its cached result) and its cells
 //!   (`--jobs N`; results are byte-identical at any thread count),
 //! * memoising every stage in a content-addressed on-disk [`cache`] under
 //!   `results/cache/`, keyed by a stable 128-bit hash of the program text,
@@ -41,7 +41,7 @@ pub use codec::{DecisionSummary, ReportSummary};
 pub use json::Json;
 pub use log::{parse_log_level, LogLevel};
 pub use metrics::{Histogram, MetricsRegistry, HIST_BOUNDS, HIST_MAX_RATIO};
-pub use pool::JobGraph;
+pub use pool::{par_for, worker_count};
 pub use prom::{parse_prometheus, prometheus_text, registry_prometheus_text};
 pub use runner::{
     run_experiment, run_experiment_shared, CellResult, ExperimentResult, ProgressEvent,

@@ -1,337 +1,147 @@
-//! Dependency-aware job execution on a hand-rolled work-stealing pool.
+//! A scoped parallel `for` over item indices: the runner's two passes and
+//! the `fuzz` driver's cases run on it.
 //!
-//! The sanctioned dependency set has no `rayon`/`crossbeam`, so this is
-//! plain `std::thread` + `Mutex`/`Condvar`:
+//! Workers claim items in index order from one atomic counter, so there is
+//! no queue and nothing to steal.  Items write their results into slots the
+//! caller pre-allocated and reads back in its own fixed order, which makes
+//! outputs independent of the interleaving.  With one thread the items run
+//! on the caller's thread in index order: the reference schedule the
+//! `--jobs N` equivalence tests compare against, with every span on one
+//! thread.
 //!
-//! * every worker owns a deque; it pops work from its own **back** (LIFO —
-//!   cache-warm, just-unblocked dependents first) and steals from other
-//!   workers' **front** (FIFO — the oldest, most coarse-grained work),
-//! * completing a job decrements its dependents' indegrees; newly ready
-//!   dependents are pushed onto the completing worker's own deque, keeping a
-//!   pipeline cell (profile → transform → simulate) on one core when the
-//!   machine isn't starved,
-//! * an idle worker that finds every deque empty sleeps on a condvar guarded
-//!   by a generation counter, so a push between "scanned empty" and "went to
-//!   sleep" can never be missed.
-//!
-//! **Determinism:** jobs write results into pre-allocated per-job slots; the
-//! caller reads slots in its own fixed order, so outputs are independent of
-//! the interleaving.  With `threads == 1` the graph additionally runs on the
-//! caller's thread in deterministic lowest-index-first topological order —
-//! the reference schedule the `--jobs N` equivalence tests compare against.
-//!
-//! A panicking job (e.g. a golden-result verification failure) cancels the
-//! run: remaining jobs are abandoned and the panic is re-raised on the
-//! caller's thread, so a miscomputing kernel can never be reported as a
-//! result.
+//! A panicking item (e.g. a golden-result verification failure) cancels the
+//! loop: no new item starts, and the first panic is re-raised on the
+//! caller's thread with its own payload, so a miscomputing kernel can never
+//! be reported as a result.
 
-use std::collections::VecDeque;
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-type JobFn = Box<dyn FnOnce() + Send + 'static>;
-
-/// A dependency graph of runnable jobs.
-#[derive(Default)]
-pub struct JobGraph {
-    jobs: Vec<Option<JobFn>>,
-    deps: Vec<Vec<usize>>,
+/// Worker threads for a `--jobs` value: `0` means one per available core.
+pub fn worker_count(jobs: usize) -> usize {
+    if jobs != 0 {
+        return jobs;
+    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-impl JobGraph {
-    pub fn new() -> JobGraph {
-        JobGraph::default()
+/// Run `f(i)` for every `i` in `0..n` on up to `threads` scoped threads.
+pub fn par_for(n: usize, threads: usize, f: impl Fn(usize) + Sync) {
+    let threads = threads.min(n);
+    if threads <= 1 {
+        (0..n).for_each(f);
+        return;
     }
-
-    /// Add a job depending on earlier jobs; returns its id.  Dependencies
-    /// must already be in the graph (ids are handed out in insertion order),
-    /// which makes cycles unrepresentable.
-    pub fn add(&mut self, deps: &[usize], f: impl FnOnce() + Send + 'static) -> usize {
-        let id = self.jobs.len();
-        assert!(
-            deps.iter().all(|&d| d < id),
-            "job {id}: dependency on a later job"
-        );
-        self.jobs.push(Some(Box::new(f)));
-        self.deps.push(deps.to_vec());
-        id
-    }
-
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Run every job, honouring dependencies, on `threads` workers
-    /// (clamped to `[1, len]`).  Re-raises the first job panic.
-    pub fn execute(self, threads: usize) {
-        let total = self.jobs.len();
-        if total == 0 {
-            return;
-        }
-        let threads = threads.clamp(1, total);
-        if threads == 1 {
-            self.execute_serial();
-        } else {
-            self.execute_parallel(threads);
-        }
-    }
-
-    /// Deterministic reference schedule: lowest-index ready job first.
-    fn execute_serial(mut self) {
-        let total = self.jobs.len();
-        let mut indegree: Vec<usize> = self.deps.iter().map(Vec::len).collect();
-        let mut dependents = vec![Vec::new(); total];
-        for (id, deps) in self.deps.iter().enumerate() {
-            for &d in deps {
-                dependents[d].push(id);
-            }
-        }
-        let mut ready: Vec<usize> = (0..total).filter(|&i| indegree[i] == 0).rev().collect();
-        let mut done = 0usize;
-        while let Some(id) = ready.pop() {
-            (self.jobs[id].take().expect("job runs once"))();
-            done += 1;
-            for &dep in &dependents[id] {
-                indegree[dep] -= 1;
-                if indegree[dep] == 0 {
-                    // Keep `ready` sorted descending so pop() yields the
-                    // lowest index.
-                    let at = ready.partition_point(|&x| x > dep);
-                    ready.insert(at, dep);
-                }
-            }
-        }
-        assert_eq!(done, total, "job graph has unreachable jobs");
-    }
-
-    fn execute_parallel(self, threads: usize) {
-        let total = self.jobs.len();
-        let mut dependents = vec![Vec::new(); total];
-        for (id, deps) in self.deps.iter().enumerate() {
-            for &d in deps {
-                dependents[d].push(id);
-            }
-        }
-        let shared = Shared {
-            jobs: Mutex::new(self.jobs),
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sync: Mutex::new(SyncState {
-                indegree: self.deps.iter().map(Vec::len).collect(),
-                completed: 0,
-                generation: 0,
-                panic: None,
-            }),
-            cv: Condvar::new(),
-            dependents,
-            total,
-        };
-        // Seed initially-ready jobs round-robin across workers.
-        {
-            let sync = shared.sync.lock().unwrap();
-            let ready: Vec<usize> = (0..total).filter(|&i| sync.indegree[i] == 0).collect();
-            drop(sync);
-            for (i, id) in ready.into_iter().enumerate() {
-                shared.deques[i % threads].lock().unwrap().push_back(id);
-            }
-        }
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let shared = &shared;
-                scope.spawn(move || worker(shared, w));
-            }
-        });
-        let sync = shared.sync.into_inner().unwrap();
-        if let Some(payload) = sync.panic {
-            resume_unwind(payload);
-        }
-        assert_eq!(sync.completed, total, "job graph has unreachable jobs");
-    }
-}
-
-struct SyncState {
-    indegree: Vec<usize>,
-    completed: usize,
-    /// Bumped on every enqueue; lets idle workers detect "something was
-    /// pushed since I scanned" without holding every deque lock at once.
-    generation: u64,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-struct Shared {
-    jobs: Mutex<Vec<Option<JobFn>>>,
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    sync: Mutex<SyncState>,
-    cv: Condvar,
-    dependents: Vec<Vec<usize>>,
-    total: usize,
-}
-
-fn worker(shared: &Shared, me: usize) {
-    let n = shared.deques.len();
-    loop {
-        let gen_before = shared.sync.lock().unwrap().generation;
-        // Own work from the back (LIFO), stolen work from the front (FIFO).
-        let mut job = shared.deques[me].lock().unwrap().pop_back();
-        if job.is_none() {
-            for v in (me + 1..n).chain(0..me) {
-                job = shared.deques[v].lock().unwrap().pop_front();
-                if job.is_some() {
-                    break;
-                }
-            }
-        }
-        let Some(id) = job else {
-            let mut sync = shared.sync.lock().unwrap();
-            loop {
-                if sync.completed == shared.total || sync.panic.is_some() {
-                    shared.cv.notify_all();
+    let next = AtomicUsize::new(0);
+    let panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::SeqCst);
+                if i >= n {
                     return;
                 }
-                if sync.generation != gen_before {
-                    break; // Something was enqueued since our scan; rescan.
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
+                    // Every later claim now lands past the end.
+                    next.store(n, Ordering::SeqCst);
+                    let mut first = panic.lock().expect("no panic while held");
+                    first.get_or_insert(payload);
+                    return;
                 }
-                sync = shared.cv.wait(sync).unwrap();
-            }
-            continue;
-        };
-
-        let f = shared.jobs.lock().unwrap()[id]
-            .take()
-            .expect("job runs once");
-        let result = catch_unwind(AssertUnwindSafe(f));
-
-        let mut sync = shared.sync.lock().unwrap();
-        sync.completed += 1;
-        match result {
-            Err(payload) => {
-                if sync.panic.is_none() {
-                    sync.panic = Some(payload);
-                }
-                // Cancel: wake everyone so they observe the panic and exit.
-                shared.cv.notify_all();
-                return;
-            }
-            Ok(()) => {
-                let mut newly_ready = Vec::new();
-                for &dep in &shared.dependents[id] {
-                    sync.indegree[dep] -= 1;
-                    if sync.indegree[dep] == 0 {
-                        newly_ready.push(dep);
-                    }
-                }
-                let finished = sync.completed == shared.total;
-                if !newly_ready.is_empty() {
-                    sync.generation += 1;
-                }
-                drop(sync);
-                if !newly_ready.is_empty() {
-                    let mut dq = shared.deques[me].lock().unwrap();
-                    for dep in newly_ready {
-                        dq.push_back(dep);
-                    }
-                    drop(dq);
-                    shared.cv.notify_all();
-                } else if finished {
-                    shared.cv.notify_all();
-                }
-            }
+            });
         }
+    });
+    if let Some(payload) = panic.into_inner().expect("no panic while held") {
+        resume_unwind(payload);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     #[test]
     fn runs_every_job_once() {
         for threads in [1, 2, 8] {
-            let count = Arc::new(AtomicUsize::new(0));
-            let mut g = JobGraph::new();
-            for _ in 0..100 {
-                let count = count.clone();
-                g.add(&[], move || {
-                    count.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            g.execute(threads);
-            assert_eq!(count.load(Ordering::Relaxed), 100, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn dependencies_are_honoured() {
-        // Chain a -> b -> c fan-out x16; record a topological stamp.
-        for threads in [1, 4] {
-            let stamp = Arc::new(AtomicU64::new(0));
-            let order = Arc::new(Mutex::new(Vec::new()));
-            let mut g = JobGraph::new();
-            let mut prev = Vec::new();
-            for stage in 0..3u64 {
-                let mut this = Vec::new();
-                for _ in 0..16 {
-                    let stamp = stamp.clone();
-                    let order = order.clone();
-                    let id = g.add(&prev, move || {
-                        let t = stamp.fetch_add(1, Ordering::SeqCst);
-                        order.lock().unwrap().push((stage, t));
-                    });
-                    this.push(id);
-                }
-                prev = this;
-            }
-            g.execute(threads);
-            let order = order.lock().unwrap();
-            assert_eq!(order.len(), 48);
-            // Every stage-1 stamp exceeds every stage-0 stamp, etc.
-            for s in 0..2u64 {
-                let max_lo = order
-                    .iter()
-                    .filter(|(st, _)| *st == s)
-                    .map(|&(_, t)| t)
-                    .max()
-                    .unwrap();
-                let min_hi = order
-                    .iter()
-                    .filter(|(st, _)| *st == s + 1)
-                    .map(|&(_, t)| t)
-                    .min()
-                    .unwrap();
-                assert!(min_hi > max_lo, "stage {} overlapped stage {}", s + 1, s);
-            }
-        }
-    }
-
-    #[test]
-    fn empty_graph_is_fine() {
-        JobGraph::new().execute(8);
-    }
-
-    #[test]
-    fn panic_propagates() {
-        for threads in [1, 4] {
-            let mut g = JobGraph::new();
-            g.add(&[], || {});
-            g.add(&[], || panic!("job exploded"));
-            let err = catch_unwind(AssertUnwindSafe(|| g.execute(threads))).unwrap_err();
-            let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
+            let runs: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+            par_for(runs.len(), threads, |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+            });
             assert!(
-                msg.contains("job exploded"),
-                "threads={threads}: got {msg:?}"
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "threads={threads}"
             );
         }
     }
 
     #[test]
-    #[should_panic(expected = "dependency on a later job")]
-    fn forward_dependencies_rejected() {
-        let mut g = JobGraph::new();
-        g.add(&[3], || {});
+    fn one_thread_runs_in_index_order_on_the_caller() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        par_for(5, 1, |i| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
+        });
+        assert_eq!(*order.lock().unwrap(), [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn zero_items_and_more_threads_than_items() {
+        let runs = AtomicUsize::new(0);
+        par_for(3, 8, |_| {
+            runs.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 3);
+        par_for(0, 8, |_| panic!("no item to run"));
+        par_for(0, 1, |_| panic!("no item to run"));
+    }
+
+    /// The indices started before `par_for` re-raised item `panicking`'s
+    /// panic, and the re-raised message.
+    fn started_until_panic(threads: usize, panicking: usize) -> (Vec<usize>, String) {
+        let started = Mutex::new(Vec::new());
+        let exploded = AtomicBool::new(false);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            par_for(64, threads, |i| {
+                started.lock().unwrap().push(i);
+                if i == panicking {
+                    exploded.store(true, Ordering::SeqCst);
+                    panic!("item {i} exploded");
+                }
+                // Hold every other worker until well after the panic, so
+                // each could claim another item only once it is recorded.
+                while threads > 1 && !exploded.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                if threads > 1 {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            })
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        let mut started = started.into_inner().unwrap();
+        started.sort_unstable();
+        (started, msg)
+    }
+
+    /// The first panic's payload is re-raised, and no item starts after it.
+    #[test]
+    fn panic_propagates() {
+        let (started, msg) = started_until_panic(1, 3);
+        assert_eq!(msg, "item 3 exploded");
+        assert_eq!(started, [0, 1, 2, 3], "one thread stops at the panic");
+
+        let (started, msg) = started_until_panic(4, 0);
+        assert_eq!(msg, "item 0 exploded");
+        assert!(started.contains(&0));
+        assert!(
+            started.len() <= 4,
+            "items started after the panic: {started:?}"
+        );
     }
 }

@@ -1,32 +1,34 @@
-//! Spec execution: expand cells into a deduplicated four-stage job graph,
-//! run it on the work-stealing pool, and collect deterministic results.
+//! Spec execution: one job per program, in two passes of [`par_for`], and
+//! deterministic collection of the results.
 //!
-//! Stage pipeline per cell (arrows are job-graph dependencies):
+//! Every cell is one program's trace replayed under one scheme and machine,
+//! so the unit of work is a program together with the cells that replay
+//! its trace:
 //!
 //! ```text
-//! profile(workload) ──► transform(workload, options) ──► trace(program) ──► simulate(cell)
-//!        │                                                                     ▲
-//!        └── (cells without a transform: base trace, recorded by the  ─────────┘
-//!             profile job's single interpretation)
+//! pass 1, one item per workload:  profile  (+ base trace, same interpretation)
+//! pass 2, one item per program:   [transform] → cell, cell, …
+//!                                                └ trace, at the first sim miss
 //! ```
 //!
-//! * One **profile** job per workload, shared by every cell and by the
-//!   binaries' post-processing (Table 1 columns, predictor sweeps).  The
-//!   *same* interpreter pass also records the base program's dynamic trace
-//!   when any cell simulates the untransformed code — one interpretation,
-//!   two products.
-//! * One **transform** job per distinct (workload, options) pair — the
-//!   ablation's five presets over four workloads make twenty transforms, but
-//!   e.g. Tables 3+4 share a single proposed-options transform per workload.
-//! * One **trace** job per distinct transformed program ("trace once"):
-//!   interpret it once into a [`PackedTrace`] — the self-checking blob
-//!   itself — and store those bytes as they are, so warm runs skip
-//!   interpretation entirely.
-//! * One **simulate** job per cell ("simulate many"): all cells of the same
-//!   program read the packed trace concurrently, each through its own
-//!   decoding cursor.  A cell looks up its one [`key::sim_key`] entry and,
-//!   on a miss, runs `simulate_cell`, the runner's only call into a
-//!   simulator engine, and stores the result.
+//! * **Pass 1** profiles each workload once; the profile is shared by
+//!   every cell and by the binaries' post-processing (Table 1 columns,
+//!   predictor sweeps).  A cached profile touches no blob.  When the
+//!   profile is missing and some cell simulates the untransformed code, the
+//!   *same* interpreter pass also records the base program's trace (unless
+//!   its blob replays it), and hands it to the base program's pass-2 item.
+//! * **Pass 2** runs one item per program: each workload's base program
+//!   that some cell runs, and each distinct (workload, options) pair — the
+//!   ablation's five presets over four workloads make twenty, while Tables
+//!   3+4 share one proposed-options transform per workload.  The item
+//!   transforms the program if needed, then walks its cells in spec order.
+//!   A cell looks up its one [`key::sim_key`] entry; the first cell that
+//!   misses gets the program's [`PackedTrace`] (the handed-over one, the
+//!   cached blob, or one interpretation whose bytes are stored as they
+//!   are), then runs `simulate_cell`, the runner's only call into a
+//!   simulator engine.  The trace is dropped when the item ends, so a
+//!   fully warm run reads profiles, transforms and sim entries, and no
+//!   blob at all.
 //!
 //! Every stage consults the content-addressed [`DiskCache`] first; cold
 //! results are verified against the workload's golden memory image before
@@ -39,11 +41,13 @@
 use crate::cache::DiskCache;
 use crate::codec;
 use crate::codec::{ReportSummary, SimEntry};
+use crate::json::Json;
 use crate::key;
 use crate::metrics::MetricsRegistry;
-use crate::pool::JobGraph;
+use crate::pool::{par_for, worker_count};
 use crate::spec::ExperimentSpec;
 use crate::trace_out::{Span, SpanRecorder};
+use guardspec_core::DriverOptions;
 use guardspec_interp::{tracefile, Interp, PackedRecorder, PackedTrace, Profile, StaticLayout};
 use guardspec_predict::Scheme;
 use guardspec_sim::{
@@ -56,14 +60,14 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// One stage job's lifecycle notification, for live progress reporting
-/// (the service layer's `POST /run?stream=1` turns these into
-/// newline-delimited JSON events).  Every stage emits a start event
-/// (`done = false`) when its job begins and a done event carrying the
-/// stage wall time and whether the cache satisfied it.
+/// One stage's lifecycle notification, for live progress reporting (the
+/// service layer's `POST /run?stream=1` turns these into newline-delimited
+/// JSON events).  Every stage emits a start event (`done = false`) when it
+/// begins and a done event carrying the stage wall time and whether the
+/// cache satisfied it.
 #[derive(Clone, Debug)]
 pub struct ProgressEvent {
     /// `"profile"`, `"transform"`, `"trace"`, `"simulate"` or
@@ -80,33 +84,14 @@ pub struct ProgressEvent {
 }
 
 /// A shareable progress callback.  Wrapped so [`RunOptions`] can keep its
-/// `Clone + Debug` derives; the callback runs on pool worker threads, so
-/// it must be cheap and must not block on the caller.
+/// `Clone + Debug` derives; the callback runs on the run's worker threads,
+/// so it must be cheap and must not block on the caller.
 #[derive(Clone)]
 pub struct ProgressHook(pub Arc<dyn Fn(&ProgressEvent) + Send + Sync>);
 
 impl std::fmt::Debug for ProgressHook {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("ProgressHook(..)")
-    }
-}
-
-fn progress_emit(
-    hook: &Option<ProgressHook>,
-    stage: &'static str,
-    unit: &str,
-    done: bool,
-    cached: bool,
-    ms: f64,
-) {
-    if let Some(h) = hook {
-        (h.0)(&ProgressEvent {
-            stage,
-            unit: unit.to_string(),
-            done,
-            cached,
-            ms,
-        });
     }
 }
 
@@ -132,7 +117,7 @@ pub struct RunOptions {
     /// entries, under sampling-aware keys.
     pub sample: Option<SampleParams>,
     /// Stage start/done notifications ([`ProgressEvent`]) delivered from
-    /// pool worker threads as the run advances; `None` emits nothing.
+    /// the worker threads as the run advances; `None` emits nothing.
     /// Deliberately **not** part of any cache key — progress reporting
     /// must never perturb the science.
     pub progress: Option<ProgressHook>,
@@ -153,19 +138,13 @@ impl Default for RunOptions {
 
 thread_local! {
     /// Per-worker reusable simulator state: caches, BHT, BTB and window
-    /// allocations survive across the cells a worker executes.
+    /// allocations survive across the cells a worker thread executes.
     static SIM_CTX: RefCell<SimContext> = RefCell::new(SimContext::default());
 }
 
 impl RunOptions {
     pub fn effective_jobs(&self) -> usize {
-        if self.jobs != 0 {
-            self.jobs
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        worker_count(self.jobs)
     }
 }
 
@@ -191,10 +170,11 @@ pub struct CellResult {
     pub stats: SimStats,
     pub report: Option<ReportSummary>,
     pub transform_timing: Option<StageTiming>,
-    /// Timing of the shared trace stage this cell consumed (cells of one
-    /// program report the same stage once each).  For an untransformed
-    /// program this is the trace-only part of its profile job, which the
-    /// workload's profile timing excludes.
+    /// Timing of its program's trace stage (cells of one program report
+    /// the same stage once each); `{ms: 0, cached: true}` when every cell
+    /// of the program hit its sim entry, so no trace was read.  A trace
+    /// fetched inside a stage (a profile, or a cell's simulation) is
+    /// excluded from that stage's timing.
     pub trace_timing: StageTiming,
     pub sim_timing: StageTiming,
     /// Cycle buckets + per-branch-site counters ([`RunOptions::observe`]
@@ -244,44 +224,65 @@ impl ExperimentResult {
     }
 }
 
-/// A program's packed trace plus its decoded-uop descriptors — produced
-/// once per distinct program, consumed by all dependent cells
-/// concurrently.
+/// A program's packed trace plus its decoded-uop descriptors: fetched at
+/// the program's first sim miss, replayed by its remaining cells, and
+/// dropped when its pass-2 item ends.
 struct TraceData {
     trace: PackedTrace,
-    comp: Arc<CompiledProgram>,
+    comp: CompiledProgram,
 }
 
-struct TraceSlot {
-    timing: StageTiming,
-    data: Arc<TraceData>,
+/// A trace and the timing of the stage that produced it.
+type Fetched = (TraceData, StageTiming);
+
+/// One pass-2 item: a program and the cells that replay its trace, in
+/// spec order.  `options` is `None` for a workload's base program.
+struct ProgramJob<'a> {
+    workload: usize,
+    options: Option<&'a DriverOptions>,
+    cells: Vec<usize>,
 }
 
-struct ProfileSlot {
-    timing: StageTiming,
-    profile: Arc<Profile>,
-    /// Base-program trace, recorded by the same interpretation, when some
-    /// cell simulates the untransformed program.  Its timing is the job's
-    /// trace-only work, which `timing` excludes.
-    trace: Option<TraceSlot>,
-}
-
-struct TransformSlot {
-    timing: StageTiming,
-    program: Arc<guardspec_ir::Program>,
-    text: Arc<String>,
-    report: ReportSummary,
-}
-
-struct SimSlot {
-    timing: StageTiming,
+/// What collection reads of a pass-2 item besides its cells' entries.
+struct ProgramSlot {
+    report: Option<ReportSummary>,
+    transform_timing: Option<StageTiming>,
     trace_timing: StageTiming,
-    entry: SimEntry,
 }
 
-/// Execute a spec.  Panics (after cancelling outstanding jobs) if any
-/// kernel miscomputes its golden results — the harness never reports
-/// numbers from a wrong answer.
+/// A freshly computed or cached transform.
+struct Transformed {
+    program: guardspec_ir::Program,
+    text: String,
+    report: ReportSummary,
+    timing: StageTiming,
+}
+
+/// A stage in progress: its start event is out, and [`Run::close`] records
+/// the rest.
+struct Stage {
+    cat: &'static str,
+    unit: String,
+    t0: Instant,
+}
+
+/// What both passes borrow: the spec, the cache and the run's counters.
+struct Run<'a> {
+    spec: &'a ExperimentSpec,
+    cache: &'a DiskCache,
+    sample: Option<SampleParams>,
+    observe: bool,
+    interps: AtomicU64,
+    metrics: MetricsRegistry,
+    recorder: SpanRecorder,
+    progress: Option<&'a ProgressHook>,
+    /// Each workload's program text, the cache-key ingredient of its stages.
+    texts: Vec<String>,
+}
+
+/// Execute a spec.  Panics (once running jobs finish; no new one starts)
+/// if any kernel miscomputes its golden results — the harness never
+/// reports numbers from a wrong answer.
 pub fn run_experiment(spec: &ExperimentSpec, opts: &RunOptions) -> ExperimentResult {
     let cache = Arc::new(match &opts.cache_dir {
         Some(dir) => DiskCache::new(dir),
@@ -305,390 +306,124 @@ pub fn run_experiment_shared(
     let hits0 = cache.hits();
     let misses0 = cache.misses();
     let race0 = cache.race_lost();
-    let scale = spec.scale;
     let jobs_n = opts.effective_jobs();
-    let observe = opts.observe;
-    let sample = opts.sample.as_ref().map(|p| p.normalized());
-    let interps = Arc::new(AtomicU64::new(0));
-    let metrics = Arc::new(MetricsRegistry::new());
-    let recorder = Arc::new(SpanRecorder::new(opts.trace_spans));
-
-    // Shared, pre-sized output slots: job closures write, the collection
-    // phase below reads in spec order — this is what makes results
-    // independent of scheduling.
-    let profile_slots: Arc<Vec<OnceLock<ProfileSlot>>> =
-        Arc::new((0..spec.workloads.len()).map(|_| OnceLock::new()).collect());
-    let sim_slots: Arc<Vec<OnceLock<SimSlot>>> =
-        Arc::new((0..spec.cells.len()).map(|_| OnceLock::new()).collect());
-
-    // Program text is the cache-key ingredient for every stage; compute it
-    // once per workload up front.
-    let texts: Vec<Arc<String>> = spec
-        .workloads
-        .iter()
-        .map(|w| Arc::new(w.program.to_string()))
-        .collect();
-
-    let mut graph = JobGraph::new();
-
-    // Stage 1: one profile job per workload.  Workloads with untransformed
-    // cells get their base trace recorded by the same interpreter pass (or
-    // loaded from the trace cache).
-    let mut profile_jobs = Vec::with_capacity(spec.workloads.len());
-    for (wi, w) in spec.workloads.iter().enumerate() {
-        let wants_trace = spec
-            .cells
+    let run = Run {
+        spec,
+        cache: &cache,
+        sample: opts.sample.as_ref().map(|p| p.normalized()),
+        observe: opts.observe,
+        interps: AtomicU64::new(0),
+        metrics: MetricsRegistry::new(),
+        recorder: SpanRecorder::new(opts.trace_spans),
+        progress: opts.progress.as_ref(),
+        texts: spec
+            .workloads
             .iter()
-            .any(|c| c.workload == wi && c.transform.is_none());
-        let slots = profile_slots.clone();
-        let cache = cache.clone();
-        let interps = interps.clone();
-        let metrics = metrics.clone();
-        let recorder = recorder.clone();
-        let text = texts[wi].clone();
-        let program = w.program.clone();
-        let expected = w.expected.clone();
-        let wname = w.name;
-        let progress = opts.progress.clone();
-        let id = graph.add(&[], move || {
-            // The job tiles into [trace read][profile][trace tail]: the base
-            // trace's cache read and its post-interpretation tail are the
-            // trace stage, everything between is the profile stage.
-            let t0 = Instant::now();
-            progress_emit(&progress, "profile", wname, false, false, 0.0);
-            let pkey = key::profile_key(&text, scale);
-            let tkey = key::trace_key(&text, scale);
-            let exp_digest = expected_digest(&expected);
-            let cached_trace = wants_trace
-                .then(|| load_trace(&cache, &tkey, &program, exp_digest, &metrics))
-                .flatten();
-            let t1 = Instant::now();
-            let cached_profile = load_profile(&cache, &pkey);
-            let profile_cached = cached_profile.is_some();
-            let trace_cached = cached_trace.is_some();
-            let need_trace = wants_trace && !trace_cached;
-            let (profile, packer) = if profile_cached && !need_trace {
-                (cached_profile.unwrap(), None)
-            } else {
-                // One interpretation produces whatever is missing: the
-                // profile, the base trace, or both at once through the
-                // observer pair.
-                interps.fetch_add(1, Ordering::Relaxed);
-                let mut profiler = guardspec_interp::Profiler::new(&program);
-                let mut packer = PackedRecorder::new(&program);
-                let exec = match (profile_cached, need_trace) {
-                    (false, true) => {
-                        Interp::new(&program).run_with(&mut (&mut profiler, &mut packer))
-                    }
-                    (false, false) => Interp::new(&program).run_with(&mut profiler),
-                    (true, true) => Interp::new(&program).run_with(&mut packer),
-                    (true, false) => unreachable!("nothing to interpret"),
-                }
-                .unwrap_or_else(|e| panic!("{wname}: profile failed: {e}"));
-                assert_golden(wname, "profiling", &expected, &exec.machine.mem);
-                let profile = match cached_profile {
-                    Some(p) => p,
-                    None => {
-                        let p = profiler.finish();
-                        cache.put(&pkey, &codec::profile_to_json(&p).to_compact());
-                        p
-                    }
-                };
-                (profile, need_trace.then_some(packer))
-            };
-            let t2 = Instant::now();
-            let trace_data = match packer {
-                Some(packer) => Some(finish_trace(
-                    packer, &program, exp_digest, &cache, &tkey, &metrics,
-                )),
-                None => cached_trace,
-            };
-            let t3 = Instant::now();
-            let ms = ms_between(t1, t2);
-            progress_emit(&progress, "profile", wname, true, profile_cached, ms);
-            let span = |name: &str, cat, from, to, cached: bool| {
-                let args = vec![("cached".to_string(), cached.to_string())];
-                recorder.record_to(format!("{name} {wname}"), cat, from, to, args);
-            };
-            if wants_trace && cache.is_enabled() {
-                span("trace", "trace", t0, t1, trace_cached);
-            }
-            span("profile", "profile", t1, t2, profile_cached);
-            if need_trace {
-                span("trace", "trace", t2, t3, false);
-            }
-            let _ = slots[wi].set(ProfileSlot {
-                timing: StageTiming {
-                    ms,
-                    cached: profile_cached,
-                },
-                profile: Arc::new(profile),
-                trace: trace_data.map(|data| TraceSlot {
-                    timing: StageTiming {
-                        ms: ms_between(t0, t1) + ms_between(t2, t3),
-                        cached: trace_cached,
-                    },
-                    data,
-                }),
+            .map(|w| w.program.to_string())
+            .collect(),
+    };
+
+    // The programs of pass 2, in order of first appearance: a workload's
+    // base program when some cell runs it untransformed, and each distinct
+    // (workload, options) pair.
+    let mut programs: Vec<ProgramJob> = Vec::new();
+    let mut cell_program = Vec::with_capacity(spec.cells.len());
+    let mut index: HashMap<(usize, Option<String>), usize> = HashMap::new();
+    for (ci, cell) in spec.cells.iter().enumerate() {
+        let id = (
+            cell.workload,
+            cell.transform.as_ref().map(key::describe_options),
+        );
+        let p = *index.entry(id).or_insert_with(|| {
+            programs.push(ProgramJob {
+                workload: cell.workload,
+                options: cell.transform.as_ref(),
+                cells: Vec::new(),
             });
+            programs.len() - 1
         });
-        profile_jobs.push(id);
+        programs[p].cells.push(ci);
+        cell_program.push(p);
     }
 
-    // Stage 2: one transform job per distinct (workload, options), and one
-    // trace job per transform right behind it.
-    let transform_slots: Arc<Vec<OnceLock<TransformSlot>>> = Arc::new(
-        (0..spec.cells.len()).map(|_| OnceLock::new()).collect(), // upper bound
-    );
-    let trace_slots: Arc<Vec<OnceLock<TraceSlot>>> =
-        Arc::new((0..spec.cells.len()).map(|_| OnceLock::new()).collect());
-    // Slot index per distinct (workload, options); one slot indexes both the
-    // transform and the trace results.
-    let mut transform_slot: HashMap<(usize, String), usize> = HashMap::new();
-    // Trace job id per slot index.
-    let mut trace_jobs: Vec<usize> = Vec::new();
-    // Per cell: its program's slot index.
-    let mut cell_transform: Vec<Option<usize>> = vec![None; spec.cells.len()];
-    for (ci, cell) in spec.cells.iter().enumerate() {
-        let Some(options) = &cell.transform else {
-            continue;
+    // Results land in pre-sized slots and are collected in spec order, so
+    // they do not depend on the schedule.
+    let profiles: Vec<OnceLock<(Profile, StageTiming)>> = slots(spec.workloads.len());
+    let program_slots: Vec<OnceLock<ProgramSlot>> = slots(programs.len());
+    let sims: Vec<OnceLock<(SimEntry, StageTiming)>> = slots(spec.cells.len());
+    // Base traces recorded in pass 1, each taken by its pass-2 item.
+    let handover: Vec<Mutex<Option<Fetched>>> =
+        spec.workloads.iter().map(|_| Mutex::new(None)).collect();
+
+    par_for(spec.workloads.len(), jobs_n, |wi| {
+        let wants_trace = programs
+            .iter()
+            .any(|p| p.workload == wi && p.options.is_none());
+        let (profile, timing, trace) = run.profile_job(wi, wants_trace);
+        *handover[wi].lock().expect("no panic while held") = trace;
+        let _ = profiles[wi].set((profile, timing));
+    });
+    par_for(programs.len(), jobs_n, |p| {
+        let job = &programs[p];
+        let profile = &profiles[job.workload].get().expect("pass 1 ran").0;
+        let handed = match job.options {
+            None => handover[job.workload]
+                .lock()
+                .expect("no panic while held")
+                .take(),
+            Some(_) => None,
         };
-        let dedupe = (cell.workload, key::describe_options(options));
-        if let Some(&known) = transform_slot.get(&dedupe) {
-            cell_transform[ci] = Some(known);
-            continue;
+        let (slot, entries) = run.program_job(job, profile, handed);
+        for (&ci, entry) in job.cells.iter().zip(entries) {
+            let _ = sims[ci].set(entry);
         }
-        let next_slot = transform_slot.len();
-        let wi = cell.workload;
-        let tf_id = {
-            let slots = transform_slots.clone();
-            let profiles = profile_slots.clone();
-            let cache = cache.clone();
-            let recorder = recorder.clone();
-            let text = texts[wi].clone();
-            let program = spec.workloads[wi].program.clone();
-            let options = options.clone();
-            let wname = spec.workloads[wi].name;
-            let progress = opts.progress.clone();
-            graph.add(&[profile_jobs[wi]], move || {
-                let t0 = Instant::now();
-                progress_emit(&progress, "transform", wname, false, false, 0.0);
-                let key = key::transform_key(&text, scale, &options);
-                let (program, text, report, cached) = match load_transform(&cache, &key) {
-                    Some((p, t, r)) => (p, t, r, true),
-                    None => {
-                        let profile = &profiles[wi].get().expect("profile dependency ran").profile;
-                        let mut p = program;
-                        let report = guardspec_core::transform_program(&mut p, profile, &options);
-                        guardspec_ir::validate::assert_valid(&p);
-                        let out_text = p.to_string();
-                        let summary = ReportSummary::from(&report);
-                        // The printed text is the whole entry: warm hits
-                        // re-parse it, which is smaller and faster than
-                        // decoding a binary copy.
-                        cache.put(
-                            &key,
-                            &crate::json::Json::obj(vec![
-                                ("program", crate::json::Json::str(&out_text)),
-                                ("report", codec::report_to_json(&summary)),
-                            ])
-                            .to_compact(),
-                        );
-                        (p, out_text, summary, false)
-                    }
-                };
-                let timing = StageTiming {
-                    ms: ms_since(t0),
-                    cached,
-                };
-                progress_emit(&progress, "transform", wname, true, cached, timing.ms);
-                recorder.record(
-                    format!("transform {wname}"),
-                    "transform",
-                    t0,
-                    vec![("cached".to_string(), cached.to_string())],
-                );
-                let _ = slots[next_slot].set(TransformSlot {
-                    timing,
-                    program: Arc::new(program),
-                    text: Arc::new(text),
-                    report,
-                });
-            })
-        };
-        transform_slot.insert(dedupe, next_slot);
-        cell_transform[ci] = Some(next_slot);
-        // Stage 2.5: trace the transformed program exactly once.
-        let slots = trace_slots.clone();
-        let transforms = transform_slots.clone();
-        let cache = cache.clone();
-        let interps = interps.clone();
-        let metrics = metrics.clone();
-        let recorder = recorder.clone();
-        let expected = spec.workloads[wi].expected.clone();
-        let wname = spec.workloads[wi].name;
-        let progress = opts.progress.clone();
-        let tr_id = graph.add(&[tf_id], move || {
-            let t0 = Instant::now();
-            progress_emit(&progress, "trace", wname, false, false, 0.0);
-            let t = transforms[next_slot]
-                .get()
-                .expect("transform dependency ran");
-            let tkey = key::trace_key(&t.text, scale);
-            let exp_digest = expected_digest(&expected);
-            let cached_trace = load_trace(&cache, &tkey, &t.program, exp_digest, &metrics);
-            let cached = cached_trace.is_some();
-            let data = match cached_trace {
-                Some(d) => d,
-                None => {
-                    interps.fetch_add(1, Ordering::Relaxed);
-                    let mut packer = PackedRecorder::new(&t.program);
-                    let exec = Interp::new(&t.program)
-                        .run_with(&mut packer)
-                        .unwrap_or_else(|e| panic!("{wname}: trace failed: {e}"));
-                    assert_golden(wname, "tracing", &expected, &exec.machine.mem);
-                    finish_trace(packer, &t.program, exp_digest, &cache, &tkey, &metrics)
-                }
-            };
-            recorder.record(
-                format!("trace {wname}"),
-                "trace",
-                t0,
-                vec![("cached".to_string(), cached.to_string())],
-            );
-            let ms = ms_since(t0);
-            progress_emit(&progress, "trace", wname, true, cached, ms);
-            let _ = slots[next_slot].set(TraceSlot {
-                timing: StageTiming { ms, cached },
-                data,
-            });
-        });
-        trace_jobs.push(tr_id);
-    }
-
-    // Stage 3: one simulate job per cell.
-    for (ci, cell) in spec.cells.iter().enumerate() {
-        let wi = cell.workload;
-        let slots = sim_slots.clone();
-        let cache = cache.clone();
-        let base_text = texts[wi].clone();
-        let wname = spec.workloads[wi].name;
-        let label = cell.label.clone();
-        let scheme = cell.scheme;
-        let cfg = cell.cfg.clone();
-        let tslot = cell_transform[ci];
-        // Consume the program's shared trace; interpretation and golden
-        // verification already happened in its trace stage.
-        let deps = match tslot {
-            Some(slot) => vec![trace_jobs[slot]],
-            None => vec![profile_jobs[wi]],
-        };
-        let transforms = transform_slots.clone();
-        let traces = trace_slots.clone();
-        let profiles = profile_slots.clone();
-        let recorder = recorder.clone();
-        let progress = opts.progress.clone();
-        graph.add(&deps, move || {
-            let t0 = Instant::now();
-            let unit = format!("{wname}/{label}");
-            progress_emit(&progress, "simulate", &unit, false, false, 0.0);
-            let (text, data, trace_timing) = match tslot {
-                Some(s) => {
-                    let tf = transforms[s].get().expect("transform dependency ran");
-                    let tr = traces[s].get().expect("trace dependency ran");
-                    (tf.text.clone(), tr.data.clone(), tr.timing)
-                }
-                None => {
-                    let p = profiles[wi].get().expect("profile dependency ran");
-                    let tr = p.trace.as_ref().expect("base trace recorded");
-                    (base_text, tr.data.clone(), tr.timing)
-                }
-            };
-            let key = key::sim_key(&text, scale, scheme, &cfg, sample.as_ref(), observe);
-            let (entry, cached) = match load_sim(&cache, &key, observe, sample.is_some()) {
-                Some(entry) => (entry, true),
-                None => {
-                    let entry = simulate_cell(&data, scheme, &cfg, sample, observe)
-                        .unwrap_or_else(|e| panic!("{unit}: simulate failed: {e}"));
-                    cache.put(&key, &codec::sim_entry_to_json(&entry).to_compact());
-                    if observe {
-                        // Seed the unobserved entry too, so later unobserved
-                        // runs stay warm.  Only when absent: rewriting an
-                        // existing entry would count as a lost race.
-                        let plain_key =
-                            key::sim_key(&text, scale, scheme, &cfg, sample.as_ref(), false);
-                        if cache.peek(&plain_key).is_none() {
-                            let plain = SimEntry {
-                                stats: entry.stats.clone(),
-                                accounting: None,
-                                sampling: entry.sampling.clone(),
-                            };
-                            cache.put(&plain_key, &codec::sim_entry_to_json(&plain).to_compact());
-                        }
-                    }
-                    (entry, false)
-                }
-            };
-            recorder.record(
-                format!("simulate {wname}/{label}"),
-                "simulate",
-                t0,
-                vec![("cached".to_string(), cached.to_string())],
-            );
-            let ms = ms_since(t0);
-            progress_emit(&progress, "simulate", &unit, true, cached, ms);
-            let _ = slots[ci].set(SimSlot {
-                timing: StageTiming { ms, cached },
-                trace_timing,
-                entry,
-            });
-        });
-    }
-
-    graph.execute(jobs_n);
+        let _ = program_slots[p].set(slot);
+    });
 
     // Keep the blob footprint bounded (oldest evicted first); JSON stage
     // entries are never evicted.
     const TRACE_BLOB_CAP: u64 = 256 * 1024 * 1024;
     cache.gc_blobs(TRACE_BLOB_CAP);
 
-    // Deterministic collection in spec order — the fifth pipeline stage
-    // (after profile/transform/trace/simulate): assemble slot outputs into
-    // the result in a fixed order, independent of execution schedule.
-    let t_collect = Instant::now();
-    progress_emit(&opts.progress, "collect", &spec.name, false, false, 0.0);
+    // Deterministic collection in spec order — the fifth stage (after
+    // profile/transform/trace/simulate).
+    let collect = run.open("collect", spec.name.clone());
     let workloads = spec
         .workloads
         .iter()
-        .enumerate()
-        .map(|(wi, w)| {
-            let slot = profile_slots[wi].get().expect("profile job ran");
+        .zip(profiles)
+        .map(|(w, slot)| {
+            let (profile, timing) = slot.into_inner().expect("pass 1 ran");
             WorkloadResult {
                 name: w.name.to_string(),
-                profile: slot.profile.clone(),
-                timing: slot.timing,
+                profile: Arc::new(profile),
+                timing,
             }
         })
+        .collect();
+    let program_slots: Vec<ProgramSlot> = program_slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("pass 2 ran"))
         .collect();
     let cells = spec
         .cells
         .iter()
-        .enumerate()
-        .map(|(ci, cell)| {
-            let sim = sim_slots[ci].get().expect("sim job ran");
-            let transform =
-                cell_transform[ci].map(|s| transform_slots[s].get().expect("transform job ran"));
+        .zip(sims)
+        .zip(cell_program)
+        .map(|((cell, sim), p)| {
+            let (entry, sim_timing) = sim.into_inner().expect("pass 2 ran");
+            let program = &program_slots[p];
             CellResult {
                 workload: spec.workloads[cell.workload].name.to_string(),
                 label: cell.label.clone(),
                 scheme: cell.scheme,
-                stats: sim.entry.stats.clone(),
-                report: transform.map(|t| t.report.clone()),
-                transform_timing: transform.map(|t| t.timing),
-                trace_timing: sim.trace_timing,
-                sim_timing: sim.timing,
-                accounting: sim.entry.accounting.clone(),
-                sampling: sim.entry.sampling.clone(),
+                stats: entry.stats,
+                report: program.report.clone(),
+                transform_timing: program.transform_timing,
+                trace_timing: program.trace_timing,
+                sim_timing,
+                accounting: entry.accounting,
+                sampling: entry.sampling,
             }
         })
         .collect();
@@ -698,69 +433,313 @@ pub fn run_experiment_shared(
     // up as a named counter so duplicated work is observable.
     let race_delta = cache.race_lost() - race0;
     if race_delta > 0 {
-        metrics.add("cache.race_lost", race_delta);
+        run.metrics.add("cache.race_lost", race_delta);
     }
-
-    recorder.record(
-        format!("collect {}", spec.name),
-        "collect",
-        t_collect,
-        Vec::new(),
-    );
-    progress_emit(
-        &opts.progress,
-        "collect",
-        &spec.name,
-        true,
-        false,
-        ms_since(t_collect),
-    );
+    run.close(collect, false, 0.0);
 
     ExperimentResult {
         name: spec.name.clone(),
-        scale,
+        scale: spec.scale,
         jobs: jobs_n,
         wall_ms: ms_since(start),
         cache_hits: cache.hits() - hits0,
         cache_misses: cache.misses() - misses0,
-        interpretations: interps.load(Ordering::Relaxed),
+        interpretations: run.interps.load(Ordering::Relaxed),
         workloads,
         cells,
-        spans: recorder.finish(),
-        metrics: metrics.snapshot(),
+        spans: run.recorder.finish(),
+        metrics: run.metrics.snapshot(),
     }
 }
 
-/// The trace stage's work after interpretation: decode the program's uops
-/// against the recorder's layout, frame the packed records, and store
-/// their bytes as the cache blob under `key`.
-fn finish_trace(
-    packer: PackedRecorder,
-    program: &guardspec_ir::Program,
-    exp_digest: u64,
-    cache: &DiskCache,
-    key: &str,
-    metrics: &MetricsRegistry,
-) -> Arc<TraceData> {
-    let comp = build_compiled(program, packer.layout(), metrics);
-    let trace = packer.finish(exp_digest);
-    cache.put_bytes(key, trace.blob());
-    Arc::new(TraceData { trace, comp })
+impl Run<'_> {
+    /// Open a stage: start its clock and emit its start event.
+    fn open(&self, cat: &'static str, unit: String) -> Stage {
+        let stage = Stage {
+            cat,
+            unit,
+            t0: Instant::now(),
+        };
+        self.emit(&stage, false, StageTiming::default());
+        stage
+    }
+
+    /// Close a stage: record its span, emit its done event and return its
+    /// timing, less the `nested_ms` that stages nested inside it took.
+    fn close(&self, stage: Stage, cached: bool, nested_ms: f64) -> StageTiming {
+        let end = Instant::now();
+        let name = format!("{} {}", stage.cat, stage.unit);
+        let args = vec![("cached".to_string(), cached.to_string())];
+        self.recorder
+            .record_to(name, stage.cat, stage.t0, end, args);
+        let timing = StageTiming {
+            ms: ms_between(stage.t0, end) - nested_ms,
+            cached,
+        };
+        self.emit(&stage, true, timing);
+        timing
+    }
+
+    fn emit(&self, stage: &Stage, done: bool, timing: StageTiming) {
+        if let Some(hook) = self.progress {
+            (hook.0)(&ProgressEvent {
+                stage: stage.cat,
+                unit: stage.unit.clone(),
+                done,
+                cached: timing.cached,
+                ms: timing.ms,
+            });
+        }
+    }
+
+    /// Pass 1: workload `wi`'s profile.  A cached profile touches no blob.
+    /// Otherwise one interpretation computes it and, when `wants_trace`
+    /// and no blob replays the base program, records the base trace too.
+    /// The base trace this job holds goes to the base program's pass-2
+    /// item; its stages nest inside the profile stage.
+    fn profile_job(&self, wi: usize, wants_trace: bool) -> (Profile, StageTiming, Option<Fetched>) {
+        let w = &self.spec.workloads[wi];
+        let stage = self.open("profile", w.name.to_string());
+        let pkey = key::profile_key(&self.texts[wi], self.spec.scale);
+        if let Some(profile) = load_profile(self.cache, &pkey) {
+            return (profile, self.close(stage, true, 0.0), None);
+        }
+        let tkey = key::trace_key(&self.texts[wi], self.spec.scale);
+        let read = wants_trace.then(|| {
+            let read = self.open("trace", w.name.to_string());
+            let loaded = self.load_trace(wi, &tkey, &w.program);
+            let timing = self.close(read, loaded.is_some(), 0.0);
+            (loaded, timing)
+        });
+        self.interps.fetch_add(1, Ordering::Relaxed);
+        let mut profiler = guardspec_interp::Profiler::new(&w.program);
+        let mut packer = matches!(read, Some((None, _))).then(|| PackedRecorder::new(&w.program));
+        let exec = match &mut packer {
+            Some(packer) => Interp::new(&w.program).run_with(&mut (&mut profiler, packer)),
+            None => Interp::new(&w.program).run_with(&mut profiler),
+        }
+        .unwrap_or_else(|e| panic!("{}: profile failed: {e}", w.name));
+        assert_golden(w.name, "profiling", &w.expected, &exec.machine.mem);
+        let profile = profiler.finish();
+        self.cache
+            .put(&pkey, &codec::profile_to_json(&profile).to_compact());
+        let trace = read.map(|(loaded, mut timing)| match (loaded, packer) {
+            (Some(data), _) => (data, timing),
+            (None, packer) => {
+                let tail = self.open("trace", w.name.to_string());
+                let packer = packer.expect("recorded with the profile");
+                let data = self.finish_trace(wi, &tkey, &w.program, packer);
+                timing.ms += self.close(tail, false, 0.0).ms;
+                (data, timing)
+            }
+        });
+        let nested = trace.as_ref().map_or(0.0, |(_, t)| t.ms);
+        (profile, self.close(stage, false, nested), trace)
+    }
+
+    /// Pass 2: one program and its cells.  Transforms the program if the
+    /// job asks for it, then walks the cells in spec order.  The first cell
+    /// that misses its sim entry gets the trace: the one pass 1 `handed`
+    /// over, else the program's blob, else one interpretation.  The trace,
+    /// its decoded uops and the transformed program are dropped on return.
+    fn program_job(
+        &self,
+        job: &ProgramJob,
+        profile: &Profile,
+        handed: Option<Fetched>,
+    ) -> (ProgramSlot, Vec<(SimEntry, StageTiming)>) {
+        let (wi, scale) = (job.workload, self.spec.scale);
+        let w = &self.spec.workloads[wi];
+        let transformed = job.options.map(|o| self.transform(wi, o, profile));
+        let (program, text) = match &transformed {
+            Some(t) => (&t.program, t.text.as_str()),
+            None => (&w.program, self.texts[wi].as_str()),
+        };
+        // A program whose every cell hits reads no trace at all.
+        let untouched = StageTiming {
+            ms: 0.0,
+            cached: true,
+        };
+        let (mut trace, mut trace_timing) = handed.map_or((None, untouched), |(d, t)| (Some(d), t));
+        let (sample, observe) = (self.sample.as_ref(), self.observe);
+        let mut entries = Vec::with_capacity(job.cells.len());
+        for &ci in &job.cells {
+            let cell = &self.spec.cells[ci];
+            let stage = self.open("simulate", format!("{}/{}", w.name, cell.label));
+            let key = key::sim_key(text, scale, cell.scheme, &cell.cfg, sample, observe);
+            if let Some(entry) = load_sim(self.cache, &key, observe, sample.is_some()) {
+                entries.push((entry, self.close(stage, true, 0.0)));
+                continue;
+            }
+            let mut nested = 0.0;
+            if trace.is_none() {
+                let (data, timing) = self.fetch_trace(wi, program, text);
+                nested = timing.ms;
+                trace_timing = timing;
+                trace = Some(data);
+            }
+            let data = trace.as_ref().expect("fetched above");
+            let entry = simulate_cell(data, cell.scheme, &cell.cfg, self.sample, observe)
+                .unwrap_or_else(|e| panic!("{}: simulate failed: {e}", stage.unit));
+            self.cache
+                .put(&key, &codec::sim_entry_to_json(&entry).to_compact());
+            if observe {
+                // Seed the unobserved entry too, so later unobserved runs
+                // stay warm.  Only when absent: rewriting an existing entry
+                // would count as a lost race.
+                let plain_key = key::sim_key(text, scale, cell.scheme, &cell.cfg, sample, false);
+                if self.cache.peek(&plain_key).is_none() {
+                    let plain = SimEntry {
+                        stats: entry.stats.clone(),
+                        accounting: None,
+                        sampling: entry.sampling.clone(),
+                    };
+                    self.cache
+                        .put(&plain_key, &codec::sim_entry_to_json(&plain).to_compact());
+                }
+            }
+            entries.push((entry, self.close(stage, false, nested)));
+        }
+        let slot = ProgramSlot {
+            report: transformed.as_ref().map(|t| t.report.clone()),
+            transform_timing: transformed.as_ref().map(|t| t.timing),
+            trace_timing,
+        };
+        (slot, entries)
+    }
+
+    /// The transform stage: workload `wi` under `options`, from the cache or
+    /// computed from `profile` and stored.
+    fn transform(&self, wi: usize, options: &DriverOptions, profile: &Profile) -> Transformed {
+        let w = &self.spec.workloads[wi];
+        let stage = self.open("transform", w.name.to_string());
+        let key = key::transform_key(&self.texts[wi], self.spec.scale, options);
+        let (program, text, report, cached) = match load_transform(self.cache, &key) {
+            Some((p, t, r)) => (p, t, r, true),
+            None => {
+                let mut p = w.program.clone();
+                let report = guardspec_core::transform_program(&mut p, profile, options);
+                guardspec_ir::validate::assert_valid(&p);
+                let out_text = p.to_string();
+                let summary = ReportSummary::from(&report);
+                // The printed text is the whole entry: warm hits re-parse
+                // it, which is smaller and faster than decoding a binary
+                // copy.
+                let entry = Json::obj(vec![
+                    ("program", Json::str(&out_text)),
+                    ("report", codec::report_to_json(&summary)),
+                ]);
+                self.cache.put(&key, &entry.to_compact());
+                (p, out_text, summary, false)
+            }
+        };
+        Transformed {
+            program,
+            text,
+            report,
+            timing: self.close(stage, cached, 0.0),
+        }
+    }
+
+    /// Pass 2's trace stage: load `program`'s blob, or interpret it once
+    /// and store the blob.
+    fn fetch_trace(&self, wi: usize, program: &guardspec_ir::Program, text: &str) -> Fetched {
+        let w = &self.spec.workloads[wi];
+        let stage = self.open("trace", w.name.to_string());
+        let tkey = key::trace_key(text, self.spec.scale);
+        let (data, cached) = match self.load_trace(wi, &tkey, program) {
+            Some(data) => (data, true),
+            None => {
+                self.interps.fetch_add(1, Ordering::Relaxed);
+                let mut packer = PackedRecorder::new(program);
+                let exec = Interp::new(program)
+                    .run_with(&mut packer)
+                    .unwrap_or_else(|e| panic!("{}: trace failed: {e}", w.name));
+                assert_golden(w.name, "tracing", &w.expected, &exec.machine.mem);
+                (self.finish_trace(wi, &tkey, program, packer), false)
+            }
+        };
+        (data, self.close(stage, cached, 0.0))
+    }
+
+    /// Load and validate the cached trace blob of workload `wi`'s
+    /// `program`.  Any decode error, site-count or layout mismatch, or
+    /// golden-digest mismatch is a miss — the caller re-interprets and
+    /// overwrites.  Decode checks every site id against the blob's own site
+    /// count, so matching that count to the program's is what keeps every
+    /// id inside the simulator's tables.
+    fn load_trace(
+        &self,
+        wi: usize,
+        key: &str,
+        program: &guardspec_ir::Program,
+    ) -> Option<TraceData> {
+        let bytes = self.cache.get_bytes(key)?;
+        let layout = StaticLayout::build(program);
+        let check = || -> Result<PackedTrace, String> {
+            let d = tracefile::decode(bytes).map_err(|e| e.to_string())?;
+            let sites = layout.num_sites();
+            if d.num_sites as usize != sites {
+                return Err(format!(
+                    "site count mismatch: blob has {}, program has {sites}",
+                    d.num_sites
+                ));
+            }
+            if d.layout_digest != tracefile::layout_digest(&layout) {
+                return Err("layout digest mismatch".into());
+            }
+            if d.exec_digest != expected_digest(&self.spec.workloads[wi].expected) {
+                return Err("golden-result digest mismatch".into());
+            }
+            Ok(d.trace)
+        };
+        match check() {
+            Ok(trace) => Some(TraceData {
+                trace,
+                comp: self.build_compiled(program, &layout),
+            }),
+            Err(e) => {
+                warn_bad_cache(key, &e);
+                None
+            }
+        }
+    }
+
+    /// The trace stage's work after interpretation: decode the program's
+    /// uops against the recorder's layout, frame the packed records, and
+    /// store their bytes as the cache blob under `key`.
+    fn finish_trace(
+        &self,
+        wi: usize,
+        key: &str,
+        program: &guardspec_ir::Program,
+        packer: PackedRecorder,
+    ) -> TraceData {
+        let comp = self.build_compiled(program, packer.layout());
+        let trace = packer.finish(expected_digest(&self.spec.workloads[wi].expected));
+        self.cache.put_bytes(key, trace.blob());
+        TraceData { trace, comp }
+    }
+
+    /// Decode `program`'s uops against the layout the stage already holds,
+    /// recording the decode time as the `sim.block_build_us` run metric:
+    /// blob replays skip interpretation but still pay this (small) cost, so
+    /// it is accounted separately from the sim stage proper.
+    fn build_compiled(
+        &self,
+        program: &guardspec_ir::Program,
+        layout: &StaticLayout,
+    ) -> CompiledProgram {
+        let t0 = Instant::now();
+        let comp = CompiledProgram::build(program, layout);
+        self.metrics
+            .add("sim.block_build_us", t0.elapsed().as_micros() as u64);
+        comp
+    }
 }
 
-/// Decode `program`'s uops against the layout the stage already holds,
-/// recording the decode time as the `sim.block_build_us` run metric: warm
-/// trace-cache hits skip interpretation entirely but still pay this
-/// (small) cost, so it is accounted separately from the sim stage proper.
-fn build_compiled(
-    program: &guardspec_ir::Program,
-    layout: &StaticLayout,
-    metrics: &MetricsRegistry,
-) -> Arc<CompiledProgram> {
-    let t0 = Instant::now();
-    let comp = Arc::new(CompiledProgram::build(program, layout));
-    metrics.add("sim.block_build_us", t0.elapsed().as_micros() as u64);
-    comp
+fn slots<T>(n: usize) -> Vec<OnceLock<T>> {
+    (0..n).map(|_| OnceLock::new()).collect()
 }
 
 fn ms_since(t0: Instant) -> f64 {
@@ -804,10 +783,7 @@ fn expected_digest(expected: &[(u64, i64)]) -> u64 {
 fn warn_bad_cache(key: &str, e: &str) {
     crate::log::warn(
         "cache.discard",
-        &[
-            ("key", crate::json::Json::str(key)),
-            ("error", crate::json::Json::str(e)),
-        ],
+        &[("key", Json::str(key)), ("error", Json::str(e))],
     );
 }
 
@@ -815,49 +791,6 @@ fn load_profile(cache: &DiskCache, key: &str) -> Option<Profile> {
     let text = cache.get(key)?;
     match crate::json::parse(&text).and_then(|j| codec::profile_from_json(&j)) {
         Ok(p) => Some(p),
-        Err(e) => {
-            warn_bad_cache(key, &e);
-            None
-        }
-    }
-}
-
-/// Load and validate a cached trace blob for `program`.  Any decode error,
-/// site-count or layout mismatch, or golden-digest mismatch is a miss —
-/// the caller re-interprets and overwrites.  Decode checks every site id
-/// against the blob's own site count, so matching that count to the
-/// program's is what keeps every id inside the simulator's tables.
-fn load_trace(
-    cache: &DiskCache,
-    key: &str,
-    program: &guardspec_ir::Program,
-    want_digest: u64,
-    metrics: &MetricsRegistry,
-) -> Option<Arc<TraceData>> {
-    let bytes = cache.get_bytes(key)?;
-    let layout = StaticLayout::build(program);
-    let check = || -> Result<PackedTrace, String> {
-        let d = tracefile::decode(bytes).map_err(|e| e.to_string())?;
-        let sites = layout.num_sites();
-        if d.num_sites as usize != sites {
-            return Err(format!(
-                "site count mismatch: blob has {}, program has {sites}",
-                d.num_sites
-            ));
-        }
-        if d.layout_digest != tracefile::layout_digest(&layout) {
-            return Err("layout digest mismatch".into());
-        }
-        if d.exec_digest != want_digest {
-            return Err("golden-result digest mismatch".into());
-        }
-        Ok(d.trace)
-    };
-    match check() {
-        Ok(trace) => {
-            let comp = build_compiled(program, &layout, metrics);
-            Some(Arc::new(TraceData { trace, comp }))
-        }
         Err(e) => {
             warn_bad_cache(key, &e);
             None
@@ -877,7 +810,7 @@ fn load_transform(
         let j = crate::json::parse(&text)?;
         let src = j
             .get("program")
-            .and_then(crate::json::Json::as_str)
+            .and_then(Json::as_str)
             .ok_or("no program")?;
         let report = codec::report_from_json(j.get("report").ok_or("no report")?)?;
         let program = guardspec_ir::parse::parse_program(src, None).map_err(|e| e.to_string())?;
@@ -916,7 +849,7 @@ fn simulate_cell(
     sample: Option<SampleParams>,
     observe: bool,
 ) -> Result<SimEntry, SimError> {
-    let (trace, comp) = (&data.trace, &*data.comp);
+    let (trace, comp) = (&data.trace, &data.comp);
     let mut acct = CycleAccounting::new();
     let (stats, sampling) = SIM_CTX.with(|ctx| -> Result<_, SimError> {
         let ctx = &mut ctx.borrow_mut();

@@ -3,10 +3,10 @@
 //!
 //! A cell is one column entry of a paper table: simulate `workload` under
 //! `scheme`, optionally after transforming it with `transform` options, on
-//! machine `cfg`.  The runner expands a spec into a three-stage job pipeline
-//! per cell (profile → transform → simulate) and de-duplicates shared
-//! stages: one workload's profile is computed once no matter how many cells
-//! (or sweep points) consume it, and identical transforms are shared too.
+//! machine `cfg`.  The runner groups the cells into one job per program and
+//! shares every stage it can: one workload's profile is computed once no
+//! matter how many cells (or sweep points) consume it, identical transforms
+//! are shared, and the cells of one program replay one trace.
 
 use guardspec_core::DriverOptions;
 use guardspec_predict::Scheme;

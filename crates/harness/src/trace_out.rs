@@ -1,4 +1,4 @@
-//! Chrome trace-event export for the job graph (`--trace-out <file>`).
+//! Chrome trace-event export for the runner's stages (`--trace-out <file>`).
 //!
 //! Stages record [`Span`]s through a shared [`SpanRecorder`]; after the run,
 //! [`chrome_trace_json`] renders them in the Chrome trace-event format

@@ -1,6 +1,7 @@
 //! Cache correctness: a cold run and a warm run of the same spec must
 //! produce byte-identical stable artifacts, and the warm run must perform
-//! zero re-profiles / re-transforms / re-simulations (every stage a hit).
+//! zero re-profiles / re-transforms / re-simulations (every stage a hit)
+//! and read no trace blob, since no cell needs one.
 
 use guardspec_harness::{
     json, run_experiment, stable_json, ExperimentResult, ExperimentSpec, Json, RunOptions,
@@ -28,18 +29,21 @@ fn cold_then_warm_is_byte_identical_and_fully_cached() {
     };
 
     let spec = ExperimentSpec::three_schemes("cache-test", Scale::Test);
-    // Per workload: one profile lookup plus one base-trace blob lookup
-    // (every workload has untransformed 2-bit/perfect cells).  Per distinct
-    // transform: one transform lookup plus one transformed-trace blob
-    // lookup.  Plus one simulation lookup per cell.
+    // Per workload: one profile lookup.  Per distinct transform: one
+    // transform lookup.  Plus one simulation lookup per cell.  A cold run
+    // also looks up each program's trace blob (every workload has
+    // untransformed 2-bit/perfect cells), since its cells all miss; a warm
+    // run needs no trace.
     let transforms = spec.cells.iter().filter(|c| c.transform.is_some()).count();
-    let stages = 2 * spec.workloads.len() + 2 * transforms + spec.cells.len();
+    let stages = spec.workloads.len() + transforms + spec.cells.len();
+    let blobs = spec.workloads.len() + transforms;
 
     let cold = run_experiment(&spec, &opts);
     assert_eq!(cold.cache_hits, 0, "cold run must not hit");
     assert_eq!(
-        cold.cache_misses as usize, stages,
-        "cold run misses once per stage"
+        cold.cache_misses as usize,
+        stages + blobs,
+        "cold run misses once per stage and once per trace blob"
     );
     assert!(cold.workloads.iter().all(|w| !w.timing.cached));
     assert!(cold.cells.iter().all(|c| !c.sim_timing.cached));
@@ -48,7 +52,7 @@ fn cold_then_warm_is_byte_identical_and_fully_cached() {
     assert_eq!(warm.cache_misses, 0, "warm run must recompute nothing");
     assert_eq!(
         warm.cache_hits as usize, stages,
-        "warm run hits once per stage"
+        "warm run hits once per stage and reads no blob"
     );
     assert!(
         warm.workloads.iter().all(|w| w.timing.cached),
@@ -190,7 +194,7 @@ fn profiles_are_shared_not_recomputed_within_a_run() {
     // permissible cold-run hits are simulation cells whose transformed
     // program happens to coincide with an earlier cell's (two presets can
     // produce identical code), in which case the cache shares the result
-    // instead of re-simulating.
+    // instead of re-simulating, and trace blobs of such programs.
     let dir = scratch("shared");
     let opts = RunOptions {
         jobs: 1,
@@ -199,9 +203,11 @@ fn profiles_are_shared_not_recomputed_within_a_run() {
     };
     let spec = ExperimentSpec::ablation("share-test", Scale::Test);
     let cold = run_experiment(&spec, &opts);
-    // Every ablation cell is transformed, so each distinct transform also
-    // gets a trace-blob lookup; no base traces are needed.
-    let stages = spec.workloads.len() + 3 * spec.cells.len();
+    // Every ablation cell is a distinct transform of its own, so a cell
+    // whose sim entry misses is one program whose trace blob is looked
+    // up; a cell that hits reads no trace.  No base traces are needed.
+    let sim_misses = cold.cells.iter().filter(|c| !c.sim_timing.cached).count();
+    let stages = spec.workloads.len() + 2 * spec.cells.len() + sim_misses;
     assert_eq!((cold.cache_hits + cold.cache_misses) as usize, stages);
     // Profiles and transforms all have distinct keys, so they all miss.
     let min_misses = spec.workloads.len() + spec.cells.len();
@@ -311,18 +317,21 @@ fn one_cache_dir_serves_every_mode() {
     // Runs in order, each in the same fresh directory:
     // (observe, sampled, cache hits, cache misses, interpretations).
     type Run = (bool, bool, u64, u64, u64);
+    // A cold run looks up 4 profiles, 4 transforms, 8 trace blobs and 12
+    // sim entries.  A run that misses every sim entry also reads every
+    // blob; a fully warm run reads none.
     let a: &[Run] = &[
         (true, false, 0, 28, 8),
-        (false, false, 28, 0, 0),
-        (true, false, 28, 0, 0),
+        (false, false, 20, 0, 0),
+        (true, false, 20, 0, 0),
     ];
     let b: &[Run] = &[
         (false, false, 0, 28, 8),
         (true, false, 16, 12, 0),
-        (false, false, 28, 0, 0),
+        (false, false, 20, 0, 0),
         (false, true, 16, 12, 0),
         (true, true, 16, 12, 0),
-        (false, true, 28, 0, 0),
+        (false, true, 20, 0, 0),
     ];
     for (tag, runs) in [("a", a), ("b", b)] {
         let dir = scratch(&format!("modes-{tag}"));

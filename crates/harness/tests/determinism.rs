@@ -1,6 +1,6 @@
-//! Thread-pool determinism: the full Scale::Test matrix produces identical
-//! results at `--jobs 1` (the serial reference schedule) and `--jobs 8`
-//! (work stealing), with the cache disabled so every stage really executes.
+//! Thread-count determinism: the full Scale::Test matrix produces identical
+//! results at `--jobs 1` (the serial reference schedule) and `--jobs 8`,
+//! with the cache disabled so every stage really executes.
 //! And every cell the harness replays from its program's packed trace
 //! equals the materialized reference: profile, transform, trace, simulate.
 

@@ -1,12 +1,15 @@
 //! The persistent binary trace cache: runs interpret each distinct program
-//! exactly once cold, replay blobs instead of interpreting warm,
-//! and treat corrupt or truncated blobs as misses — re-recording them and
-//! still producing byte-identical science.
+//! exactly once cold, read a trace only when a cell misses its sim entry
+//! (and then replay the blob instead of interpreting), and treat corrupt or
+//! truncated blobs as misses — re-recording them and still producing
+//! byte-identical science.
 
 use guardspec_core::DriverOptions;
 use guardspec_harness::{key, run_experiment, stable_json, ExperimentSpec, RunOptions};
 use guardspec_interp::tracefile::{self, CHECKSUM_LEN};
 use guardspec_interp::{Interp, PackedRecorder, StaticLayout, TraceRecorder};
+use guardspec_predict::Scheme;
+use guardspec_sim::MachineConfig;
 use guardspec_workloads::Scale;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -59,8 +62,12 @@ fn distinct_programs(spec: &ExperimentSpec) -> u64 {
     (bases + transforms) as u64
 }
 
+fn is_blob(name: &str) -> bool {
+    name.starts_with("trace-") && name.ends_with(".bin")
+}
+
 #[test]
-fn cold_interprets_once_per_distinct_program_and_warm_replays_blobs() {
+fn cold_interprets_once_per_distinct_program_and_warm_reads_no_trace() {
     let dir = scratch("warm");
     let spec = ExperimentSpec::three_schemes("trace-warm", Scale::Test);
     let programs = distinct_programs(&spec);
@@ -74,7 +81,7 @@ fn cold_interprets_once_per_distinct_program_and_warm_replays_blobs() {
         cold.cells.iter().all(|c| !c.trace_timing.cached),
         "cold cells must record an uncached trace stage"
     );
-    let blobs = cache_files(&dir, |n| n.starts_with("trace-") && n.ends_with(".bin"));
+    let blobs = cache_files(&dir, is_blob);
     assert_eq!(
         blobs.len() as u64,
         programs,
@@ -82,19 +89,78 @@ fn cold_interprets_once_per_distinct_program_and_warm_replays_blobs() {
     );
 
     let warm = run_experiment(&spec, &opts(&dir));
-    assert_eq!(
-        warm.interpretations, 0,
-        "warm run must replay blobs, not interpret"
-    );
+    assert_eq!(warm.interpretations, 0, "warm run must not interpret");
     assert!(
-        warm.cells.iter().all(|c| c.trace_timing.cached),
-        "warm cells must report trace.cached = true"
+        warm.cells
+            .iter()
+            .all(|c| c.trace_timing.cached && c.trace_timing.ms == 0.0),
+        "warm cells must report an untouched, cached trace"
     );
     assert_eq!(
         stable_json(&cold).to_pretty(),
         stable_json(&warm).to_pretty(),
-        "blob replay changed the science"
+        "a warm run changed the science"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_run_needs_no_blob() {
+    let dir = scratch("noblobs");
+    let spec = ExperimentSpec::three_schemes("trace-noblobs", Scale::Test);
+    let cold = run_experiment(&spec, &opts(&dir));
+    let blobs = cache_files(&dir, is_blob);
+    assert_eq!(blobs.len() as u64, distinct_programs(&spec));
+    for b in blobs {
+        std::fs::remove_file(b).unwrap();
+    }
+
+    let warm = run_experiment(&spec, &opts(&dir));
+    assert_eq!(
+        (warm.interpretations, warm.cache_misses),
+        (0, 0),
+        "every cell hits its sim entry, so no trace is needed"
+    );
+    assert_eq!(
+        stable_json(&cold).to_pretty(),
+        stable_json(&warm).to_pretty()
+    );
+    assert!(cache_files(&dir, is_blob).is_empty(), "nothing re-recorded");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_new_machine_config_replays_exactly_its_programs_blob() {
+    let dir = scratch("newcfg");
+    let mut spec = ExperimentSpec::three_schemes("trace-newcfg", Scale::Test);
+    run_experiment(&spec, &opts(&dir));
+    let transforms = spec.cells.iter().filter(|c| c.transform.is_some()).count();
+    let stages = spec.workloads.len() + transforms + spec.cells.len();
+
+    // Keep only the blob of workload 0's base program, then add one cell
+    // that runs that program on a machine no earlier cell used.
+    let text = spec.workloads[0].program.to_string();
+    let kept = format!("{}.bin", key::trace_key(&text, Scale::Test));
+    for b in cache_files(&dir, |n| is_blob(n) && n != kept) {
+        std::fs::remove_file(b).unwrap();
+    }
+    assert_eq!(cache_files(&dir, |n| n == kept).len(), 1);
+    let cfg = MachineConfig {
+        rob_size: 16,
+        ..MachineConfig::r10000()
+    };
+    spec.push_cell(0, "small ROB", None, Scheme::TwoBit, cfg);
+
+    let warm = run_experiment(&spec, &opts(&dir));
+    assert_eq!(warm.interpretations, 0, "the kept blob replays");
+    assert_eq!(warm.cache_misses, 1, "only the new cell's sim entry misses");
+    assert_eq!(
+        warm.cache_hits as usize,
+        stages + 1,
+        "profiles, transforms, the old cells' sim entries and one blob"
+    );
+    let new = warm.cells.last().unwrap();
+    assert!(!new.sim_timing.cached && new.trace_timing.cached);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -108,7 +174,7 @@ fn corrupt_trace_blobs_are_re_recorded_not_trusted() {
     // Vandalise every trace blob AND every cached simulation entry, so the
     // recovery run must actually decode-fail, re-interpret, and re-simulate
     // from the freshly recorded traces.
-    let blobs = cache_files(&dir, |n| n.starts_with("trace-") && n.ends_with(".bin"));
+    let blobs = cache_files(&dir, is_blob);
     assert!(!blobs.is_empty());
     // Garbage, and blobs resealed with a header naming format version 1.
     fn garbage(_: &[u8]) -> Vec<u8> {
@@ -162,7 +228,7 @@ fn truncated_trace_blobs_fall_back_to_interpretation() {
     let cold = run_experiment(&spec, &opts(&dir));
     let programs = distinct_programs(&spec);
 
-    for b in cache_files(&dir, |n| n.starts_with("trace-") && n.ends_with(".bin")) {
+    for b in cache_files(&dir, is_blob) {
         let bytes = std::fs::read(&b).unwrap();
         std::fs::write(&b, &bytes[..bytes.len() / 2]).unwrap();
     }
@@ -213,7 +279,7 @@ fn blobs_naming_sites_past_the_program_are_misses() {
     let cold = run_experiment(&spec, &opts(&dir));
     let programs = distinct_programs(&spec);
 
-    for b in cache_files(&dir, |n| n.starts_with("trace-") && n.ends_with(".bin")) {
+    for b in cache_files(&dir, is_blob) {
         let bytes = std::fs::read(&b).unwrap();
         let num_sites = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         let shifted = shift_site_ids(&bytes, num_sites);
@@ -298,5 +364,57 @@ fn stage_times_tile_the_wall_time() {
         "stage times sum to {total:.3} ms, past the {:.3} ms wall",
         r.wall_ms
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_thread_profiles_first_then_runs_one_program_at_a_time() {
+    let dir = scratch("order");
+    let spec = ExperimentSpec::three_schemes("trace-order", Scale::Test);
+    let r = run_experiment(
+        &spec,
+        &RunOptions {
+            jobs: 1,
+            trace_spans: true,
+            ..opts(&dir)
+        },
+    );
+    // Pass 1 profiles every workload; pass 2 then runs each program in
+    // turn: the base program's cells, then the transform and its cell.
+    let mut want: Vec<String> = spec
+        .workloads
+        .iter()
+        .map(|w| format!("profile {}", w.name))
+        .collect();
+    for (wi, w) in spec.workloads.iter().enumerate() {
+        let cells: Vec<_> = spec.cells.iter().filter(|c| c.workload == wi).collect();
+        let sim = |c: &&guardspec_harness::CellSpec| format!("simulate {}/{}", w.name, c.label);
+        want.extend(cells.iter().filter(|c| c.transform.is_none()).map(sim));
+        want.push(format!("transform {}", w.name));
+        want.extend(cells.iter().filter(|c| c.transform.is_some()).map(sim));
+    }
+    want.push(format!("collect {}", spec.name));
+
+    // Top-level spans in start order; trace spans nest inside them.
+    let mut top: Vec<&guardspec_harness::Span> = Vec::new();
+    let mut nested: Vec<(&str, &str)> = Vec::new();
+    for s in &r.spans {
+        match top.last() {
+            Some(t) if s.ts_us < t.ts_us + t.dur_us => nested.push((t.cat, s.cat)),
+            _ => top.push(s),
+        }
+    }
+    let names: Vec<&str> = top.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, want);
+    // A cold base trace is read (a miss) and recorded inside its profile
+    // stage; a transformed program's trace is fetched inside its first
+    // cell's simulate stage.
+    let count = |outer: &str| nested.iter().filter(|&&(o, _)| o == outer).count();
+    assert!(
+        nested.iter().all(|&(_, inner)| inner == "trace"),
+        "{nested:?}"
+    );
+    assert_eq!(count("profile"), 2 * spec.workloads.len());
+    assert_eq!(count("simulate"), spec.workloads.len());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,8 +24,9 @@
 //!
 //! Options, configs and sampling parameters go through the harness's one
 //! field list per struct ([`codec::Fields`]), the same list their cache
-//! keys are built from; every field is required.  An options preset name
-//! is any of [`DriverOptions::presets`].
+//! keys are built from; every field is required, a cell's `options` and
+//! `config` keys included (`"options": null` runs the cell untransformed).
+//! An options preset name is any of [`DriverOptions::presets`].
 //!
 //! The response body for a successful run is exactly the **stable** artifact
 //! payload the bench binaries write with `--stable-json` — byte-identical,
@@ -189,18 +190,16 @@ fn cell_from_json(j: &Json, n_workloads: usize) -> Result<CellReq, String> {
             "cell references workload {workload}, request has {n_workloads}"
         ));
     }
-    let options = match j.get("options") {
-        None | Some(Json::Null) => None,
-        Some(Json::Str(preset)) => Some(options_preset(preset)?),
-        Some(o) => Some(codec::fields_from_json(o)?),
+    let field = |k: &str| j.get(k).ok_or_else(|| format!("cell has no {k:?} field"));
+    let options = match field("options")? {
+        Json::Null => None,
+        Json::Str(preset) => Some(options_preset(preset)?),
+        o => Some(codec::fields_from_json(o)?),
     };
-    let config = match j.get("config") {
-        None => MachineConfig::r10000(),
-        Some(Json::Str(preset)) if preset == "r10000" => MachineConfig::r10000(),
-        Some(Json::Str(other)) => {
-            return Err(format!("bad config preset {other:?} (want \"r10000\")"))
-        }
-        Some(c) => codec::fields_from_json(c)?,
+    let config = match field("config")? {
+        Json::Str(preset) if preset == "r10000" => MachineConfig::r10000(),
+        Json::Str(other) => return Err(format!("bad config preset {other:?} (want \"r10000\")")),
+        c => codec::fields_from_json(c)?,
     };
     Ok(CellReq {
         workload,
@@ -689,17 +688,25 @@ mod tests {
             ))
         };
         // Ad-hoc programs travel as assembly text only.
-        let bin = with_cell(r#"{"name":"mine","bin":"00000000"}"#, r#""options":null"#);
+        let bin = with_cell(
+            r#"{"name":"mine","bin":"00000000"}"#,
+            r#""options":null,"config":"r10000""#,
+        );
         assert!(
             bin.contains("workload \"mine\"") && bin.contains("program"),
             "{bin}"
         );
         let grep = r#"{"builtin":"grep"}"#;
-        let preset = with_cell(grep, r#""options":"everything""#);
+        let preset = with_cell(grep, r#""options":"everything","config":"r10000""#);
         assert!(
             preset.contains("baseline|speculation|guarded|conventional|proposed"),
             "{preset}"
         );
-        assert!(with_cell(grep, r#""config":"r12000""#).contains("r10000"));
+        assert!(with_cell(grep, r#""options":null,"config":"r12000""#).contains("r10000"));
+        // Neither key has a default: a missing one is named, not filled in.
+        let no_config = with_cell(grep, r#""options":null"#);
+        assert!(no_config.contains("no \"config\" field"), "{no_config}");
+        let no_options = with_cell(grep, r#""config":"r10000""#);
+        assert!(no_options.contains("no \"options\" field"), "{no_options}");
     }
 }

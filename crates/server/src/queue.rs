@@ -24,8 +24,9 @@ pub enum PushError {
 }
 
 struct Inner<T> {
-    /// One backlog per client, in first-appearance order.
-    lanes: Vec<(String, VecDeque<T>)>,
+    /// One non-empty backlog per client with queued work, in arrival
+    /// order; a lane goes as soon as it empties.
+    lanes: VecDeque<(String, VecDeque<T>)>,
     /// Next lane to serve (round-robin cursor).
     cursor: usize,
     queued: usize,
@@ -45,7 +46,7 @@ impl<T> FairQueue<T> {
     pub fn new(cap: usize, est_job_ms: u64) -> FairQueue<T> {
         FairQueue {
             inner: Mutex::new(Inner {
-                lanes: Vec::new(),
+                lanes: VecDeque::new(),
                 cursor: 0,
                 queued: 0,
                 closed: false,
@@ -74,7 +75,7 @@ impl<T> FairQueue<T> {
             None => {
                 let mut lane = VecDeque::new();
                 lane.push_back(item);
-                q.lanes.push((client.to_string(), lane));
+                q.lanes.push_back((client.to_string(), lane));
             }
         }
         q.queued += 1;
@@ -89,16 +90,17 @@ impl<T> FairQueue<T> {
         let mut q = self.inner.lock().unwrap();
         loop {
             if q.queued > 0 {
-                let n = q.lanes.len();
-                for step in 0..n {
-                    let i = (q.cursor + step) % n;
-                    if let Some(item) = q.lanes[i].1.pop_front() {
-                        q.cursor = (i + 1) % n;
-                        q.queued -= 1;
-                        return Some(item);
-                    }
+                let i = q.cursor % q.lanes.len();
+                let item = q.lanes[i].1.pop_front().expect("lanes are never empty");
+                if q.lanes[i].1.is_empty() {
+                    // The next lane slides into slot `i`.
+                    q.lanes.remove(i);
+                    q.cursor = i;
+                } else {
+                    q.cursor = i + 1;
                 }
-                unreachable!("queued > 0 but every lane empty");
+                q.queued -= 1;
+                return Some(item);
             }
             if q.closed {
                 return None;
@@ -142,6 +144,39 @@ mod tests {
         assert_eq!(order[0], "bulk-0");
         assert_eq!(order[1], "solo-0");
         assert_eq!(order[2..], ["bulk-1", "bulk-2", "bulk-3", "bulk-4"]);
+    }
+
+    #[test]
+    fn empty_lanes_go_and_round_robin_holds() {
+        let q = FairQueue::new(20_000, 1);
+        for i in 0..10_000 {
+            q.push(&format!("client-{i}"), i).unwrap();
+        }
+        assert_eq!(q.inner.lock().unwrap().lanes.len(), 10_000);
+        for i in 0..10_000 {
+            assert_eq!(q.pop(), Some(i));
+        }
+        assert!(q.inner.lock().unwrap().lanes.is_empty(), "no lane left");
+
+        // Three clients, one of which drains early: the others keep
+        // alternating, and a returning client queues at the back.
+        for (client, item) in [
+            ("a", 1),
+            ("a", 2),
+            ("a", 3),
+            ("b", 10),
+            ("c", 20),
+            ("c", 21),
+        ] {
+            q.push(client, item).unwrap();
+        }
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(10)); // b empties and goes
+        q.push("b", 11).unwrap();
+        let order: Vec<i32> =
+            std::iter::from_fn(|| if q.is_empty() { None } else { q.pop() }).collect();
+        assert_eq!(order, [20, 11, 2, 21, 3]);
+        assert!(q.inner.lock().unwrap().lanes.is_empty());
     }
 
     #[test]

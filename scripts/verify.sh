@@ -5,8 +5,8 @@
 #   ./scripts/verify.sh
 #
 # The table4 step exercises the full harness path (profile → transform →
-# simulate, work-stealing pool, results cache, JSON artifact) and leaves
-# its artifact at results/ci_table4.json.
+# trace → simulate on the two-pass runner, results cache, JSON artifact)
+# and leaves its artifact at results/ci_table4.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,8 +64,9 @@ test -s results/BENCH_8.json
 
 echo "== trace cache cold/warm (table3 in a scratch dir) =="
 # Cold run records binary trace blobs; the warm rerun in the same scratch
-# dir must replay them (no interpretation, no miss) and print identical
-# tables.
+# dir must recompute nothing (no interpretation, no miss) and print
+# identical tables.  A warm run reads a trace only for a cell that misses
+# its sim entry, so a third run with every blob deleted is fully warm too.
 TCDIR=$(mktemp -d)
 (cd "$TCDIR" && "$OLDPWD/target/release/table3" --scale test --jobs 1 > cold.txt)
 # Blobs are sharded: results/cache/<2 hex>/trace-<digest>.bin
@@ -74,6 +75,11 @@ find "$TCDIR"/results/cache -name 'trace-*.bin' | grep -q .
     --json warm.json > warm.txt)
 cmp "$TCDIR"/cold.txt "$TCDIR"/warm.txt
 assert_fully_warm "$TCDIR"/warm.json
+find "$TCDIR"/results/cache -name 'trace-*.bin' -delete
+(cd "$TCDIR" && "$OLDPWD/target/release/table3" --scale test --jobs 1 \
+    --json noblobs.json > noblobs.txt)
+cmp "$TCDIR"/cold.txt "$TCDIR"/noblobs.txt
+assert_fully_warm "$TCDIR"/noblobs.json
 rm -rf "$TCDIR"
 
 echo "== perf benchmark smoke (warm table3 workload, digests checked) =="
