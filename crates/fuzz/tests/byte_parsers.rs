@@ -2,14 +2,15 @@
 //! entries on disk and `gsd` request bodies.
 //!
 //! Seeds are real documents: a cached transform entry written by the
-//! runner, a `/run` body naming builtin and textual workloads, and the
-//! runner's trace blobs.  Seeded SplitMix64 mutations (truncate, byte
-//! flip, splice, repeat, deep nest) of the JSON seeds go through every
-//! decoder a warm hit or a request would reach: `http::try_parse` on the
-//! framed request, `json::parse`, `protocol::request_from_json`, the
-//! `codec::*_from_json` decoders on every object (the options, config and
-//! sampling field lists included) and `ir::parse` on every `program`
-//! string.  The blobs get the
+//! runner (a program digest and a report), a `/run` body naming builtin
+//! workloads and two textual ones, and the runner's trace blobs.  Seeded
+//! SplitMix64 mutations (truncate, byte flip, splice, repeat, deep nest)
+//! of the JSON seeds go through every decoder a warm hit or a request
+//! would reach: `http::try_parse` on the framed request, `json::parse`,
+//! `protocol::request_from_json`, the `codec::*_from_json` decoders on
+//! every object (the options, config and sampling field lists included),
+//! `ProgramDigest::parse` on every `digest` string and `ir::parse` on
+//! every `program` string.  The blobs get the
 //! byte mutations plus header-field edits and record rewrites (a run byte
 //! or an entry header, found by walking the records), mostly with the
 //! checksum recomputed so the record checks are reached, and go through
@@ -20,6 +21,7 @@
 //! without bound shows up here, not as a hung run.
 
 use guardspec_core::DriverOptions;
+use guardspec_harness::key::ProgramDigest;
 use guardspec_harness::{codec, json, run_experiment, ExperimentSpec, Json, RunOptions};
 use guardspec_interp::tracefile::{self, TraceFileError, CHECKSUM_LEN};
 use guardspec_server::http;
@@ -93,14 +95,15 @@ fn cached_entries(prefix: &str) -> Vec<Vec<u8>> {
     found
 }
 
-/// A real `/run` body with one workload of each kind.
+/// A real `/run` body with builtin workloads and two textual ones.
 fn run_body_seed() -> Vec<u8> {
     let mut req = three_schemes_request("table3", Scale::Test);
-    let w = &extended_workloads(Scale::Test)[0];
-    req.workloads.push(WorkloadReq::Text {
-        name: "text".to_string(),
-        program: w.program.to_string(),
-    });
+    for (i, w) in extended_workloads(Scale::Test).iter().take(2).enumerate() {
+        req.workloads.push(WorkloadReq::Text {
+            name: format!("text{i}"),
+            program: w.program.to_string(),
+        });
+    }
     request_to_json(&req).to_compact().into_bytes()
 }
 
@@ -294,6 +297,7 @@ struct Reached {
     json_err: u64,
     request_ok: u64,
     report_ok: u64,
+    digest_ok: u64,
     program_ok: u64,
 }
 
@@ -317,6 +321,11 @@ fn decode_all(j: &Json, reached: &mut Reached, depth: usize) {
             }
             for (k, v) in pairs {
                 match (k.as_str(), v) {
+                    ("digest", Json::Str(d)) => {
+                        if ProgramDigest::parse(d).is_ok() {
+                            reached.digest_ok += 1;
+                        }
+                    }
                     ("program", Json::Str(src)) => {
                         if guardspec_ir::parse::parse_program(src, None).is_ok() {
                             reached.program_ok += 1;
@@ -419,7 +428,8 @@ fn mutated_entries_and_bodies_decode_or_fail_within_budget() {
     assert_eq!(clean.json_ok, 2);
     assert_eq!(clean.request_ok, 1, "the /run seed is a valid request");
     assert!(clean.report_ok >= 1, "the transform seed's report decodes");
-    assert!(clean.program_ok >= 2, "both seeds' program texts parse");
+    assert_eq!(clean.digest_ok, 1, "the transform seed's digest decodes");
+    assert!(clean.program_ok >= 2, "the /run seed's program texts parse");
 
     let (reached, slowest) = run_cases(&seeds, BASE_SEED, mutate_json, feed);
     // The mutations reach both outcomes and the decoders past the parser.

@@ -8,13 +8,17 @@
 //! ```
 //!
 //! Keys come from [`crate::key`]; `.json` values are the JSON encodings
-//! from [`crate::codec`], `.bin` values are binary trace blobs in the
-//! [`guardspec_interp::tracefile`] format.  Blobs are the only entries
-//! with meaningful size, so [`DiskCache::gc_blobs`] caps their total
-//! footprint (oldest evicted first); the JSON entries are never evicted.  Writes go through a temp file + rename so concurrent
-//! writers of the same key (two worker threads, or two bench binaries
-//! running at once) can never expose a torn entry — last writer wins with
-//! identical contents, since contents are a pure function of the key.
+//! from [`crate::codec`] (a transform entry is the transformed program's
+//! digest and its report, not the program), `.bin` values are binary
+//! trace blobs in the [`guardspec_interp::tracefile`] format.  Blobs are
+//! the only entries with meaningful size, so [`DiskCache::gc_blobs`] caps
+//! their total footprint (oldest evicted first); the JSON entries are
+//! never evicted.  The cap is checked by walking every file, so the
+//! runner walks only after a run that stored a blob.  Writes go through a
+//! temp file + rename so concurrent writers of the same key (two worker
+//! threads, or two bench binaries running at once) can never expose a
+//! torn entry — last writer wins with identical contents, since contents
+//! are a pure function of the key.
 //!
 //! Hit/miss counters are atomic and feed the run artifact, which is how the
 //! acceptance criterion "a warm run performs zero re-profiles/re-simulations"

@@ -1020,15 +1020,16 @@ mod tests {
     #[test]
     fn config_roundtrip_every_field() {
         roundtrip_every_field(&MachineConfig::r10000(), key::describe_config, |c| {
-            key::sim_key("p", Scale::Test, Scheme::TwoBit, c, None, false)
+            let prog = key::ProgramDigest::of("p");
+            key::sim_key(&prog, Scale::Test, Scheme::TwoBit, c, None, false)
         });
     }
 
     #[test]
     fn sample_params_roundtrip_every_field() {
         roundtrip_every_field(&SampleParams::default(), key::describe_sample, |p| {
-            let cfg = MachineConfig::r10000();
-            key::sim_key("p", Scale::Test, Scheme::TwoBit, &cfg, Some(p), false)
+            let (prog, cfg) = (key::ProgramDigest::of("p"), MachineConfig::r10000());
+            key::sim_key(&prog, Scale::Test, Scheme::TwoBit, &cfg, Some(p), false)
         });
         assert_eq!(
             fields_to_json(&SampleParams::default()).to_compact(),

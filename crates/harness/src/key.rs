@@ -4,7 +4,11 @@
 //! A stage result is addressed by a stable hash of:
 //!
 //! * the **program text** (the printed IR — workload inputs are embedded in
-//!   the program's data section, so text fully determines execution),
+//!   the program's data section, so text fully determines execution): the
+//!   full text for profiles, traces and transforms, and its
+//!   [`ProgramDigest`] for simulations, so that a cell's key needs no more
+//!   of its program than a digest computed once per program (a cached
+//!   transform entry holds the digest in place of the text),
 //! * the **scale** tag,
 //! * for transforms, every field of [`DriverOptions`] (including every
 //!   [`FeedbackParams`](guardspec_core::FeedbackParams) threshold),
@@ -19,7 +23,7 @@
 //! configurations' keys.
 
 use crate::codec::{Field, Fields};
-use crate::hash::StableHasher;
+use crate::hash::{hex_digest, StableHasher};
 use guardspec_core::DriverOptions;
 use guardspec_predict::Scheme;
 use guardspec_sim::{MachineConfig, SampleParams};
@@ -79,10 +83,38 @@ pub fn describe_sample(p: &SampleParams) -> String {
     describe(p)
 }
 
-fn stage_key(stage: &str, program_text: &str, scale: Scale, extras: &[&str]) -> String {
+/// The digest of a program's printed text: what a simulation key names
+/// its program by.  A newtype, so a program's text cannot be passed where
+/// its digest is meant.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ProgramDigest(String);
+
+impl ProgramDigest {
+    /// The digest of `program_text`.
+    pub fn of(program_text: &str) -> ProgramDigest {
+        ProgramDigest(hex_digest(program_text))
+    }
+
+    /// A digest read back from a cache entry: exactly 32 lowercase hex
+    /// characters, as [`ProgramDigest::as_str`] writes it.
+    pub fn parse(s: &str) -> Result<ProgramDigest, String> {
+        let hex = |c: char| c.is_ascii_digit() || ('a'..='f').contains(&c);
+        if s.len() == 32 && s.chars().all(hex) {
+            Ok(ProgramDigest(s.to_string()))
+        } else {
+            Err(format!("not a program digest: {s:?}"))
+        }
+    }
+
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+fn stage_key(stage: &str, program: &str, scale: Scale, extras: &[&str]) -> String {
     let mut h = StableHasher::new();
     h.write_str(stage);
-    h.write_str(program_text);
+    h.write_str(program);
     h.write_str(scale_tag(scale));
     for e in extras {
         h.write_str(e);
@@ -107,7 +139,8 @@ pub fn transform_key(program_text: &str, scale: Scale, opts: &DriverOptions) -> 
     stage_key("transform", program_text, scale, &[&describe_options(opts)])
 }
 
-/// Key for a cycle-level simulation of `program_text` under `scheme`/`cfg`.
+/// Key for a cycle-level simulation of the program whose text has
+/// `digest`, under `scheme`/`cfg`.
 ///
 /// The stage tag names the entry's payload shape, so no two shapes ever
 /// share a key: `sim` holds bare stats, `obsim` adds cycle accounting
@@ -115,7 +148,7 @@ pub fn transform_key(program_text: &str, scale: Scale, opts: &DriverOptions) -> 
 /// both.  Sampled keys also hash every [`SampleParams`] field, so each
 /// sampling configuration gets its own entry.
 pub fn sim_key(
-    program_text: &str,
+    digest: &ProgramDigest,
     scale: Scale,
     scheme: Scheme,
     cfg: &MachineConfig,
@@ -133,7 +166,7 @@ pub fn sim_key(
     let sample = sample.map(describe_sample);
     let mut extras = vec![scheme.as_str(), config.as_str()];
     extras.extend(sample.as_deref());
-    stage_key(stage, program_text, scale, &extras)
+    stage_key(stage, digest.as_str(), scale, &extras)
 }
 
 #[cfg(test)]
@@ -142,7 +175,8 @@ mod tests {
 
     /// The plain simulation key of `"prog"` at test scale.
     fn plain(scheme: Scheme, cfg: &MachineConfig) -> String {
-        sim_key("prog", Scale::Test, scheme, cfg, None, false)
+        let prog = ProgramDigest::of("prog");
+        sim_key(&prog, Scale::Test, scheme, cfg, None, false)
     }
 
     #[test]
@@ -173,21 +207,39 @@ mod tests {
             profile_key("prog2", Scale::Test)
         );
         assert_ne!(plain(Scheme::TwoBit, &cfg), plain(Scheme::Perfect, &cfg));
-        let observed = |scheme| sim_key("prog", Scale::Test, scheme, &cfg, None, true);
+        let prog = ProgramDigest::of("prog");
+        let observed = |scheme| sim_key(&prog, Scale::Test, scheme, &cfg, None, true);
         assert_ne!(
             observed(Scheme::TwoBit),
             plain(Scheme::TwoBit, &cfg),
             "observed and plain sim keys must not alias"
         );
         assert_ne!(observed(Scheme::TwoBit), observed(Scheme::Perfect));
+        let prog2 = ProgramDigest::of("prog2");
+        assert_ne!(
+            plain(Scheme::TwoBit, &cfg),
+            sim_key(&prog2, Scale::Test, Scheme::TwoBit, &cfg, None, false),
+            "programs with different texts must not share sim entries"
+        );
+    }
+
+    #[test]
+    fn digests_round_trip_and_reject_anything_else() {
+        let d = ProgramDigest::of("prog");
+        assert_eq!(ProgramDigest::parse(d.as_str()), Ok(d.clone()));
+        assert_ne!(d, ProgramDigest::of("prog2"));
+        for bad in ["", "prog", &d.as_str()[1..], &d.as_str().to_uppercase()] {
+            assert!(ProgramDigest::parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
     fn sampled_keys_are_distinct_and_parameter_sensitive() {
         let cfg = MachineConfig::r10000();
         let base = SampleParams::default();
+        let prog = ProgramDigest::of("prog");
         let key =
-            |sample, observed| sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg, sample, observed);
+            |sample, observed| sim_key(&prog, Scale::Test, Scheme::TwoBit, &cfg, sample, observed);
         let smp = key(Some(&base), false);
         let osmp = key(Some(&base), true);
         assert_ne!(
@@ -234,17 +286,19 @@ mod tests {
     fn sim_keys_are_pinned() {
         let cfg = MachineConfig::r10000();
         let base = SampleParams::default();
+        let prog = ProgramDigest::of("prog");
+        assert_eq!(prog.as_str(), hex_digest("prog"));
         let key =
-            |sample, observed| sim_key("prog", Scale::Test, Scheme::TwoBit, &cfg, sample, observed);
-        assert_eq!(key(None, false), "sim-dbab868cf02b22d76b6c64f4ac9ffeb8");
-        assert_eq!(key(None, true), "obsim-76296744fb516f5664020e0b23a9c869");
+            |sample, observed| sim_key(&prog, Scale::Test, Scheme::TwoBit, &cfg, sample, observed);
+        assert_eq!(key(None, false), "sim-2e4d445850b6aa200de0527b4da1b713");
+        assert_eq!(key(None, true), "obsim-d75164df7827425f503174d9b889104a");
         assert_eq!(
             key(Some(&base), false),
-            "smpsim-d45b89419bf8e63b8d7f7572c9a7cb3c"
+            "smpsim-825cdcfd89d190e71dcf2298999364bb"
         );
         assert_eq!(
             key(Some(&base), true),
-            "smpobsim-ea98d16404bc386e44c2a70f8f634155"
+            "smpobsim-bf57a209eca3e6cbe5ac364e5f7bdb1a"
         );
     }
 

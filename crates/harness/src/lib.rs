@@ -10,8 +10,11 @@
 //!   trace (only when a cell misses its cached result) and its cells
 //!   (`--jobs N`; results are byte-identical at any thread count),
 //! * memoising every stage in a content-addressed on-disk [`cache`] under
-//!   `results/cache/`, keyed by a stable 128-bit hash of the program text,
-//!   scale and full option/config state ([`key`]),
+//!   `results/cache/`, keyed by a stable 128-bit hash of the program text
+//!   (for simulations, of its digest, computed once per program), scale
+//!   and full option/config state ([`key`]); a transform entry holds its
+//!   program's digest and report, so a fully warm run reads no program
+//!   text and no trace,
 //! * emitting machine-readable run [`artifact`]s (`--json <path>`) with
 //!   per-stage timings and cache counters via a dependency-free [`json`]
 //!   writer.

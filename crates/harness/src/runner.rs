@@ -8,7 +8,7 @@
 //! ```text
 //! pass 1, one item per workload:  profile  (+ base trace, same interpretation)
 //! pass 2, one item per program:   [transform] → cell, cell, …
-//!                                                └ trace, at the first sim miss
+//!                                                └ [rebuild], trace, at the first sim miss
 //! ```
 //!
 //! * **Pass 1** profiles each workload once; the profile is shared by
@@ -22,12 +22,20 @@
 //!   ablation's five presets over four workloads make twenty, while Tables
 //!   3+4 share one proposed-options transform per workload.  The item
 //!   transforms the program if needed, then walks its cells in spec order.
-//!   A cell looks up its one [`key::sim_key`] entry; the first cell that
-//!   misses gets the program's [`PackedTrace`] (the handed-over one, the
-//!   cached blob, or one interpretation whose bytes are stored as they
-//!   are), then runs `simulate_cell`, the runner's only call into a
-//!   simulator engine.  The trace is dropped when the item ends, so a
-//!   fully warm run reads profiles, transforms and sim entries, and no
+//!   A cell looks up its one [`key::sim_key`] entry, keyed by the
+//!   [`ProgramDigest`] of its program's text, computed once per item: from
+//!   the printed base program, from a freshly transformed one, or read
+//!   from the transform entry, which holds only that digest and the
+//!   report.  The first cell that misses gets the program's
+//!   [`PackedTrace`] (the handed-over one, the cached blob, or one
+//!   interpretation whose bytes are stored as they are), then runs
+//!   `simulate_cell`, the runner's only call into a simulator engine.  A
+//!   transform that came from the cache is first rebuilt from the profile,
+//!   as a `transform` stage nested in that cell's; if its digest differs
+//!   from the entry's, the entry is stale, so it is rewritten and the
+//!   cells are walked again under the new digest.  The trace and the
+//!   program are dropped when the item ends, so a fully warm run reads
+//!   profiles, transform entries and sim entries, no program text and no
 //!   blob at all.
 //!
 //! Every stage consults the content-addressed [`DiskCache`] first; cold
@@ -36,13 +44,15 @@
 //! computing kernels.  Trace blobs additionally carry layout and
 //! golden-result digests — a blob that fails its checksum, was recorded
 //! against a different program shape, or predates a workload change decodes
-//! as a miss and is re-recorded.
+//! as a miss and is re-recorded.  Blob storage is garbage-collected after
+//! a run that stored a blob; a run that stored none walks no directory.
 
 use crate::cache::DiskCache;
 use crate::codec;
 use crate::codec::{ReportSummary, SimEntry};
 use crate::json::Json;
 use crate::key;
+use crate::key::ProgramDigest;
 use crate::metrics::MetricsRegistry;
 use crate::pool::{par_for, worker_count};
 use crate::spec::ExperimentSpec;
@@ -59,7 +69,7 @@ use guardspec_workloads::Scale;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -169,6 +179,9 @@ pub struct CellResult {
     pub scheme: Scheme,
     pub stats: SimStats,
     pub report: Option<ReportSummary>,
+    /// Timing of its program's transform stage (transformed cells only).
+    /// A cached transform that one of the program's cells had to rebuild
+    /// adds the rebuild's time and reports `cached: false`.
     pub transform_timing: Option<StageTiming>,
     /// Timing of its program's trace stage (cells of one program report
     /// the same stage once each); `{ms: 0, cached: true}` when every cell
@@ -250,12 +263,20 @@ struct ProgramSlot {
     trace_timing: StageTiming,
 }
 
-/// A freshly computed or cached transform.
+/// A freshly computed or cached transform.  A cached entry holds the
+/// program's digest and report but not the program, so `built` stays
+/// `None` until a cell that misses its sim entry rebuilds it.
 struct Transformed {
-    program: guardspec_ir::Program,
-    text: String,
+    built: Option<Built>,
+    digest: ProgramDigest,
     report: ReportSummary,
     timing: StageTiming,
+}
+
+/// A transformed program and its printed text, its trace key's material.
+struct Built {
+    program: guardspec_ir::Program,
+    text: String,
 }
 
 /// A stage in progress: its start event is out, and [`Run::close`] records
@@ -278,6 +299,9 @@ struct Run<'a> {
     progress: Option<&'a ProgressHook>,
     /// Each workload's program text, the cache-key ingredient of its stages.
     texts: Vec<String>,
+    /// Whether this run stored a trace blob, and so may have pushed blob
+    /// storage past its cap.
+    stored_blob: AtomicBool,
 }
 
 /// Execute a spec.  Panics (once running jobs finish; no new one starts)
@@ -321,6 +345,7 @@ pub fn run_experiment_shared(
             .iter()
             .map(|w| w.program.to_string())
             .collect(),
+        stored_blob: AtomicBool::new(false),
     };
 
     // The programs of pass 2, in order of first appearance: a workload's
@@ -381,9 +406,12 @@ pub fn run_experiment_shared(
     });
 
     // Keep the blob footprint bounded (oldest evicted first); JSON stage
-    // entries are never evicted.
+    // entries are never evicted.  Only a stored blob can push it past the
+    // cap, so a run that stored none skips the directory walk.
     const TRACE_BLOB_CAP: u64 = 256 * 1024 * 1024;
-    cache.gc_blobs(TRACE_BLOB_CAP);
+    if run.stored_blob.load(Ordering::Relaxed) {
+        cache.gc_blobs(TRACE_BLOB_CAP);
+    }
 
     // Deterministic collection in spec order — the fifth stage (after
     // profile/transform/trace/simulate).
@@ -540,8 +568,9 @@ impl Run<'_> {
     /// Pass 2: one program and its cells.  Transforms the program if the
     /// job asks for it, then walks the cells in spec order.  The first cell
     /// that misses its sim entry gets the trace: the one pass 1 `handed`
-    /// over, else the program's blob, else one interpretation.  The trace,
-    /// its decoded uops and the transformed program are dropped on return.
+    /// over, else the program's blob, else one interpretation.  A cached
+    /// transform is rebuilt first (see [`Run::rebuild`]).  The trace, its
+    /// decoded uops and the transformed program are dropped on return.
     fn program_job(
         &self,
         job: &ProgramJob,
@@ -550,10 +579,10 @@ impl Run<'_> {
     ) -> (ProgramSlot, Vec<(SimEntry, StageTiming)>) {
         let (wi, scale) = (job.workload, self.spec.scale);
         let w = &self.spec.workloads[wi];
-        let transformed = job.options.map(|o| self.transform(wi, o, profile));
-        let (program, text) = match &transformed {
-            Some(t) => (&t.program, t.text.as_str()),
-            None => (&w.program, self.texts[wi].as_str()),
+        let mut transformed = job.options.map(|o| self.transform(wi, o, profile));
+        let mut digest = match &transformed {
+            Some(t) => t.digest.clone(),
+            None => ProgramDigest::of(&self.texts[wi]),
         };
         // A program whose every cell hits reads no trace at all.
         let untouched = StageTiming {
@@ -563,18 +592,41 @@ impl Run<'_> {
         let (mut trace, mut trace_timing) = handed.map_or((None, untouched), |(d, t)| (Some(d), t));
         let (sample, observe) = (self.sample.as_ref(), self.observe);
         let mut entries = Vec::with_capacity(job.cells.len());
-        for &ci in &job.cells {
+        let mut cells = job.cells.iter();
+        while let Some(&ci) = cells.next() {
             let cell = &self.spec.cells[ci];
             let stage = self.open("simulate", format!("{}/{}", w.name, cell.label));
-            let key = key::sim_key(text, scale, cell.scheme, &cell.cfg, sample, observe);
+            let key = key::sim_key(&digest, scale, cell.scheme, &cell.cfg, sample, observe);
             if let Some(entry) = load_sim(self.cache, &key, observe, sample.is_some()) {
                 entries.push((entry, self.close(stage, true, 0.0)));
                 continue;
             }
             let mut nested = 0.0;
             if trace.is_none() {
+                if let (Some(t), Some(options)) = (&mut transformed, job.options) {
+                    if t.built.is_none() {
+                        let (stale, ms) = self.rebuild(wi, options, profile, t);
+                        nested += ms;
+                        if stale {
+                            // The cells walked so far hit entries of
+                            // another program: walk them all again.
+                            self.close(stage, false, nested);
+                            digest = t.digest.clone();
+                            entries.clear();
+                            cells = job.cells.iter();
+                            continue;
+                        }
+                    }
+                }
+                let (program, text) = match &transformed {
+                    Some(t) => {
+                        let b = t.built.as_ref().expect("built or rebuilt above");
+                        (&b.program, b.text.as_str())
+                    }
+                    None => (&w.program, self.texts[wi].as_str()),
+                };
                 let (data, timing) = self.fetch_trace(wi, program, text);
-                nested = timing.ms;
+                nested += timing.ms;
                 trace_timing = timing;
                 trace = Some(data);
             }
@@ -587,7 +639,7 @@ impl Run<'_> {
                 // Seed the unobserved entry too, so later unobserved runs
                 // stay warm.  Only when absent: rewriting an existing entry
                 // would count as a lost race.
-                let plain_key = key::sim_key(text, scale, cell.scheme, &cell.cfg, sample, false);
+                let plain_key = key::sim_key(&digest, scale, cell.scheme, &cell.cfg, sample, false);
                 if self.cache.peek(&plain_key).is_none() {
                     let plain = SimEntry {
                         stats: entry.stats.clone(),
@@ -600,45 +652,79 @@ impl Run<'_> {
             }
             entries.push((entry, self.close(stage, false, nested)));
         }
+        let (report, transform_timing) = match transformed {
+            Some(t) => (Some(t.report), Some(t.timing)),
+            None => (None, None),
+        };
         let slot = ProgramSlot {
-            report: transformed.as_ref().map(|t| t.report.clone()),
-            transform_timing: transformed.as_ref().map(|t| t.timing),
+            report,
+            transform_timing,
             trace_timing,
         };
         (slot, entries)
     }
 
     /// The transform stage: workload `wi` under `options`, from the cache or
-    /// computed from `profile` and stored.
+    /// computed from `profile` and stored as its digest and report.
     fn transform(&self, wi: usize, options: &DriverOptions, profile: &Profile) -> Transformed {
         let w = &self.spec.workloads[wi];
         let stage = self.open("transform", w.name.to_string());
         let key = key::transform_key(&self.texts[wi], self.spec.scale, options);
-        let (program, text, report, cached) = match load_transform(self.cache, &key) {
-            Some((p, t, r)) => (p, t, r, true),
+        let (built, digest, report, cached) = match load_transform(self.cache, &key) {
+            Some((digest, report)) => (None, digest, report, true),
             None => {
-                let mut p = w.program.clone();
-                let report = guardspec_core::transform_program(&mut p, profile, options);
-                guardspec_ir::validate::assert_valid(&p);
-                let out_text = p.to_string();
-                let summary = ReportSummary::from(&report);
-                // The printed text is the whole entry: warm hits re-parse
-                // it, which is smaller and faster than decoding a binary
-                // copy.
-                let entry = Json::obj(vec![
-                    ("program", Json::str(&out_text)),
-                    ("report", codec::report_to_json(&summary)),
-                ]);
-                self.cache.put(&key, &entry.to_compact());
-                (p, out_text, summary, false)
+                let (built, report) = build_transform(&w.program, profile, options);
+                let digest = ProgramDigest::of(&built.text);
+                store_transform(self.cache, &key, &digest, &report);
+                (Some(built), digest, report, false)
             }
         };
         Transformed {
-            program,
-            text,
+            built,
+            digest,
             report,
             timing: self.close(stage, cached, 0.0),
         }
+    }
+
+    /// Rebuild a cached transform's program from `profile`, for its first
+    /// cell that misses: a `transform` stage nested in that cell's, whose
+    /// time joins `t`'s.  An entry whose digest is not the rebuilt
+    /// program's is stale (the transform changed under an old cache): it
+    /// is rewritten, and `t` takes the new digest and report.  An entry
+    /// that matches is left as it is.  Returns whether the entry was stale
+    /// and the nested stage's time.
+    fn rebuild(
+        &self,
+        wi: usize,
+        options: &DriverOptions,
+        profile: &Profile,
+        t: &mut Transformed,
+    ) -> (bool, f64) {
+        let w = &self.spec.workloads[wi];
+        let stage = self.open("transform", w.name.to_string());
+        let (built, report) = build_transform(&w.program, profile, options);
+        let digest = ProgramDigest::of(&built.text);
+        let stale = digest != t.digest;
+        if stale {
+            let key = key::transform_key(&self.texts[wi], self.spec.scale, options);
+            let e = format!(
+                "the entry names program {}, the transform gives {}",
+                t.digest.as_str(),
+                digest.as_str()
+            );
+            warn_bad_cache(&key, &e);
+            store_transform(self.cache, &key, &digest, &report);
+            t.digest = digest;
+            t.report = report;
+        }
+        t.built = Some(built);
+        let timing = self.close(stage, false, 0.0);
+        t.timing = StageTiming {
+            ms: t.timing.ms + timing.ms,
+            cached: false,
+        };
+        (stale, timing.ms)
     }
 
     /// Pass 2's trace stage: load `program`'s blob, or interpret it once
@@ -718,6 +804,7 @@ impl Run<'_> {
         let comp = self.build_compiled(program, packer.layout());
         let trace = packer.finish(expected_digest(&self.spec.workloads[wi].expected));
         self.cache.put_bytes(key, trace.blob());
+        self.stored_blob.store(true, Ordering::Relaxed);
         TraceData { trace, comp }
     }
 
@@ -798,23 +885,40 @@ fn load_profile(cache: &DiskCache, key: &str) -> Option<Profile> {
     }
 }
 
-/// A cached transform: the printed program (re-parsed) and its report.
-/// Entries written with a binary `bin` copy alongside still hit; the copy
-/// is ignored.
-fn load_transform(
-    cache: &DiskCache,
-    key: &str,
-) -> Option<(guardspec_ir::Program, String, ReportSummary)> {
+/// The Figure-6 transform of `program` under `options`, validated, and
+/// its report.
+fn build_transform(
+    program: &guardspec_ir::Program,
+    profile: &Profile,
+    options: &DriverOptions,
+) -> (Built, ReportSummary) {
+    let mut program = program.clone();
+    let report = guardspec_core::transform_program(&mut program, profile, options);
+    guardspec_ir::validate::assert_valid(&program);
+    let text = program.to_string();
+    (Built { program, text }, ReportSummary::from(&report))
+}
+
+/// Store a transform entry: the transformed program's digest and its
+/// report, never its text, so a hit parses no IR.
+fn store_transform(cache: &DiskCache, key: &str, digest: &ProgramDigest, report: &ReportSummary) {
+    let entry = Json::obj(vec![
+        ("digest", Json::str(digest.as_str())),
+        ("report", codec::report_to_json(report)),
+    ]);
+    cache.put(key, &entry.to_compact());
+}
+
+/// A cached transform: its program's digest and its report.  An entry
+/// without a digest (one that held the printed program) is a miss, so it
+/// is recomputed and rewritten once.
+fn load_transform(cache: &DiskCache, key: &str) -> Option<(ProgramDigest, ReportSummary)> {
     let text = cache.get(key)?;
     let decode = || -> Result<_, String> {
         let j = crate::json::parse(&text)?;
-        let src = j
-            .get("program")
-            .and_then(Json::as_str)
-            .ok_or("no program")?;
+        let digest = j.get("digest").and_then(Json::as_str).ok_or("no digest")?;
         let report = codec::report_from_json(j.get("report").ok_or("no report")?)?;
-        let program = guardspec_ir::parse::parse_program(src, None).map_err(|e| e.to_string())?;
-        Ok((program, src.to_string(), report))
+        Ok((ProgramDigest::parse(digest)?, report))
     };
     match decode() {
         Ok(v) => Some(v),

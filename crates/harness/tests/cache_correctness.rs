@@ -1,8 +1,9 @@
 //! Cache correctness: a cold run and a warm run of the same spec must
 //! produce byte-identical stable artifacts, and the warm run must perform
 //! zero re-profiles / re-transforms / re-simulations (every stage a hit)
-//! and read no trace blob, since no cell needs one.
+//! and read no trace blob and no program text, since no cell needs them.
 
+use guardspec_harness::key::ProgramDigest;
 use guardspec_harness::{
     json, run_experiment, stable_json, ExperimentResult, ExperimentSpec, Json, RunOptions,
 };
@@ -47,6 +48,11 @@ fn cold_then_warm_is_byte_identical_and_fully_cached() {
     );
     assert!(cold.workloads.iter().all(|w| !w.timing.cached));
     assert!(cold.cells.iter().all(|c| !c.sim_timing.cached));
+    let files: usize = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|shard| std::fs::read_dir(shard.unwrap().path()).unwrap().count())
+        .sum();
+    assert_eq!(files, stages + blobs, "one file per lookup that missed");
 
     let warm = run_experiment(&spec, &opts);
     assert_eq!(warm.cache_misses, 0, "warm run must recompute nothing");
@@ -62,12 +68,7 @@ fn cold_then_warm_is_byte_identical_and_fully_cached() {
         warm.cells.iter().all(|c| c.sim_timing.cached),
         "no re-simulations"
     );
-    assert!(
-        warm.cells
-            .iter()
-            .all(|c| c.transform_timing.map(|t| t.cached).unwrap_or(true)),
-        "no re-transforms"
-    );
+    assert!(transforms_cached(&warm), "no re-transforms");
 
     // The science is byte-identical regardless of cache temperature.
     assert_eq!(
@@ -99,9 +100,9 @@ fn transform_entries(dir: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn small_scale_warm_run_replays_every_stage() {
-    // The warm path at a real scale: small-scale transform entries are
-    // hundreds of KB of printed IR, which a quadratic JSON scan could not
-    // re-read in any reasonable time.
+    // The warm path at a real scale.  Transform entries hold the
+    // transformed program's digest and report, never its text, so a warm
+    // run parses no IR.
     let dir = scratch("small");
     let opts = RunOptions {
         jobs: 2,
@@ -116,13 +117,13 @@ fn small_scale_warm_run_replays_every_stage() {
     assert!(!entries.is_empty(), "no transform entries cached");
     for path in &entries {
         let j = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-        assert!(j.get("program").and_then(Json::as_str).is_some());
-        assert!(j.get("report").is_some());
-        assert!(
-            j.get("bin").is_none(),
-            "{} carries a bin copy",
-            path.display()
-        );
+        let Json::Obj(pairs) = &j else {
+            panic!("{} is not an object", path.display())
+        };
+        let fields: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(fields, ["digest", "report"], "{}", path.display());
+        let digest = j.get("digest").and_then(Json::as_str).unwrap();
+        assert!(ProgramDigest::parse(digest).is_ok(), "{}", path.display());
     }
 
     let warm = run_experiment(&spec, &opts);
@@ -136,11 +137,19 @@ fn small_scale_warm_run_replays_every_stage() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Whether every cell's transform (if any) came from the cache.
+fn transforms_cached(r: &ExperimentResult) -> bool {
+    r.cells
+        .iter()
+        .all(|c| c.transform_timing.is_none_or(|t| t.cached))
+}
+
 #[test]
-fn legacy_transform_entries_with_bin_still_hit() {
-    // Transform entries used to carry a `bin` hex copy of the encoded
-    // program next to its text.  Such entries must still hit: the text is
-    // read and the copy ignored.
+fn transform_entries_without_a_digest_are_recomputed_once() {
+    // Transform entries used to hold the printed program, some with a
+    // `bin` hex copy of its encoding beside it, and no digest.  Such an
+    // entry is a miss, whatever program it holds: it is recomputed once
+    // and rewritten, and the science is unchanged.
     let dir = scratch("legacy");
     let opts = RunOptions {
         jobs: 1,
@@ -150,39 +159,101 @@ fn legacy_transform_entries_with_bin_still_hit() {
     let spec = ExperimentSpec::three_schemes("legacy-test", Scale::Test);
     let cold = run_experiment(&spec, &opts);
 
+    let program = &spec.workloads[0].program;
+    let bin: String = guardspec_ir::encode::encode_program(program)
+        .iter()
+        .map(|w| format!("{w:08x}"))
+        .collect();
     let entries = transform_entries(&dir);
-    assert!(!entries.is_empty(), "no transform entries cached");
-    for path in &entries {
-        let j = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-        let src = j.get("program").and_then(Json::as_str).unwrap();
-        let program = guardspec_ir::parse::parse_program(src, None).unwrap();
-        let bin: String = guardspec_ir::encode::encode_program(&program)
-            .iter()
-            .map(|w| format!("{w:08x}"))
-            .collect();
-        let legacy = Json::obj(vec![
-            ("program", Json::str(src)),
-            ("bin", Json::str(bin)),
-            ("report", j.get("report").unwrap().clone()),
-        ]);
-        std::fs::write(path, legacy.to_compact()).unwrap();
+    let written: Vec<String> = entries
+        .iter()
+        .map(|path| std::fs::read_to_string(path).unwrap())
+        .collect();
+    for (i, (path, entry)) in entries.iter().zip(&written).enumerate() {
+        let report = json::parse(entry).unwrap().get("report").unwrap().clone();
+        let mut legacy = vec![("program", Json::str(program.to_string()))];
+        if i % 2 == 1 {
+            legacy.push(("bin", Json::str(&bin)));
+        }
+        legacy.push(("report", report));
+        std::fs::write(path, Json::obj(legacy).to_compact()).unwrap();
+    }
+
+    let again = run_experiment(&spec, &opts);
+    assert_eq!(
+        (again.cache_misses, again.interpretations),
+        (0, 0),
+        "a recomputed transform's cells hit their sim entries"
+    );
+    for c in &again.cells {
+        let cached = c.transform_timing.map(|t| t.cached);
+        assert_ne!(cached, Some(true), "{} not recomputed", c.workload);
+    }
+    assert_eq!(
+        stable_json(&cold).to_pretty(),
+        stable_json(&again).to_pretty()
+    );
+    for (path, entry) in entries.iter().zip(&written) {
+        assert_eq!(
+            &std::fs::read_to_string(path).unwrap(),
+            entry,
+            "{} not rewritten as the cold run wrote it",
+            path.display()
+        );
     }
 
     let warm = run_experiment(&spec, &opts);
-    assert_eq!(warm.cache_misses, 0, "legacy entries must hit");
-    assert!(
-        warm.cells
-            .iter()
-            .all(|c| c.transform_timing.map(|t| t.cached).unwrap_or(true)),
-        "no re-transforms"
+    assert_eq!(warm.cache_misses, 0);
+    assert!(transforms_cached(&warm), "recomputed more than once");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_transform_entry_naming_another_program_is_discarded_at_its_first_miss() {
+    // An entry whose digest is not its transform's program (say, written
+    // before the transform changed) keys the program's cells under the
+    // wrong program.  The first cell that misses rebuilds the program,
+    // finds another digest, rewrites the entry and walks the cells again
+    // under the right one, so no artifact mixes two programs.
+    let dir = scratch("stale");
+    let opts = RunOptions {
+        jobs: 2,
+        cache_dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    let spec = ExperimentSpec::three_schemes("stale-test", Scale::Test);
+    let cold = run_experiment(&spec, &opts);
+
+    // Every entry names workload 0's base program, which has no entry for
+    // the proposed scheme, so each proposed cell misses.
+    let other = ProgramDigest::of(&spec.workloads[0].program.to_string());
+    let entries = transform_entries(&dir);
+    let written: Vec<String> = entries
+        .iter()
+        .map(|path| std::fs::read_to_string(path).unwrap())
+        .collect();
+    for (path, entry) in entries.iter().zip(&written) {
+        let report = json::parse(entry).unwrap().get("report").unwrap().clone();
+        let stale = Json::obj(vec![
+            ("digest", Json::str(other.as_str())),
+            ("report", report),
+        ]);
+        std::fs::write(path, stale.to_compact()).unwrap();
+    }
+
+    let again = run_experiment(&spec, &opts);
+    let transforms = entries.len() as u64;
+    assert_eq!(
+        (again.cache_misses, again.interpretations),
+        (transforms, 0),
+        "one sim miss per stale entry, and the right program's entries hit"
     );
     assert_eq!(
         stable_json(&cold).to_pretty(),
-        stable_json(&warm).to_pretty()
+        stable_json(&again).to_pretty()
     );
-    // A hit leaves the entry as it was, not rewritten.
-    for path in &entries {
-        assert!(std::fs::read_to_string(path).unwrap().contains("\"bin\""));
+    for (path, entry) in entries.iter().zip(&written) {
+        assert_eq!(&std::fs::read_to_string(path).unwrap(), entry);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -229,10 +300,10 @@ fn profiles_are_shared_not_recomputed_within_a_run() {
 #[test]
 fn corrupt_sim_entries_recompute_from_cached_transforms() {
     // Regression: vandalise ONLY the simulation entries, leaving profiles
-    // and transforms cached.  The recompute then simulates programs parsed
-    // back from cached transform text — which must carry the workload's
-    // full state (initial memory image, memory size, entry), not just its
-    // instructions, or the rerun miscomputes and the golden check fires.
+    // and transforms cached.  The recompute then simulates programs
+    // rebuilt from the cached profiles, since transform entries hold no
+    // program: the rebuild must give the program the cold run traced, or
+    // the rerun miscomputes and the golden check fires.
     let dir = scratch("simonly");
     let opts = RunOptions {
         jobs: 1,

@@ -8,7 +8,7 @@
 //! list destructures its struct without `..`, so it stops compiling.
 
 use guardspec_core::DriverOptions;
-use guardspec_harness::key::{sim_key, transform_key};
+use guardspec_harness::key::{sim_key, transform_key, ProgramDigest};
 use guardspec_predict::Scheme;
 use guardspec_sim::MachineConfig;
 use guardspec_workloads::Scale;
@@ -91,6 +91,12 @@ fn config_mutations() -> Vec<CfgMut> {
 
 const TEXT: &str = "func main:\nentry:\n  halt\n";
 
+/// The simulation key of `TEXT` at test scale, unsampled and unobserved.
+fn sim(scheme: Scheme, cfg: &MachineConfig) -> String {
+    let prog = ProgramDigest::of(TEXT);
+    sim_key(&prog, Scale::Test, scheme, cfg, None, false)
+}
+
 proptest! {
     /// Random single-field perturbations of the driver options change the
     /// transform key.
@@ -118,8 +124,8 @@ proptest! {
         let mut perturbed = base.clone();
         m(&mut perturbed);
         prop_assert_ne!(
-            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &base, None, false),
-            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &perturbed, None, false),
+            sim(Scheme::TwoBit, &base),
+            sim(Scheme::TwoBit, &perturbed),
             "MachineConfig field {} did not affect the cache key", name
         );
     }
@@ -144,8 +150,8 @@ fn every_field_perturbation_changes_the_key() {
         let mut p = base_c.clone();
         m(&mut p);
         assert_ne!(
-            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &base_c, None, false),
-            sim_key(TEXT, Scale::Test, Scheme::TwoBit, &p, None, false),
+            sim(Scheme::TwoBit, &base_c),
+            sim(Scheme::TwoBit, &p),
             "MachineConfig field {name} not in the cache key"
         );
     }
@@ -159,10 +165,7 @@ fn scale_scheme_and_text_are_in_the_key() {
         transform_key(TEXT, Scale::Test, &o),
         transform_key(TEXT, Scale::Small, &o)
     );
-    assert_ne!(
-        sim_key(TEXT, Scale::Test, Scheme::TwoBit, &c, None, false),
-        sim_key(TEXT, Scale::Test, Scheme::Perfect, &c, None, false)
-    );
+    assert_ne!(sim(Scheme::TwoBit, &c), sim(Scheme::Perfect, &c));
     assert_ne!(
         transform_key(TEXT, Scale::Test, &o),
         transform_key("func main:\nentry:\n  li r1, 1\n  halt\n", Scale::Test, &o)

@@ -129,39 +129,83 @@ fn warm_run_needs_no_blob() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Workload 0's base program, or its transform under `options`, printed.
+fn program_text(spec: &ExperimentSpec, options: Option<&DriverOptions>) -> String {
+    let w = &spec.workloads[0];
+    let Some(options) = options else {
+        return w.program.to_string();
+    };
+    let (profile, _) = guardspec_interp::profile::profile_program(&w.program).expect("runs");
+    let mut program = w.program.clone();
+    guardspec_core::transform_program(&mut program, &profile, options);
+    program.to_string()
+}
+
 #[test]
 fn a_new_machine_config_replays_exactly_its_programs_blob() {
-    let dir = scratch("newcfg");
-    let mut spec = ExperimentSpec::three_schemes("trace-newcfg", Scale::Test);
-    run_experiment(&spec, &opts(&dir));
-    let transforms = spec.cells.iter().filter(|c| c.transform.is_some()).count();
-    let stages = spec.workloads.len() + transforms + spec.cells.len();
+    // Workload 0's base program, and its proposed transform, which the
+    // warm run holds only as a digest and must rebuild from the cached
+    // profile before it can replay the blob.
+    let proposed = Some(DriverOptions::proposed());
+    let cases = [
+        ("base", None, Scheme::TwoBit),
+        ("proposed", proposed, Scheme::Proposed),
+    ];
+    for (what, options, scheme) in cases {
+        let dir = scratch(&format!("newcfg-{what}"));
+        let mut spec = ExperimentSpec::three_schemes("trace-newcfg", Scale::Test);
+        run_experiment(&spec, &opts(&dir));
+        let transforms = spec.cells.iter().filter(|c| c.transform.is_some()).count();
+        let stages = spec.workloads.len() + transforms + spec.cells.len();
 
-    // Keep only the blob of workload 0's base program, then add one cell
-    // that runs that program on a machine no earlier cell used.
-    let text = spec.workloads[0].program.to_string();
-    let kept = format!("{}.bin", key::trace_key(&text, Scale::Test));
-    for b in cache_files(&dir, |n| is_blob(n) && n != kept) {
-        std::fs::remove_file(b).unwrap();
+        // Keep only the blob of that program, then add one cell that runs
+        // it on a machine no earlier cell used.
+        let text = program_text(&spec, options.as_ref());
+        let kept = format!("{}.bin", key::trace_key(&text, Scale::Test));
+        for b in cache_files(&dir, |n| is_blob(n) && n != kept) {
+            std::fs::remove_file(b).unwrap();
+        }
+        assert_eq!(cache_files(&dir, |n| n == kept).len(), 1, "{what}");
+        let entries: Vec<(PathBuf, Vec<u8>)> = cache_files(&dir, |n| n.starts_with("transform-"))
+            .into_iter()
+            .map(|p| {
+                let bytes = std::fs::read(&p).unwrap();
+                (p, bytes)
+            })
+            .collect();
+        let cfg = MachineConfig {
+            rob_size: 16,
+            ..MachineConfig::r10000()
+        };
+        spec.push_cell(0, "small ROB", options.clone(), scheme, cfg);
+
+        let warm = run_experiment(&spec, &opts(&dir));
+        assert_eq!(warm.interpretations, 0, "{what}: the kept blob replays");
+        assert_eq!(
+            warm.cache_misses, 1,
+            "{what}: only the new cell's sim entry misses"
+        );
+        assert_eq!(
+            warm.cache_hits as usize,
+            stages + 1,
+            "{what}: profiles, transforms, the old cells' sim entries and one blob"
+        );
+        let new = warm.cells.last().unwrap();
+        assert!(!new.sim_timing.cached && new.trace_timing.cached, "{what}");
+        assert_eq!(
+            new.transform_timing.map(|t| t.cached),
+            options.as_ref().map(|_| false),
+            "{what}: a transformed program is rebuilt"
+        );
+        assert!(
+            warm.metrics.iter().all(|(k, _)| k != "cache.race_lost"),
+            "{what}: a rebuild that matches its entry rewrites nothing"
+        );
+        for (path, bytes) in &entries {
+            assert_eq!(&std::fs::read(path).unwrap(), bytes, "{}", path.display());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!(cache_files(&dir, |n| n == kept).len(), 1);
-    let cfg = MachineConfig {
-        rob_size: 16,
-        ..MachineConfig::r10000()
-    };
-    spec.push_cell(0, "small ROB", None, Scheme::TwoBit, cfg);
-
-    let warm = run_experiment(&spec, &opts(&dir));
-    assert_eq!(warm.interpretations, 0, "the kept blob replays");
-    assert_eq!(warm.cache_misses, 1, "only the new cell's sim entry misses");
-    assert_eq!(
-        warm.cache_hits as usize,
-        stages + 1,
-        "profiles, transforms, the old cells' sim entries and one blob"
-    );
-    let new = warm.cells.last().unwrap();
-    assert!(!new.sim_timing.cached && new.trace_timing.cached);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

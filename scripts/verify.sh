@@ -91,23 +91,35 @@ echo "$PERFOUT"
 echo "$PERFOUT" | grep -q '"failed":0'
 echo "$PERFOUT" | grep -q '"correct":true'
 
-echo "== warm cache at small scale (table3 cold then warm, 60 s cap each) =="
-# A warm run re-reads every cached stage, including transform entries of
-# hundreds of KB.  If a decoder turns quadratic again, the warm run hits
-# the timeout and fails here instead of hanging.
-WCDIR=$(mktemp -d)
-(cd "$WCDIR" && timeout 60 "$OLDPWD/target/release/table3" --scale small --jobs 1 > cold.txt)
-(cd "$WCDIR" && timeout 60 "$OLDPWD/target/release/table3" --scale small --jobs 1 \
-    --json warm.json > warm.txt)
-cmp "$WCDIR"/cold.txt "$WCDIR"/warm.txt
-assert_fully_warm "$WCDIR"/warm.json
-# Transform entries hold the printed program text only, no binary copy.
-find "$WCDIR"/results/cache -name 'transform-*.json' | grep -q .
-if find "$WCDIR"/results/cache -name 'transform-*.json' -exec grep -l '"bin"' {} + | grep .; then
-    echo "warm cache: a transform entry carries a bin copy" >&2
-    exit 1
-fi
-rm -rf "$WCDIR"
+echo "== warm cache at small and paper scale (table3 cold then warm, 60 s cap each) =="
+# A warm run re-reads every cached stage entry at real scales.  If a
+# decoder turns quadratic again, the warm run hits the timeout and fails
+# here instead of hanging.  A fully warm run looks up each stage entry
+# once (its hits equal the JSON entries on disk) and reads no blob, and
+# transform entries hold the transformed program's digest and report but
+# never its text, so what it reads stays under 1 MB even at paper scale.
+for SCALE in small paper; do
+    WCDIR=$(mktemp -d)
+    (cd "$WCDIR" && timeout 60 "$OLDPWD/target/release/table3" --scale $SCALE --jobs 1 > cold.txt)
+    (cd "$WCDIR" && timeout 60 "$OLDPWD/target/release/table3" --scale $SCALE --jobs 1 \
+        --json warm.json > warm.txt)
+    cmp "$WCDIR"/cold.txt "$WCDIR"/warm.txt
+    assert_fully_warm "$WCDIR"/warm.json
+    find "$WCDIR"/results/cache -name 'transform-*.json' | grep -q .
+    if find "$WCDIR"/results/cache -name 'transform-*.json' \
+        \( ! -exec grep -q '"digest"' {} \; -o -exec grep -q '"program"' {} \; \) -print | grep .; then
+        echo "warm cache ($SCALE): a transform entry lacks a digest or carries the program" >&2
+        exit 1
+    fi
+    ENTRIES=$(find "$WCDIR"/results/cache -name '*.json' | wc -l)
+    READ=$(find "$WCDIR"/results/cache -name '*.json' -exec cat {} + | wc -c)
+    if ! grep -Eq "\"cache_hits\": $ENTRIES(,|\$)" "$WCDIR"/warm.json || [ "$READ" -ge 1000000 ]; then
+        echo "warm cache ($SCALE): $ENTRIES stage entries of $READ bytes; the warm run's hits:" >&2
+        grep '"cache_hits"' "$WCDIR"/warm.json >&2
+        exit 1
+    fi
+    rm -rf "$WCDIR"
+done
 
 echo "== observability (plain then observed table3, report bin, trace-out, decision schema) =="
 # Observability off must not perturb the science: table3 output with and
