@@ -18,10 +18,6 @@ use guardspec_ir::{BlockId, Function, Opcode, Reg};
 pub struct Liveness {
     live_in: Vec<RegSet>,
     live_out: Vec<RegSet>,
-    /// Upward-exposed uses per block.
-    gen: Vec<RegSet>,
-    /// Unconditional kills per block.
-    kill: Vec<RegSet>,
 }
 
 impl Liveness {
@@ -85,12 +81,7 @@ impl Liveness {
                 }
             }
         }
-        Liveness {
-            live_in,
-            live_out,
-            gen,
-            kill,
-        }
+        Liveness { live_in, live_out }
     }
 
     pub fn live_in(&self, b: BlockId) -> &RegSet {
@@ -99,14 +90,6 @@ impl Liveness {
 
     pub fn live_out(&self, b: BlockId) -> &RegSet {
         &self.live_out[b.index()]
-    }
-
-    pub fn upward_exposed(&self, b: BlockId) -> &RegSet {
-        &self.gen[b.index()]
-    }
-
-    pub fn kills(&self, b: BlockId) -> &RegSet {
-        &self.kill[b.index()]
     }
 
     /// Is `r` live on entry to `b`?

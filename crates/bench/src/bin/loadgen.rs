@@ -3,7 +3,7 @@
 //! (from the same log-linear [`Histogram`] the daemon exports on
 //! `/metrics`), dedup ratio, connection accounting, and cold- vs
 //! warm-cache behaviour of the service layer under two transport modes:
-//! close-per-request and HTTP/1.1 keep-alive.
+//! a fresh connection per request and HTTP/1.1 keep-alive.
 //!
 //! The server runs in-process on an ephemeral port with a scratch cache,
 //! so the numbers measure the daemon (epoll loop + dedup + queue +
@@ -11,7 +11,7 @@
 //! of distinct sweeps; with more clients than distinct sweeps, concurrent
 //! duplicates dedup into shared flights (the `dedup_ratio` reported).
 //! After the cold pass populates the cache, two warm passes replay the
-//! same mix: once closing the connection per request, once on keep-alive
+//! same mix: once on a fresh connection per request, once on keep-alive
 //! connections.  The file is overwritten on purpose: it is the latest
 //! evidence artifact, not a per-run log.
 //!
@@ -20,13 +20,14 @@
 //!         [--workers W] [--keep-alive] [--out PATH]
 //! ```
 //!
-//! `--keep-alive` makes the *cold* pass reuse connections too (default:
-//! close per request, comparable to the historical BENCH_6 numbers).
+//! `--keep-alive` makes the *cold* pass reuse connections too (default: a
+//! fresh connection per request, comparable to the historical BENCH_6
+//! numbers).
 //! Unknown flags print the offending flag and exit 2.
 
 use guardspec_harness::args::{parse_scale, take_value, unknown_argument};
 use guardspec_harness::{json, write_json_file, Histogram, Json};
-use guardspec_server::http::{self, ClientConn};
+use guardspec_server::http::ClientConn;
 use guardspec_server::protocol::{ablation_request, request_to_json, three_schemes_request};
 use guardspec_server::{Server, ServerConfig};
 use guardspec_workloads::Scale;
@@ -82,7 +83,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
 /// How a client pass talks to the server.
 #[derive(Clone, Copy, Debug)]
 enum Mode {
-    /// One fresh connection per request (`Connection: close`).
+    /// One fresh connection per request, dropped after its response.
     Close,
     /// One keep-alive connection per client for the whole pass.
     KeepAlive,
@@ -114,32 +115,22 @@ fn drive(
             let mix: Vec<String> = mix.to_vec();
             std::thread::spawn(move || {
                 let mut lat = Vec::with_capacity(requests);
-                match mode {
-                    Mode::Close => {
-                        for r in 0..requests {
-                            let body = &mix[(c + r) % mix.len()];
-                            let t0 = Instant::now();
-                            let (status, resp) =
-                                http::post_json(&addr, "/run", body).expect("request failed");
-                            assert_eq!(status, 200, "unexpected {status}: {resp}");
-                            lat.push(t0.elapsed().as_secs_f64() * 1000.0);
-                        }
-                        (lat, requests as u64)
-                    }
-                    Mode::KeepAlive => {
-                        let mut conn = ClientConn::new(&addr);
-                        for r in 0..requests {
-                            let body = &mix[(c + r) % mix.len()];
-                            let t0 = Instant::now();
-                            let resp = conn
-                                .request("POST", "/run", body.as_bytes())
-                                .expect("request failed");
-                            assert_eq!(resp.status, 200);
-                            lat.push(t0.elapsed().as_secs_f64() * 1000.0);
-                        }
-                        (lat, conn.connections_opened())
+                let mut conn = ClientConn::new(&addr);
+                let mut opened = 0;
+                for r in 0..requests {
+                    let body = &mix[(c + r) % mix.len()];
+                    let t0 = Instant::now();
+                    let resp = conn
+                        .request("POST", "/run", body.as_bytes())
+                        .expect("request failed");
+                    assert_eq!(resp.status, 200);
+                    lat.push(t0.elapsed().as_secs_f64() * 1000.0);
+                    if let Mode::Close = mode {
+                        opened += conn.connections_opened();
+                        conn = ClientConn::new(&addr);
                     }
                 }
+                (lat, opened + conn.connections_opened())
             })
         })
         .collect();
@@ -199,6 +190,14 @@ fn pass_stats(mode: Mode, latencies: &[f64], wall_ms: f64, conns: u64) -> PassSt
     }
 }
 
+/// The daemon's `/metrics` JSON document.
+fn metrics_json(addr: &str) -> String {
+    let resp = ClientConn::new(addr)
+        .request_with("GET", "/metrics", &[("Accept", "application/json")], b"")
+        .expect("metrics");
+    String::from_utf8_lossy(&resp.body).into_owned()
+}
+
 fn metric(metrics_body: &str, path: &[&str]) -> u64 {
     let mut j = json::parse(metrics_body).expect("metrics parse");
     for p in path {
@@ -255,11 +254,11 @@ fn main() {
 
     let (cold_lat, cold_wall, cold_conns) =
         drive(&addr, &mix, args.clients, args.requests, cold_mode);
-    let (_, cold_metrics) = http::get_json(&addr, "/metrics").expect("metrics");
+    let cold_metrics = metrics_json(&addr);
     let (wc_lat, wc_wall, wc_conns) = drive(&addr, &mix, args.clients, args.requests, Mode::Close);
     let (wk_lat, wk_wall, wk_conns) =
         drive(&addr, &mix, args.clients, args.requests, Mode::KeepAlive);
-    let (_, final_metrics) = http::get_json(&addr, "/metrics").expect("metrics");
+    let final_metrics = metrics_json(&addr);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&cache_dir);
 

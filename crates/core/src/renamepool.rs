@@ -110,14 +110,6 @@ impl RenamePool {
             Reg::Pred(_) => self.take_pred().map(Reg::Pred),
         }
     }
-
-    pub fn ints_left(&self) -> usize {
-        self.free_int.len()
-    }
-
-    pub fn preds_left(&self) -> usize {
-        self.free_pred.len()
-    }
 }
 
 #[cfg(test)]

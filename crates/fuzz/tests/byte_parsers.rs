@@ -1,5 +1,6 @@
 //! Byte-level fuzzing of the parsers that read untrusted bytes: cached
-//! entries on disk and `gsd` request bodies.
+//! entries on disk, `gsd` request bodies and the responses a peer or a
+//! daemon sends back.
 //!
 //! Seeds are real documents: a cached transform entry written by the
 //! runner (a program digest and a report), a `/run` body naming builtin
@@ -15,7 +16,10 @@
 //! or an entry header, found by walking the records), mostly with the
 //! checksum recomputed so the record checks are reached, and go through
 //! `tracefile::decode`; every blob it accepts is then streamed to its end
-//! through the simulator's cursor, which trusts decoded bytes.  Each input
+//! through the simulator's cursor, which trusts decoded bytes.  Responses
+//! (a 200, a 429, a progress stream and one with bytes past its end) get
+//! the byte mutations plus framing numbers rewritten to the body cap, and
+//! go through `http::read_response` from a byte slice.  Each input
 //! must come back `Ok` or `Err` — a panic fails the test — within a
 //! per-input wall budget, so a decoder that goes quadratic or recurses
 //! without bound shows up here, not as a hung run.
@@ -529,5 +533,132 @@ fn mutated_trace_blobs_decode_or_fail_within_budget() {
         reached.bad_run,
         slowest.1,
         slowest.0
+    );
+}
+
+/// Real responses: a 200 with a JSON body, a 429 with `Retry-After`, a
+/// progress stream (an event, the result event and the artifact), and a
+/// response with bytes past its end.
+fn response_seeds() -> Vec<Vec<u8>> {
+    let mut stream = http::encode_stream_head(true);
+    for chunk in [
+        &b"{\"event\":\"stage_start\",\"stage\":\"profile\"}\n"[..],
+        b"{\"event\":\"result\",\"status\":200}\n",
+        b"{\n  \"answer\": 42\n}",
+    ] {
+        stream.extend(http::encode_chunk(chunk));
+    }
+    stream.extend_from_slice(http::encode_last_chunk());
+    let mut surplus = http::encode_response(200, &[], b"{}", true);
+    surplus.extend(http::encode_response(404, &[], b"", true));
+    vec![
+        http::encode_response(200, &[], &run_body_seed(), true),
+        http::encode_response(
+            429,
+            &[("Retry-After", "1".to_string())],
+            b"{\"error\":\"queue full\",\"retry_after_ms\":1000}",
+            true,
+        ),
+        stream,
+        surplus,
+    ]
+}
+
+/// The framing numbers of a response: each run of hex digits that fills a
+/// line (a chunk size) or follows `Content-Length: `.
+fn framing_numbers(input: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut found = Vec::new();
+    let mut at = 0;
+    while at < input.len() {
+        let end = at
+            + input[at..]
+                .iter()
+                .take_while(|b| b.is_ascii_hexdigit())
+                .count();
+        let after = &input[..at];
+        let starts = after.ends_with(b"\r\n") || after.ends_with(b"Content-Length: ");
+        if starts && end > at && input[end..].starts_with(b"\r\n") {
+            found.push(at..end);
+        }
+        at = end.max(at + 1);
+    }
+    found
+}
+
+/// A byte mutation, or one framing number rewritten to the body cap or
+/// just past it.
+fn mutate_response(rng: &mut SplitMix, seeds: &[Vec<u8>], input: &mut Vec<u8>) {
+    let numbers = framing_numbers(input);
+    if numbers.is_empty() || rng.below(4) > 0 {
+        return mutate_bytes(rng, seeds, input);
+    }
+    let at = numbers[rng.below(numbers.len())].clone();
+    let size = http::MAX_BODY - 1 + rng.below(3);
+    let text = if input[..at.start].ends_with(b": ") {
+        size.to_string()
+    } else {
+        format!("{size:x}")
+    };
+    input.splice(at, text.into_bytes());
+}
+
+/// What the response inputs reached.
+#[derive(Default)]
+struct ResponseReached {
+    ok: u64,
+    err: u64,
+    /// Inputs that delivered at least one chunk.
+    chunked: u64,
+    /// Read with bytes past the response's end.
+    surplus: u64,
+    /// Rejected at the body cap.
+    too_large: u64,
+}
+
+/// Read one response off the bytes; a chunked body stays under the cap.
+fn feed_response(input: &[u8], reached: &mut ResponseReached) {
+    let (mut delivered, mut chunks) = (0usize, 0u64);
+    match http::read_response(&mut &input[..], |c| {
+        delivered += c.len();
+        chunks += 1;
+    }) {
+        Ok((_, surplus)) => {
+            reached.ok += 1;
+            reached.surplus += u64::from(surplus);
+        }
+        Err(e) => {
+            reached.err += 1;
+            reached.too_large += u64::from(e.to_string() == "body too large");
+        }
+    }
+    assert!(
+        delivered <= http::MAX_BODY,
+        "chunks delivered {delivered} bytes"
+    );
+    reached.chunked += u64::from(chunks > 0);
+}
+
+#[test]
+fn mutated_responses_read_or_fail_within_budget() {
+    let seeds = response_seeds();
+    let mut clean = ResponseReached::default();
+    for s in &seeds {
+        feed_response(s, &mut clean);
+    }
+    assert_eq!((clean.ok, clean.err), (4, 0), "every seed reads cleanly");
+    assert_eq!((clean.chunked, clean.surplus), (1, 1));
+
+    let (reached, slowest) = run_cases(&seeds, BASE_SEED ^ 0x4e57, mutate_response, feed_response);
+    assert!(reached.ok > CASES / 20, "ok {}", reached.ok);
+    assert!(reached.err > CASES / 20, "err {}", reached.err);
+    assert!(reached.chunked > 0, "no mutated stream delivered a chunk");
+    assert!(
+        reached.surplus > 0,
+        "no mutated response had bytes past its end"
+    );
+    assert!(reached.too_large > 0, "no input reached the body cap");
+    eprintln!(
+        "responses: {CASES} cases, {} read, {} rejected ({} at the body cap), slowest case {} in {:?}",
+        reached.ok, reached.err, reached.too_large, slowest.1, slowest.0
     );
 }

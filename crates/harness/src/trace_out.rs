@@ -75,36 +75,8 @@ impl SpanRecorder {
         self.enabled
     }
 
-    /// Record a span that started at `start` (an `Instant` the stage
-    /// captured) and ends now, on the calling thread's trace track.
-    pub fn record(
-        &self,
-        name: impl Into<String>,
-        cat: &'static str,
-        start: Instant,
-        args: Vec<(String, String)>,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let ts_us = start
-            .saturating_duration_since(self.t0)
-            .as_micros()
-            .min(u64::MAX as u128) as u64;
-        let dur_us = (start.elapsed().as_micros().max(1)).min(u64::MAX as u128) as u64;
-        let span = Span {
-            name: name.into(),
-            cat,
-            ts_us,
-            dur_us,
-            tid: chrome_tid(),
-            args,
-        };
-        self.spans.lock().unwrap().push(span);
-    }
-
-    /// Record a span over an explicit `[start, end]` window.  Unlike
-    /// [`SpanRecorder::record`] the duration is *not* clamped to 1 µs:
+    /// Record a span over an explicit `[start, end]` window on the calling
+    /// thread's trace track.  The duration is *not* clamped to 1 µs:
     /// request-phase spans share boundary `Instant`s with their
     /// neighbours, and padding a zero-length phase would push its end
     /// past the next phase's start (a partial overlap the validator
@@ -367,7 +339,8 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let r = SpanRecorder::new(false);
-        r.record("x", "test", Instant::now(), Vec::new());
+        let now = Instant::now();
+        r.record_to("x", "test", now, now, Vec::new());
         assert!(r.finish().is_empty());
     }
 
@@ -375,13 +348,15 @@ mod tests {
     fn recorded_spans_render_and_validate() {
         let r = SpanRecorder::new(true);
         let start = Instant::now();
-        r.record(
+        let end = start + std::time::Duration::from_micros(40);
+        r.record_to(
             "simulate w/cell",
             "simulate",
             start,
+            end,
             vec![("cached".to_string(), "false".to_string())],
         );
-        r.record("profile w", "profile", start, Vec::new());
+        r.record_to("profile w", "profile", start, end, Vec::new());
         let spans = r.finish();
         assert_eq!(spans.len(), 2);
         let j = chrome_trace_json(&spans, &[("cache.hits".to_string(), 3)]);

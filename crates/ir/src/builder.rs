@@ -464,12 +464,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Add an already-built function (no label/call fixups performed).
-    pub fn add_function(&mut self, f: Function) -> FuncId {
-        self.funcs.push(f);
-        FuncId(self.funcs.len() as u32 - 1)
-    }
-
     /// Add a finished builder's function.
     pub fn add_func(&mut self, fb: FuncBuilder) -> FuncId {
         let (f, calls) = fb.finish_internal();

@@ -178,25 +178,6 @@ fn parse_directive(
     Ok(())
 }
 
-/// Parse a single function body (without the `func` header line).
-pub fn parse_func_body(name: &str, src: &str) -> PResult<Function> {
-    let lines: Vec<(usize, &str)> = src
-        .lines()
-        .enumerate()
-        .map(|(i, l)| {
-            (
-                i + 1,
-                match l.find('#') {
-                    Some(k) => l[..k].trim(),
-                    None => l.trim(),
-                },
-            )
-        })
-        .filter(|(_, l)| !l.is_empty())
-        .collect();
-    parse_func(name, &lines, &HashMap::new())
-}
-
 fn parse_func(
     name: &str,
     lines: &[(usize, &str)],

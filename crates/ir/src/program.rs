@@ -154,12 +154,6 @@ impl Function {
         out
     }
 
-    /// Append a fresh block and return its id.
-    pub fn push_block(&mut self, b: BasicBlock) -> BlockId {
-        self.blocks.push(b);
-        BlockId(self.blocks.len() as u32 - 1)
-    }
-
     /// Generate a label not currently used by any block.
     pub fn fresh_label(&self, stem: &str) -> String {
         let mut n = 0usize;
@@ -202,14 +196,6 @@ impl Program {
 
     pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
         &mut self.funcs[id.index()]
-    }
-
-    /// Find a function by name.
-    pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
-        self.funcs
-            .iter()
-            .position(|f| f.name == name)
-            .map(|i| FuncId(i as u32))
     }
 
     /// Iterate `(FuncId, &Function)`.

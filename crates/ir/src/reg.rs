@@ -52,11 +52,6 @@ impl IntReg {
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// True if the register is architecturally visible (r0..r31).
-    pub fn is_architectural(self) -> bool {
-        self.0 < NUM_ARCH_INT_REGS
-    }
 }
 
 impl From<IntReg> for Reg {

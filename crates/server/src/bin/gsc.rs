@@ -28,7 +28,7 @@
 use guardspec_harness::args::{parse_scale, take_value, unknown_argument};
 use guardspec_harness::log::{self as glog, LogLevel};
 use guardspec_harness::{json, validate_chrome_trace, Json};
-use guardspec_server::http::{self, ClientConn};
+use guardspec_server::http::ClientConn;
 use guardspec_server::protocol::{
     ablation_request, request_key, request_to_json, three_schemes_request,
 };
@@ -170,17 +170,19 @@ fn main() {
 fn probe_servers(args: &Args) -> i32 {
     let mut failed = false;
     for addr in &args.servers {
+        let mut conn = ClientConn::new(addr);
         let fetched = if args.healthz {
-            http::get(addr, "/healthz")
+            conn.request("GET", "/healthz", b"")
         } else if args.prom {
             // The default exposition: Prometheus text.
-            http::get(addr, "/metrics")
+            conn.request("GET", "/metrics", b"")
         } else {
             // The legacy JSON document, for eyeballs and jq.
-            http::get_json(addr, "/metrics")
+            conn.request_with("GET", "/metrics", &[("Accept", "application/json")], b"")
         };
         match fetched {
-            Ok((status, body)) => {
+            Ok(resp) => {
+                let (status, body) = (resp.status, String::from_utf8_lossy(&resp.body));
                 failed |= status != 200;
                 if args.prom {
                     match guardspec_harness::parse_prometheus(&body) {

@@ -1,35 +1,34 @@
-//! Minimal hand-rolled HTTP/1.1 — just enough for the daemon and its
+//! Minimal hand-rolled HTTP/1.1: one codec for the daemon and its one
 //! client, with no external dependencies.
 //!
-//! Two parsing surfaces share the same grammar:
+//! Requests and responses share one head grammar: a private parser splits
+//! a head into its start line, its headers and its body framing
+//! (`Content-Length` or chunked) under one set of caps.  Two readers sit
+//! on it:
 //!
-//! * [`try_parse`] — the **incremental** parser the epoll event loop feeds
-//!   from a per-connection read buffer.  It never blocks: a prefix of a
-//!   request yields [`Parsed::Partial`], a complete request yields the
-//!   parsed [`HttpRequest`] plus how many bytes to drain (pipelined
-//!   requests simply leave the next one in the buffer), and a framing
-//!   violation yields a terminal [`Parsed::Error`] with the status to send
-//!   before closing.
-//! * [`read_request`] — the historical blocking reader, kept for tests and
-//!   simple tools.
+//! * [`try_parse`] — the **incremental** request parser the epoll event
+//!   loop feeds from a per-connection read buffer.  It never blocks: a
+//!   prefix yields [`Parsed::Partial`], a complete request yields the
+//!   [`HttpRequest`] plus how many bytes to drain, and a framing violation
+//!   (a `Transfer-Encoding` among them: 501) yields a terminal
+//!   [`Parsed::Error`] with the status to send before closing.
+//! * [`read_response`] — the one response reader, over any `io::Read`.  A
+//!   chunked body (the `POST /run?stream=1` progress stream, built by
+//!   [`encode_stream_head`] and [`encode_chunk`]) goes to a callback one
+//!   chunk at a time.
 //!
-//! Responses are either `Content-Length` framed ([`encode_response`], with
-//! keep-alive or close) or chunked ([`encode_stream_head`] +
-//! [`encode_chunk`]) for the `POST /run?stream=1` progress stream.  The
-//! client side offers one-shot helpers ([`roundtrip`], [`get`],
-//! [`post_json`] — all `Connection: close`) and [`ClientConn`], a
-//! keep-alive connection that sends one request at a time over one TCP
-//! stream, reconnects transparently when the server closed it, and
-//! decodes a chunked progress stream.
-//!
+//! [`ClientConn`] is the one client: a keep-alive connection that sends one
+//! request at a time, reconnects when the server closed it between
+//! requests, and splits a progress stream into its events and artifact.
 //! Hard limits keep a misbehaving peer from ballooning memory: 64 KiB of
 //! headers, 16 MiB of body (a chunked body's chunks together included).
 
 use guardspec_harness::{json, Json};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
-/// Longest accepted request head (request line + headers).
+/// Longest accepted head (start line + headers).
 pub const MAX_HEAD: usize = 64 * 1024;
 /// Longest accepted body.
 pub const MAX_BODY: usize = 16 * 1024 * 1024;
@@ -50,10 +49,7 @@ pub struct HttpRequest {
 impl HttpRequest {
     /// First header with this (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// Whether the connection may serve another request after this one:
@@ -89,16 +85,91 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// First header with this (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     fn wants_close(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
+}
+
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
+
+// --- the head grammar -----------------------------------------------------
+
+/// A framing violation: the status a server answers it with, and why.
+type Reject = (u16, &'static str);
+
+/// How a message's body is delimited.
+enum Framing {
+    Length(usize),
+    Chunked,
+}
+
+/// A message head split into its start line, its headers and its body
+/// framing.  The framing is kept as a result so a request's start line is
+/// judged before its body is.
+struct Head<'a> {
+    start: &'a str,
+    headers: Vec<(String, String)>,
+    framing: Result<Framing, Reject>,
+    /// Bytes up to and including the blank line.
+    len: usize,
+}
+
+/// Parse the head at the start of `buf`: `None` while it is incomplete.
+fn parse_head(buf: &[u8]) -> Result<Option<Head<'_>>, Reject> {
+    let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+        if buf.len() > MAX_HEAD {
+            return Err((413, "head too large"));
+        }
+        return Ok(None);
+    };
+    if end > MAX_HEAD {
+        return Err((413, "head too large"));
+    }
+    let head = std::str::from_utf8(&buf[..end]).map_err(|_| (400, "non-UTF8 head"))?;
+    let mut lines = head.split("\r\n");
+    let start = lines.next().unwrap_or("");
+    let headers: Vec<(String, String)> = lines
+        .filter_map(|line| line.split_once(':'))
+        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
+        .collect();
+    let framing = framing(&headers);
+    Ok(Some(Head {
+        start,
+        headers,
+        framing,
+        len: end + 4,
+    }))
+}
+
+/// The body framing `headers` declare.  A transfer coding wins over
+/// `Content-Length`, and chunked is the only one understood; the last
+/// `Content-Length` counts.
+fn framing(headers: &[(String, String)]) -> Result<Framing, Reject> {
+    if let Some(coding) = find_header(headers, "transfer-encoding") {
+        if coding.eq_ignore_ascii_case("chunked") {
+            return Ok(Framing::Chunked);
+        }
+        return Err((501, "unsupported Transfer-Encoding"));
+    }
+    let mut len = 0usize;
+    for (k, v) in headers {
+        if k.eq_ignore_ascii_case("content-length") {
+            len = v.parse().map_err(|_| (400, "bad Content-Length"))?;
+        }
+    }
+    if len > MAX_BODY {
+        return Err((413, "body too large"));
+    }
+    Ok(Framing::Length(len))
 }
 
 // --- incremental request parsing -----------------------------------------
@@ -118,82 +189,42 @@ pub enum Parsed {
 /// Parse the longest complete request at the start of `buf` without
 /// consuming it.  Never blocks, never reads.
 pub fn try_parse(buf: &[u8]) -> Parsed {
-    let Some(head_end) = find_head_end(buf) else {
-        if buf.len() > MAX_HEAD {
-            return Parsed::Error {
-                status: 413,
-                msg: "request head too large",
-            };
-        }
-        return Parsed::Partial;
-    };
-    if head_end > MAX_HEAD {
-        return Parsed::Error {
-            status: 413,
-            msg: "request head too large",
-        };
+    match parse_request(buf) {
+        Ok(Some((req, consumed))) => Parsed::Complete { req, consumed },
+        Ok(None) => Parsed::Partial,
+        Err((status, msg)) => Parsed::Error { status, msg },
     }
-    let Ok(head) = std::str::from_utf8(&buf[..head_end]) else {
-        return Parsed::Error {
-            status: 400,
-            msg: "non-UTF8 head",
-        };
+}
+
+fn parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize)>, Reject> {
+    let Some(head) = parse_head(buf)? else {
+        return Ok(None);
     };
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split_ascii_whitespace();
+    let mut parts = head.start.split_ascii_whitespace();
     let method = parts.next().unwrap_or("");
     let target = parts.next().unwrap_or("");
-    let version = parts.next().unwrap_or("HTTP/1.1");
     if method.is_empty() || target.is_empty() {
-        return Parsed::Error {
-            status: 400,
-            msg: "malformed request line",
-        };
+        return Err((400, "malformed request line"));
     }
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|line| line.split_once(':'))
-        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-        .collect();
-    let mut content_length = 0usize;
-    for (k, v) in &headers {
-        if k.eq_ignore_ascii_case("content-length") {
-            match v.parse() {
-                Ok(n) => content_length = n,
-                Err(_) => {
-                    return Parsed::Error {
-                        status: 400,
-                        msg: "bad Content-Length",
-                    }
-                }
-            }
-        }
-    }
-    if content_length > MAX_BODY {
-        return Parsed::Error {
-            status: 413,
-            msg: "body too large",
-        };
-    }
-    let total = head_end + 4 + content_length;
-    if buf.len() < total {
-        return Parsed::Partial;
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
+    // Read as a 0-byte body, chunk bytes left in the buffer would parse as
+    // a second request, and one request would get two answers.
+    let Framing::Length(len) = head.framing? else {
+        return Err((501, "unsupported Transfer-Encoding"));
     };
-    Parsed::Complete {
-        req: HttpRequest {
-            method: method.to_string(),
-            path,
-            query,
-            headers,
-            body: buf[head_end + 4..total].to_vec(),
-            http10: version == "HTTP/1.0",
-        },
-        consumed: total,
+    let total = head.len + len;
+    if buf.len() < total {
+        return Ok(None);
     }
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let req = HttpRequest {
+        method: method.to_string(),
+        path: path.to_string(),
+        query: query.to_string(),
+        headers: head.headers,
+        body: buf[head.len..total].to_vec(),
+        http10: parts.next() == Some("HTTP/1.0"),
+    };
+    Ok(Some((req, total)))
 }
 
 // --- response encoding ---------------------------------------------------
@@ -261,106 +292,117 @@ pub fn encode_last_chunk() -> &'static [u8] {
     b"0\r\n\r\n"
 }
 
-// --- blocking server-side reader (tests and simple tools) ----------------
+// --- response reading ----------------------------------------------------
 
-/// Read one request from the stream.  `Err` means the connection is
-/// unusable (peer vanished, malformed head, limits exceeded) — the caller
-/// just drops it.
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<HttpRequest> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    loop {
-        match try_parse(&buf) {
-            Parsed::Complete { req, .. } => return Ok(req),
-            Parsed::Error { msg, .. } => return Err(bad(msg)),
-            Parsed::Partial => {}
+/// Read one response off `r`.  A `Content-Length` body comes back in the
+/// response; a chunked body goes to `on_chunk` one chunk at a time (the
+/// server's chunks are its event lines), at most [`MAX_BODY`] bytes in
+/// all, and the returned body is empty.  Also returns whether bytes past
+/// the response's end were read (and dropped): a well-behaved server sends
+/// nothing before the next request, so such a stream must not be reused,
+/// as its next bytes could be a stale answer.
+pub fn read_response(
+    r: &mut impl Read,
+    mut on_chunk: impl FnMut(&[u8]),
+) -> io::Result<(HttpResponse, bool)> {
+    let mut buf = Vec::with_capacity(4096);
+    // `at` is where the unread bytes of `buf` start.
+    let mut at = 0;
+    let (status, headers, framing) = loop {
+        if let Some(head) = parse_head(&buf).map_err(|(_, msg)| bad(msg))? {
+            let status = head
+                .start
+                .split_ascii_whitespace()
+                .nth(1)
+                .and_then(|s| s.parse::<u16>().ok())
+                .ok_or_else(|| bad("malformed status line"))?;
+            let framing = head.framing.map_err(|(_, msg)| bad(msg))?;
+            at = head.len;
+            break (status, head.headers, framing);
         }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("connection closed mid-request"));
+        fill(r, &mut buf, &mut at)?;
+    };
+    let (body, surplus) = match framing {
+        Framing::Length(len) => {
+            while buf.len() - at < len {
+                fill(r, &mut buf, &mut at)?;
+            }
+            let surplus = buf.len() - at > len;
+            buf.truncate(at + len);
+            buf.drain(..at);
+            (buf, surplus)
         }
-        buf.extend_from_slice(&chunk[..n]);
+        Framing::Chunked => {
+            let mut total = 0usize;
+            loop {
+                // A "<hex>\r\n" size line, the data, and its CRLF.
+                let line = loop {
+                    if let Some(p) = buf[at..].windows(2).position(|w| w == b"\r\n") {
+                        break p;
+                    }
+                    if buf.len() - at > 32 {
+                        return Err(bad("bad chunk size line"));
+                    }
+                    fill(r, &mut buf, &mut at)?;
+                };
+                let size = std::str::from_utf8(&buf[at..at + line])
+                    .ok()
+                    .and_then(|s| usize::from_str_radix(s.trim(), 16).ok())
+                    .ok_or_else(|| bad("bad chunk size"))?;
+                if size > MAX_BODY - total {
+                    return Err(bad("body too large"));
+                }
+                total += size;
+                let need = line + 2 + size + 2;
+                while buf.len() - at < need {
+                    fill(r, &mut buf, &mut at)?;
+                }
+                let data = at + line + 2;
+                at += need;
+                if size == 0 {
+                    break (Vec::new(), buf.len() > at);
+                }
+                on_chunk(&buf[data..data + size]);
+            }
+        }
+    };
+    let resp = HttpResponse {
+        status,
+        headers,
+        body,
+    };
+    Ok((resp, surplus))
+}
+
+/// Drop the `at` bytes of `buf` already consumed, then append one read of
+/// `r`.  A stream that ends here was cut short.
+fn fill(r: &mut impl Read, buf: &mut Vec<u8>, at: &mut usize) -> io::Result<()> {
+    buf.drain(..std::mem::take(at));
+    let mut chunk = [0u8; 8192];
+    match r.read(&mut chunk)? {
+        0 => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-response",
+        )),
+        n => {
+            buf.extend_from_slice(&chunk[..n]);
+            Ok(())
+        }
     }
 }
 
-/// Write a `Connection: close` response and flush.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    body: &[u8],
-) -> std::io::Result<()> {
-    stream.write_all(&encode_response(status, extra_headers, body, false))?;
-    stream.flush()
-}
-
-// --- one-shot client helpers (Connection: close) --------------------------
-
-/// Issue one request against `addr` and read the full response.
-pub fn roundtrip(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> std::io::Result<HttpResponse> {
-    roundtrip_with(addr, method, path, &[], body)
-}
-
-/// [`roundtrip`] with extra request headers (e.g. `Accept`, `X-Trace-Id`).
-pub fn roundtrip_with(
-    addr: &str,
-    method: &str,
-    path: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> std::io::Result<HttpResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    write_request_head(
-        &mut stream,
-        addr,
-        method,
-        path,
-        extra_headers,
-        body.len(),
-        false,
-    )?;
-    stream.write_all(body)?;
-    stream.flush()?;
-    read_response(&mut stream).map(|(resp, _)| resp)
-}
-
-/// Convenience: GET `path` and return `(status, body as String)`.
-pub fn get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
-    let r = roundtrip(addr, "GET", path, b"")?;
-    Ok((r.status, String::from_utf8_lossy(&r.body).into_owned()))
-}
-
-/// GET `path` asking for the JSON representation (`Accept:
-/// application/json`) — the `/metrics` endpoint defaults to Prometheus
-/// text without it.
-pub fn get_json(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
-    let r = roundtrip_with(addr, "GET", path, &[("Accept", "application/json")], b"")?;
-    Ok((r.status, String::from_utf8_lossy(&r.body).into_owned()))
-}
-
-/// Convenience: POST a JSON body to `path`.
-pub fn post_json(addr: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-    let r = roundtrip(addr, "POST", path, body.as_bytes())?;
-    Ok((r.status, String::from_utf8_lossy(&r.body).into_owned()))
-}
-
-// --- keep-alive client connection ----------------------------------------
+// --- the client ----------------------------------------------------------
 
 /// A client-side keep-alive connection: one TCP stream reused across
-/// requests, reconnecting transparently when the server closed it (idle
-/// reaping, max-requests cap, or a plain restart between requests).
+/// requests, reconnecting when the server closed it (idle reaping,
+/// max-requests cap, or a plain restart between requests).  A one-shot
+/// caller makes one, sends one request and drops it.
 #[derive(Debug)]
 pub struct ClientConn {
     addr: String,
     stream: Option<TcpStream>,
     opened: u64,
-    timeout: Option<std::time::Duration>,
+    timeout: Option<Duration>,
 }
 
 impl ClientConn {
@@ -376,12 +418,10 @@ impl ClientConn {
     /// Like [`ClientConn::new`] but with a hard bound on connect, read and
     /// write.  Used for peer fetches, where a down peer must cost at most
     /// one timeout — never a worker wedged on a dead socket.
-    pub fn with_timeout(addr: &str, timeout: std::time::Duration) -> ClientConn {
+    pub fn with_timeout(addr: &str, timeout: Duration) -> ClientConn {
         ClientConn {
-            addr: addr.to_string(),
-            stream: None,
-            opened: 0,
             timeout: Some(timeout),
+            ..ClientConn::new(addr)
         }
     }
 
@@ -391,7 +431,7 @@ impl ClientConn {
         self.opened
     }
 
-    fn connect(&mut self) -> std::io::Result<&mut TcpStream> {
+    fn connect(&mut self) -> io::Result<&mut TcpStream> {
         if self.stream.is_none() {
             let stream = match self.timeout {
                 None => TcpStream::connect(&self.addr)?,
@@ -408,9 +448,8 @@ impl ClientConn {
                     s
                 }
             };
-            // Requests go out as head + body writes; without TCP_NODELAY
-            // the second small write can stall behind Nagle + the peer's
-            // delayed ACK (~40ms) once the connection leaves quickack.
+            // Without TCP_NODELAY a request's last partial segment can
+            // stall behind Nagle + the peer's delayed ACK (~40ms).
             let _ = stream.set_nodelay(true);
             self.stream = Some(stream);
             self.opened += 1;
@@ -418,34 +457,79 @@ impl ClientConn {
         Ok(self.stream.as_mut().unwrap())
     }
 
-    /// One request and its response, plus whether bytes past the response
-    /// arrived with it (see [`read_response`]).
-    fn send_recv(
+    /// Write one request on the live connection, opening one if needed.
+    fn send(
         &mut self,
         method: &str,
         path: &str,
         extra_headers: &[(&str, &str)],
         body: &[u8],
-    ) -> std::io::Result<(HttpResponse, bool)> {
-        let addr = self.addr.clone();
+    ) -> io::Result<&mut TcpStream> {
+        let mut head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n",
+            self.addr,
+            body.len(),
+        );
+        for (k, v) in extra_headers {
+            head.push_str(k);
+            head.push_str(": ");
+            head.push_str(v);
+            head.push_str("\r\n");
+        }
+        head.push_str("\r\n");
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(body);
         let stream = self.connect()?;
-        write_request_head(stream, &addr, method, path, extra_headers, body.len(), true)?;
-        stream.write_all(body)?;
-        stream.flush()?;
-        read_response(stream)
+        stream.write_all(&wire)?;
+        Ok(stream)
     }
 
-    /// Issue one request, reusing the live connection when possible.  If
-    /// the server closed a **reused** stream (it may have reaped it between
-    /// requests), the request is retried once on a fresh connection.  Any
-    /// other failure, a timeout included, is the caller's problem: a hung
-    /// server costs one timeout, not two.
-    pub fn request(
+    /// Send one request and read its response, reusing the live connection
+    /// when there is one.  A reused stream that the server closed before
+    /// any response byte arrived (it may reap an idle connection between
+    /// requests) is retried once on a fresh connection.  Any other failure
+    /// is the caller's: a response cut after its first byte may already
+    /// have delivered chunks, and a hung server costs one timeout, not two.
+    fn exchange(
         &mut self,
         method: &str,
         path: &str,
+        extra_headers: &[(&str, &str)],
         body: &[u8],
-    ) -> std::io::Result<HttpResponse> {
+        on_chunk: &mut dyn FnMut(&[u8]),
+    ) -> io::Result<HttpResponse> {
+        loop {
+            let reused = self.stream.is_some();
+            let mut heard = false;
+            let got = self
+                .send(method, path, extra_headers, body)
+                .and_then(|stream| {
+                    let mut r = Heard {
+                        inner: stream,
+                        any: &mut heard,
+                    };
+                    read_response(&mut r, &mut *on_chunk)
+                });
+            match got {
+                Ok((resp, surplus)) => {
+                    if surplus || resp.wants_close() {
+                        self.stream = None;
+                    }
+                    return Ok(resp);
+                }
+                Err(e) => {
+                    self.stream = None;
+                    if !(reused && !heard && server_closed(&e)) {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Issue one request, reusing the live connection when possible, under
+    /// [`ClientConn`]'s one retry rule.  A chunked body is collected.
+    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<HttpResponse> {
         self.request_with(method, path, &[], body)
     }
 
@@ -457,299 +541,66 @@ impl ClientConn {
         path: &str,
         extra_headers: &[(&str, &str)],
         body: &[u8],
-    ) -> std::io::Result<HttpResponse> {
-        let reused = self.stream.is_some();
-        let mut sent = self.send_recv(method, path, extra_headers, body);
-        if reused && sent.as_ref().is_err_and(server_closed) {
-            self.stream = None;
-            sent = self.send_recv(method, path, extra_headers, body);
+    ) -> io::Result<HttpResponse> {
+        let mut chunks = Vec::new();
+        let mut resp = self.exchange(method, path, extra_headers, body, &mut |c| {
+            chunks.extend_from_slice(c)
+        })?;
+        if resp.body.is_empty() {
+            resp.body = chunks;
         }
-        match sent {
-            Ok((resp, surplus)) => {
-                if resp.wants_close() || surplus {
-                    self.stream = None;
-                }
-                Ok(resp)
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
-        }
+        Ok(resp)
     }
 
     /// POST to a streaming endpoint and decode the chunked NDJSON reply:
     /// `on_event` fires once per stage-event line; the return value is the
     /// real outcome status (from the `{"event":"result",...}` delimiter)
-    /// and the final artifact bytes.  A non-chunked response (error paths,
-    /// old servers) degrades to a plain request.
-    pub fn post_stream(
-        &mut self,
-        path: &str,
-        body: &[u8],
-        on_event: impl FnMut(&str),
-    ) -> std::io::Result<(u16, Vec<u8>)> {
-        self.post_stream_with(path, &[], body, on_event)
-    }
-
-    /// [`ClientConn::post_stream`] with extra request headers.
+    /// and the final artifact bytes.  A plain response (an error path)
+    /// returns its own status and body.
     pub fn post_stream_with(
         &mut self,
         path: &str,
         extra_headers: &[(&str, &str)],
         body: &[u8],
         mut on_event: impl FnMut(&str),
-    ) -> std::io::Result<(u16, Vec<u8>)> {
-        enum StreamEnd {
-            Plain(u16, Vec<u8>),
-            Chunked(Option<u16>, Vec<u8>, bool),
-        }
-        let addr = self.addr.clone();
-        let mut run = |stream: &mut TcpStream| -> std::io::Result<StreamEnd> {
-            write_request_head(stream, &addr, "POST", path, extra_headers, body.len(), true)?;
-            stream.write_all(body)?;
-            stream.flush()?;
-            let (head, mut rest) = read_head(stream)?;
-            let (status, headers) = parse_status_head(&head)?;
-            let chunked = headers.iter().any(|(k, v)| {
-                k.eq_ignore_ascii_case("transfer-encoding") && v.eq_ignore_ascii_case("chunked")
-            });
-            if !chunked {
-                let content_length = content_length_of(&headers)?;
-                read_exact_body(stream, &mut rest, content_length)?;
-                return Ok(StreamEnd::Plain(status, rest));
+    ) -> io::Result<(u16, Vec<u8>)> {
+        let mut result: Option<u16> = None;
+        let mut artifact = Vec::new();
+        let resp = self.exchange("POST", path, extra_headers, body, &mut |chunk| {
+            if result.is_some() {
+                artifact.extend_from_slice(chunk);
+                return;
             }
-            let mut result_status: Option<u16> = None;
-            let mut artifact = Vec::new();
-            read_chunked(stream, &mut rest, |chunk| {
-                if result_status.is_some() {
-                    artifact.extend_from_slice(chunk);
-                    return;
-                }
-                let line = String::from_utf8_lossy(chunk);
-                let line = line.trim_end();
-                if line.starts_with("{\"event\":\"result\"") {
-                    result_status = json::parse(line)
-                        .ok()
-                        .and_then(|j| j.get("status").and_then(Json::as_u64))
-                        .map(|s| s as u16);
-                } else {
-                    on_event(line);
-                }
-            })?;
-            // Bytes past the last chunk make the stream untrustworthy.
-            let close = !rest.is_empty()
-                || headers.iter().any(|(k, v)| {
-                    k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close")
-                });
-            Ok(StreamEnd::Chunked(result_status, artifact, close))
-        };
-        match run(self.connect()?) {
-            Ok(StreamEnd::Plain(status, body)) => {
-                // Non-chunked replies come from error paths or old servers;
-                // don't trust the connection for reuse.
-                self.stream = None;
-                Ok((status, body))
+            let line = String::from_utf8_lossy(chunk);
+            let line = line.trim_end();
+            if line.starts_with("{\"event\":\"result\"") {
+                result = json::parse(line)
+                    .ok()
+                    .and_then(|j| j.get("status").and_then(Json::as_u64))
+                    .map(|s| s as u16);
+            } else {
+                on_event(line);
             }
-            Ok(StreamEnd::Chunked(result_status, artifact, close)) => {
-                if close {
-                    self.stream = None;
-                }
-                match result_status {
-                    Some(s) => Ok((s, artifact)),
-                    None => {
-                        self.stream = None;
-                        Err(bad("stream ended without a result event"))
-                    }
-                }
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
+        })?;
+        match result {
+            Some(status) => Ok((status, artifact)),
+            None if resp.header("transfer-encoding").is_none() => Ok((resp.status, resp.body)),
+            None => Err(bad("stream ended without a result event")),
         }
     }
 }
 
-fn write_request_head(
-    stream: &mut TcpStream,
-    addr: &str,
-    method: &str,
-    path: &str,
-    extra_headers: &[(&str, &str)],
-    content_length: usize,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {content_length}\r\nConnection: {}\r\n",
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    for (k, v) in extra_headers {
-        head.push_str(k);
-        head.push_str(": ");
-        head.push_str(v);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())
+/// A reader that notes whether any byte came through it.
+struct Heard<'a, R> {
+    inner: &'a mut R,
+    any: &'a mut bool,
 }
 
-/// Read one complete response (status line, headers, `Content-Length` or
-/// chunked body) off the stream.  Also returns whether bytes past the
-/// response's end were read (and dropped): a well-behaved server sends
-/// nothing before the next request, so such a stream must not be reused —
-/// its next bytes could be a stale answer.
-fn read_response(stream: &mut TcpStream) -> std::io::Result<(HttpResponse, bool)> {
-    let (head, mut rest) = read_head(stream)?;
-    let (status, headers) = parse_status_head(&head)?;
-    let chunked = headers.iter().any(|(k, v)| {
-        k.eq_ignore_ascii_case("transfer-encoding") && v.eq_ignore_ascii_case("chunked")
-    });
-    let (body, surplus) = if chunked {
-        let mut body = Vec::new();
-        read_chunked(stream, &mut rest, |c| body.extend_from_slice(c))?;
-        (body, !rest.is_empty())
-    } else {
-        let content_length = content_length_of(&headers)?;
-        let surplus = read_exact_body(stream, &mut rest, content_length)?;
-        (rest, surplus)
-    };
-    let resp = HttpResponse {
-        status,
-        headers,
-        body,
-    };
-    Ok((resp, surplus))
-}
-
-fn parse_status_head(head: &str) -> std::io::Result<(u16, Vec<(String, String)>)> {
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|line| line.split_once(':'))
-        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-        .collect();
-    Ok((status, headers))
-}
-
-fn content_length_of(headers: &[(String, String)]) -> std::io::Result<usize> {
-    let mut len = 0usize;
-    for (k, v) in headers {
-        if k.eq_ignore_ascii_case("content-length") {
-            len = v.parse().map_err(|_| bad("bad Content-Length"))?;
-        }
-    }
-    if len > MAX_BODY {
-        return Err(bad("body too large"));
-    }
-    Ok(len)
-}
-
-/// Read until the blank line; returns (head text, any body bytes already
-/// pulled off the socket past the head).
-fn read_head(stream: &mut TcpStream) -> std::io::Result<(String, Vec<u8>)> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(end) = find_head_end(&buf) {
-            let head = String::from_utf8(buf[..end].to_vec()).map_err(|_| bad("non-UTF8 head"))?;
-            let rest = buf[end + 4..].to_vec();
-            return Ok((head, rest));
-        }
-        if buf.len() > MAX_HEAD {
-            return Err(bad("head too large"));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(closed("connection closed mid-head"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-/// Complete a `Content-Length` body; `body` holds the bytes already read
-/// past the head.  Returns whether it held bytes past the body's end,
-/// which are dropped.
-fn read_exact_body(
-    stream: &mut TcpStream,
-    body: &mut Vec<u8>,
-    content_length: usize,
-) -> std::io::Result<bool> {
-    if body.len() >= content_length {
-        let surplus = body.len() > content_length;
-        body.truncate(content_length);
-        return Ok(surplus);
-    }
-    let mut remaining = content_length - body.len();
-    let mut chunk = [0u8; 8192];
-    while remaining > 0 {
-        let n = stream.read(&mut chunk[..remaining.min(8192)])?;
-        if n == 0 {
-            return Err(closed("connection closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..n]);
-        remaining -= n;
-    }
-    Ok(false)
-}
-
-/// Decode a chunked body, invoking `on_chunk` once per data chunk (the
-/// server's chunk boundaries are the event-line boundaries).  `pending`
-/// holds bytes already read past the head, and on return any read past
-/// the last chunk.  The chunks together may total at most [`MAX_BODY`].
-fn read_chunked(
-    stream: &mut TcpStream,
-    pending: &mut Vec<u8>,
-    mut on_chunk: impl FnMut(&[u8]),
-) -> std::io::Result<()> {
-    let mut chunk = [0u8; 8192];
-    let mut total = 0usize;
-    loop {
-        // Find the "<hex>\r\n" size line.
-        let line_end = loop {
-            if let Some(p) = pending.windows(2).position(|w| w == b"\r\n") {
-                break p;
-            }
-            if pending.len() > 32 {
-                return Err(bad("bad chunk size line"));
-            }
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(closed("connection closed mid-chunk"));
-            }
-            pending.extend_from_slice(&chunk[..n]);
-        };
-        let size_str =
-            std::str::from_utf8(&pending[..line_end]).map_err(|_| bad("bad chunk size"))?;
-        let size = usize::from_str_radix(size_str.trim(), 16).map_err(|_| bad("bad chunk size"))?;
-        if size > MAX_BODY - total {
-            return Err(bad("body too large"));
-        }
-        total += size;
-        let need = line_end + 2 + size + 2; // size line + data + trailing CRLF
-        while pending.len() < need {
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(closed("connection closed mid-chunk"));
-            }
-            pending.extend_from_slice(&chunk[..n]);
-        }
-        if size > 0 {
-            on_chunk(&pending[line_end + 2..line_end + 2 + size]);
-        }
-        pending.drain(..need);
-        if size == 0 {
-            return Ok(());
-        }
+impl<R: Read> Read for Heard<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        *self.any |= n > 0;
+        Ok(n)
     }
 }
 
@@ -761,28 +612,46 @@ fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
 }
 
-fn bad(msg: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// The server closed the stream before a whole response arrived.
-fn closed(msg: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, msg.to_string())
+fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
 /// Whether `e` means the server closed the stream (EOF, reset or broken
 /// pipe), the one failure a fresh connection can cure.
-fn server_closed(e: &std::io::Error) -> bool {
-    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+fn server_closed(e: &io::Error) -> bool {
+    use io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
     matches!(
         e.kind(),
         UnexpectedEof | ConnectionReset | ConnectionAborted | BrokenPipe
     )
+}
+
+/// Test fakes' server half: read one request off `s` with [`try_parse`],
+/// write `reply` (an [`encode_response`] or a hand-built stream), and
+/// return the request.
+#[cfg(test)]
+pub(crate) fn serve_one(s: &mut TcpStream, reply: &[u8]) -> HttpRequest {
+    let mut buf = Vec::new();
+    loop {
+        match try_parse(&buf) {
+            Parsed::Complete { req, .. } => {
+                s.write_all(reply).unwrap();
+                return req;
+            }
+            Parsed::Partial => {}
+            Parsed::Error { msg, .. } => panic!("fake server got a bad request: {msg}"),
+        }
+        let mut chunk = [0u8; 4096];
+        let n = s.read(&mut chunk).unwrap();
+        assert!(n > 0, "the client hung up mid-request");
+        buf.extend_from_slice(&chunk[..n]);
+    }
 }
 
 #[cfg(test)]
@@ -790,25 +659,30 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    fn ok(body: &[u8]) -> Vec<u8> {
+        encode_response(200, &[], body, true)
+    }
+
     #[test]
     fn request_response_roundtrip_over_a_real_socket() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            let req = read_request(&mut s).unwrap();
-            assert_eq!(req.method, "POST");
-            assert_eq!(req.path, "/run");
-            assert_eq!(req.body, b"{\"x\":1}");
-            write_response(
-                &mut s,
+            let reply = encode_response(
                 429,
                 &[("Retry-After", "2".to_string())],
                 b"{\"error\":\"queue full\"}",
-            )
-            .unwrap();
+                true,
+            );
+            let req = serve_one(&mut s, &reply);
+            assert_eq!(req.method, "POST");
+            assert_eq!(req.path, "/run");
+            assert_eq!(req.body, b"{\"x\":1}");
+            assert!(req.keep_alive(), "every request asks for keep-alive");
         });
-        let resp = roundtrip(&addr, "POST", "/run", b"{\"x\":1}").unwrap();
+        let mut conn = ClientConn::new(&addr);
+        let resp = conn.request("POST", "/run", b"{\"x\":1}").unwrap();
         assert_eq!(resp.status, 429);
         assert_eq!(resp.body, b"{\"error\":\"queue full\"}");
         assert_eq!(resp.header("retry-after"), Some("2"));
@@ -821,13 +695,14 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            let req = read_request(&mut s).unwrap();
+            let req = serve_one(&mut s, &ok(b"ok"));
             assert_eq!(req.method, "GET");
             assert!(req.body.is_empty());
-            write_response(&mut s, 200, &[], b"ok").unwrap();
         });
-        let (status, body) = get(&addr, "/healthz").unwrap();
-        assert_eq!((status, body.as_str()), (200, "ok"));
+        let resp = ClientConn::new(&addr)
+            .request("GET", "/healthz", b"")
+            .unwrap();
+        assert_eq!((resp.status, resp.body.as_slice()), (200, b"ok".as_slice()));
         server.join().unwrap();
     }
 
@@ -877,6 +752,18 @@ mod tests {
     }
 
     #[test]
+    fn try_parse_answers_a_transfer_encoding_with_501() {
+        let wire = b"POST /run HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n";
+        assert!(matches!(try_parse(wire), Parsed::Error { status: 501, .. }));
+        // The request line is judged first, as before.
+        assert!(matches!(
+            try_parse(b"POST\r\nTransfer-Encoding: gzip\r\n\r\n"),
+            Parsed::Error { status: 400, .. }
+        ));
+        assert_eq!(reason(501), "Not Implemented");
+    }
+
+    #[test]
     fn connection_header_and_version_drive_keep_alive() {
         let parse_ok = |wire: &[u8]| match try_parse(wire) {
             Parsed::Complete { req, .. } => req,
@@ -888,12 +775,40 @@ mod tests {
     }
 
     #[test]
+    fn read_response_frames_plain_and_chunked_bodies_from_a_slice() {
+        let mut wire = encode_response(200, &[], b"{}", true);
+        wire.extend_from_slice(b"junk");
+        let (resp, surplus) =
+            read_response(&mut wire.as_slice(), |_| panic!("not chunked")).unwrap();
+        assert_eq!(
+            (resp.status, resp.body.as_slice(), surplus),
+            (200, b"{}".as_slice(), true)
+        );
+
+        let mut wire = encode_stream_head(true);
+        wire.extend(encode_chunk(b"a"));
+        wire.extend(encode_chunk(b"bc"));
+        wire.extend(encode_last_chunk());
+        let mut chunks = Vec::new();
+        let (resp, surplus) =
+            read_response(&mut wire.as_slice(), |c| chunks.push(c.to_vec())).unwrap();
+        assert_eq!(chunks, [b"a".to_vec(), b"bc".to_vec()]);
+        assert!(resp.body.is_empty() && !surplus);
+
+        let bad_length = b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n";
+        let err = read_response(&mut bad_length.as_slice(), |_| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let whole = encode_response(200, &[], b"{}", true);
+        let err = read_response(&mut &whole[..whole.len() - 1], |_| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+    }
+
+    #[test]
     fn chunked_stream_decodes_events_then_artifact() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            let _req = read_request(&mut s).unwrap();
             let mut out = encode_stream_head(true);
             out.extend(encode_chunk(
                 b"{\"event\":\"stage\",\"stage\":\"profile\"}\n",
@@ -901,15 +816,14 @@ mod tests {
             out.extend(encode_chunk(b"{\"event\":\"result\",\"status\":200}\n"));
             out.extend(encode_chunk(b"{\n  \"answer\": 42\n}"));
             out.extend(encode_last_chunk());
-            s.write_all(&out).unwrap();
+            serve_one(&mut s, &out);
             // Same connection serves a follow-up plain request.
-            let _req = read_request(&mut s).unwrap();
-            write_response(&mut s, 200, &[], b"after").unwrap();
+            serve_one(&mut s, &ok(b"after"));
         });
         let mut conn = ClientConn::new(&addr);
         let mut events = Vec::new();
         let (status, body) = conn
-            .post_stream("/run?stream=1", b"{}", |e| events.push(e.to_string()))
+            .post_stream_with("/run?stream=1", &[], b"{}", |e| events.push(e.to_string()))
             .unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, b"{\n  \"answer\": 42\n}");
@@ -922,15 +836,40 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_cut_after_its_first_event_is_an_error_not_a_retry() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // The test keeps the listener open, so a retry would connect.
+        let accept = listener.try_clone().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = accept.accept().unwrap();
+            serve_one(&mut s, &ok(b"one"));
+            // On the reused stream: one event, then the server hangs up.
+            let mut out = encode_stream_head(true);
+            out.extend(encode_chunk(b"{\"event\":\"stage_start\"}\n"));
+            serve_one(&mut s, &out);
+        });
+        let mut conn = ClientConn::with_timeout(&addr, Duration::from_secs(5));
+        assert_eq!(conn.request("GET", "/a", b"").unwrap().body, b"one");
+        let mut events = Vec::new();
+        let err = conn
+            .post_stream_with("/run?stream=1", &[], b"{}", |e| events.push(e.to_string()))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert_eq!(events, ["{\"event\":\"stage_start\"}"], "delivered once");
+        assert_eq!(conn.connections_opened(), 1, "a cut stream is not retried");
+        server.join().unwrap();
+    }
+
+    #[test]
     fn extra_request_headers_reach_the_server() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            let req = read_request(&mut s).unwrap();
+            let req = serve_one(&mut s, &ok(b"ok"));
             assert_eq!(req.header("x-trace-id"), Some("ab12cd34-c0"));
             assert_eq!(req.header("accept"), Some("application/json"));
-            write_response(&mut s, 200, &[], b"ok").unwrap();
         });
         let mut conn = ClientConn::new(&addr);
         let resp = conn
@@ -974,15 +913,11 @@ mod tests {
             // First connection: answer once with Connection: close semantics
             // by just dropping the socket afterwards.
             let (mut s, _) = listener.accept().unwrap();
-            let _ = read_request(&mut s).unwrap();
-            s.write_all(&encode_response(200, &[], b"one", true))
-                .unwrap();
+            serve_one(&mut s, &ok(b"one"));
             drop(s);
             // The client's retry shows up as a second connection.
             let (mut s, _) = listener.accept().unwrap();
-            let _ = read_request(&mut s).unwrap();
-            s.write_all(&encode_response(200, &[], b"two", true))
-                .unwrap();
+            serve_one(&mut s, &ok(b"two"));
         });
         let mut conn = ClientConn::new(&addr);
         assert_eq!(conn.request("GET", "/a", b"").unwrap().body, b"one");
@@ -1002,19 +937,17 @@ mod tests {
             // Answer once, then take the second request and hang until the
             // client gives up and closes.
             let (mut s, _) = accept.accept().unwrap();
-            let _ = read_request(&mut s).unwrap();
-            s.write_all(&encode_response(200, &[], b"one", true))
-                .unwrap();
-            let _ = read_request(&mut s).unwrap();
+            serve_one(&mut s, &ok(b"one"));
+            serve_one(&mut s, b"");
             let _ = s.read(&mut [0u8; 1]);
         });
-        let mut conn = ClientConn::with_timeout(&addr, std::time::Duration::from_millis(300));
+        let mut conn = ClientConn::with_timeout(&addr, Duration::from_millis(300));
         assert_eq!(conn.request("GET", "/a", b"").unwrap().body, b"one");
         let err = conn.request("GET", "/b", b"").unwrap_err();
         assert!(
             matches!(
                 err.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
             ),
             "{err:?}"
         );
@@ -1030,17 +963,14 @@ mod tests {
             // A junk response rides behind the real one; reusing this
             // stream would answer the next request with it.
             let (mut s, _) = listener.accept().unwrap();
-            let _ = read_request(&mut s).unwrap();
-            let mut out = encode_response(200, &[], b"one", true);
-            out.extend(encode_response(200, &[], b"junk", true));
-            s.write_all(&out).unwrap();
+            let mut out = ok(b"one");
+            out.extend(ok(b"junk"));
+            serve_one(&mut s, &out);
             let (mut s2, _) = listener.accept().unwrap();
-            let _ = read_request(&mut s2).unwrap();
-            s2.write_all(&encode_response(200, &[], b"two", true))
-                .unwrap();
+            serve_one(&mut s2, &ok(b"two"));
         });
         // A reused stream would wait for an answer that never comes.
-        let mut conn = ClientConn::with_timeout(&addr, std::time::Duration::from_secs(5));
+        let mut conn = ClientConn::with_timeout(&addr, Duration::from_secs(5));
         assert_eq!(conn.request("GET", "/a", b"").unwrap().body, b"one");
         assert_eq!(conn.request("GET", "/b", b"").unwrap().body, b"two");
         assert_eq!(conn.connections_opened(), 2);
@@ -1055,9 +985,8 @@ mod tests {
             // 17 chunks of 1 MiB: each under the cap, together over it.
             // The client hangs up mid-body, so later writes may fail.
             let (mut s, _) = listener.accept().unwrap();
-            let _ = read_request(&mut s).unwrap();
+            serve_one(&mut s, &encode_stream_head(true));
             let mib = vec![b'x'; 1 << 20];
-            let _ = s.write_all(&encode_stream_head(true));
             for _ in 0..17 {
                 if s.write_all(&encode_chunk(&mib)).is_err() {
                     return;
@@ -1067,7 +996,7 @@ mod tests {
         });
         let mut conn = ClientConn::new(&addr);
         let err = conn.request_with("GET", "/cache/k", &[], b"").unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err:?}");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err:?}");
         assert!(err.to_string().contains("body too large"), "{err}");
         drop(conn);
         server.join().unwrap();

@@ -95,7 +95,7 @@ impl PeerSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{read_request, write_response};
+    use crate::http::{encode_response, serve_one};
     use std::net::TcpListener;
 
     const FAST: Duration = Duration::from_millis(2_000);
@@ -150,10 +150,8 @@ mod tests {
         let addr = l.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut s, _) = l.accept().unwrap();
-            let req = read_request(&mut s).unwrap();
-            let trace = req.header("x-trace-id").map(str::to_string);
-            write_response(&mut s, 200, &[], b"artifact").unwrap();
-            trace
+            let req = serve_one(&mut s, &encode_response(200, &[], b"artifact", false));
+            req.header("x-trace-id").map(str::to_string)
         });
         let metrics = MetricsRegistry::new();
         let peers = PeerSet::new(&[addr], FAST);

@@ -7,45 +7,16 @@
 //! order for a pipelining client served one request at a time, answers
 //! to a client that half-closes, and the chunked progress stream.
 
-use guardspec_harness::{json, run_experiment, Json, RunOptions};
-use guardspec_server::http::{self, ClientConn};
-use guardspec_server::protocol::{request_to_json, three_schemes_request, to_spec, RunRequest};
+mod common;
+
+use common::{counter, get_json, offline_stable, scratch};
+use guardspec_harness::{json, Json};
+use guardspec_server::http::ClientConn;
+use guardspec_server::protocol::{request_to_json, three_schemes_request};
 use guardspec_server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
-
-fn scratch(tag: &str) -> PathBuf {
-    static N: AtomicU32 = AtomicU32::new(0);
-    let n = N.fetch_add(1, Ordering::SeqCst);
-    let dir = std::env::temp_dir().join(format!(
-        "guardspec-http-machine-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn offline_stable(req: &RunRequest) -> String {
-    let spec = to_spec(req).expect("request resolves");
-    let opts = RunOptions {
-        jobs: 1,
-        cache_dir: None,
-        observe: req.observe,
-        ..RunOptions::default()
-    };
-    guardspec_harness::stable_json(&run_experiment(&spec, &opts)).to_pretty()
-}
-
-fn counter(metrics_body: &str, name: &str) -> u64 {
-    let j = json::parse(metrics_body).expect("metrics parse");
-    j.get("counters")
-        .and_then(|c| c.get(name))
-        .and_then(Json::as_u64)
-        .unwrap_or(0)
-}
 
 /// Read one `Content-Length`-framed response off a raw socket; returns
 /// (status, full head, body).
@@ -211,6 +182,40 @@ fn oversized_body_is_rejected_on_sight() {
 }
 
 #[test]
+fn a_chunked_request_gets_one_501_then_eof() {
+    let handle = Server::start(ServerConfig {
+        cache_dir: None,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    // Read as a 0-byte body, its chunk bytes would parse as a second
+    // request and draw a second answer.
+    stream
+        .write_all(b"POST /run HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n")
+        .unwrap();
+    let (status, head, _) = read_raw_response(&mut stream);
+    assert_eq!(status, 501, "{head}");
+    assert!(head.to_ascii_lowercase().contains("connection: close"));
+    let mut rest = Vec::new();
+    match stream.read_to_end(&mut rest) {
+        Ok(_) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("the server must hang up after the 501: {e}"),
+    }
+    assert!(
+        rest.is_empty(),
+        "a second answer followed: {}",
+        String::from_utf8_lossy(&rest)
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn idle_keep_alive_connections_are_reaped() {
     let handle = Server::start(ServerConfig {
         cache_dir: None,
@@ -237,7 +242,7 @@ fn idle_keep_alive_connections_are_reaped() {
         0,
         "server must close an idle connection"
     );
-    let (st, metrics) = http::get_json(&addr, "/metrics").unwrap();
+    let (st, metrics) = get_json(&addr, "/metrics").unwrap();
     assert_eq!(st, 200);
     assert!(counter(&metrics, "connections.reaped") >= 1, "{metrics}");
     handle.shutdown();
@@ -328,7 +333,7 @@ fn pipelined_runs_answer_in_request_order_with_offline_bytes() {
     assert_eq!(status, 200);
     assert!(health.contains("\"ok\""), "{health}");
 
-    let (_, metrics) = http::get_json(&addr, "/metrics").unwrap();
+    let (_, metrics) = get_json(&addr, "/metrics").unwrap();
     assert_eq!(counter(&metrics, "connections.reused"), 2, "{metrics}");
     handle.shutdown();
 }
@@ -426,7 +431,7 @@ fn streaming_run_emits_stage_events_then_the_exact_artifact() {
     let mut conn = ClientConn::new(&addr);
     let mut events = Vec::new();
     let (status, artifact) = conn
-        .post_stream("/run?stream=1", body.as_bytes(), |line| {
+        .post_stream_with("/run?stream=1", &[], body.as_bytes(), |line| {
             events.push(line.to_string())
         })
         .unwrap();
@@ -462,7 +467,7 @@ fn streaming_run_emits_stage_events_then_the_exact_artifact() {
     // answers, so the stream carries zero stage events and the same bytes.
     let mut warm_events = Vec::new();
     let (status, warm) = conn
-        .post_stream("/run?stream=1", body.as_bytes(), |line| {
+        .post_stream_with("/run?stream=1", &[], body.as_bytes(), |line| {
             warm_events.push(line.to_string())
         })
         .unwrap();

@@ -7,42 +7,13 @@
 //! interesting topology is N replicas of the same shard — warm spares —
 //! and that is what these tests build.)
 
-use guardspec_harness::{json, run_experiment, Json, RunOptions};
-use guardspec_server::http;
-use guardspec_server::protocol::{request_to_json, three_schemes_request, to_spec, RunRequest};
+mod common;
+
+use common::{counter, get, get_json, offline_stable, post_json, scratch, serve_one};
+use guardspec_harness::{json, Json};
+use guardspec_server::http::encode_response;
+use guardspec_server::protocol::{request_to_json, three_schemes_request};
 use guardspec_server::{Server, ServerConfig};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-fn scratch(tag: &str) -> PathBuf {
-    static N: AtomicU32 = AtomicU32::new(0);
-    let n = N.fetch_add(1, Ordering::SeqCst);
-    let dir = std::env::temp_dir().join(format!(
-        "guardspec-peering-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn offline_stable(req: &RunRequest) -> String {
-    let spec = to_spec(req).expect("request resolves");
-    let opts = RunOptions {
-        jobs: 1,
-        cache_dir: None,
-        observe: req.observe,
-        ..RunOptions::default()
-    };
-    guardspec_harness::stable_json(&run_experiment(&spec, &opts)).to_pretty()
-}
-
-fn counter(metrics_body: &str, name: &str) -> u64 {
-    let j = json::parse(metrics_body).expect("metrics parse");
-    j.get("counters")
-        .and_then(|c| c.get(name))
-        .and_then(Json::as_u64)
-        .unwrap_or(0)
-}
 
 #[test]
 fn a_cold_daemon_is_satisfied_by_its_warm_peer_without_simulating() {
@@ -57,7 +28,7 @@ fn a_cold_daemon_is_satisfied_by_its_warm_peer_without_simulating() {
     let req = three_schemes_request("peered", guardspec_workloads::Scale::Test);
     let body = request_to_json(&req).to_compact();
     let expected = offline_stable(&req);
-    let (status, warm) = http::post_json(&b_addr, "/run", &body).unwrap();
+    let (status, warm) = post_json(&b_addr, "/run", &body).unwrap();
     assert_eq!(status, 200);
     assert_eq!(warm, expected);
 
@@ -70,26 +41,26 @@ fn a_cold_daemon_is_satisfied_by_its_warm_peer_without_simulating() {
     })
     .unwrap();
     let a_addr = a.addr().to_string();
-    let (status, got) = http::post_json(&a_addr, "/run", &body).unwrap();
+    let (status, got) = post_json(&a_addr, "/run", &body).unwrap();
     assert_eq!(status, 200);
     assert_eq!(got, expected, "peered bytes must equal the offline bytes");
 
-    let (_, metrics) = http::get_json(&a_addr, "/metrics").unwrap();
+    let (_, metrics) = get_json(&a_addr, "/metrics").unwrap();
     assert_eq!(counter(&metrics, "cache.peer_hits"), 1, "{metrics}");
     assert_eq!(
         counter(&metrics, "jobs.executed"),
         0,
         "the peer hit must preempt the simulation: {metrics}"
     );
-    let (_, b_metrics) = http::get_json(&b_addr, "/metrics").unwrap();
+    let (_, b_metrics) = get_json(&b_addr, "/metrics").unwrap();
     assert!(counter(&b_metrics, "cache.peer_served") >= 1, "{b_metrics}");
 
     // The fetched artifact is now in A's own cache: a replay answers
     // locally (resp-cached), no second peer round-trip.
-    let (status, again) = http::post_json(&a_addr, "/run", &body).unwrap();
+    let (status, again) = post_json(&a_addr, "/run", &body).unwrap();
     assert_eq!(status, 200);
     assert_eq!(again, expected);
-    let (_, metrics) = http::get_json(&a_addr, "/metrics").unwrap();
+    let (_, metrics) = get_json(&a_addr, "/metrics").unwrap();
     assert_eq!(counter(&metrics, "cache.peer_hits"), 1, "{metrics}");
     assert!(counter(&metrics, "jobs.resp_cached") >= 1, "{metrics}");
 
@@ -115,11 +86,11 @@ fn a_dead_peer_degrades_to_local_compute() {
     let req = three_schemes_request("lonely", guardspec_workloads::Scale::Test);
     let body = request_to_json(&req).to_compact();
     let expected = offline_stable(&req);
-    let (status, got) = http::post_json(&a_addr, "/run", &body).unwrap();
+    let (status, got) = post_json(&a_addr, "/run", &body).unwrap();
     assert_eq!(status, 200);
     assert_eq!(got, expected, "peer failure must not change the answer");
 
-    let (_, metrics) = http::get_json(&a_addr, "/metrics").unwrap();
+    let (_, metrics) = get_json(&a_addr, "/metrics").unwrap();
     assert_eq!(counter(&metrics, "cache.peer_hits"), 0, "{metrics}");
     assert!(counter(&metrics, "cache.peer_misses") >= 1, "{metrics}");
     assert_eq!(counter(&metrics, "jobs.executed"), 1, "{metrics}");
@@ -148,8 +119,7 @@ fn a_silent_peer_times_out_and_is_counted_separately_from_misses() {
     .unwrap();
     let a_addr = a.addr().to_string();
     let req = three_schemes_request("deaf", guardspec_workloads::Scale::Test);
-    let (status, got) =
-        http::post_json(&a_addr, "/run", &request_to_json(&req).to_compact()).unwrap();
+    let (status, got) = post_json(&a_addr, "/run", &request_to_json(&req).to_compact()).unwrap();
     assert_eq!(status, 200);
     assert_eq!(
         got,
@@ -157,7 +127,7 @@ fn a_silent_peer_times_out_and_is_counted_separately_from_misses() {
         "timeout must not change the answer"
     );
 
-    let (_, metrics) = http::get_json(&a_addr, "/metrics").unwrap();
+    let (_, metrics) = get_json(&a_addr, "/metrics").unwrap();
     assert!(counter(&metrics, "cache.peer_timeouts") >= 1, "{metrics}");
     assert_eq!(counter(&metrics, "cache.peer_hits"), 0, "{metrics}");
     assert_eq!(counter(&metrics, "jobs.executed"), 1, "{metrics}");
@@ -167,17 +137,14 @@ fn a_silent_peer_times_out_and_is_counted_separately_from_misses() {
 
 #[test]
 fn a_traced_request_propagates_its_trace_id_to_peer_probes() {
-    use guardspec_server::http::{read_request, write_response};
     // A hand-rolled "peer" that records the X-Trace-Id it was probed
     // with and answers 404 (an honest miss).
     let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let peer_addr = l.local_addr().unwrap().to_string();
     let probe = std::thread::spawn(move || {
         let (mut s, _) = l.accept().unwrap();
-        let req = read_request(&mut s).unwrap();
-        let seen = req.header("x-trace-id").map(str::to_string);
-        write_response(&mut s, 404, &[], b"").unwrap();
-        seen
+        let req = serve_one(&mut s, &encode_response(404, &[], b"", false));
+        req.header("x-trace-id").map(str::to_string)
     });
     let a = Server::start(ServerConfig {
         cache_dir: Some(scratch("traced-a")),
@@ -189,7 +156,7 @@ fn a_traced_request_propagates_its_trace_id_to_peer_probes() {
     let a_addr = a.addr().to_string();
     let req = three_schemes_request("traced-peer", guardspec_workloads::Scale::Test);
     let (status, envelope) =
-        http::post_json(&a_addr, "/run?trace=1", &request_to_json(&req).to_compact()).unwrap();
+        post_json(&a_addr, "/run?trace=1", &request_to_json(&req).to_compact()).unwrap();
     assert_eq!(status, 200);
     let env = json::parse(&envelope).unwrap();
     let trace_id = env
@@ -217,10 +184,10 @@ fn the_cache_endpoint_validates_keys_and_misses_cleanly() {
     })
     .unwrap();
     let addr = h.addr().to_string();
-    let (status, _) = http::get(&addr, "/cache/resp-0123abcd").unwrap();
+    let (status, _) = get(&addr, "/cache/resp-0123abcd").unwrap();
     assert_eq!(status, 404, "an honest miss is a 404");
     for bad in ["/cache/", "/cache/UPPER", "/cache/a..b", "/cache/a%2Fb"] {
-        let (status, body) = http::get(&addr, bad).unwrap();
+        let (status, body) = get(&addr, bad).unwrap();
         assert_eq!(status, 400, "{bad} must be rejected: {body}");
     }
     h.shutdown();

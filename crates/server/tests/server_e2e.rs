@@ -7,48 +7,18 @@
 //! (429 + retry hint, nothing silently dropped), and the `gsd` binary's
 //! SIGTERM drain.
 
-use guardspec_harness::{json, run_experiment, Json, RunOptions};
+mod common;
+
+use common::{counter, get, get_json, offline_stable, post_json, scratch};
+use guardspec_harness::{json, Json};
+use guardspec_server::http::ClientConn;
 use guardspec_server::protocol::{
-    request_to_json, three_schemes_request, to_spec, CellReq, RunRequest, WorkloadReq,
+    request_to_json, three_schemes_request, CellReq, RunRequest, WorkloadReq,
 };
-use guardspec_server::{http, run_fanout_stats, Server, ServerConfig, ShardSpec};
+use guardspec_server::{run_fanout_stats, Server, ServerConfig, ShardSpec};
 use guardspec_sim::MachineConfig;
 use guardspec_workloads::{extended_workloads, Scale};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
-
-/// A scratch cache dir unique to this test invocation.
-fn scratch(tag: &str) -> PathBuf {
-    static N: AtomicU32 = AtomicU32::new(0);
-    let n = N.fetch_add(1, Ordering::SeqCst);
-    let dir = std::env::temp_dir().join(format!(
-        "guardspec-server-e2e-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The offline answer: run the same request's spec in-process, no cache.
-fn offline_stable(req: &RunRequest) -> String {
-    let spec = to_spec(req).expect("request resolves");
-    let opts = RunOptions {
-        jobs: 1,
-        cache_dir: None,
-        observe: req.observe,
-        ..RunOptions::default()
-    };
-    guardspec_harness::stable_json(&run_experiment(&spec, &opts)).to_pretty()
-}
-
-fn counter(metrics_body: &str, name: &str) -> u64 {
-    let j = json::parse(metrics_body).expect("metrics parse");
-    j.get("counters")
-        .and_then(|c| c.get(name))
-        .and_then(Json::as_u64)
-        .unwrap_or(0)
-}
 
 fn gauge(metrics_body: &str, name: &str) -> u64 {
     json::parse(metrics_body)
@@ -75,7 +45,7 @@ fn eight_identical_requests_execute_one_job_and_match_offline() {
         .map(|_| {
             let addr = addr.clone();
             let body = body.clone();
-            std::thread::spawn(move || http::post_json(&addr, "/run", &body).unwrap())
+            std::thread::spawn(move || post_json(&addr, "/run", &body).unwrap())
         })
         .collect();
     let responses: Vec<(u16, String)> = posts.into_iter().map(|t| t.join().unwrap()).collect();
@@ -87,7 +57,7 @@ fn eight_identical_requests_execute_one_job_and_match_offline() {
             "server response must be byte-identical to the offline stable artifact"
         );
     }
-    let (st, metrics) = http::get_json(&addr, "/metrics").unwrap();
+    let (st, metrics) = get_json(&addr, "/metrics").unwrap();
     assert_eq!(st, 200);
     assert_eq!(counter(&metrics, "jobs.executed"), 1, "{metrics}");
     assert_eq!(counter(&metrics, "dedup.joined"), 7, "{metrics}");
@@ -96,10 +66,10 @@ fn eight_identical_requests_execute_one_job_and_match_offline() {
     // A later identical request opens a fresh flight and is answered from
     // the response cache without re-running the pipeline — same bytes, no
     // second execution.
-    let (st, again) = http::post_json(&addr, "/run", &body).unwrap();
+    let (st, again) = post_json(&addr, "/run", &body).unwrap();
     assert_eq!(st, 200);
     assert_eq!(again, expected);
-    let (_, metrics) = http::get_json(&addr, "/metrics").unwrap();
+    let (_, metrics) = get_json(&addr, "/metrics").unwrap();
     assert_eq!(counter(&metrics, "jobs.executed"), 1, "{metrics}");
     assert!(counter(&metrics, "jobs.resp_cached") >= 1, "{metrics}");
     assert!(gauge(&metrics, "cache_hits") > 0, "{metrics}");
@@ -126,7 +96,7 @@ fn sharded_fanout_merges_to_the_offline_bytes() {
     // A full (unsplit) sweep posted straight at one shard is a structured
     // 400 naming the misroute — never a silently partial answer.
     let (status, body) =
-        http::post_json(&servers[0], "/run", &request_to_json(&req).to_compact()).unwrap();
+        post_json(&servers[0], "/run", &request_to_json(&req).to_compact()).unwrap();
     assert_eq!(status, 400);
     assert!(body.contains("belongs to shard"), "{body}");
     h0.shutdown();
@@ -157,14 +127,16 @@ fn queue_full_is_a_structured_429_and_nothing_is_dropped() {
         .collect();
     // A occupies the worker (held 600ms); B fills the one queue slot.
     let spawn = |body: String, addr: String| {
-        std::thread::spawn(move || http::post_json(&addr, "/run", &body).unwrap())
+        std::thread::spawn(move || post_json(&addr, "/run", &body).unwrap())
     };
     let a = spawn(reqs[0].clone(), addr.clone());
     wait_until(&addr, |m| gauge(m, "executing") == 1);
     let b = spawn(reqs[1].clone(), addr.clone());
     wait_until(&addr, |m| gauge(m, "queue_depth") == 1);
     // C must bounce immediately with a retry hint, via headers and body.
-    let resp = http::roundtrip(&addr, "POST", "/run", reqs[2].as_bytes()).unwrap();
+    let resp = ClientConn::new(&addr)
+        .request("POST", "/run", reqs[2].as_bytes())
+        .unwrap();
     assert_eq!(resp.status, 429);
     assert!(resp.header("Retry-After").is_some());
     let parsed = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
@@ -172,7 +144,7 @@ fn queue_full_is_a_structured_429_and_nothing_is_dropped() {
     // A and B still complete normally — refusal never cancels admitted work.
     assert_eq!(a.join().unwrap().0, 200);
     assert_eq!(b.join().unwrap().0, 200);
-    let (_, metrics) = http::get_json(&addr, "/metrics").unwrap();
+    let (_, metrics) = get_json(&addr, "/metrics").unwrap();
     assert_eq!(counter(&metrics, "requests.rejected"), 1);
     assert_eq!(counter(&metrics, "jobs.executed"), 2);
     handle.shutdown();
@@ -181,7 +153,7 @@ fn queue_full_is_a_structured_429_and_nothing_is_dropped() {
 fn wait_until(addr: &str, mut pred: impl FnMut(&str) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let (_, m) = http::get_json(addr, "/metrics").unwrap();
+        let (_, m) = get_json(addr, "/metrics").unwrap();
         if pred(&m) {
             return;
         }
@@ -221,8 +193,7 @@ fn adhoc_text_programs_run_and_match_offline() {
     })
     .unwrap();
     let addr = handle.addr().to_string();
-    let (status, body) =
-        http::post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
+    let (status, body) = post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, offline_stable(&req));
 
@@ -232,8 +203,7 @@ fn adhoc_text_programs_run_and_match_offline() {
         name: "garbage".to_string(),
         program: "not assembly".to_string(),
     }];
-    let (status, body) =
-        http::post_json(&addr, "/run", &request_to_json(&bad).to_compact()).unwrap();
+    let (status, body) = post_json(&addr, "/run", &request_to_json(&bad).to_compact()).unwrap();
     assert_eq!(status, 400, "{body}");
 
     // Binary-encoded programs are not part of the protocol: a `bin` slot
@@ -250,7 +220,7 @@ fn adhoc_text_programs_run_and_match_offline() {
             ])]);
         }
     }
-    let (status, body) = http::post_json(&addr, "/run", &bin.to_compact()).unwrap();
+    let (status, body) = post_json(&addr, "/run", &bin.to_compact()).unwrap();
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("shipped"), "{body}");
     handle.shutdown();
@@ -275,16 +245,15 @@ fn deeply_nested_bodies_are_a_400_not_a_crash() {
         ),
     ];
     for body in &bodies {
-        let (status, reply) = http::post_json(&addr, "/run", body).unwrap();
+        let (status, reply) = post_json(&addr, "/run", body).unwrap();
         assert_eq!(status, 400, "{reply}");
         assert!(reply.contains("nesting deeper"), "{reply}");
     }
     // The daemon is still up and still answers real work.
-    let (status, _) = http::get(&addr, "/healthz").unwrap();
+    let (status, _) = get(&addr, "/healthz").unwrap();
     assert_eq!(status, 200);
     let req = three_schemes_request("after-nest", Scale::Test);
-    let (status, body) =
-        http::post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
+    let (status, body) = post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, offline_stable(&req));
     handle.shutdown();
@@ -323,7 +292,7 @@ fn traced_request_spans_tile_the_whole_lifecycle() {
     let req = three_schemes_request("table3", Scale::Test);
     let body = request_to_json(&req).to_compact();
 
-    let (status, envelope) = http::post_json(&addr, "/run?trace=1", &body).unwrap();
+    let (status, envelope) = post_json(&addr, "/run?trace=1", &body).unwrap();
     assert_eq!(status, 200, "{envelope}");
     let env = json::parse(&envelope).expect("trace envelope parses");
     let trace_id = env.get("trace_id").and_then(Json::as_str).unwrap();
@@ -373,7 +342,7 @@ fn traced_request_spans_tile_the_whole_lifecycle() {
 
     // The completed timeline also landed in the daemon ring: one GET
     // /trace drains it, the next finds it empty (read-once).
-    let (st, ring) = http::get(&addr, "/trace").unwrap();
+    let (st, ring) = get(&addr, "/trace").unwrap();
     assert_eq!(st, 200);
     let ring_doc = json::parse(&ring).unwrap();
     guardspec_harness::validate_chrome_trace(&ring_doc).expect("ring doc valid");
@@ -381,7 +350,7 @@ fn traced_request_spans_tile_the_whole_lifecycle() {
         !x_spans(&ring_doc).is_empty(),
         "ring must hold the request's spans: {ring}"
     );
-    let (_, empty) = http::get(&addr, "/trace").unwrap();
+    let (_, empty) = get(&addr, "/trace").unwrap();
     assert!(
         x_spans(&json::parse(&empty).unwrap()).is_empty(),
         "second drain must be empty: {empty}"
@@ -404,10 +373,10 @@ fn a_joining_duplicate_traces_the_dedup_with_the_owners_trace_id() {
     let owner = {
         let addr = addr.clone();
         let body = body.clone();
-        std::thread::spawn(move || http::post_json(&addr, "/run?trace=1", &body).unwrap())
+        std::thread::spawn(move || post_json(&addr, "/run?trace=1", &body).unwrap())
     };
     std::thread::sleep(Duration::from_millis(120)); // owner holds the flight
-    let (status, joined) = http::post_json(&addr, "/run?trace=1", &body).unwrap();
+    let (status, joined) = post_json(&addr, "/run?trace=1", &body).unwrap();
     assert_eq!(status, 200);
     let (status, owned) = owner.join().unwrap();
     assert_eq!(status, 200);
@@ -448,10 +417,12 @@ fn metrics_speak_prometheus_by_default_with_live_latency_histograms() {
     .unwrap();
     let addr = handle.addr().to_string();
     let req = three_schemes_request("table3", Scale::Test);
-    let (status, _) = http::post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
+    let (status, _) = post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
     assert_eq!(status, 200);
 
-    let resp = http::roundtrip(&addr, "GET", "/metrics", b"").unwrap();
+    let resp = ClientConn::new(&addr)
+        .request("GET", "/metrics", b"")
+        .unwrap();
     assert_eq!(resp.status, 200);
     assert!(
         resp.header("Content-Type")
@@ -480,7 +451,7 @@ fn metrics_speak_prometheus_by_default_with_live_latency_histograms() {
     assert!(series.contains_key("gsd_queue_depth"), "{text}");
 
     // The JSON document is still there for callers that ask for it.
-    let (st, legacy) = http::get_json(&addr, "/metrics").unwrap();
+    let (st, legacy) = get_json(&addr, "/metrics").unwrap();
     assert_eq!(st, 200);
     assert_eq!(counter(&legacy, "jobs.executed"), 1, "{legacy}");
     handle.shutdown();
@@ -505,8 +476,8 @@ fn tracing_and_slow_logging_never_perturb_artifact_bytes() {
     .unwrap();
     let req = three_schemes_request("table3", Scale::Test);
     let body = request_to_json(&req).to_compact();
-    let (st_hot, from_hot) = http::post_json(&hot.addr().to_string(), "/run", &body).unwrap();
-    let (st_cold, from_cold) = http::post_json(&cold.addr().to_string(), "/run", &body).unwrap();
+    let (st_hot, from_hot) = post_json(&hot.addr().to_string(), "/run", &body).unwrap();
+    let (st_cold, from_cold) = post_json(&cold.addr().to_string(), "/run", &body).unwrap();
     assert_eq!((st_hot, st_cold), (200, 200));
     assert_eq!(from_hot, from_cold, "telemetry must not leak into bytes");
     assert_eq!(from_hot, offline_stable(&req));
@@ -535,13 +506,12 @@ fn gsd_binary_drains_cleanly_on_sigterm() {
         .nth(3)
         .expect("address in banner")
         .to_string();
-    let (status, health) = http::get(&addr, "/healthz").unwrap();
+    let (status, health) = get(&addr, "/healthz").unwrap();
     assert_eq!(status, 200);
     assert!(health.contains("\"ok\""), "{health}");
 
     let req = three_schemes_request("table3", Scale::Test);
-    let (status, body) =
-        http::post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
+    let (status, body) = post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
     assert_eq!(status, 200);
     assert_eq!(body, offline_stable(&req));
 
@@ -578,11 +548,10 @@ fn gsd_debug_logging_never_touches_stdout() {
     // Drive real traffic — traced (slow-ms 0 traces everything) and debug
     // logged — then drain. Nothing beyond the banner may reach stdout.
     let req = three_schemes_request("table3", Scale::Test);
-    let (status, body) =
-        http::post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
+    let (status, body) = post_json(&addr, "/run", &request_to_json(&req).to_compact()).unwrap();
     assert_eq!(status, 200);
     assert_eq!(body, offline_stable(&req));
-    let (status, _) = http::get(&addr, "/metrics").unwrap();
+    let (status, _) = get(&addr, "/metrics").unwrap();
     assert_eq!(status, 200);
 
     std::process::Command::new("kill")

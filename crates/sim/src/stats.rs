@@ -70,15 +70,6 @@ impl SimStats {
         }
     }
 
-    /// Average occupancy of a reservation station.
-    pub fn rs_avg_occupancy(&self, q: QueueKind) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.queue_occupancy_sum[q.index()] as f64 / self.cycles as f64
-        }
-    }
-
     /// "% times `<unit>` is full (ratio to the final commit cycle)" — Table 4.
     pub fn fu_full_pct(&self, c: FuClass) -> f64 {
         if self.cycles == 0 {
@@ -99,14 +90,6 @@ impl SimStats {
 
     pub fn icache_hit_rate(&self) -> f64 {
         ratio(self.icache_hits, self.icache_misses)
-    }
-
-    pub fn dcache_hit_rate(&self) -> f64 {
-        ratio(self.dcache_hits, self.dcache_misses)
-    }
-
-    pub fn btb_hit_rate(&self) -> f64 {
-        ratio(self.btb_hits, self.btb_misses)
     }
 
     /// Every counter as a stable `(name, value)` list — the serialization

@@ -91,6 +91,11 @@ echo "$PERFOUT"
 echo "$PERFOUT" | grep -q '"failed":0'
 echo "$PERFOUT" | grep -q '"correct":true'
 
+echo "== perf's own tests (in-process gsd through ClientConn, try_parse replay) =="
+# perf is a package outside the workspace, so the workspace tests never
+# build it; a transport change that breaks the benchmark fails here.
+cargo test --release --manifest-path perf/Cargo.toml
+
 echo "== warm cache at small and paper scale (table3 cold then warm, 60 s cap each) =="
 # A warm run re-reads every cached stage entry at real scales.  If a
 # decoder turns quadratic again, the warm run hits the timeout and fails
