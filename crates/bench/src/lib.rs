@@ -37,8 +37,9 @@
 //!   entry gains `cycle_buckets` (every cycle attributed to exactly one
 //!   cause; the buckets sum to `stats.cycles`) and `top_sites` (the branch
 //!   sites costing the most mispredict-recovery cycles).
-//! * `--trace-out <path>` — write a Chrome trace-event timeline of the job
-//!   graph to `<path>`; load it at ui.perfetto.dev or `chrome://tracing`.
+//! * `--trace-out <path>` — write a Chrome trace-event timeline of the
+//!   run's stages (profile, transform, trace, simulate, collect) to
+//!   `<path>`; load it at ui.perfetto.dev or `chrome://tracing`.
 //! * `--sample` (with `--sample-detail N`, `--sample-warm N`,
 //!   `--sample-interval N`) — SMARTS-style interval sampling: per-cell
 //!   `sampling` estimates (mean IPC ± 95% CI, estimated cycles) replace

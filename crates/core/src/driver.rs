@@ -2,6 +2,13 @@
 //! for each branch in the loop list, choose branch-likely conversion,
 //! if-conversion, or split-branch instrumentation" — plus optional
 //! compile-time speculation into vacant head slots.
+//!
+//! One call to a private `decide` makes each loop branch's decision: its
+//! [`Action`], the [`CostComparison`] that chose it, and the plans that
+//! carry it out.  Once every branch of a function is decided, four phases
+//! apply the plans in a fixed order (likely flips, if-conversions,
+//! speculation, then splits per loop) and write what they achieved back
+//! into the branch's [`Decision`].
 
 use crate::feedback::{
     classify, segment_periodicity, BranchBehavior, FeedbackParams, SegmentClass,
@@ -13,8 +20,8 @@ use crate::schedule::Resources;
 use crate::speculate::speculate_into_head;
 use crate::splitbranch::{split_branches, HybridSegment, SplitPlan, SplitSpec};
 use guardspec_analysis::{find_hammocks, Cfg, DomTree, Hammock, Liveness, LoopForest};
-use guardspec_interp::Profile;
-use guardspec_ir::{BlockId, FuncId, InsnRef, Opcode, Program};
+use guardspec_interp::{BitVec, Profile};
+use guardspec_ir::{BlockId, FuncId, Function, InsnRef, Opcode, Program};
 
 /// Driver configuration.  The presets reproduce the paper's schemes and the
 /// ablations of the title's "individual/combined effects".
@@ -268,18 +275,42 @@ pub fn transform_program(
     report
 }
 
-/// A branch decision pending structural application.
-enum Pending {
-    Split {
-        loop_header: BlockId,
-        loop_body: Vec<BlockId>,
-        spec: SplitSpec,
-    },
+/// A structural change `decide` chose for one branch, applied after every
+/// branch of the function is decided.
+enum Plan {
+    /// Flip the branch to a branch-likely in place.
+    Likely,
+    /// If-convert the hammock the branch heads.
+    Convert(Hammock),
+    /// Hoist operations from `arm` into `head`, keeping `other`'s live-ins.
     Speculate {
         head: BlockId,
         arm: BlockId,
         other: BlockId,
     },
+    /// Split the branch inside loop `loop_idx`.
+    Split { loop_idx: usize, spec: SplitSpec },
+}
+
+/// What `decide` chose for one branch: the action, the cost comparison
+/// that decided it (if a gate ran), and the plans that carry it out.
+type Decided = (Action, Option<CostComparison>, Vec<Plan>);
+
+/// One loop branch as `decide` sees it.
+struct Branch<'a> {
+    f: &'a Function,
+    /// Block whose terminator is the branch.
+    block: BlockId,
+    /// Index of the loop the branch was first visited in.
+    loop_idx: usize,
+    backward: bool,
+    behavior: &'a BranchBehavior,
+    /// The profile's outcome vector (capped at the profiler's limit).
+    outcomes: &'a BitVec,
+    /// The profile's taken rate over every execution.
+    rate: f64,
+    hammock: Option<Hammock>,
+    opts: &'a DriverOptions,
 }
 
 fn transform_function(
@@ -289,374 +320,91 @@ fn transform_function(
     opts: &DriverOptions,
     report: &mut TransformReport,
 ) {
-    let res = Resources::r10000();
-    // ---- Analysis on the original function -------------------------------
-    let (loops, hammocks, decisions) = {
+    // ---- Decide per branch (Figure 6), on the original function ---------
+    // Each plan carries the index of its branch's decision in the report.
+    let mut plans: Vec<(usize, Plan)> = Vec::new();
+    let loops = {
         let f = prog.func(fid);
         let cfg = Cfg::build(f);
         let dom = DomTree::dominators(&cfg);
         let forest = LoopForest::build(f, &cfg, &dom);
         let hammocks = find_hammocks(f, &cfg);
         let mut seen: std::collections::HashSet<InsnRef> = Default::default();
-        let mut decisions: Vec<(InsnRef, bool, usize)> = Vec::new(); // site, backward, loop idx
-        for (li, l) in forest.loops.iter().enumerate() {
+        for (loop_idx, l) in forest.loops.iter().enumerate() {
             for (site, backward) in forest.loop_branches(f, l) {
                 let site = InsnRef { func: fid, ..site };
-                if seen.insert(site) {
-                    decisions.push((site, backward, li));
+                if !seen.insert(site) {
+                    continue;
                 }
+                // A branch the profile never reached keeps this record.
+                let mut decision = Decision {
+                    func: fid,
+                    site,
+                    backward,
+                    executed: 0,
+                    taken_rate: 0.0,
+                    behavior: BranchBehavior::Irregular {
+                        rate: 0.0,
+                        toggle: 0.0,
+                    },
+                    cost: None,
+                    action: Action::None("never executed"),
+                };
+                if let Some(bp) = profile.branch(site) {
+                    let behavior = classify(&bp.outcomes, &opts.feedback);
+                    let (action, cost, chosen) = decide(&Branch {
+                        f,
+                        block: site.block,
+                        loop_idx,
+                        backward,
+                        behavior: &behavior,
+                        outcomes: &bp.outcomes,
+                        rate: bp.taken_rate(),
+                        hammock: hammocks.iter().find(|h| h.head == site.block).copied(),
+                        opts,
+                    });
+                    let d = report.decisions.len();
+                    plans.extend(chosen.into_iter().map(|p| (d, p)));
+                    decision = Decision {
+                        executed: bp.executed,
+                        taken_rate: bp.taken_rate(),
+                        behavior,
+                        cost,
+                        action,
+                        ..decision
+                    };
+                }
+                report.decisions.push(decision);
             }
         }
-        (forest.loops, hammocks, decisions)
+        forest.loops
     };
 
-    // ---- Decide per branch (Figure 6) ------------------------------------
-    let mut likely_flips: Vec<InsnRef> = Vec::new();
-    let mut convert_hammocks: Vec<(InsnRef, Hammock)> = Vec::new();
-    let mut pendings: Vec<(InsnRef, Pending)> = Vec::new();
-
-    for (site, backward, li) in decisions {
-        let Some(bp) = profile.branch(site) else {
-            report.decisions.push(Decision {
-                func: fid,
-                site,
-                backward,
-                executed: 0,
-                taken_rate: 0.0,
-                behavior: BranchBehavior::Irregular {
-                    rate: 0.0,
-                    toggle: 0.0,
-                },
-                cost: None,
-                action: Action::None("never executed"),
-            });
-            continue;
-        };
-        let rate = bp.taken_rate();
-        let executed = bp.executed;
-        let behavior = classify(&bp.outcomes, &opts.feedback);
-        let hammock = hammocks.iter().find(|h| h.head == site.block).copied();
-        // The cost comparison evaluated at this site, recorded whichever
-        // way it went (split gate for phased/periodic, guarded gate via
-        // `convert_or_speculate` otherwise).
-        let mut gate: Option<CostComparison> = None;
-
-        let action: Action = if backward {
-            // Figure 6, backward-branch arm: only the likely conversion.
-            if opts.enable_likely && rate >= opts.feedback.likely_threshold {
-                likely_flips.push(site);
-                Action::BranchLikely
-            } else {
-                Action::None("backward branch below likely threshold")
-            }
-        } else {
-            match &behavior {
-                BranchBehavior::HighlyTaken { .. } => {
-                    let mut act = Action::None("highly taken; likelies disabled");
-                    if opts.enable_likely {
-                        likely_flips.push(site);
-                        act = Action::BranchLikely;
-                    }
-                    // Speculate from the dominant (taken) arm.
-                    if opts.enable_speculation && worth_speculating(&bp.outcomes) {
-                        if let Some(h) = hammock {
-                            if let (Some(arm), Some(other)) = (h.taken_arm, other_succ(&h, true)) {
-                                pendings.push((
-                                    site,
-                                    Pending::Speculate {
-                                        head: h.head,
-                                        arm,
-                                        other,
-                                    },
-                                ));
-                                act = match act {
-                                    Action::BranchLikely => {
-                                        Action::LikelyAndSpeculated { hoisted: 0 }
-                                    }
-                                    _ => Action::Speculated {
-                                        hoisted: 0,
-                                        renamed: 0,
-                                    },
-                                };
-                            }
-                        }
-                    }
-                    act
-                }
-                BranchBehavior::HighlyNotTaken { .. } => {
-                    // Fall-through dominant: the 2-bit predictor handles the
-                    // direction; speculate from the fall arm if possible.
-                    if opts.enable_speculation && worth_speculating(&bp.outcomes) {
-                        if let Some(h) = hammock {
-                            if let (Some(arm), Some(other)) = (h.fall_arm, other_succ(&h, false)) {
-                                pendings.push((
-                                    site,
-                                    Pending::Speculate {
-                                        head: h.head,
-                                        arm,
-                                        other,
-                                    },
-                                ));
-                                report.decisions.push(Decision {
-                                    func: fid,
-                                    site,
-                                    backward,
-                                    executed,
-                                    taken_rate: rate,
-                                    behavior,
-                                    cost: None,
-                                    action: Action::Speculated {
-                                        hoisted: 0,
-                                        renamed: 0,
-                                    },
-                                });
-                                continue;
-                            }
-                        }
-                    }
-                    Action::None("highly not-taken; predictor suffices")
-                }
-                BranchBehavior::Monotonic { rate: r, .. } => {
-                    // If-conversion candidate: Figure 6's cost comparison of
-                    // guarded cost vs weighted schedule estimates.
-                    let mut act = Action::None("monotonic; conversion not profitable");
-                    if opts.enable_ifconvert {
-                        if let Some(h) = hammock {
-                            let f = prog.func(fid);
-                            if can_convert(f, &h, opts.max_arm_len).is_ok() {
-                                let cmp = guarded_cost(f, &h, &bp.outcomes, *r, opts, &res);
-                                gate = Some(cmp);
-                                if cmp.wins() {
-                                    convert_hammocks.push((site, h));
-                                    act = Action::IfConverted { guarded_ops: 0 };
-                                }
-                            }
-                        }
-                    }
-                    if matches!(act, Action::None(_))
-                        && opts.enable_speculation
-                        && worth_speculating(&bp.outcomes)
-                    {
-                        if let Some(h) = hammock {
-                            let taken_dom = *r >= 0.5;
-                            let arm = if taken_dom { h.taken_arm } else { h.fall_arm };
-                            if let (Some(arm), Some(other)) = (arm, other_succ(&h, taken_dom)) {
-                                pendings.push((
-                                    site,
-                                    Pending::Speculate {
-                                        head: h.head,
-                                        arm,
-                                        other,
-                                    },
-                                ));
-                                act = Action::Speculated {
-                                    hoisted: 0,
-                                    renamed: 0,
-                                };
-                            }
-                        }
-                    }
-                    act
-                }
-                BranchBehavior::Phased { segments } => {
-                    // The per-segment extension: Mixed phases may hide a
-                    // periodic pattern the algebraic counter can steer.
-                    let hybrid: Vec<HybridSegment> = segments
-                        .iter()
-                        .map(|seg| {
-                            let per = (seg.class == SegmentClass::Mixed)
-                                .then(|| segment_periodicity(&bp.outcomes, seg, &opts.feedback))
-                                .flatten();
-                            (*seg, per)
-                        })
-                        .collect();
-                    let split_cmp = opts
-                        .enable_split
-                        .then(|| split_cost_hybrid(&bp.outcomes, &hybrid, opts));
-                    gate = split_cmp;
-                    if !split_cmp.is_some_and(|c| c.wins()) {
-                        let reason = if opts.enable_split {
-                            "phased; instrumentation cost exceeds benefit"
-                        } else {
-                            "phased; splitting disabled"
-                        };
-                        let (act, fb_cmp) = convert_or_speculate(
-                            prog,
-                            fid,
-                            site,
-                            hammock,
-                            &bp.outcomes,
-                            rate,
-                            opts,
-                            &res,
-                            &mut convert_hammocks,
-                            &mut pendings,
-                            reason,
-                        );
-                        report.decisions.push(Decision {
-                            func: fid,
-                            site,
-                            backward,
-                            executed,
-                            taken_rate: rate,
-                            behavior,
-                            // Record the comparison that decided the
-                            // action: the guarded gate when the fallback
-                            // if-converted, the split gate otherwise.
-                            cost: if matches!(act, Action::IfConverted { .. }) {
-                                fb_cmp
-                            } else {
-                                gate.or(fb_cmp)
-                            },
-                            action: act,
-                        });
-                        continue;
-                    }
-                    {
-                        let l = &loops[li];
-                        let plan = if hybrid.iter().any(|(_, per)| per.is_some()) {
-                            SplitPlan::Hybrid { segments: hybrid }
-                        } else {
-                            SplitPlan::Phased {
-                                segments: segments.clone(),
-                            }
-                        };
-                        pendings.push((
-                            site,
-                            Pending::Split {
-                                loop_header: l.header,
-                                loop_body: l.body.clone(),
-                                spec: SplitSpec {
-                                    block: site.block,
-                                    plan,
-                                },
-                            },
-                        ));
-                        Action::Split { likelies: 0 }
-                    }
-                }
-                BranchBehavior::Periodic { period, pattern } => {
-                    let split_cmp = (opts.enable_split && period.is_power_of_two() && *period <= 8)
-                        .then(|| split_cost_periodic(&bp.outcomes, *period, opts));
-                    gate = split_cmp;
-                    if !split_cmp.is_some_and(|c| c.wins()) {
-                        let reason = if opts.enable_split {
-                            "periodic; split not instrumentable or not profitable"
-                        } else {
-                            "periodic; splitting disabled"
-                        };
-                        let (act, fb_cmp) = convert_or_speculate(
-                            prog,
-                            fid,
-                            site,
-                            hammock,
-                            &bp.outcomes,
-                            rate,
-                            opts,
-                            &res,
-                            &mut convert_hammocks,
-                            &mut pendings,
-                            reason,
-                        );
-                        report.decisions.push(Decision {
-                            func: fid,
-                            site,
-                            backward,
-                            executed,
-                            taken_rate: rate,
-                            behavior,
-                            // Record the comparison that decided the
-                            // action: the guarded gate when the fallback
-                            // if-converted, the split gate otherwise.
-                            cost: if matches!(act, Action::IfConverted { .. }) {
-                                fb_cmp
-                            } else {
-                                gate.or(fb_cmp)
-                            },
-                            action: act,
-                        });
-                        continue;
-                    }
-                    if opts.enable_split && period.is_power_of_two() && *period <= 8 {
-                        let l = &loops[li];
-                        pendings.push((
-                            site,
-                            Pending::Split {
-                                loop_header: l.header,
-                                loop_body: l.body.clone(),
-                                spec: SplitSpec {
-                                    block: site.block,
-                                    plan: SplitPlan::Periodic {
-                                        period: *period,
-                                        pattern: pattern.clone(),
-                                    },
-                                },
-                            },
-                        ));
-                        Action::Split { likelies: 0 }
-                    } else {
-                        unreachable!("handled by the gate above")
-                    }
-                }
-                BranchBehavior::Irregular { rate: r, .. } => {
-                    let r = *r;
-                    // "Guarded execution where instruction traces are less
-                    // regular but suffer from insufficient parallelism":
-                    // irregular short diamonds are the prime if-conversion
-                    // targets — the branch is unpredictable, the merged code
-                    // is cheap.
-                    let (act, cmp) = convert_or_speculate(
-                        prog,
-                        fid,
-                        site,
-                        hammock,
-                        &bp.outcomes,
-                        r,
-                        opts,
-                        &res,
-                        &mut convert_hammocks,
-                        &mut pendings,
-                        "irregular behavior",
-                    );
-                    gate = cmp;
-                    act
-                }
-            }
-        };
-        report.decisions.push(Decision {
-            func: fid,
-            site,
-            backward,
-            executed,
-            taken_rate: rate,
-            behavior,
-            cost: gate,
-            action,
-        });
-    }
-
     // ---- Apply: phase A, in-place likely flips ---------------------------
-    for site in &likely_flips {
-        let f = prog.func_mut(fid);
-        let blk = f.block_mut(site.block);
-        if let Some(Opcode::Branch { likely, .. }) =
-            blk.insns.get_mut(site.idx as usize).map(|i| &mut i.op)
-        {
-            *likely = true;
-            report.likelies += 1;
+    for (d, plan) in &plans {
+        if let Plan::Likely = plan {
+            let site = report.decisions[*d].site;
+            let blk = prog.func_mut(fid).block_mut(site.block);
+            if let Some(Opcode::Branch { likely, .. }) =
+                blk.insns.get_mut(site.idx as usize).map(|i| &mut i.op)
+            {
+                *likely = true;
+                report.likelies += 1;
+            }
         }
     }
 
     // ---- Phase B: if-conversions (no block renumbering) ------------------
+    // A conversion that fails here keeps its `IfConverted { guarded_ops: 0 }`.
     {
         let mut pool = RenamePool::for_program(prog);
         let f = prog.func_mut(fid);
-        for (site, h) in &convert_hammocks {
-            if let Ok(stats) = if_convert(f, h, &mut pool, opts.max_arm_len) {
-                report.ifconversions += 1;
-                report.guarded_ops += stats.guarded_ops;
-                if let Some(d) = report.decisions.iter_mut().find(|d| d.site == *site) {
-                    d.action = Action::IfConverted {
+        for (d, plan) in &plans {
+            if let Plan::Convert(h) = plan {
+                if let Ok(stats) = if_convert(f, h, &mut pool, opts.max_arm_len) {
+                    report.ifconversions += 1;
+                    report.guarded_ops += stats.guarded_ops;
+                    report.decisions[*d].action = Action::IfConverted {
                         guarded_ops: stats.guarded_ops,
                     };
                 }
@@ -665,8 +413,8 @@ fn transform_function(
     }
 
     // ---- Phase C: speculation (instruction inserts only) -----------------
-    for (site, p) in &pendings {
-        if let Pending::Speculate { head, arm, other } = p {
+    for (d, plan) in &plans {
+        if let Plan::Speculate { head, arm, other } = plan {
             let mut pool = RenamePool::for_program(prog);
             let f = prog.func_mut(fid);
             let cfg = Cfg::build(f);
@@ -682,48 +430,43 @@ fn transform_function(
                 &mut pool,
             );
             report.speculated_ops += stats.hoisted;
-            if let Some(d) = report.decisions.iter_mut().find(|d| d.site == *site) {
-                d.action = match d.action {
-                    Action::LikelyAndSpeculated { .. } if stats.hoisted > 0 => {
-                        Action::LikelyAndSpeculated {
-                            hoisted: stats.hoisted,
-                        }
-                    }
-                    Action::LikelyAndSpeculated { .. } => Action::BranchLikely,
-                    _ if stats.hoisted > 0 => Action::Speculated {
+            let action = &mut report.decisions[*d].action;
+            *action = match action {
+                Action::LikelyAndSpeculated { .. } if stats.hoisted > 0 => {
+                    Action::LikelyAndSpeculated {
                         hoisted: stats.hoisted,
-                        renamed: stats.renamed,
-                    },
-                    _ => Action::None("nothing speculatable in the arm"),
-                };
-            }
+                    }
+                }
+                Action::LikelyAndSpeculated { .. } => Action::BranchLikely,
+                _ if stats.hoisted > 0 => Action::Speculated {
+                    hoisted: stats.hoisted,
+                    renamed: stats.renamed,
+                },
+                _ => Action::None("nothing speculatable in the arm"),
+            };
         }
     }
 
-    // ---- Phase D: splits, grouped per loop, descending header ------------
-    type LoopSplits = (Vec<BlockId>, Vec<(InsnRef, SplitSpec)>);
-    let mut grouped: std::collections::BTreeMap<u32, LoopSplits> = Default::default();
-    for (site, p) in &pendings {
-        if let Pending::Split {
-            loop_header,
-            loop_body,
-            spec,
-        } = p
-        {
-            let e = grouped
-                .entry(loop_header.0)
-                .or_insert_with(|| (loop_body.clone(), Vec::new()));
-            e.1.push((*site, spec.clone()));
-        }
-    }
+    // ---- Phase D: splits, one call per loop, descending header -----------
+    // Inserts for high headers don't move lower ones, and the cumulative
+    // remap covers what does move.
+    let mut order: Vec<usize> = (0..loops.len()).collect();
+    order.sort_by_key(|&li| std::cmp::Reverse(loops[li].header));
     let mut cum = Remap::new();
-    // Descending header order: inserts for high headers don't move lower ones,
-    // and the cumulative remap covers what does move.
-    for (&header0, (body0, entries)) in grouped.iter().rev() {
+    for li in order {
+        let entries: Vec<(usize, &SplitSpec)> = plans
+            .iter()
+            .filter_map(|(d, plan)| match plan {
+                Plan::Split { loop_idx, spec } if *loop_idx == li => Some((*d, spec)),
+                _ => None,
+            })
+            .collect();
+        if entries.is_empty() {
+            continue;
+        }
         let mut pool = RenamePool::for_program(prog);
         let f = prog.func_mut(fid);
-        let header = cum.apply_block(BlockId(header0));
-        let body: Vec<BlockId> = body0.iter().map(|&b| cum.apply_block(b)).collect();
+        let body: Vec<BlockId> = loops[li].body.iter().map(|&b| cum.apply_block(b)).collect();
         let specs: Vec<SplitSpec> = entries
             .iter()
             .map(|(_, s)| SplitSpec {
@@ -731,9 +474,9 @@ fn transform_function(
                 plan: s.plan.clone(),
             })
             .collect();
-        match split_branches(
+        let action = match split_branches(
             f,
-            header,
+            cum.apply_block(loops[li].header),
             &body,
             &specs,
             &mut pool,
@@ -744,31 +487,199 @@ fn transform_function(
                 report.splits += stats.sites;
                 report.split_likelies += stats.likelies;
                 cum.extend(&remap);
-                for (site, _) in entries {
-                    if let Some(d) = report.decisions.iter_mut().find(|d| d.site == *site) {
-                        d.action = Action::Split {
-                            likelies: stats.likelies / stats.sites.max(1),
-                        };
-                    }
+                Action::Split {
+                    likelies: stats.likelies / stats.sites.max(1),
                 }
             }
-            Err(_) => {
-                for (site, _) in entries {
-                    if let Some(d) = report.decisions.iter_mut().find(|d| d.site == *site) {
-                        d.action = Action::None("split failed (resources/segments)");
-                    }
-                }
-            }
+            Err(_) => Action::None("split failed (resources/segments)"),
+        };
+        for (d, _) in entries {
+            report.decisions[d].action = action.clone();
         }
     }
 }
 
-/// The successor of the head on the path NOT being speculated from.
-fn other_succ(h: &Hammock, speculating_taken: bool) -> Option<BlockId> {
-    if speculating_taken {
-        h.fall_arm.or(Some(h.join))
-    } else {
-        h.taken_arm.or(Some(h.join))
+/// Figure 6 for one loop branch: its action, the cost comparison that
+/// decided it, and the plans that carry it out.
+fn decide(b: &Branch) -> Decided {
+    let opts = b.opts;
+    if b.backward {
+        // Figure 6, backward-branch arm: only the likely conversion.
+        return if opts.enable_likely && b.rate >= opts.feedback.likely_threshold {
+            (Action::BranchLikely, None, vec![Plan::Likely])
+        } else {
+            let reason = "backward branch below likely threshold";
+            (Action::None(reason), None, Vec::new())
+        };
+    }
+    match b.behavior {
+        BranchBehavior::HighlyTaken { .. } => {
+            // Likely conversion, plus speculation from the dominant (taken)
+            // arm.
+            let spec = b.speculation(true);
+            let action = match (opts.enable_likely, spec.is_some()) {
+                (true, true) => Action::LikelyAndSpeculated { hoisted: 0 },
+                (true, false) => Action::BranchLikely,
+                (false, true) => Action::Speculated {
+                    hoisted: 0,
+                    renamed: 0,
+                },
+                (false, false) => Action::None("highly taken; likelies disabled"),
+            };
+            let likely = opts.enable_likely.then_some(Plan::Likely);
+            (action, None, likely.into_iter().chain(spec).collect())
+        }
+        // Fall-through dominant: the 2-bit predictor handles the direction;
+        // speculate from the fall arm if possible.
+        BranchBehavior::HighlyNotTaken { .. } => {
+            b.speculate_or(false, None, "highly not-taken; predictor suffices")
+        }
+        // If-conversion candidate: Figure 6's cost comparison of guarded
+        // cost vs weighted schedule estimates.
+        BranchBehavior::Monotonic { rate, .. } => {
+            b.convert_or_speculate(*rate, "monotonic; conversion not profitable")
+        }
+        // "Guarded execution where instruction traces are less regular but
+        // suffer from insufficient parallelism": irregular short diamonds
+        // are the prime if-conversion targets — the branch is
+        // unpredictable, the merged code is cheap.
+        BranchBehavior::Irregular { rate, .. } => {
+            b.convert_or_speculate(*rate, "irregular behavior")
+        }
+        BranchBehavior::Phased { segments } => {
+            // The per-segment extension: Mixed phases may hide a periodic
+            // pattern the algebraic counter can steer.
+            let hybrid: Vec<HybridSegment> = segments
+                .iter()
+                .map(|seg| {
+                    let per = (seg.class == SegmentClass::Mixed)
+                        .then(|| segment_periodicity(b.outcomes, seg, &opts.feedback))
+                        .flatten();
+                    (*seg, per)
+                })
+                .collect();
+            let gate = opts
+                .enable_split
+                .then(|| split_cost_hybrid(b.outcomes, &hybrid, opts));
+            let plan = if hybrid.iter().any(|(_, per)| per.is_some()) {
+                SplitPlan::Hybrid { segments: hybrid }
+            } else {
+                SplitPlan::Phased {
+                    segments: segments.clone(),
+                }
+            };
+            b.split_or_fall_back(
+                gate,
+                plan,
+                "phased; instrumentation cost exceeds benefit",
+                "phased; splitting disabled",
+            )
+        }
+        BranchBehavior::Periodic { period, pattern } => {
+            let gate = (opts.enable_split && period.is_power_of_two() && *period <= 8)
+                .then(|| split_cost_periodic(b.outcomes, *period, opts));
+            let plan = SplitPlan::periodic(*period, pattern.clone(), b.outcomes.len());
+            b.split_or_fall_back(
+                gate,
+                plan,
+                "periodic; split not instrumentable or not profitable",
+                "periodic; splitting disabled",
+            )
+        }
+    }
+}
+
+impl Branch<'_> {
+    /// Speculation from the dominant arm (taken if `taken_dom`), when it is
+    /// enabled, worth it, and the branch heads a hammock with that arm.
+    fn speculation(&self, taken_dom: bool) -> Option<Plan> {
+        if !self.opts.enable_speculation || !worth_speculating(self.outcomes) {
+            return None;
+        }
+        let h = self.hammock?;
+        let (arm, other) = if taken_dom {
+            (h.taken_arm?, h.fall_arm)
+        } else {
+            (h.fall_arm?, h.taken_arm)
+        };
+        Some(Plan::Speculate {
+            head: h.head,
+            arm,
+            // The successor of the head on the path NOT speculated from.
+            other: other.unwrap_or(h.join),
+        })
+    }
+
+    /// If-convert when the guarded gate at taken rate `rate` approves, else
+    /// speculate from the arm `rate` favours, else nothing for
+    /// `none_reason`.  The guarded comparison is returned whenever it ran.
+    fn convert_or_speculate(&self, rate: f64, none_reason: &'static str) -> Decided {
+        let opts = self.opts;
+        let gated = self
+            .hammock
+            .filter(|h| opts.enable_ifconvert && can_convert(self.f, h, opts.max_arm_len).is_ok())
+            .map(|h| (h, guarded_cost(self.f, &h, self.outcomes, rate, opts)));
+        if let Some((h, cmp)) = gated.filter(|(_, cmp)| cmp.wins()) {
+            let action = Action::IfConverted { guarded_ops: 0 };
+            return (action, Some(cmp), vec![Plan::Convert(h)]);
+        }
+        self.speculate_or(rate >= 0.5, gated.map(|(_, cmp)| cmp), none_reason)
+    }
+
+    /// Speculate from the dominant arm when [`Branch::speculation`] allows,
+    /// else nothing for `none_reason`; either way the decision records
+    /// `cost`.
+    fn speculate_or(
+        &self,
+        taken_dom: bool,
+        cost: Option<CostComparison>,
+        none_reason: &'static str,
+    ) -> Decided {
+        let Some(spec) = self.speculation(taken_dom) else {
+            return (Action::None(none_reason), cost, Vec::new());
+        };
+        let action = Action::Speculated {
+            hoisted: 0,
+            renamed: 0,
+        };
+        (action, cost, vec![spec])
+    }
+
+    /// Split with `plan` when the split gate `gate` ran and wins.  Otherwise
+    /// fall back to the guarded gate at the profile's taken rate, giving
+    /// `unprofitable` or `disabled` as the reason for doing nothing.  The
+    /// decision records the guarded comparison when the fallback
+    /// if-converts, the split gate's otherwise.
+    fn split_or_fall_back(
+        &self,
+        gate: Option<CostComparison>,
+        plan: SplitPlan,
+        unprofitable: &'static str,
+        disabled: &'static str,
+    ) -> Decided {
+        if gate.is_some_and(|c| c.wins()) {
+            let spec = SplitSpec {
+                block: self.block,
+                plan,
+            };
+            let split = Plan::Split {
+                loop_idx: self.loop_idx,
+                spec,
+            };
+            return (Action::Split { likelies: 0 }, gate, vec![split]);
+        }
+        let reason = if self.opts.enable_split {
+            unprofitable
+        } else {
+            disabled
+        };
+        let (action, guarded, plans) = self.convert_or_speculate(self.rate, reason);
+        let cost = if matches!(action, Action::IfConverted { .. }) {
+            guarded
+        } else {
+            gate.or(guarded)
+        };
+        (action, cost, plans)
     }
 }
 
@@ -778,7 +689,7 @@ fn other_succ(h: &Hammock, speculating_taken: bool) -> Option<BlockId> {
 /// that having the arm's prefix already in flight shortens recovery —
 /// Section 3's "how much we would like to perform speculation at
 /// compile-time versus doing it dynamically".
-fn worth_speculating(outcomes: &guardspec_interp::BitVec) -> bool {
+fn worth_speculating(outcomes: &BitVec) -> bool {
     if outcomes.is_empty() {
         return false;
     }
@@ -786,66 +697,9 @@ fn worth_speculating(outcomes: &guardspec_interp::BitVec) -> bool {
     misp >= 0.05
 }
 
-/// Shared fallback: if-convert when the cost model approves, else queue
-/// speculation from the dominant arm, else do nothing.  Also returns the
-/// guarded cost comparison when one was evaluated, for the decision log.
-#[allow(clippy::too_many_arguments)]
-fn convert_or_speculate(
-    prog: &Program,
-    fid: FuncId,
-    site: InsnRef,
-    hammock: Option<Hammock>,
-    outcomes: &guardspec_interp::BitVec,
-    rate: f64,
-    opts: &DriverOptions,
-    res: &Resources,
-    convert_hammocks: &mut Vec<(InsnRef, Hammock)>,
-    pendings: &mut Vec<(InsnRef, Pending)>,
-    none_reason: &'static str,
-) -> (Action, Option<CostComparison>) {
-    let mut gate: Option<CostComparison> = None;
-    if opts.enable_ifconvert {
-        if let Some(h) = hammock {
-            let f = prog.func(fid);
-            if can_convert(f, &h, opts.max_arm_len).is_ok() {
-                let cmp = guarded_cost(f, &h, outcomes, rate, opts, res);
-                gate = Some(cmp);
-                if cmp.wins() {
-                    convert_hammocks.push((site, h));
-                    return (Action::IfConverted { guarded_ops: 0 }, gate);
-                }
-            }
-        }
-    }
-    if opts.enable_speculation && worth_speculating(outcomes) {
-        if let Some(h) = hammock {
-            let taken_dom = rate >= 0.5;
-            let arm = if taken_dom { h.taken_arm } else { h.fall_arm };
-            if let (Some(arm), Some(other)) = (arm, other_succ(&h, taken_dom)) {
-                pendings.push((
-                    site,
-                    Pending::Speculate {
-                        head: h.head,
-                        arm,
-                        other,
-                    },
-                ));
-                return (
-                    Action::Speculated {
-                        hoisted: 0,
-                        renamed: 0,
-                    },
-                    gate,
-                );
-            }
-        }
-    }
-    (Action::None(none_reason), gate)
-}
-
 /// Replay an outcome vector through a fresh 2-bit counter and count
 /// mispredictions — the baseline cost estimate for the split gate.
-fn twobit_mispredicts(v: &guardspec_interp::BitVec, range: std::ops::Range<usize>) -> u64 {
+fn twobit_mispredicts(v: &BitVec, range: std::ops::Range<usize>) -> u64 {
     let mut t = guardspec_predict::TwoBitTable::new(1);
     let mut miss = 0u64;
     for i in range {
@@ -864,7 +718,7 @@ fn twobit_mispredicts(v: &guardspec_interp::BitVec, range: std::ops::Range<usize
 /// remain.  Cost: the per-iteration instrumentation issued on a 4-wide
 /// machine.
 fn split_cost_hybrid(
-    v: &guardspec_interp::BitVec,
+    v: &BitVec,
     segments: &[HybridSegment],
     opts: &DriverOptions,
 ) -> CostComparison {
@@ -902,12 +756,10 @@ fn split_cost_hybrid(
 }
 
 /// Split gate for periodic patterns: the algebraic-counter likelies remove
-/// all agreeing-position mispredicts.
-fn split_cost_periodic(
-    v: &guardspec_interp::BitVec,
-    period: usize,
-    opts: &DriverOptions,
-) -> CostComparison {
+/// all agreeing-position mispredicts.  It prices the instrumentation
+/// differently from [`split_cost_hybrid`], and the decision log prints its
+/// numbers.
+fn split_cost_periodic(v: &BitVec, period: usize, opts: &DriverOptions) -> CostComparison {
     let n = v.len();
     if n == 0 {
         return CostComparison::default();
@@ -934,16 +786,14 @@ fn split_cost_periodic(
 /// bench; on a dynamically-scheduled machine "vacant slots" are not free,
 /// so the driver gates on issue bandwidth instead.)
 fn guarded_cost(
-    f: &guardspec_ir::Function,
+    f: &Function,
     h: &Hammock,
-    outcomes: &guardspec_interp::BitVec,
+    outcomes: &BitVec,
     taken_rate: f64,
     opts: &DriverOptions,
-    res: &Resources,
 ) -> CostComparison {
-    let arm_ops = |b: Option<guardspec_ir::BlockId>| -> f64 {
-        b.map(|b| f.block(b).body_len() as f64).unwrap_or(0.0)
-    };
+    let arm_ops =
+        |b: Option<BlockId>| -> f64 { b.map(|b| f.block(b).body_len() as f64).unwrap_or(0.0) };
     let ops_fall = arm_ops(h.fall_arm);
     let ops_taken = arm_ops(h.taken_arm);
     // Measured 2-bit misprediction rate on the actual outcome stream —
@@ -954,7 +804,7 @@ fn guarded_cost(
     } else {
         twobit_mispredicts(outcomes, 0..outcomes.len()) as f64 / outcomes.len() as f64
     };
-    let width = res.issue_width as f64;
+    let width = Resources::r10000().issue_width as f64;
     // Benefit: expected misprediction penalty removed, plus the branch
     // no longer occupying a fetch slot.  (The head gains a jump to the
     // join, so the arm-terminating jump is not counted as saved.)

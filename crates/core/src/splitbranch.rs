@@ -25,7 +25,13 @@
 //!
 //! Periodic toggle patterns (`TFTF…`, `TTFF…`) are instrumented with the
 //! "algebraic counter" form the paper describes: membership is
-//! `(i & (period-1)) == k` for power-of-two periods.
+//! `(i & (period-1)) == k` for power-of-two periods.  There are two plan
+//! forms.  [`SplitPlan::Phased`] steers biased phases by range.
+//! [`SplitPlan::Hybrid`] also steers Mixed phases that hide a pattern, and
+//! adds range predicates only when more than one phase is periodic.  A
+//! whole-loop periodic pattern is a `Hybrid` plan with one Mixed segment
+//! from iteration 0 ([`SplitPlan::periodic`]).  The driver's one decision
+//! per branch picks the plan.
 //!
 //! The generated code is *semantically identical* to the original branch
 //! for every input, regardless of whether the profile matches the run:
@@ -40,21 +46,37 @@ use guardspec_ir::{
     BasicBlock, BlockId, BranchCond, Function, Guard, Instruction, IntReg, Opcode, PredReg, SetCond,
 };
 
-/// How to instrument one branch.
 /// A segment plus, for Mixed segments only, the `(period, pattern)` of a
 /// detected periodic sub-structure steering that phase's split.
 pub type HybridSegment = (Segment, Option<(usize, Vec<bool>)>);
 
+/// How to instrument one branch.
 #[derive(Clone, Debug)]
 pub enum SplitPlan {
     /// Contiguous biased phases of the iteration space.
     Phased { segments: Vec<Segment> },
-    /// Repeating pattern; `period` must be a power of two `<= 8`.
-    Periodic { period: usize, pattern: Vec<bool> },
     /// The per-segment extension: biased phases steered by range
     /// predicates, plus Mixed phases with their own periodic pattern
     /// steered by range && algebraic-counter predicates.
     Hybrid { segments: Vec<HybridSegment> },
+}
+
+impl SplitPlan {
+    /// A whole-loop periodic pattern over `iterations` profiled iterations:
+    /// one Mixed segment from iteration 0, steered by the algebraic counter
+    /// alone.  `period` must be a power of two `<= 8`.
+    pub fn periodic(period: usize, pattern: Vec<bool>, iterations: usize) -> SplitPlan {
+        let taken = pattern.iter().filter(|&&t| t).count();
+        let segment = Segment {
+            start: 0,
+            end: iterations,
+            class: SegmentClass::Mixed,
+            rate: taken as f64 / period.max(1) as f64,
+        };
+        SplitPlan::Hybrid {
+            segments: vec![(segment, Some((period, pattern)))],
+        }
+    }
 }
 
 /// One branch to split.
@@ -84,7 +106,8 @@ pub enum SplitError {
     NoPredReg,
     /// No segment is biased enough to earn a branch-likely.
     NoBiasedSegment,
-    /// Periodic plan with an unsupported period (not a power of two ≤ 8).
+    /// A periodic segment with an unsupported period (not a power of two
+    /// ≤ 8) or a pattern of another length.
     UnsupportedPeriod,
 }
 
@@ -351,15 +374,6 @@ fn split_one(
             }));
         }
     };
-    // Emit `masked = counter & (p-1)` — the algebraic counter.
-    let emit_mask = |setup: &mut Vec<Instruction>, p: usize| {
-        setup.push(Instruction::new(Opcode::AluImm {
-            kind: AluKind::And,
-            dst: regs.masked,
-            a: counter,
-            imm: (p - 1) as i64,
-        }));
-    };
 
     match &spec.plan {
         SplitPlan::Phased { segments } => {
@@ -396,43 +410,6 @@ fn split_one(
                 });
             }
         }
-        SplitPlan::Periodic { period, pattern } => {
-            let p = *period;
-            if !p.is_power_of_two() || p > 8 || pattern.len() != p {
-                return Err(SplitError::UnsupportedPeriod);
-            }
-            emit_mask(&mut setup, p);
-            // Likelies cover only the TAKEN positions.  Not-taken positions
-            // fall through to the residual branch, which then sees an
-            // almost-constant not-taken stream the 2-bit counter nails —
-            // and the instrumentation stays half as large.
-            for (k, &tk) in pattern.iter().enumerate() {
-                if !tk || likelies.len() >= max_likelies.max(1) {
-                    continue;
-                }
-                setup.push(Instruction::new(Opcode::SetPImm {
-                    cond: SetCond::Eq,
-                    dst: tmp_a,
-                    a: regs.masked,
-                    imm: k as i64,
-                }));
-                let g = *regs.guards.get(next_guard).ok_or(SplitError::NoPredReg)?;
-                next_guard += 1;
-                setup.push(Instruction::new(Opcode::PLogic {
-                    kind: PLogicKind::And,
-                    dst: g,
-                    a: p_true,
-                    b: tmp_a,
-                }));
-                likelies.push(PlannedLikely {
-                    guard: g,
-                    taken_dir: true,
-                });
-            }
-            if likelies.is_empty() {
-                return Err(SplitError::NoBiasedSegment);
-            }
-        }
         SplitPlan::Hybrid { segments } => {
             let total: usize = segments.iter().map(|(s, _)| s.len()).sum();
             // The guards below always include the true branch condition, so
@@ -455,8 +432,14 @@ fn split_one(
                         if need_range {
                             emit_range(&mut setup, seg, total, tmp_c, tmp_b);
                         }
+                        // `masked = counter & (p-1)` — the algebraic counter.
                         if mask_emitted != Some(*p) {
-                            emit_mask(&mut setup, *p);
+                            setup.push(Instruction::new(Opcode::AluImm {
+                                kind: AluKind::And,
+                                dst: regs.masked,
+                                a: counter,
+                                imm: (*p - 1) as i64,
+                            }));
                             mask_emitted = Some(*p);
                         }
                         // The pattern indexes iterations *within* the
@@ -699,7 +682,9 @@ mod tests {
         };
         match classify(&bp.outcomes, &params) {
             BranchBehavior::Phased { segments } => SplitPlan::Phased { segments },
-            BranchBehavior::Periodic { period, pattern } => SplitPlan::Periodic { period, pattern },
+            BranchBehavior::Periodic { period, pattern } => {
+                SplitPlan::periodic(period, pattern, bp.outcomes.len())
+            }
             other => panic!("expected splittable behavior, got {other:?}"),
         }
     }
@@ -876,10 +861,7 @@ mod tests {
         let mut pool = RenamePool::for_function(f);
         let specs = vec![SplitSpec {
             block: bb,
-            plan: SplitPlan::Periodic {
-                period: 3,
-                pattern: vec![true, false, false],
-            },
+            plan: SplitPlan::periodic(3, vec![true, false, false], 100),
         }];
         let err =
             split_branches(f, BlockId(1), &[BlockId(1)], &specs, &mut pool, 0.15, 2).unwrap_err();

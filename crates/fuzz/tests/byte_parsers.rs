@@ -561,6 +561,8 @@ fn response_seeds() -> Vec<Vec<u8>> {
         ),
         stream,
         surplus,
+        // Two differing lengths: ambiguous framing, rejected whole.
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n{}{}".to_vec(),
     ]
 }
 
@@ -645,7 +647,11 @@ fn mutated_responses_read_or_fail_within_budget() {
     for s in &seeds {
         feed_response(s, &mut clean);
     }
-    assert_eq!((clean.ok, clean.err), (4, 0), "every seed reads cleanly");
+    assert_eq!(
+        (clean.ok, clean.err),
+        (4, 1),
+        "every seed but the conflicting lengths reads cleanly"
+    );
     assert_eq!((clean.chunked, clean.surplus), (1, 1));
 
     let (reached, slowest) = run_cases(&seeds, BASE_SEED ^ 0x4e57, mutate_response, feed_response);

@@ -10,10 +10,11 @@
 //! * [`ReportSummary`] — the transform-report counts the tables print
 //!   (full per-branch decision lists are cheap to recompute and are *not*
 //!   cached).
-//! * Transformed programs — as printed IR text only, re-parsed on a warm
-//!   hit (print → parse identity is property-tested in `guardspec-ir`).
-//!   The text is also the cache-key material, and it is both smaller and
-//!   faster to load than a binary copy would be.
+//! * Transformed programs — never as text.  A transform entry is
+//!   `{digest, report}`: the digest of the printed program, which keys
+//!   its sim entries, and its [`ReportSummary`].  A warm hit parses no IR;
+//!   a cell that misses its sim entry rebuilds the program from the cached
+//!   profile (the runner writes and reads these entries).
 //! * [`DriverOptions`], [`MachineConfig`] and [`SampleParams`] — each
 //!   through its one field list ([`Fields`]), which the cache-key text
 //!   ([`crate::key`]) and `gsd`'s `/run` protocol also walk.

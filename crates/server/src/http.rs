@@ -10,8 +10,9 @@
 //!   loop feeds from a per-connection read buffer.  It never blocks: a
 //!   prefix yields [`Parsed::Partial`], a complete request yields the
 //!   [`HttpRequest`] plus how many bytes to drain, and a framing violation
-//!   (a `Transfer-Encoding` among them: 501) yields a terminal
-//!   [`Parsed::Error`] with the status to send before closing.
+//!   (a `Transfer-Encoding` among them: 501; two differing
+//!   `Content-Length` values: 400) yields a terminal [`Parsed::Error`]
+//!   with the status to send before closing.
 //! * [`read_response`] — the one response reader, over any `io::Read`.  A
 //!   chunked body (the `POST /run?stream=1` progress stream, built by
 //!   [`encode_stream_head`] and [`encode_chunk`]) goes to a callback one
@@ -151,8 +152,10 @@ fn parse_head(buf: &[u8]) -> Result<Option<Head<'_>>, Reject> {
 }
 
 /// The body framing `headers` declare.  A transfer coding wins over
-/// `Content-Length`, and chunked is the only one understood; the last
-/// `Content-Length` counts.
+/// `Content-Length`, and chunked is the only one understood.  Repeated
+/// `Content-Length` headers must agree: with two lengths the body's end is
+/// ambiguous (RFC 9112 §6.3), and either reading would let a body's tail
+/// parse as the next message.
 fn framing(headers: &[(String, String)]) -> Result<Framing, Reject> {
     if let Some(coding) = find_header(headers, "transfer-encoding") {
         if coding.eq_ignore_ascii_case("chunked") {
@@ -160,12 +163,17 @@ fn framing(headers: &[(String, String)]) -> Result<Framing, Reject> {
         }
         return Err((501, "unsupported Transfer-Encoding"));
     }
-    let mut len = 0usize;
+    let mut len: Option<usize> = None;
     for (k, v) in headers {
         if k.eq_ignore_ascii_case("content-length") {
-            len = v.parse().map_err(|_| (400, "bad Content-Length"))?;
+            let n = v.parse().map_err(|_| (400, "bad Content-Length"))?;
+            if len.is_some_and(|len| len != n) {
+                return Err((400, "conflicting Content-Length"));
+            }
+            len = Some(n);
         }
     }
+    let len = len.unwrap_or(0);
     if len > MAX_BODY {
         return Err((413, "body too large"));
     }
@@ -761,6 +769,28 @@ mod tests {
             Parsed::Error { status: 400, .. }
         ));
         assert_eq!(reason(501), "Not Implemented");
+    }
+
+    #[test]
+    fn try_parse_answers_conflicting_lengths_with_400() {
+        let wire = b"POST /run HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nabcde";
+        assert!(matches!(try_parse(wire), Parsed::Error { status: 400, .. }));
+        // Repeating one length is not a conflict.
+        let wire = b"POST /run HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc";
+        let Parsed::Complete { req, consumed } = try_parse(wire) else {
+            panic!("agreeing lengths must parse");
+        };
+        assert_eq!(
+            (req.body.as_slice(), consumed),
+            (b"abc".as_slice(), wire.len())
+        );
+    }
+
+    #[test]
+    fn read_response_rejects_conflicting_lengths() {
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n{}{}";
+        let err = read_response(&mut wire.as_slice(), |_| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

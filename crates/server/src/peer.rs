@@ -15,8 +15,13 @@
 //! hung peer costs one short timeout per fetch, not a wedged worker — and
 //! are counted separately (`cache.peer_timeouts`) from plain misses so a
 //! sick topology is visible in `/metrics`.
-//! Connections are keep-alive ([`ClientConn`]) so a warm peering pair
-//! costs one TCP handshake, not one per fetch.
+//! Connections are keep-alive ([`ClientConn`]): each peer keeps one idle
+//! connection, so a warm peering pair costs one TCP handshake, not one per
+//! fetch.  A worker holds the peer's lock only to take that connection or
+//! to put one back; a worker that finds it taken opens its own, with the
+//! same timeout, so concurrent fetches from one slow peer wait side by
+//! side rather than in turn.  A returned connection is kept only if the
+//! slot is still empty.
 //!
 //! Observability: every probe's round-trip lands in the `peer.rtt`
 //! histogram, and a traced request's id rides the outbound probe as
@@ -31,7 +36,9 @@ use guardspec_harness::MetricsRegistry;
 use crate::http::ClientConn;
 
 pub struct PeerSet {
-    peers: Vec<(String, Mutex<ClientConn>)>,
+    /// Each peer's address and its idle connection, if one is parked.
+    peers: Vec<(String, Mutex<Option<ClientConn>>)>,
+    timeout: Duration,
 }
 
 impl PeerSet {
@@ -42,17 +49,14 @@ impl PeerSet {
         PeerSet {
             peers: addrs
                 .iter()
-                .map(|a| (a.clone(), Mutex::new(ClientConn::with_timeout(a, timeout))))
+                .map(|a| (a.clone(), Mutex::new(None)))
                 .collect(),
+            timeout,
         }
     }
 
     pub fn is_empty(&self) -> bool {
         self.peers.is_empty()
-    }
-
-    pub fn addrs(&self) -> Vec<String> {
-        self.peers.iter().map(|(a, _)| a.clone()).collect()
     }
 
     /// Ask each peer in turn for `key`; first 200 wins.  `None` means no
@@ -68,11 +72,17 @@ impl PeerSet {
         if let Some(id) = trace_id {
             headers.push(("X-Trace-Id", id));
         }
-        for (_, conn) in &self.peers {
-            let mut conn = conn.lock().unwrap();
+        for (addr, idle) in &self.peers {
+            let parked = idle.lock().expect("no fetch panics holding a slot").take();
+            let mut conn = parked.unwrap_or_else(|| ClientConn::with_timeout(addr, self.timeout));
             let t0 = Instant::now();
             let outcome = conn.request_with("GET", &format!("/cache/{key}"), &headers, b"");
             metrics.time_ns("peer.rtt", t0.elapsed().as_nanos() as u64);
+            // A failed request already dropped its socket, so parking the
+            // handle never hands a stale stream to the next fetch.
+            idle.lock()
+                .expect("no fetch panics holding a slot")
+                .get_or_insert(conn);
             match outcome {
                 Ok(resp) if resp.status == 200 => return Some(resp.body),
                 Ok(_) => {} // 404: this peer ran cold too
@@ -141,6 +151,42 @@ mod tests {
         assert_eq!(metrics.get("cache.peer_timeouts"), 1);
         let rtt = metrics.histogram("peer.rtt");
         assert!(rtt.count() >= 1, "every probe records an RTT sample");
+        hold.join().unwrap();
+    }
+
+    #[test]
+    fn concurrent_fetches_from_a_silent_peer_time_out_side_by_side() {
+        // Accept both connections and never answer until both fetches are
+        // over.  Started together, each fetch must cost one timeout, not
+        // wait out the other's first.
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = l.local_addr().unwrap().to_string();
+        let (done, fetched) = std::sync::mpsc::channel::<()>();
+        let hold = std::thread::spawn(move || {
+            let held: Vec<_> = (0..2).map(|_| l.accept().unwrap().0).collect();
+            let _ = fetched.recv();
+            drop(held);
+        });
+        let metrics = MetricsRegistry::new();
+        let peers = PeerSet::new(&[addr], Duration::from_millis(300));
+        let start = std::sync::Barrier::new(2);
+        let elapsed: Vec<Duration> = std::thread::scope(|s| {
+            let fetches = ["resp-00", "resp-01"].map(|key| {
+                let (peers, metrics, start) = (&peers, &metrics, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let t0 = Instant::now();
+                    assert!(peers.fetch(key, None, metrics).is_none());
+                    t0.elapsed()
+                })
+            });
+            fetches.map(|f| f.join().unwrap()).to_vec()
+        });
+        drop(done);
+        for e in &elapsed {
+            assert!(*e < Duration::from_millis(450), "fetch took {e:?}");
+        }
+        assert_eq!(metrics.get("cache.peer_timeouts"), 2);
         hold.join().unwrap();
     }
 

@@ -3,9 +3,10 @@
 //! service semantics (dedup, shard/merge, drain), this file asserts the
 //! epoll state machine itself: incremental parsing under adversarial
 //! write boundaries (slow-loris, split pipelines), keep-alive accounting,
-//! limits (oversized heads/bodies, max-requests, idle reaping), request
-//! order for a pipelining client served one request at a time, answers
-//! to a client that half-closes, and the chunked progress stream.
+//! limits (oversized heads/bodies, max-requests, idle reaping), framing
+//! violations that get one answer and a hang-up, request order for a
+//! pipelining client served one request at a time, answers to a client
+//! that half-closes, and the chunked progress stream.
 
 mod common;
 
@@ -181,8 +182,9 @@ fn oversized_body_is_rejected_on_sight() {
     handle.shutdown();
 }
 
-#[test]
-fn a_chunked_request_gets_one_501_then_eof() {
+/// Send `wire` on a fresh connection and assert that the daemon answers
+/// exactly once, says it closes, and hangs up; return the status.
+fn one_answer_then_eof(wire: &[u8]) -> u16 {
     let handle = Server::start(ServerConfig {
         cache_dir: None,
         workers: 1,
@@ -193,19 +195,17 @@ fn a_chunked_request_gets_one_501_then_eof() {
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    // Read as a 0-byte body, its chunk bytes would parse as a second
-    // request and draw a second answer.
-    stream
-        .write_all(b"POST /run HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n")
-        .unwrap();
+    stream.write_all(wire).unwrap();
     let (status, head, _) = read_raw_response(&mut stream);
-    assert_eq!(status, 501, "{head}");
-    assert!(head.to_ascii_lowercase().contains("connection: close"));
+    assert!(
+        head.to_ascii_lowercase().contains("connection: close"),
+        "{head}"
+    );
     let mut rest = Vec::new();
     match stream.read_to_end(&mut rest) {
         Ok(_) => {}
         Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
-        Err(e) => panic!("the server must hang up after the 501: {e}"),
+        Err(e) => panic!("the server must hang up after the {status}: {e}"),
     }
     assert!(
         rest.is_empty(),
@@ -213,6 +213,25 @@ fn a_chunked_request_gets_one_501_then_eof() {
         String::from_utf8_lossy(&rest)
     );
     handle.shutdown();
+    status
+}
+
+#[test]
+fn a_chunked_request_gets_one_501_then_eof() {
+    // Read as a 0-byte body, its chunk bytes would parse as a second
+    // request and draw a second answer.
+    let wire =
+        b"POST /run HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n";
+    assert_eq!(one_answer_then_eof(wire), 501);
+}
+
+#[test]
+fn conflicting_content_lengths_get_one_400_then_eof() {
+    // Read by its last length, this is a bodiless health check whose 5
+    // body bytes would start a second request.
+    let wire =
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nhello";
+    assert_eq!(one_answer_then_eof(wire), 400);
 }
 
 #[test]

@@ -56,7 +56,7 @@ fn main() {
     let plan = match classify(&bp.outcomes, &params) {
         BranchBehavior::Periodic { period, pattern } => {
             println!("branch classified Periodic (period {period}, pattern {pattern:?})\n");
-            SplitPlan::Periodic { period, pattern }
+            SplitPlan::periodic(period, pattern, bp.outcomes.len())
         }
         BranchBehavior::Phased { segments } => {
             println!("branch classified Phased: {segments:?}\n");

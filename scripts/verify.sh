@@ -33,6 +33,19 @@ cargo run --release -p guardspec-bench --bin table4 -- \
     --scale test --json results/ci_table4.json
 test -s results/ci_table4.json
 
+echo "== tracked decision log (decisions --scale small vs results/decisions.txt) =="
+# The tracked file is the small-scale Figure-6 decision list under the
+# proposed scheme, regenerated here from a cold cache.  A change that moves
+# a decision or a profiled rate fails this step until the file is
+# regenerated, so the diff shows in review.
+DECDIR=$(mktemp -d)
+{
+    echo "# cargo run --release -p guardspec-bench --bin decisions -- --scale small"
+    (cd "$DECDIR" && "$OLDPWD/target/release/decisions" --scale small)
+} > "$DECDIR/decisions.txt"
+cmp results/decisions.txt "$DECDIR/decisions.txt"
+rm -rf "$DECDIR"
+
 echo "== sampling smoke (table3 --sample: estimates present, CI > 0, warm replay) =="
 SMPDIR=$(mktemp -d)
 SMPARGS=(--scale test --sample --sample-interval 1000 --sample-detail 50 --sample-warm 50)
